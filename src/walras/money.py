@@ -10,7 +10,7 @@ violations.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 Money = Fraction
 
@@ -39,6 +39,18 @@ def parse_money(value) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not an exact rational: {value!r}") from exc
     raise TypeError(f"cannot parse money from {type(value).__name__}")
+
+
+def scale_rows(rows) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(D, every row times D), with D the lcm of all entries' denominators.
+
+    Exact: entry k of row i is ``Fraction(out[i][k], D)``, so arithmetic on
+    the rows can run over Python ints and convert back once at the end.
+    """
+    rows = [tuple(row) for row in rows]
+    denom = lcm(*{q.denominator for row in rows for q in row})
+    return denom, tuple(tuple(q.numerator * (denom // q.denominator) for q in row)
+                        for row in rows)
 
 
 def format_money(q: Fraction) -> str:

@@ -15,11 +15,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Sequence
 
 from .bundles import check_bundle, check_item_count, clamp_mask, iter_bits
-from .money import ZERO, format_money, parse_money
+from .money import ZERO, format_money, parse_money, scale_rows
 
 
 def _to_weights(weights: Iterable) -> tuple[Fraction, ...]:
@@ -159,15 +159,22 @@ class Oxs(Valuation):
     def slots(self) -> int:
         return len(self.matrix[0])
 
+    @cached_property
+    def _scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        return scale_rows(self.matrix)
+
     def value(self, bundle: int) -> Fraction:
         check_bundle(self.m, bundle)
-        # DP over items in the bundle; state = set of used slots.
-        states = {0: ZERO}
+        # DP over items in the bundle, on the matrix scaled to integers;
+        # state = set of used slots.
+        denom, matrix = self._scaled
+        slots = range(self.slots)
+        states = {0: 0}
         for item in iter_bits(bundle):
-            row = self.matrix[item]
+            row = matrix[item]
             nxt = dict(states)  # leaving the item unmatched is allowed
             for used, val in states.items():
-                for slot in range(self.slots):
+                for slot in slots:
                     if used >> slot & 1:
                         continue
                     cand = val + row[slot]
@@ -176,7 +183,7 @@ class Oxs(Valuation):
                     if cur is None or cand > cur:
                         nxt[key] = cand
             states = nxt
-        return max(states.values())
+        return Fraction(max(states.values()), denom)
 
     def scale(self, factor) -> "Oxs":
         c = parse_money(factor)

@@ -20,7 +20,7 @@ from math import lcm
 from .bundles import full_mask, iter_bits, ms_ones, ms_sub, ms_unit
 from .money import ZERO, parse_money
 from .valuations import demand_set
-from .welfare import Allocation, BidProfile, welfare_marginal
+from .welfare import Allocation, BidProfile, scaled_tables, welfare_marginal
 
 
 class IterationCapExceeded(RuntimeError):
@@ -133,14 +133,12 @@ def tatonnement(profile: BidProfile, epsilon, *,
     if eps <= 0:
         raise ValueError("epsilon must be positive")
     m, n = profile.m, profile.n
-    tables = [bid.table() for bid in profile.bids]
-
-    denom = eps.denominator
-    for tab in tables:
-        for v in tab:
-            denom = lcm(denom, v.denominator)
-    tabs_int = [[int(v * denom) for v in tab] for tab in tables]
-    eps_int = int(eps * denom)
+    table_denom, tabs_int = scaled_tables(profile)
+    denom = lcm(table_denom, eps.denominator)
+    factor = denom // table_denom
+    if factor != 1:
+        tabs_int = [[v * factor for v in tab] for tab in tabs_int]
+    eps_int = eps.numerator * (denom // eps.denominator)
     max_value = max(tab[full_mask(m)] for tab in tabs_int)
     if max_steps is None:
         max_steps = max(10 * m * (max_value // eps_int + 1), 4 * n)

@@ -8,22 +8,31 @@ over rationals and exponential in the number of items: desk scale.
 
 ``or_value_table`` tabulates W over *all* sub-multisets of a supply at once,
 which is what makes the leave-one-out marginals in the mechanism and
-analysis layers cheap.
+analysis layers cheap.  ``welfare_value`` builds one table per doubled-item
+pattern of the multiset it is asked about (two copies where the multiset
+has two, one elsewhere), so W(1 + 1_j) costs 3 * 2^(m-1) states rather than
+the 3^m of a table over two copies of every item.
+
+The DP runs on integers.  ``scaled_tables`` multiplies every bid table of a
+profile by D, the lcm of all their denominators, once per profile; the
+folds, the cached tables and the ``welfare_max`` backtrack all hold D * W.
+Values become ``Fraction(x, D)`` only where they leave the module:
+``welfare_value``, ``welfare_max`` and ``welfare_marginal``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 from .bundles import (
     check_item_count,
     check_multiset,
     full_mask,
-    ms_ones,
     subsets_ascending,
 )
-from .money import ZERO
+from .money import scale_rows
 from .valuations import Valuation
 
 
@@ -79,8 +88,12 @@ class Allocation:
 
 # -- multiset indexing --------------------------------------------------------
 
+@cache
 def _layout(supply: tuple[int, ...]):
-    """Mixed-radix strides for states <= supply, plus per-bundle stride sums."""
+    """Mixed-radix strides for states <= supply, plus per-bundle stride sums.
+
+    Cached per supply shape; the tuples are shared, so nothing may mutate them.
+    """
     m = len(supply)
     strides = []
     acc = 1
@@ -103,7 +116,7 @@ def _layout(supply: tuple[int, ...]):
             if digit:
                 cm |= 1 << j
         clamps[idx] = cm
-    return size, ssum, clamps
+    return size, tuple(ssum), tuple(clamps)
 
 
 def _ms_index(supply: tuple[int, ...], ms: tuple[int, ...]) -> int:
@@ -117,9 +130,22 @@ def _ms_index(supply: tuple[int, ...], ms: tuple[int, ...]) -> int:
     return idx
 
 
-def _or_step(tab: tuple[Fraction, ...], cur: list[Fraction],
-             size: int, ssum: list[int], clamps: list[int]) -> list[Fraction]:
-    """One agent folded into the running welfare table."""
+def scaled_tables(profile: BidProfile) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(D, tables): every bid table times D, the lcm of all their denominators.
+
+    Entry k of agent i's table is ``Fraction(tables[i][k], D)``.  Cached per
+    profile.
+    """
+    cached = profile._cache.get("scaled")
+    if cached is None:
+        cached = scale_rows(bid.table() for bid in profile.bids)
+        profile._cache["scaled"] = cached
+    return cached
+
+
+def _or_step(tab: tuple[int, ...], cur: list[int],
+             size: int, ssum: tuple[int, ...], clamps: tuple[int, ...]) -> list[int]:
+    """One agent folded into the running welfare table (scaled integers)."""
     nxt = list(cur)
     for idx in range(size):
         cm = clamps[idx]
@@ -137,8 +163,9 @@ def _or_step(tab: tuple[Fraction, ...], cur: list[Fraction],
 
 
 def or_value_table(profile: BidProfile, supply: tuple[int, ...],
-                   exclude: int | None = None) -> tuple[Fraction, ...]:
-    """W over every sub-multiset of ``supply``, mixed-radix indexed.
+                   exclude: int | None = None) -> tuple[int, ...]:
+    """D times W over every sub-multiset of ``supply``, mixed-radix indexed,
+    with D from :func:`scaled_tables`.
 
     ``exclude`` drops one agent (leave-one-out welfare).  Cached per profile.
     """
@@ -148,27 +175,30 @@ def or_value_table(profile: BidProfile, supply: tuple[int, ...],
     if cached is not None:
         return cached
     size, ssum, clamps = _layout(supply)
-    cur = [ZERO] * size
-    for i, bid in enumerate(profile.bids):
+    _, tables = scaled_tables(profile)
+    cur = [0] * size
+    for i, tab in enumerate(tables):
         if i == exclude:
             continue
-        cur = _or_step(bid.table(), cur, size, ssum, clamps)
+        cur = _or_step(tab, cur, size, ssum, clamps)
     result = tuple(cur)
     profile._cache[key] = result
     return result
 
 
 def _suffix_levels(profile: BidProfile, supply: tuple[int, ...]):
-    """levels[k] = welfare table of agents k..n-1; levels[n] is all zeros."""
+    """levels[k] = scaled welfare table of agents k..n-1; levels[n] is all
+    zeros."""
     key = ("suffix", supply)
     cached = profile._cache.get(key)
     if cached is not None:
         return cached
     size, ssum, clamps = _layout(supply)
+    _, tables = scaled_tables(profile)
     levels = [None] * (profile.n + 1)
-    levels[profile.n] = [ZERO] * size
+    levels[profile.n] = [0] * size
     for k in range(profile.n - 1, -1, -1):
-        levels[k] = _or_step(profile.bids[k].table(), levels[k + 1], size, ssum, clamps)
+        levels[k] = _or_step(tables[k], levels[k + 1], size, ssum, clamps)
     out = (levels, size, ssum, clamps)
     profile._cache[key] = out
     return out
@@ -176,13 +206,19 @@ def _suffix_levels(profile: BidProfile, supply: tuple[int, ...]):
 
 # -- public operations --------------------------------------------------------
 
+def _scaled_welfare(profile: BidProfile, ms: tuple[int, ...],
+                    exclude: int | None) -> int:
+    """D * W(ms), read from the table of ms's doubled-item pattern."""
+    shape = tuple(2 if c == 2 else 1 for c in ms)
+    return or_value_table(profile, shape, exclude)[_ms_index(shape, ms)]
+
+
 def welfare_value(profile: BidProfile, supply, exclude: int | None = None) -> Fraction:
     """W(supply), optionally leaving one agent out."""
     ms = tuple(supply)
     check_multiset(profile.m, ms)
-    shape = ms_ones(profile.m) if max(ms) <= 1 else (2,) * profile.m
-    table = or_value_table(profile, shape, exclude)
-    return table[_ms_index(shape, ms)]
+    denom, _ = scaled_tables(profile)
+    return Fraction(_scaled_welfare(profile, ms, exclude), denom)
 
 
 def welfare_max(profile: BidProfile, supply) -> tuple[Fraction, tuple[int, ...]]:
@@ -196,11 +232,12 @@ def welfare_max(profile: BidProfile, supply) -> tuple[Fraction, tuple[int, ...]]
     ms = tuple(supply)
     check_multiset(profile.m, ms)
     levels, size, ssum, clamps = _suffix_levels(profile, ms)
+    denom, tables = scaled_tables(profile)
     idx = _ms_index(ms, ms)
     value = levels[0][idx]
     bundles = []
     for k in range(profile.n):
-        tab = profile.bids[k].table()
+        tab = tables[k]
         target = levels[k][idx]
         nxt_level = levels[k + 1]
         chosen = 0
@@ -210,7 +247,7 @@ def welfare_max(profile: BidProfile, supply) -> tuple[Fraction, tuple[int, ...]]
                 break
         bundles.append(chosen)
         idx -= ssum[chosen]
-    return value, tuple(bundles)
+    return Fraction(value, denom), tuple(bundles)
 
 
 def welfare_excluding(profile: BidProfile, i: int, supply) -> Fraction:
@@ -227,5 +264,7 @@ def welfare_marginal(profile: BidProfile, add, base,
     base = tuple(base)
     combined = tuple(a + b for a, b in zip(add, base, strict=True))
     check_multiset(profile.m, combined)
-    return (welfare_value(profile, combined, exclude)
-            - welfare_value(profile, base, exclude))
+    check_multiset(profile.m, base)
+    denom, _ = scaled_tables(profile)
+    return Fraction(_scaled_welfare(profile, combined, exclude)
+                    - _scaled_welfare(profile, base, exclude), denom)

@@ -1,0 +1,72 @@
+"""Golden outputs: the stdout and exit code of every ``reproduce`` case and of
+``solve``, ``prices`` and ``mechanism --rule R`` on every shipped fixture.
+
+A refactor must leave these byte-identical.  To record them afresh (only when
+an output is meant to change), run from the repository root:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from walras.cli import main
+from walras.instancefile import fixture_path
+from walras.reproduce import CASES
+
+GOLDEN = Path(__file__).with_name("golden")
+FIXTURES = ("and_bidder", "appendix_overbidding", "bullying",
+            "example1_eps_0.125", "example2_eps_0.125", "payment_ranking")
+RULES = ("vcg", "english", "dutch", "paybid")
+
+
+def _commands() -> dict[str, tuple[str, ...]]:
+    """Golden file stem -> walras argv (fixtures given by name)."""
+    out = {f"reproduce__{case}": ("reproduce", case) for case in CASES}
+    for fx in FIXTURES:
+        out[f"solve__{fx}"] = ("solve", fx)
+        out[f"prices__{fx}"] = ("prices", fx)
+        for rule in RULES:
+            out[f"mechanism_{rule}__{fx}"] = ("mechanism", fx, "--rule", rule)
+    return out
+
+
+COMMANDS = _commands()
+
+
+def _run(argv: tuple[str, ...]) -> tuple[int, str]:
+    if argv[0] != "reproduce":
+        argv = (argv[0], str(fixture_path(argv[1] + ".json"))) + argv[2:]
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(list(argv))
+    return code, buf.getvalue()
+
+
+def _exit_codes() -> dict[str, int]:
+    return json.loads((GOLDEN / "exit_codes.json").read_text())
+
+
+@pytest.mark.parametrize("stem", sorted(COMMANDS))
+def test_golden_output(stem):
+    code, out = _run(COMMANDS[stem])
+    assert code == _exit_codes()[stem]
+    assert out == (GOLDEN / f"{stem}.txt").read_text(encoding="utf-8")
+
+
+def record() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    codes = {}
+    for stem, argv in sorted(COMMANDS.items()):
+        codes[stem], out = _run(argv)
+        (GOLDEN / f"{stem}.txt").write_text(out, encoding="utf-8")
+    (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    sys.exit(record())

@@ -69,6 +69,17 @@ def test_oxs_matches_brute_force_matching():
             assert v.value(bundle) == brute_matching_value(v.matrix, bundle)
 
 
+def test_oxs_integer_matching_on_odd_denominators():
+    rng = random.Random(6)
+    for trial in range(15):
+        v = sample_valuation("oxs", rng.randint(1, 4), 3,
+                             seed=rng.randrange(10**6), denominators=(3, 5, 7, 9))
+        for bundle in range(1 << v.m):
+            value = v.value(bundle)
+            assert type(value) is F
+            assert value == brute_matching_value(v.matrix, bundle)
+
+
 def test_demand_set_additive_characterization():
     v = Additive((F(3), F(1), F(2)))
     p = (F(1), F(2), F(2))

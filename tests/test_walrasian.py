@@ -62,6 +62,43 @@ def test_prices_match_brute_force_marginals():
         assert max_walrasian_prices(prof) == brute_max_prices(prof.bids, prof.m)
 
 
+def _odd_denominator_profile(rng, m_hi=4, n_hi=3):
+    """Bids with denominators 3, 5, 7 and 9 plus one table bid with a 1/11
+    entry, so the integer core scales by a non-power-of-two."""
+    m = rng.randint(2, m_hi)
+    n = rng.randint(2, n_hi)
+    bids = [sample_valuation(rng.choice(["additive", "unit_demand", "oxs"]), m, 3,
+                             seed=rng.randrange(10**6), denominators=(3, 5, 7, 9))
+            for _ in range(n - 1)]
+    bids.append(Tabular(tuple(F(x.bit_count(), 11) for x in range(1 << m))))
+    return BidProfile(m, tuple(bids))
+
+
+def test_lattice_endpoints_match_oracles_on_odd_denominators():
+    rng = random.Random(43)
+    for trial in range(10):
+        prof = _odd_denominator_profile(rng)
+        low = min_walrasian_prices(prof)
+        high = max_walrasian_prices(prof)
+        assert all(type(p) is F for p in low + high)
+        assert low == brute_min_prices(prof.bids, prof.m)
+        assert high == brute_max_prices(prof.bids, prof.m)
+        result = tatonnement(prof, F(1, 6))
+        assert all(type(p) is F for p in result.prices)
+
+
+def test_min_prices_fold_one_doubled_item_at_a_time():
+    rng = random.Random(47)
+    prof = _gs_profile(rng, m_hi=4)
+    while prof.m != 4:
+        prof = _gs_profile(rng, m_hi=4)
+    min_walrasian_prices(prof)
+    supplies = [key[1] for key in prof._cache
+                if isinstance(key, tuple) and key[0] == "table"]
+    assert len(supplies) == prof.m + 1  # the all-ones table and one per item
+    assert all(supply.count(2) <= 1 for supply in supplies)
+
+
 def test_verify_unit_prices_on_overbidding_instance():
     _, bundles = welfare_max(OVERBID, ms_ones(3))
     cert = verify_walrasian_equilibrium(OVERBID, bundles, ("1", "1", "1"))

@@ -17,6 +17,7 @@ from walras.valuations import (
 from walras.welfare import (
     Allocation,
     BidProfile,
+    _layout,
     welfare_excluding,
     welfare_marginal,
     welfare_max,
@@ -45,6 +46,22 @@ def _random_profile(rng, m_hi=4, n_hi=4):
                                   seed=rng.randrange(10**6))
                  for _ in range(n))
     return BidProfile(m, bids)
+
+
+def _odd_denominator_profile(rng, m_hi=4, n_hi=3):
+    """Bids with denominators 3, 5, 7 and 9, the first of them replaced by a
+    table that carries a 1/11 on the full bundle, so the common denominator
+    of the integer core is not a power of two."""
+    m = rng.randint(2, m_hi)
+    n = rng.randint(1, n_hi)
+    kinds = ["additive", "unit_demand", "oxs", "xos"]
+    bids = [sample_valuation(rng.choice(kinds), m, 3, seed=rng.randrange(10**6),
+                             denominators=(3, 5, 7, 9))
+            for _ in range(n)]
+    full = (1 << m) - 1
+    bids[0] = Tabular(tuple(bids[0].value(x) + (F(1, 11) if x == full else 0)
+                            for x in range(1 << m)))
+    return BidProfile(m, tuple(bids))
 
 
 def test_profile_validation():
@@ -174,3 +191,42 @@ def test_canonical_tie_breaking_prefers_small_bitmask_for_early_agents():
     value, bundles = welfare_max(prof, ms_ones(2))
     assert value == 2
     assert bundles == (0, 0b11)
+
+
+def test_integer_core_matches_oracles_on_odd_denominators():
+    rng = random.Random(41)
+    for trial in range(12):
+        prof = _odd_denominator_profile(rng)
+        m = prof.m
+        value, bundles = welfare_max(prof, ms_ones(m))
+        assert type(value) is F
+        assert value == brute_welfare(prof.bids, ms_ones(m))
+        assert sum(bid.value(b) for bid, b in zip(prof.bids, bundles)) == value
+        # a multiset with at most two doubled items keeps the oracle small
+        supply = [1] * m
+        for j in rng.sample(range(m), rng.randint(0, 2)):
+            supply[j] = rng.choice((0, 2))
+        supply = tuple(supply)
+        w = welfare_value(prof, supply)
+        assert type(w) is F
+        assert w == brute_welfare(prof.bids, supply)
+        for i in range(prof.n):
+            rest = prof.bids[:i] + prof.bids[i + 1:]
+            w_ex = welfare_excluding(prof, i, supply)
+            assert type(w_ex) is F
+            assert w_ex == brute_welfare(rest, supply)
+        j = rng.randrange(m)
+        gain = welfare_marginal(prof, ms_unit(m, j), ms_ones(m))
+        assert type(gain) is F
+        assert gain == (brute_welfare(prof.bids, ms_ones(m)[:j] + (2,) + ms_ones(m)[j + 1:])
+                        - brute_welfare(prof.bids, ms_ones(m)))
+
+
+def test_layout_is_shared_and_guarded():
+    first = _layout((1, 2, 1))
+    assert first is _layout((1, 2, 1))
+    size, ssum, clamps = first
+    assert size == 12 and type(ssum) is tuple and type(clamps) is tuple
+    # 3^14 states: refused before any per-state work
+    with pytest.raises(ValueError, match="welfare table too large"):
+        _layout((2,) * 14)
