@@ -16,8 +16,8 @@ from fractions import Fraction
 from math import inf, prod
 
 from .bundles import iter_bits, ms_ones
-from .money import ZERO, granularity, parse_money
-from .mechanisms import PaymentRule, run_mechanism
+from .money import ZERO, granularity, parse_money, scale_rows
+from .mechanisms import PaymentRule, _scaled_externality, run_mechanism, utility
 from .valuations import (
     Additive,
     Oxs,
@@ -27,7 +27,7 @@ from .valuations import (
     is_gross_substitutes,
     xos_supporting_clause,
 )
-from .welfare import Allocation, BidProfile, welfare_max, welfare_value
+from .welfare import Allocation, BidProfile, scaled_tables, welfare_max, welfare_value
 
 
 class EnumerationBudgetExceeded(RuntimeError):
@@ -197,12 +197,11 @@ def verify_nash(instance: Instance, rule: PaymentRule, profile: BidProfile,
     rows = []
     for i in range(instance.n):
         v = instance.true_valuations.bids[i]
-        current_u = v.value(base.allocation.bundles[i]) - base.payments[i]
+        current_u = utility(v, base, i)
         best_u = current_u
         best_bid = profile.bids[i]
         for cand in _deviation_candidates(instance, grid, i, profile.bids[i]):
-            out = run_mechanism(rule, profile.replace(i, cand))
-            u = v.value(out.allocation.bundles[i]) - out.payments[i]
+            u = utility(v, run_mechanism(rule, profile.replace(i, cand)), i)
             if u > best_u:
                 best_u = u
                 best_bid = cand
@@ -279,10 +278,8 @@ def construct_efficient_profile(instance: Instance) -> BidProfile:
 
 def _blocking_term(bids: BidProfile, i: int, bundle: int) -> Fraction:
     """W_without_i(bundle | 1 - bundle), the welfare the others forgo."""
-    ones = ms_ones(bids.m)
-    rest = tuple(0 if bundle >> j & 1 else 1 for j in range(bids.m))
-    return (welfare_value(bids, ones, exclude=i)
-            - welfare_value(bids, rest, exclude=i))
+    denom, _ = scaled_tables(bids)
+    return Fraction(_scaled_externality(bids, i, bundle), denom)
 
 
 def _dwm_bound_ok(outcome, bids: BidProfile) -> bool:
@@ -335,7 +332,7 @@ def smoothness_certificate(instance: Instance, bids: BidProfile,
         dev_profile = bids.replace(i, half)
         out = run_mechanism(rule, dev_profile)
         dwm_ok = dwm_ok and _dwm_bound_ok(out, dev_profile)
-        u = v.value(out.allocation.bundles[i]) - out.payments[i]
+        u = utility(v, out, i)
         lhs += u
         share = v.value(opt_bundles[i]) / 2
         blocking = _blocking_term(bids, i, opt_bundles[i])
@@ -377,8 +374,7 @@ def vcg_deviation_certificate(instance: Instance,
     rows = []
     lhs = rhs = ZERO
     for i, v in enumerate(instance.true_valuations.bids):
-        out = run_mechanism(PaymentRule.VCG, bids.replace(i, v))
-        u = v.value(out.allocation.bundles[i]) - out.payments[i]
+        u = utility(v, run_mechanism(PaymentRule.VCG, bids.replace(i, v)), i)
         bound = v.value(opt_bundles[i]) - _blocking_term(bids, i, opt_bundles[i])
         rows.append(VcgDeviationRow(i, u, bound, u >= bound))
         lhs += u
@@ -447,26 +443,65 @@ class PoaReport:
     profiles_checked: int
 
 
+@dataclass(frozen=True)
+class _ScaledSearch:
+    """A ``poa_search`` input on one common denominator D, scaled once.
+
+    ``grid[i][k]`` is D times the table of grid bid k of agent i, ``types[i]``
+    D times agent i's true type, ``injected[i]`` the truthful and
+    half-truthful bids of agent i with their tables times D, and ``eps`` is D
+    times ``eps_dev``.
+    """
+
+    denom: int
+    grid: tuple[tuple[tuple[int, ...], ...], ...]
+    types: tuple[tuple[int, ...], ...]
+    injected: tuple[tuple[tuple[Valuation, tuple[int, ...]], ...], ...]
+    eps: int
+
+
+def _scale_search(instance: Instance, grid: BidGrid, eps_dev: Fraction) -> _ScaledSearch:
+    types = instance.true_valuations.bids
+    injected = [(v, v.scale(Fraction(1, 2))) for v in types]
+    rows = [b.table() for bids in grid.per_agent for b in bids]
+    rows += [v.table() for v in types]
+    rows += [cand.table() for pair in injected for cand in pair]
+    rows.append((eps_dev,))
+    denom, scaled = scale_rows(rows)
+    it = iter(scaled)
+    grid_tabs = tuple(tuple(next(it) for _ in bids) for bids in grid.per_agent)
+    type_tabs = tuple(next(it) for _ in types)
+    injected_tabs = tuple(tuple((cand, next(it)) for cand in pair)
+                          for pair in injected)
+    (eps,) = next(it)
+    return _ScaledSearch(denom, grid_tabs, type_tabs, injected_tabs, eps)
+
+
+def _grid_indices(sizes, index_range: range):
+    """Per-agent grid indices of the flat profile indices in ``index_range``
+    (step 1), last agent fastest."""
+    return itertools.islice(itertools.product(*(range(s) for s in sizes)),
+                            index_range.start, index_range.stop)
+
+
+def _scaled_utilities(rule: PaymentRule, m: int, bids, tables,
+                      scaled: _ScaledSearch) -> tuple[int, tuple[int, ...]]:
+    """D times the true welfare and every agent's utility of one profile."""
+    out = run_mechanism(rule, BidProfile.with_scaled_tables(
+        m, bids, scaled.denom, tables))
+    values = [t[x] for t, x in zip(scaled.types, out.allocation.bundles)]
+    return sum(values), tuple(v - p for v, p in zip(values, out._scaled_payments))
+
+
 def _profile_outcomes(instance: Instance, rule: PaymentRule, grid: BidGrid,
-                      index_range) -> list:
-    """(welfare, utilities) per flat profile index, in index order."""
-    sizes = grid.sizes()
-    out = []
-    for flat in index_range:
-        idxs = []
-        rest = flat
-        for s in reversed(sizes):
-            rest, k = divmod(rest, s)
-            idxs.append(k)
-        idxs.reverse()
-        bids = BidProfile(instance.m, tuple(
-            grid.per_agent[i][k] for i, k in enumerate(idxs)))
-        outcome = run_mechanism(rule, bids)
-        utils = tuple(
-            v.value(outcome.allocation.bundles[i]) - outcome.payments[i]
-            for i, v in enumerate(instance.true_valuations.bids))
-        out.append((_true_welfare(instance, outcome.allocation), utils))
-    return out
+                      scaled: _ScaledSearch, index_range: range) -> list:
+    """D times (welfare, utilities) per flat profile index, in index order."""
+    per_agent, tabs = grid.per_agent, scaled.grid
+    return [_scaled_utilities(
+                rule, instance.m,
+                tuple(per_agent[i][k] for i, k in enumerate(idxs)),
+                tuple(tabs[i][k] for i, k in enumerate(idxs)), scaled)
+            for idxs in _grid_indices(grid.sizes(), index_range)]
 
 
 def poa_search(instance: Instance, rule: PaymentRule, grid: BidGrid, gamma,
@@ -477,8 +512,10 @@ def poa_search(instance: Instance, rule: PaymentRule, grid: BidGrid, gamma,
     exposure bound at most gamma; report the worst optimal-to-equilibrium
     welfare ratio and a witness.
 
-    Cost is the full product of grid sizes.  Ties on the worst ratio resolve
-    to the smallest enumeration index, so parallel runs reduce identically.
+    Cost is the full product of grid sizes.  Every table is scaled once to a
+    common denominator, so utilities, welfare and the Nash tests compare
+    integers.  Ties on the worst ratio resolve to the smallest enumeration
+    index, so parallel runs reduce identically.
     """
     rule = PaymentRule(rule)
     gamma = parse_money(gamma)
@@ -490,17 +527,19 @@ def poa_search(instance: Instance, rule: PaymentRule, grid: BidGrid, gamma,
     if total > max_profiles:
         raise EnumerationBudgetExceeded(
             f"{total} grid profiles exceed the budget of {max_profiles}")
+    scaled = _scale_search(instance, grid, eps_dev)
 
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         chunk = (total + jobs - 1) // jobs
         ranges = [range(a, min(a + chunk, total)) for a in range(0, total, chunk)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            pieces = list(pool.map(_poa_chunk,
-                                   [(instance, rule, grid, r) for r in ranges]))
+            pieces = list(pool.map(_poa_chunk, [(instance, rule, grid, scaled, r)
+                                                for r in ranges]))
         outcomes = [row for piece in pieces for row in piece]
     else:
-        outcomes = _profile_outcomes(instance, rule, grid, range(total))
+        outcomes = _profile_outcomes(instance, rule, grid, scaled, range(total))
+    profiles = list(zip(_grid_indices(sizes, range(total)), outcomes))
 
     exposure_ok = [
         [_exposure_at_most(
@@ -508,78 +547,63 @@ def poa_search(instance: Instance, rule: PaymentRule, grid: BidGrid, gamma,
          for b in grid.per_agent[i]]
         for i in range(instance.n)]
 
-    # Best achievable utility per agent within each opponent context: the
-    # grid part comes from the outcome table, the injected deviations are
-    # evaluated once per context.
+    # Best achievable utility per agent within each opponent context (the
+    # profile with agent i's index zeroed): the grid part comes from the
+    # outcome table, the injected deviations are evaluated once per context.
     strides = [prod(sizes[k + 1:]) for k in range(instance.n)]
     best_grid = [dict() for _ in range(instance.n)]
-    for flat, (_, utils) in enumerate(outcomes):
+    for flat, (idxs, (_, utils)) in enumerate(profiles):
         for i in range(instance.n):
-            ctx = flat - (flat // strides[i] % sizes[i]) * strides[i]
+            ctx = flat - idxs[i] * strides[i]
             cur = best_grid[i].get(ctx)
             if cur is None or utils[i] > cur:
                 best_grid[i][ctx] = utils[i]
 
     injected_best: list[dict] = [dict() for _ in range(instance.n)]
 
-    def injected_max(i: int, ctx: int, idxs) -> Fraction:
+    def injected_max(i: int, ctx: int, idxs) -> int:
         cached = injected_best[i].get(ctx)
         if cached is not None:
             return cached
-        v = instance.true_valuations.bids[i]
+        bids = [grid.per_agent[k][idxs[k]] for k in range(instance.n)]
+        tables = [scaled.grid[k][idxs[k]] for k in range(instance.n)]
         best = None
-        for cand in (v, v.scale(Fraction(1, 2))):
-            bids = tuple(cand if k == i else grid.per_agent[k][idxs[k]]
-                         for k in range(instance.n))
-            out = run_mechanism(rule, BidProfile(instance.m, bids))
-            u = v.value(out.allocation.bundles[i]) - out.payments[i]
+        for cand, tab in scaled.injected[i]:
+            bids[i], tables[i] = cand, tab
+            u = _scaled_utilities(rule, instance.m, tuple(bids), tables, scaled)[1][i]
             if best is None or u > best:
                 best = u
         injected_best[i][ctx] = best
         return best
 
-    opt, _ = instance.optimal()
-    worst = None
-    witness_flat = None
+    # The optimum is fixed, so the worst ratio is at the least equilibrium
+    # welfare (and true welfare never exceeds the optimum).
+    worst_welfare = None
+    witness_idxs = None
     equilibria = 0
-    for flat, (welfare, utils) in enumerate(outcomes):
-        idxs = []
-        rest = flat
-        for s in reversed(sizes):
-            rest, k = divmod(rest, s)
-            idxs.append(k)
-        idxs.reverse()
+    for flat, (idxs, (welfare, utils)) in enumerate(profiles):
         if not all(exposure_ok[i][idxs[i]] for i in range(instance.n)):
             continue
-        nash = True
         for i in range(instance.n):
             ctx = flat - idxs[i] * strides[i]
-            if best_grid[i][ctx] - utils[i] > eps_dev:
-                nash = False
+            if (best_grid[i][ctx] - utils[i] > scaled.eps
+                    or injected_max(i, ctx, idxs) - utils[i] > scaled.eps):
                 break
-            if injected_max(i, ctx, idxs) - utils[i] > eps_dev:
-                nash = False
-                break
-        if not nash:
-            continue
-        equilibria += 1
-        ratio = _ratio(opt, welfare)
-        if worst is None or ratio > worst:
-            worst = ratio
-            witness_flat = flat
+        else:
+            equilibria += 1
+            if worst_welfare is None or welfare < worst_welfare:
+                worst_welfare = welfare
+                witness_idxs = idxs
     witness = None
-    if witness_flat is not None:
-        idxs = []
-        rest = witness_flat
-        for s in reversed(sizes):
-            rest, k = divmod(rest, s)
-            idxs.append(k)
-        idxs.reverse()
+    worst = Fraction(1)
+    if witness_idxs is not None:
         witness = BidProfile(instance.m, tuple(
-            grid.per_agent[i][k] for i, k in enumerate(idxs)))
+            grid.per_agent[i][k] for i, k in enumerate(witness_idxs)))
+        opt, _ = instance.optimal()
+        worst = _ratio(opt, Fraction(worst_welfare, scaled.denom))
     return PoaReport(
         rule=rule, gamma=gamma,
-        worst_ratio=worst if worst is not None else Fraction(1),
+        worst_ratio=worst,
         witness=witness,
         equilibrium_count=equilibria,
         profiles_checked=total,
@@ -587,8 +611,7 @@ def poa_search(instance: Instance, rule: PaymentRule, grid: BidGrid, gamma,
 
 
 def _poa_chunk(args):
-    instance, rule, grid, index_range = args
-    return _profile_outcomes(instance, rule, grid, index_range)
+    return _profile_outcomes(*args)
 
 
 # -- best-response dynamics ------------------------------------------------------
@@ -637,9 +660,8 @@ def best_response_dynamics(instance: Instance, rule: PaymentRule,
             for cand in grid.per_agent[i]:
                 bids = tuple(grid.per_agent[k][current[k]] if k != i else cand
                              for k in range(instance.n))
-                out = run_mechanism(rule, BidProfile(instance.m, bids))
-                utilities.append(v.value(out.allocation.bundles[i])
-                                 - out.payments[i])
+                utilities.append(utility(
+                    v, run_mechanism(rule, BidProfile(instance.m, bids)), i))
             here = utilities[current[i]]
             best = max(utilities)
             if best > here:

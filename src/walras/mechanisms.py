@@ -11,11 +11,15 @@ maximizer with canonical tie-breaking) and differ only in payments:
 Payments stay well-defined for non-GS bids (the marginals always exist);
 only the Walrasian interpretation of the english/dutch price vectors can
 fail then, which `check_payment_ordering` flags.
+
+All four rules run on the profile's scaled integer tables (D times every
+value, see ``welfare.scaled_tables``); payments and prices become
+``Fraction(x, D)`` only in the returned outcome.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import product
@@ -23,12 +27,14 @@ from itertools import product
 from .bundles import full_mask, iter_bits, ms_ones
 from .money import ZERO, parse_money
 from .valuations import Additive, Valuation, budget_additive
-from .walrasian import (
-    max_walrasian_prices,
-    min_walrasian_prices,
-    verify_walrasian_equilibrium,
+from .walrasian import _scaled_prices, verify_walrasian_equilibrium
+from .welfare import (
+    Allocation,
+    BidProfile,
+    _scaled_welfare,
+    _welfare_argmax,
+    scaled_tables,
 )
-from .welfare import Allocation, BidProfile, welfare_max, welfare_value
 
 
 class PaymentRule(str, Enum):
@@ -40,10 +46,19 @@ class PaymentRule(str, Enum):
 
 @dataclass(frozen=True)
 class MechanismOutcome:
+    """Allocation, payments and (english/dutch) item prices of one run.
+
+    ``_scaled_payments`` are the payments times ``_denom``, the D of the
+    profile's scaled tables, for callers that stay on integers; the
+    underscore keeps them out of reports and they take no part in equality.
+    """
+
     rule: PaymentRule
     allocation: Allocation
     payments: tuple[Fraction, ...]
     prices_used: tuple[Fraction, ...] | None
+    _denom: int = field(compare=False, repr=False)
+    _scaled_payments: tuple[int, ...] = field(compare=False, repr=False)
 
 
 def allocate_declared(bids: BidProfile) -> Allocation:
@@ -56,7 +71,7 @@ def allocate_declared(bids: BidProfile) -> Allocation:
     cached = bids._cache.get(key)
     if cached is not None:
         return cached
-    _, bundles = welfare_max(bids, ms_ones(bids.m))
+    _, bundles = _welfare_argmax(bids, ms_ones(bids.m))
     used = 0
     for b in bundles:
         used |= b
@@ -66,28 +81,33 @@ def allocate_declared(bids: BidProfile) -> Allocation:
     return alloc
 
 
-def _payments_and_prices(rule: PaymentRule, bids: BidProfile,
-                         alloc: Allocation):
-    ones = ms_ones(bids.m)
+def _scaled_externality(bids: BidProfile, i: int, bundle: int) -> int:
+    """D * W_without_i(bundle | 1 - bundle): the welfare the others forgo
+    when agent i takes ``bundle``."""
+    m = bids.m
+    rest = tuple(1 - (bundle >> j & 1) for j in range(m))
+    return _scaled_welfare(bids, ms_ones(m), i) - _scaled_welfare(bids, rest, i)
+
+
+def _outcome(rule: PaymentRule, bids: BidProfile,
+             alloc: Allocation) -> MechanismOutcome:
+    """The rule's payments and prices on ``alloc``, computed as D times their
+    value (D from ``scaled_tables(bids)``) and converted once."""
+    denom, tables = scaled_tables(bids)
+    prices = None
     if rule is PaymentRule.VCG:
-        pays = []
-        for i, x in enumerate(alloc.bundles):
-            if x == 0:
-                pays.append(ZERO)
-                continue
-            rest = tuple(0 if (x >> j) & 1 else 1 for j in range(bids.m))
-            pays.append(welfare_value(bids, ones, exclude=i)
-                        - welfare_value(bids, rest, exclude=i))
-        return tuple(pays), None
-    if rule is PaymentRule.ENGLISH:
-        prices = min_walrasian_prices(bids)
-    elif rule is PaymentRule.DUTCH:
-        prices = max_walrasian_prices(bids)
+        pays = tuple(_scaled_externality(bids, i, x) if x else 0
+                     for i, x in enumerate(alloc.bundles))
+    elif rule is PaymentRule.PAY_YOUR_BID:
+        pays = tuple(tab[x] for tab, x in zip(tables, alloc.bundles))
     else:
-        return tuple(bid.value(x) for bid, x in zip(bids.bids, alloc.bundles)), None
-    pays = tuple(sum((prices[j] for j in iter_bits(x)), ZERO)
-                 for x in alloc.bundles)
-    return pays, prices
+        prices = _scaled_prices(bids, lowest=rule is PaymentRule.ENGLISH)
+        pays = tuple(sum(prices[j] for j in iter_bits(x)) for x in alloc.bundles)
+    return MechanismOutcome(
+        rule, alloc,
+        tuple(Fraction(p, denom) for p in pays),
+        None if prices is None else tuple(Fraction(p, denom) for p in prices),
+        denom, pays)
 
 
 def payments(rule: PaymentRule, bids: BidProfile,
@@ -96,15 +116,11 @@ def payments(rule: PaymentRule, bids: BidProfile,
     if alloc != allocate_declared(bids):
         raise ValueError("allocation mismatch: payments are defined on the "
                          "declared-optimal allocation")
-    pays, _ = _payments_and_prices(rule, bids, alloc)
-    return pays
+    return _outcome(PaymentRule(rule), bids, alloc).payments
 
 
 def run_mechanism(rule: PaymentRule, bids: BidProfile) -> MechanismOutcome:
-    rule = PaymentRule(rule)
-    alloc = allocate_declared(bids)
-    pays, prices = _payments_and_prices(rule, bids, alloc)
-    return MechanismOutcome(rule, alloc, pays, prices)
+    return _outcome(PaymentRule(rule), bids, allocate_declared(bids))
 
 
 def utility(true_v: Valuation, outcome: MechanismOutcome, i: int) -> Fraction:
@@ -138,21 +154,21 @@ def check_payment_ordering(bids: BidProfile) -> PaymentOrderingReport:
     comparisons per agent, in chain order.
     """
     alloc = allocate_declared(bids)
-    by_rule = {rule: _payments_and_prices(rule, bids, alloc)[0] for rule in _CHAIN}
+    by_rule = {rule: _outcome(rule, bids, alloc) for rule in _CHAIN}
     links = []
     for i in range(bids.n):
-        seq = [by_rule[rule][i] for rule in _CHAIN]
+        seq = [by_rule[rule]._scaled_payments[i] for rule in _CHAIN]
         links.append(tuple(a <= b for a, b in zip(seq, seq[1:])))
     return PaymentOrderingReport(
         allocation=alloc,
-        payments_by_rule={rule.value: by_rule[rule] for rule in _CHAIN},
+        payments_by_rule={rule.value: by_rule[rule].payments for rule in _CHAIN},
         links_per_agent=tuple(links),
         chain_ok_per_agent=tuple(all(row) for row in links),
         chain_ok=all(all(row) for row in links),
         english_prices_walrasian=verify_walrasian_equilibrium(
-            bids, alloc, min_walrasian_prices(bids)).is_equilibrium,
+            bids, alloc, by_rule[PaymentRule.ENGLISH].prices_used).is_equilibrium,
         dutch_prices_walrasian=verify_walrasian_equilibrium(
-            bids, alloc, max_walrasian_prices(bids)).is_equilibrium,
+            bids, alloc, by_rule[PaymentRule.DUTCH].prices_used).is_equilibrium,
     )
 
 

@@ -273,9 +273,10 @@ def demand_set(v: Valuation, prices: Sequence) -> list[int]:
         raise ValueError(f"price vector length {len(p)} != m={v.m}")
     if any(q < 0 for q in p):
         raise ValueError("prices must be non-negative")
-    tab = v.table()
+    # Table and prices on one denominator, so utilities compare as ints.
+    _, (tab, p) = scale_rows((v.table(), p))
     size = 1 << v.m
-    cost = [ZERO] * size
+    cost = [0] * size
     for mask in range(1, size):
         low = mask & -mask
         cost[mask] = cost[mask ^ low] + p[low.bit_length() - 1]

@@ -6,7 +6,9 @@ closed forms in terms of welfare marginals:
     low_j  = W(1_j | 1)        extra benefit of one more copy of item j
     high_j = W(1_j | 1 - 1_j)  harm of removing item j
 
-Both are computed exactly.  The ascending-price procedure is kept only as a
+Both are computed exactly, on the profile's scaled integer welfare tables;
+the english and dutch payment rules read the same integers.  The
+ascending-price procedure is kept only as a
 cross-check: with discrete increments it can approach but not hit the lattice
 bottom, so payment rules never use it.
 """
@@ -17,10 +19,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .bundles import full_mask, iter_bits, ms_ones, ms_sub, ms_unit
+from .bundles import full_mask, iter_bits, ms_ones
 from .money import ZERO, parse_money
 from .valuations import demand_set
-from .welfare import Allocation, BidProfile, scaled_tables, welfare_marginal
+from .welfare import Allocation, BidProfile, _scaled_welfare, scaled_tables
 
 
 class IterationCapExceeded(RuntimeError):
@@ -55,20 +57,30 @@ class TatonnementResult:
     price_history: tuple[tuple[Fraction, ...], ...] | None = None
 
 
+def _scaled_prices(profile: BidProfile, lowest: bool) -> tuple[int, ...]:
+    """D times the lowest or the highest Walrasian prices, with D from
+    ``scaled_tables(profile)``."""
+    ones = ms_ones(profile.m)
+
+    def with_copies(j: int, copies: int) -> int:
+        return _scaled_welfare(profile, ones[:j] + (copies,) + ones[j + 1:], None)
+
+    base = _scaled_welfare(profile, ones, None)
+    if lowest:
+        return tuple(with_copies(j, 2) - base for j in range(profile.m))
+    return tuple(base - with_copies(j, 0) for j in range(profile.m))
+
+
 def min_walrasian_prices(profile: BidProfile) -> tuple[Fraction, ...]:
     """Lowest point of the Walrasian price lattice (exact, for GS bids)."""
-    ones = ms_ones(profile.m)
-    return tuple(welfare_marginal(profile, ms_unit(profile.m, j), ones)
-                 for j in range(profile.m))
+    denom, _ = scaled_tables(profile)
+    return tuple(Fraction(p, denom) for p in _scaled_prices(profile, lowest=True))
 
 
 def max_walrasian_prices(profile: BidProfile) -> tuple[Fraction, ...]:
     """Highest point of the Walrasian price lattice."""
-    ones = ms_ones(profile.m)
-    return tuple(
-        welfare_marginal(profile, ms_unit(profile.m, j),
-                         ms_sub(ones, ms_unit(profile.m, j)))
-        for j in range(profile.m))
+    denom, _ = scaled_tables(profile)
+    return tuple(Fraction(p, denom) for p in _scaled_prices(profile, lowest=False))
 
 
 def verify_walrasian_equilibrium(profile: BidProfile, allocation,

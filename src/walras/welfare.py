@@ -14,10 +14,13 @@ has two, one elsewhere), so W(1 + 1_j) costs 3 * 2^(m-1) states rather than
 the 3^m of a table over two copies of every item.
 
 The DP runs on integers.  ``scaled_tables`` multiplies every bid table of a
-profile by D, the lcm of all their denominators, once per profile; the
-folds, the cached tables and the ``welfare_max`` backtrack all hold D * W.
-Values become ``Fraction(x, D)`` only where they leave the module:
-``welfare_value``, ``welfare_max`` and ``welfare_marginal``.
+profile by D, the lcm of all their denominators, once per profile (or takes
+the tables a caller seeded with ``BidProfile.with_scaled_tables``, over any
+common multiple D); the folds, the cached tables and the argmax backtrack
+all hold D * W.  Values become ``Fraction(x, D)`` only where they leave the
+module: ``welfare_value``, ``welfare_max`` and ``welfare_marginal``.  The
+price and mechanism layers read the integers directly (``_scaled_welfare``,
+``_welfare_argmax``).
 """
 
 from __future__ import annotations
@@ -58,6 +61,19 @@ class BidProfile:
     @property
     def n(self) -> int:
         return len(self.bids)
+
+    @classmethod
+    def with_scaled_tables(cls, m: int, bids, denom: int,
+                           tables) -> "BidProfile":
+        """A profile whose :func:`scaled_tables` are given, not computed.
+
+        ``tables[i][k]`` must equal ``denom * bids[i].table()[k]``; ``denom``
+        may be any common multiple of the table denominators, which gives
+        the same Fractions and the same ties as the lcm.
+        """
+        profile = cls(m, bids)
+        profile._cache["scaled"] = (denom, tuple(tables))
+        return profile
 
     def replace(self, i: int, bid: Valuation) -> "BidProfile":
         if not 0 <= i < self.n:
@@ -167,9 +183,12 @@ def or_value_table(profile: BidProfile, supply: tuple[int, ...],
     """D times W over every sub-multiset of ``supply``, mixed-radix indexed,
     with D from :func:`scaled_tables`.
 
-    ``exclude`` drops one agent (leave-one-out welfare).  Cached per profile.
+    ``exclude`` drops one agent (leave-one-out welfare).  Cached per profile;
+    the all-agents table is level 0 of :func:`_suffix_levels`.
     """
     supply = tuple(supply)
+    if exclude is None:
+        return _suffix_levels(profile, supply)[0][0]
     key = ("table", supply, exclude)
     cached = profile._cache.get(key)
     if cached is not None:
@@ -196,9 +215,11 @@ def _suffix_levels(profile: BidProfile, supply: tuple[int, ...]):
     size, ssum, clamps = _layout(supply)
     _, tables = scaled_tables(profile)
     levels = [None] * (profile.n + 1)
-    levels[profile.n] = [0] * size
+    level = [0] * size
+    levels[profile.n] = tuple(level)
     for k in range(profile.n - 1, -1, -1):
-        levels[k] = _or_step(tables[k], levels[k + 1], size, ssum, clamps)
+        level = _or_step(tables[k], level, size, ssum, clamps)
+        levels[k] = tuple(level)
     out = (levels, size, ssum, clamps)
     profile._cache[key] = out
     return out
@@ -210,7 +231,14 @@ def _scaled_welfare(profile: BidProfile, ms: tuple[int, ...],
                     exclude: int | None) -> int:
     """D * W(ms), read from the table of ms's doubled-item pattern."""
     shape = tuple(2 if c == 2 else 1 for c in ms)
-    return or_value_table(profile, shape, exclude)[_ms_index(shape, ms)]
+    # The all-agents table is level 0 of the suffix levels.  Reading it here
+    # rather than through or_value_table keeps one builder per table, so the
+    # benchmark's per-builder table counts see each build once.
+    if exclude is None:
+        table = _suffix_levels(profile, shape)[0][0]
+    else:
+        table = or_value_table(profile, shape, exclude)
+    return table[_ms_index(shape, ms)]
 
 
 def welfare_value(profile: BidProfile, supply, exclude: int | None = None) -> Fraction:
@@ -221,18 +249,11 @@ def welfare_value(profile: BidProfile, supply, exclude: int | None = None) -> Fr
     return Fraction(_scaled_welfare(profile, ms, exclude), denom)
 
 
-def welfare_max(profile: BidProfile, supply) -> tuple[Fraction, tuple[int, ...]]:
-    """Best declared welfare and one canonical maximizing assignment.
-
-    Agents are processed in index order; among equal-value choices an agent
-    takes the bundle with the smallest bitmask.  The assignment may leave
-    items unused; see ``mechanisms.allocate_declared`` for the full-partition
-    variant.
-    """
-    ms = tuple(supply)
-    check_multiset(profile.m, ms)
+def _welfare_argmax(profile: BidProfile,
+                    ms: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """D * W(ms) and the canonical maximizing assignment of :func:`welfare_max`."""
     levels, size, ssum, clamps = _suffix_levels(profile, ms)
-    denom, tables = scaled_tables(profile)
+    _, tables = scaled_tables(profile)
     idx = _ms_index(ms, ms)
     value = levels[0][idx]
     bundles = []
@@ -247,7 +268,22 @@ def welfare_max(profile: BidProfile, supply) -> tuple[Fraction, tuple[int, ...]]
                 break
         bundles.append(chosen)
         idx -= ssum[chosen]
-    return Fraction(value, denom), tuple(bundles)
+    return value, tuple(bundles)
+
+
+def welfare_max(profile: BidProfile, supply) -> tuple[Fraction, tuple[int, ...]]:
+    """Best declared welfare and one canonical maximizing assignment.
+
+    Agents are processed in index order; among equal-value choices an agent
+    takes the bundle with the smallest bitmask.  The assignment may leave
+    items unused; see ``mechanisms.allocate_declared`` for the full-partition
+    variant.
+    """
+    ms = tuple(supply)
+    check_multiset(profile.m, ms)
+    value, bundles = _welfare_argmax(profile, ms)
+    denom, _ = scaled_tables(profile)
+    return Fraction(value, denom), bundles
 
 
 def welfare_excluding(profile: BidProfile, i: int, supply) -> Fraction:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -254,6 +255,35 @@ def test_poa_search_parallel_matches_serial():
     serial = poa_search(EX2, PaymentRule.ENGLISH, grid, 0)
     parallel = poa_search(EX2, PaymentRule.ENGLISH, grid, 0, jobs=2)
     assert serial == parallel
+
+
+def test_poa_search_matches_brute_force_on_odd_denominators():
+    # Types over sevenths and thirds, a grid over halves and a tolerance over
+    # ninths: the common denominator is none of theirs alone.  The tolerance
+    # matters here: at eps_dev = 0 the vcg count is 14, not 18.
+    inst = Instance(2, BidProfile(2, (UnitDemand((F(1, 3), F(5, 7))),
+                                      UnitDemand((F(5, 7), F(8, 7))))))
+    grid = BidGrid.additive(2, 2, "1/2", "1")
+    eps = F(1, 9)
+    gamma = F(1)
+    types = inst.true_valuations.bids
+    for rule in PaymentRule:
+        count, worst, witness = 0, None, None
+        for bids in itertools.product(*grid.per_agent):
+            if any(exposure_factor_bound(v, b) > gamma for v, b in zip(types, bids)):
+                continue
+            nash = verify_nash(inst, rule, BidProfile(2, bids), grid, eps)
+            if nash.is_nash:
+                count += 1
+                if worst is None or nash.ratio > worst:
+                    worst, witness = nash.ratio, bids
+        report = poa_search(inst, rule, grid, gamma, eps_dev=eps)
+        assert report.equilibrium_count == count
+        assert report.worst_ratio == (worst if worst is not None else 1)
+        assert (report.witness.bids if report.witness else None) == witness
+        assert report == poa_search(inst, rule, grid, gamma, eps_dev=eps, jobs=2)
+    vcg = poa_search(inst, PaymentRule.VCG, grid, gamma, eps_dev=eps)
+    assert (vcg.equilibrium_count, vcg.worst_ratio) == (18, F(31, 24))
 
 
 def test_best_response_dynamics_examples():

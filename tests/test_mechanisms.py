@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from oracles import brute_max_prices, brute_min_prices, brute_welfare
 from walras.bundles import iter_bits
 from walras.mechanisms import (
     PaymentRule,
@@ -13,9 +14,9 @@ from walras.mechanisms import (
     search_vcg_english_inversion,
     utility,
 )
-from walras.valuations import Additive, UnitDemand, Xos, sample_valuation
+from walras.valuations import Additive, Tabular, UnitDemand, Xos, sample_valuation
 from walras.walrasian import max_walrasian_prices, min_walrasian_prices
-from walras.welfare import Allocation, BidProfile
+from walras.welfare import Allocation, BidProfile, scaled_tables
 
 EPS = F(1, 8)
 
@@ -37,6 +38,60 @@ def _gs_profile(rng):
     return BidProfile(m, tuple(
         sample_valuation(rng.choice(kinds), m, 4, seed=rng.randrange(10**6))
         for _ in range(n)))
+
+
+def _odd_denominator_profile(rng):
+    """Bids with denominators 3, 5, 7 and 9 (XOS too, so not all GS) plus one
+    table bid with a 1/11 entry."""
+    m = rng.randint(2, 4)
+    n = rng.randint(2, 3)
+    bids = [sample_valuation(rng.choice(["additive", "unit_demand", "oxs", "xos"]),
+                             m, 3, seed=rng.randrange(10**6),
+                             denominators=(3, 5, 7, 9))
+            for _ in range(n - 1)]
+    bids.append(Tabular(tuple(F(x.bit_count(), 11) for x in range(1 << m))))
+    rng.shuffle(bids)
+    return BidProfile(m, tuple(bids))
+
+
+def test_run_mechanism_matches_oracles_on_odd_denominators():
+    rng = random.Random(59)
+    for trial in range(12):
+        prof = _odd_denominator_profile(rng)
+        bids, m = prof.bids, prof.m
+        ones = (1,) * m
+        bundles = allocate_declared(prof).bundles
+        assert sum(b.value(x) for b, x in zip(bids, bundles)) == brute_welfare(bids, ones)
+        vcg = tuple(
+            brute_welfare(bids[:i] + bids[i + 1:], ones)
+            - brute_welfare(bids[:i] + bids[i + 1:],
+                            tuple(1 - (x >> j & 1) for j in range(m)))
+            if x else 0
+            for i, x in enumerate(bundles))
+        low = brute_min_prices(bids, m)
+        high = brute_max_prices(bids, m)
+        expected = {
+            PaymentRule.VCG: (vcg, None),
+            PaymentRule.ENGLISH: (tuple(sum(low[j] for j in iter_bits(x))
+                                        for x in bundles), low),
+            PaymentRule.DUTCH: (tuple(sum(high[j] for j in iter_bits(x))
+                                      for x in bundles), high),
+            PaymentRule.PAY_YOUR_BID: (tuple(b.value(x)
+                                             for b, x in zip(bids, bundles)), None),
+        }
+        # Seeding the tables over a larger common denominator changes nothing.
+        denom, tables = scaled_tables(prof)
+        seeded = BidProfile.with_scaled_tables(
+            m, bids, 10 * denom, [[10 * x for x in tab] for tab in tables])
+        for rule, (pays, prices) in expected.items():
+            out = run_mechanism(rule, prof)
+            assert out.allocation.bundles == bundles
+            assert (out.payments, out.prices_used) == (pays, prices)
+            assert all(type(p) is F for p in out.payments + (out.prices_used or ()))
+            assert payments(rule, prof, out.allocation) == pays
+            again = run_mechanism(rule, seeded)
+            assert again == out
+            assert again._scaled_payments == tuple(10 * p for p in out._scaled_payments)
 
 
 def test_allocate_declared():

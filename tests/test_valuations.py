@@ -89,6 +89,19 @@ def test_demand_set_additive_characterization():
     assert winners == brute_demand(v, p)
 
 
+def test_demand_set_matches_oracle_on_odd_denominators():
+    rng = random.Random(61)
+    for trial in range(20):
+        m = rng.randint(1, 4)
+        v = sample_valuation(rng.choice(["additive", "unit_demand", "oxs", "xos"]),
+                             m, 3, seed=rng.randrange(10**6), denominators=(3, 7, 9))
+        # Prices on the value grid make ties; prices over fifths and
+        # elevenths need a denominator the table does not have.
+        p = tuple(rng.choice([v.value(1 << j), F(rng.randint(0, 15), 5),
+                              F(rng.randint(0, 33), 11)]) for j in range(m))
+        assert demand_set(v, p) == brute_demand(v, p)
+
+
 def test_demand_set_overbidder_at_unit_prices():
     assert demand_set(V1, ("1", "1", "1")) == [0b011, 0b101]
 

@@ -93,8 +93,9 @@ def test_min_prices_fold_one_doubled_item_at_a_time():
     while prof.m != 4:
         prof = _gs_profile(rng, m_hi=4)
     min_walrasian_prices(prof)
+    # All-agents tables are cached as level 0 of the suffix levels.
     supplies = [key[1] for key in prof._cache
-                if isinstance(key, tuple) and key[0] == "table"]
+                if isinstance(key, tuple) and key[0] in ("table", "suffix")]
     assert len(supplies) == prof.m + 1  # the all-ones table and one per item
     assert all(supply.count(2) <= 1 for supply in supplies)
 

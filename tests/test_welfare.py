@@ -230,3 +230,27 @@ def test_layout_is_shared_and_guarded():
     # 3^14 states: refused before any per-state work
     with pytest.raises(ValueError, match="welfare table too large"):
         _layout((2,) * 14)
+
+
+def test_all_agents_table_is_folded_once(monkeypatch):
+    import walras.welfare as welfare
+    from walras.mechanisms import allocate_declared
+    from walras.walrasian import max_walrasian_prices
+
+    folds = []
+    fold = welfare._or_step
+
+    def counted(*args):
+        folds.append(args[2])  # the table size
+        return fold(*args)
+
+    monkeypatch.setattr(welfare, "_or_step", counted)
+    prof = BidProfile(5, tuple(sample_valuation("additive", 5, 3, seed=s)
+                               for s in range(4)))
+    allocate_declared(prof)
+    assert len(folds) == 4
+    # max prices read W(1) and W(1 - 1_j) from the same all-agents table
+    max_walrasian_prices(prof)
+    levels = welfare._suffix_levels(prof, ms_ones(5))[0]
+    assert welfare.or_value_table(prof, ms_ones(5)) is levels[0]
+    assert len(folds) == 4
