@@ -1,5 +1,6 @@
-"""Golden outputs: the stdout and exit code of every ``reproduce`` case and of
-``solve``, ``prices`` and ``mechanism --rule R`` on every shipped fixture.
+"""Golden outputs: the stdout and exit code of every ``reproduce`` case, of
+``solve``, ``prices`` and ``mechanism --rule R`` on every shipped fixture, and
+of ``verify-nash``, ``poa`` and ``property-test`` on a few pinned inputs.
 
 A refactor must leave these byte-identical.  To record them afresh (only when
 an output is meant to change), run from the repository root:
@@ -33,6 +34,16 @@ def _commands() -> dict[str, tuple[str, ...]]:
         out[f"prices__{fx}"] = ("prices", fx)
         for rule in RULES:
             out[f"mechanism_{rule}__{fx}"] = ("mechanism", fx, "--rule", rule)
+    for fx in ("example1_eps_0.125", "example2_eps_0.125"):
+        out[f"verify-nash__{fx}"] = ("verify-nash", fx, "--grid-delta", "1/8",
+                                     "--grid-cap", "4")
+    poa = ("poa", "example2_eps_0.125", "--rule", "vcg", "--grid-delta", "1/4",
+           "--grid-cap", "2")
+    out["poa_vcg__example2_eps_0.125"] = poa
+    out["poa_vcg_csv__example2_eps_0.125"] = poa + ("--format", "csv")
+    suites = ("property-test", "--suite", "all", "--seeds", "3", "--seed", "1")
+    out["property-test__all_seeds3_seed1"] = suites
+    out["property-test_csv__all_seeds3_seed1"] = suites + ("--format", "csv")
     return out
 
 
@@ -40,7 +51,7 @@ COMMANDS = _commands()
 
 
 def _run(argv: tuple[str, ...]) -> tuple[int, str]:
-    if argv[0] != "reproduce":
+    if argv[0] not in ("reproduce", "property-test"):
         argv = (argv[0], str(fixture_path(argv[1] + ".json"))) + argv[2:]
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
@@ -56,7 +67,8 @@ def _exit_codes() -> dict[str, int]:
 def test_golden_output(stem):
     code, out = _run(COMMANDS[stem])
     assert code == _exit_codes()[stem]
-    assert out == (GOLDEN / f"{stem}.txt").read_text(encoding="utf-8")
+    # Bytes, not text: the csv module ends its rows with \r\n.
+    assert out == (GOLDEN / f"{stem}.txt").read_bytes().decode("utf-8")
 
 
 def record() -> None:
@@ -64,7 +76,7 @@ def record() -> None:
     codes = {}
     for stem, argv in sorted(COMMANDS.items()):
         codes[stem], out = _run(argv)
-        (GOLDEN / f"{stem}.txt").write_text(out, encoding="utf-8")
+        (GOLDEN / f"{stem}.txt").write_bytes(out.encode("utf-8"))
     (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=1) + "\n")
 
 
