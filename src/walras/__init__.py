@@ -16,13 +16,11 @@ from .valuations import (
     Xos,
     budget_additive,
     demand_set,
-    evaluate,
     is_gross_substitutes,
     is_monotone_normalized,
     is_submodular,
     marginal_value,
     sample_valuation,
-    tabulate,
     valuation_from_json,
     valuation_to_json,
     xos_supporting_clause,
@@ -30,7 +28,7 @@ from .valuations import (
 from .welfare import (
     Allocation,
     BidProfile,
-    welfare_excluding,
+    assignment_value,
     welfare_marginal,
     welfare_max,
     welfare_value,
@@ -72,7 +70,6 @@ from .analysis import (
 )
 from .instancefile import (
     InstanceFormatError,
-    RunConfig,
     eval_money_expr,
     instance_from_dict,
     instance_to_dict,

@@ -27,7 +27,14 @@ from .valuations import (
     is_gross_substitutes,
     xos_supporting_clause,
 )
-from .welfare import Allocation, BidProfile, scaled_tables, welfare_max, welfare_value
+from .welfare import (
+    Allocation,
+    BidProfile,
+    assignment_value,
+    scaled_tables,
+    welfare_max,
+    welfare_value,
+)
 
 
 class EnumerationBudgetExceeded(RuntimeError):
@@ -161,11 +168,6 @@ class NashReport:
     ratio: object  # Fraction, or inf when the equilibrium welfare is zero
 
 
-def _true_welfare(instance: Instance, alloc: Allocation) -> Fraction:
-    return sum((v.value(x) for v, x in
-                zip(instance.true_valuations.bids, alloc.bundles)), ZERO)
-
-
 def _ratio(opt: Fraction, welfare: Fraction):
     if welfare == 0:
         return Fraction(1) if opt == 0 else inf
@@ -208,7 +210,7 @@ def verify_nash(instance: Instance, rule: PaymentRule, profile: BidProfile,
         rows.append(AgentDeviation(i, current_u, best_u, best_bid,
                                    best_u - current_u))
     opt, _ = instance.optimal()
-    welfare = _true_welfare(instance, base.allocation)
+    welfare = assignment_value(instance.true_valuations, base.allocation.bundles)
     return NashReport(
         is_nash=all(r.gain <= eps_dev for r in rows),
         eps_dev=eps_dev,
@@ -322,8 +324,7 @@ def smoothness_certificate(instance: Instance, bids: BidProfile,
     rule = PaymentRule(rule)
     base = run_mechanism(rule, bids)
     dwm_ok = _dwm_bound_ok(base, bids)
-    declared = sum((b.value(x) for b, x in
-                    zip(bids.bids, base.allocation.bundles)), ZERO)
+    declared = assignment_value(bids, base.allocation.bundles)
     opt, opt_bundles = instance.optimal()
     rows = []
     lhs = ZERO
@@ -379,7 +380,7 @@ def vcg_deviation_certificate(instance: Instance,
         rows.append(VcgDeviationRow(i, u, bound, u >= bound))
         lhs += u
         rhs += bound
-    welfare = _true_welfare(instance, base.allocation)
+    welfare = assignment_value(instance.true_valuations, base.allocation.bundles)
     return VcgDeviationReport(
         rows=tuple(rows), lhs_total=lhs, rhs_total=rhs,
         holds=all(r.ok for r in rows),
@@ -522,6 +523,8 @@ def poa_search(instance: Instance, rule: PaymentRule, grid: BidGrid, gamma,
     eps_dev = parse_money(eps_dev)
     if grid.n != instance.n:
         raise ValueError("grid and instance disagree on agent count")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     sizes = grid.sizes()
     total = prod(sizes)
     if total > max_profiles:

@@ -51,10 +51,6 @@ def subsets_ascending(mask: int) -> Iterator[int]:
 
 # -- item multisets ---------------------------------------------------------
 
-def ms_zeros(m: int) -> tuple[int, ...]:
-    return (0,) * m
-
-
 def ms_ones(m: int) -> tuple[int, ...]:
     return (1,) * m
 
@@ -63,21 +59,6 @@ def ms_unit(m: int, j: int) -> tuple[int, ...]:
     if not 0 <= j < m:
         raise ValueError(f"item index {j} out of range for m={m}")
     return tuple(1 if k == j else 0 for k in range(m))
-
-
-def ms_from_mask(m: int, mask: int) -> tuple[int, ...]:
-    return tuple((mask >> j) & 1 for j in range(m))
-
-
-def ms_add(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
-
-
-def ms_sub(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    out = tuple(x - y for x, y in zip(a, b, strict=True))
-    if any(x < 0 for x in out):
-        raise ValueError(f"multiset difference {a} - {b} goes negative")
-    return out
 
 
 def clamp_mask(ms: tuple[int, ...]) -> int:

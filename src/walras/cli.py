@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .analysis import BidGrid, EnumerationBudgetExceeded, poa_search, verify_nash
 from .bundles import ms_ones
-from .instancefile import InstanceFormatError, RunConfig, load_instance
+from .instancefile import InstanceFormatError, load_instance
 from .mechanisms import allocate_declared, run_mechanism
 from .money import format_money
 from .reproduce import CASES, run_case
@@ -34,11 +34,11 @@ def _emit(payload) -> None:
     print(json.dumps(jsonable(payload), indent=2, sort_keys=True))
 
 
-def _grid_for(instance, config: RunConfig) -> BidGrid:
-    if config.grid_delta is not None and config.grid_cap is not None:
+def _grid_for(instance, args) -> BidGrid:
+    if args.grid_delta is not None and args.grid_cap is not None:
         return BidGrid.additive(instance.m, instance.n,
-                                config.grid_delta, config.grid_cap)
-    if config.grid_delta is not None or config.grid_cap is not None:
+                                args.grid_delta, args.grid_cap)
+    if args.grid_delta is not None or args.grid_cap is not None:
         raise InstanceFormatError("--grid-delta and --grid-cap go together")
     return BidGrid.default_for(instance)
 
@@ -70,14 +70,12 @@ def _cmd_prices(args) -> int:
 
 def _cmd_mechanism(args) -> int:
     instance = load_instance(args.instance)
-    config = RunConfig.from_args(args)
-    outcome = run_mechanism(config.rule, instance.true_valuations)
-    _emit(outcome)
+    _emit(run_mechanism(args.rule, instance.true_valuations))
     return 0
 
 
 def _load_bids(args, instance) -> BidProfile:
-    if getattr(args, "bids", None):
+    if args.bids:
         bid_instance = load_instance(args.bids)
         if bid_instance.m != instance.m or bid_instance.n != instance.n:
             raise InstanceFormatError("bid profile shape does not match instance")
@@ -87,20 +85,17 @@ def _load_bids(args, instance) -> BidProfile:
 
 def _cmd_verify_nash(args) -> int:
     instance = load_instance(args.instance)
-    config = RunConfig.from_args(args)
     profile = _load_bids(args, instance)
-    report = verify_nash(instance, config.rule, profile,
-                         _grid_for(instance, config), config.eps_dev)
-    _emit(report)
+    _emit(verify_nash(instance, args.rule, profile, _grid_for(instance, args),
+                      args.eps_dev))
     return 0
 
 
 def _cmd_poa(args) -> int:
     instance = load_instance(args.instance)
-    config = RunConfig.from_args(args)
-    report = poa_search(instance, config.rule, _grid_for(instance, config),
-                        config.gamma, eps_dev=config.eps_dev, jobs=config.jobs)
-    if config.fmt == "csv":
+    report = poa_search(instance, args.rule, _grid_for(instance, args),
+                        args.gamma, eps_dev=args.eps_dev, jobs=args.jobs)
+    if args.format == "csv":
         out = io.StringIO()
         writer = csv.writer(out)
         writer.writerow(["instance", "rule", "gamma", "ratio",
@@ -122,12 +117,11 @@ def _cmd_poa(args) -> int:
 
 
 def _cmd_property_test(args) -> int:
-    config = RunConfig.from_args(args)
-    reports = run_suites(args.suite, args.seeds, config.seed)
+    reports = run_suites(args.suite, args.seeds, args.seed)
     rows = [{"suite": r.name, "runs": r.runs, "failures": r.failures,
              "first_counterexample": r.first_failure, "detail": r.detail}
             for r in reports]
-    if config.fmt == "csv":
+    if args.format == "csv":
         out = io.StringIO()
         writer = csv.writer(out)
         writer.writerow(["suite", "runs", "failures", "first_counterexample"])
@@ -153,58 +147,46 @@ def build_parser() -> argparse.ArgumentParser:
                     "mechanisms over indivisible items.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, rule=False, grid=False, gamma=False, bids=False):
+    def add(name, handler, help, *, rule=False, grid=False):
+        """A subcommand on one instance file.  Money flags stay strings: the
+        library parses them exactly and a bad value exits 2 via main."""
+        p = sub.add_parser(name, help=help)
+        p.add_argument("instance")
         if rule:
             p.add_argument("--rule", choices=["vcg", "english", "dutch", "paybid"],
                            default="english")
         if grid:
             p.add_argument("--grid-delta", help="bid grid step (exact rational)")
             p.add_argument("--grid-cap", help="bid grid per-item cap")
-            p.add_argument("--eps-dev", help="deviation tolerance, default 0")
-        if gamma:
-            p.add_argument("--gamma", help="exposure-factor budget, default 0")
-        if bids:
-            p.add_argument("--bids", help="bid profile file; default: truthful")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--jobs", type=int, default=1)
-        p.add_argument("--format", choices=["json", "csv"], default="json")
+            p.add_argument("--eps-dev", default="0",
+                           help="deviation tolerance, default 0")
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("solve", help="exact declared-welfare maximum")
-    p.add_argument("instance")
-    common(p)
-    p.set_defaults(handler=_cmd_solve)
-
-    p = sub.add_parser("prices", help="price lattice endpoints + verification")
-    p.add_argument("instance")
-    common(p)
-    p.set_defaults(handler=_cmd_prices)
-
-    p = sub.add_parser("mechanism", help="run one payment rule")
-    p.add_argument("instance")
-    common(p, rule=True)
-    p.set_defaults(handler=_cmd_mechanism)
-
-    p = sub.add_parser("verify-nash", help="grid deviation check of a profile")
-    p.add_argument("instance")
-    common(p, rule=True, grid=True, bids=True)
-    p.set_defaults(handler=_cmd_verify_nash)
-
-    p = sub.add_parser("poa", help="exhaustive grid equilibrium/ratio search")
-    p.add_argument("instance")
-    common(p, rule=True, grid=True, gamma=True)
-    p.set_defaults(handler=_cmd_poa)
+    add("solve", _cmd_solve, "exact declared-welfare maximum")
+    add("prices", _cmd_prices, "price lattice endpoints + verification")
+    add("mechanism", _cmd_mechanism, "run one payment rule", rule=True)
+    p = add("verify-nash", _cmd_verify_nash, "grid deviation check of a profile",
+            rule=True, grid=True)
+    p.add_argument("--bids", help="bid profile file; default: truthful")
+    p = add("poa", _cmd_poa, "exhaustive grid equilibrium/ratio search",
+            rule=True, grid=True)
+    p.add_argument("--gamma", default="0", help="exposure-factor budget, default 0")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes, default 1")
+    p.add_argument("--format", choices=["json", "csv"], default="json")
 
     p = sub.add_parser("property-test", help="seeded exact property suites")
     p.add_argument("--suite", choices=["lemmas", "ordering", "smoothness",
                                        "lattice", "all"], default="all")
     p.add_argument("--seeds", type=int, default=100,
                    help="number of seeded runs per suite")
-    common(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(handler=_cmd_property_test)
 
     p = sub.add_parser("reproduce", help="scripted desk scenarios")
     p.add_argument("case", choices=list(CASES))
-    common(p)
     p.set_defaults(handler=_cmd_reproduce)
 
     return parser

@@ -1,4 +1,4 @@
-"""Instance files and run configuration.
+"""Instance files.
 
 An instance file is JSON:
 
@@ -20,16 +20,15 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
 from .analysis import Instance
 from .bundles import MAX_ITEMS
-from .mechanisms import PaymentRule
-from .money import Money, parse_money
-from .valuations import valuation_from_json, valuation_to_json
+from .money import parse_money
+from .serialize import jsonable
+from .valuations import valuation_from_json
 from .welfare import BidProfile
 
 
@@ -167,25 +166,21 @@ def instance_from_dict(data: dict, *, epsilon=None) -> Instance:
     return Instance(m, BidProfile(m, tuple(bids)), name=data.get("name", ""))
 
 
-def load_instance(path, *, epsilon=None) -> Instance:
+def read_json(path) -> dict:
+    """The parsed JSON of an instance file (metadata included)."""
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"{path}: invalid JSON ({exc})") from exc
-    return instance_from_dict(data, epsilon=epsilon)
 
 
-def load_metadata(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    return data.get("metadata", {})
+def load_instance(path, *, epsilon=None) -> Instance:
+    return instance_from_dict(read_json(path), epsilon=epsilon)
 
 
 def instance_to_dict(instance: Instance) -> dict:
-    out = {"m": instance.m,
-           "players": [{"valuation": valuation_to_json(b)}
-                       for b in instance.true_valuations.bids]}
+    out = jsonable(instance.true_valuations)
     if instance.name:
         out["name"] = instance.name
     return out
@@ -212,30 +207,3 @@ def fixture_path(name: str) -> Path:
 
 def load_fixture(name: str, *, epsilon=None) -> Instance:
     return load_instance(fixture_path(name), epsilon=epsilon)
-
-
-# -- run configuration -----------------------------------------------------------
-
-@dataclass(frozen=True)
-class RunConfig:
-    rule: PaymentRule = PaymentRule.ENGLISH
-    gamma: Money = Fraction(0)
-    grid_delta: Money | None = None
-    grid_cap: Money | None = None
-    eps_dev: Money = Fraction(0)
-    seed: int = 0
-    jobs: int = 1
-    fmt: str = "json"
-
-    @classmethod
-    def from_args(cls, args) -> "RunConfig":
-        return cls(
-            rule=PaymentRule(args.rule) if getattr(args, "rule", None) else PaymentRule.ENGLISH,
-            gamma=parse_money(args.gamma) if getattr(args, "gamma", None) else Fraction(0),
-            grid_delta=parse_money(args.grid_delta) if getattr(args, "grid_delta", None) else None,
-            grid_cap=parse_money(args.grid_cap) if getattr(args, "grid_cap", None) else None,
-            eps_dev=parse_money(args.eps_dev) if getattr(args, "eps_dev", None) else Fraction(0),
-            seed=getattr(args, "seed", 0) or 0,
-            jobs=getattr(args, "jobs", 1) or 1,
-            fmt=getattr(args, "format", "json") or "json",
-        )

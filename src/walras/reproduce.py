@@ -21,8 +21,9 @@ from .analysis import (
 from .instancefile import (
     eval_money_expr,
     fixture_path,
+    instance_from_dict,
     load_fixture,
-    load_metadata,
+    read_json,
 )
 from .mechanisms import (
     PaymentRule,
@@ -35,7 +36,7 @@ from .money import ZERO, format_money, parse_money
 from .suites import ordering_suite
 from .valuations import UnitDemand, Additive, valuation_from_json
 from .walrasian import min_walrasian_prices
-from .welfare import BidProfile, welfare_max
+from .welfare import BidProfile, assignment_value, welfare_max
 from .bundles import ms_ones
 
 
@@ -83,9 +84,10 @@ def _show(x) -> str:
     return str(x)
 
 
-def _true_welfare(instance, alloc) -> Fraction:
-    return sum((v.value(x) for v, x in
-                zip(instance.true_valuations.bids, alloc.bundles)), ZERO)
+def _load_case(name: str, eps=None) -> tuple[Instance, dict]:
+    """A fixture's instance and its metadata, from one read of the file."""
+    data = read_json(fixture_path(name))
+    return instance_from_dict(data, epsilon=eps), data.get("metadata", {})
 
 
 def _expected(meta: dict, key: str, eps):
@@ -100,8 +102,7 @@ def run_case(case: str, epsilon=None) -> tuple[bool, dict]:
 
 def _case_overbidding(eps_override):
     rec = _Recorder()
-    instance = load_fixture("appendix_overbidding.json")
-    meta = load_metadata(fixture_path("appendix_overbidding.json"))
+    instance, meta = _load_case("appendix_overbidding.json")
     truthful = instance.true_valuations
 
     value, bundles = welfare_max(truthful, ms_ones(instance.m))
@@ -137,8 +138,7 @@ def _case_overbidding(eps_override):
 def _case_example1(eps_override):
     rec = _Recorder()
     eps = eps_override if eps_override is not None else Fraction(1, 8)
-    instance = load_fixture("example1_eps_0.125.json", epsilon=eps)
-    meta = load_metadata(fixture_path("example1_eps_0.125.json"))
+    instance, meta = _load_case("example1_eps_0.125.json", eps)
     grid = BidGrid.additive(instance.m, instance.n,
                             eval_money_expr(meta["grid"]["delta"], eps),
                             eval_money_expr(meta["grid"]["cap"], eps))
@@ -176,8 +176,7 @@ def _case_example1(eps_override):
 def _case_example2(eps_override):
     rec = _Recorder()
     eps = eps_override if eps_override is not None else Fraction(1, 8)
-    instance = load_fixture("example2_eps_0.125.json", epsilon=eps)
-    meta = load_metadata(fixture_path("example2_eps_0.125.json"))
+    instance, meta = _load_case("example2_eps_0.125.json", eps)
     grid = BidGrid.additive(instance.m, instance.n,
                             eval_money_expr(meta["grid"]["delta"], eps),
                             eval_money_expr(meta["grid"]["cap"], eps))
@@ -207,7 +206,7 @@ def _case_example2(eps_override):
                    for v, b in zip(variant.true_valuations.bids, bids.bids))
     rec.check("exposure of the gamma-variant bids", (gamma, gamma), bounds)
     out = run_mechanism(PaymentRule.ENGLISH, bids)
-    welfare = _true_welfare(variant, out.allocation)
+    welfare = assignment_value(variant.true_valuations, out.allocation.bundles)
     ratio = (4 - 2 * eps) / welfare
     rec.check_that("gamma-variant ratio at least (2+gamma)(1-eps)",
                    ratio >= (2 + gamma) * (1 - eps), f"ratio {_show(ratio)}")
@@ -217,15 +216,14 @@ def _case_example2(eps_override):
 def _case_bullying(eps_override):
     rec = _Recorder()
     eps = eps_override if eps_override is not None else Fraction(1, 8)
-    instance = load_fixture("bullying.json", epsilon=eps)
-    meta = load_metadata(fixture_path("bullying.json"))
+    instance, meta = _load_case("bullying.json", eps)
     bids = BidProfile(instance.m, tuple(
         valuation_from_json(b) for b in meta["aggressive_bids"]))
 
     out = run_mechanism(PaymentRule.VCG, bids)
     rec.check("winner", (0, 1), out.allocation.bundles)
     rec.check("payments", (ZERO, ZERO), out.payments)
-    welfare = _true_welfare(instance, out.allocation)
+    welfare = assignment_value(instance.true_valuations, out.allocation.bundles)
     rec.check("equilibrium welfare", _expected(meta, "equilibrium_welfare", eps),
               welfare)
     rec.check("optimal welfare", _expected(meta, "optimal_welfare", eps),

@@ -32,6 +32,8 @@ def jsonable(obj):
         return valuation_to_json(obj)
     if isinstance(obj, Allocation):
         return {"bundles": [bits_list(b) for b in obj.bundles]}
+    # The one encoder of a bid profile: instance files and suite
+    # counterexamples are written through this branch too.
     if isinstance(obj, BidProfile):
         return {"m": obj.m,
                 "players": [{"valuation": valuation_to_json(b)} for b in obj.bids]}

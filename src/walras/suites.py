@@ -27,17 +27,23 @@ from .analysis import (
     vcg_deviation_certificate,
     verify_nash,
 )
-from .bundles import full_mask, ms_ones
-from .mechanisms import PaymentRule, check_payment_ordering, run_mechanism
+from .bundles import ms_ones
+from .mechanisms import (
+    PaymentRule,
+    allocate_declared,
+    check_payment_ordering,
+    run_mechanism,
+)
 from .money import ZERO, format_money
-from .valuations import sample_valuation, valuation_to_json
+from .serialize import jsonable
+from .valuations import sample_valuation
 from .walrasian import (
     min_walrasian_prices,
     max_walrasian_prices,
     tatonnement,
     verify_walrasian_equilibrium,
 )
-from .welfare import Allocation, BidProfile, welfare_max
+from .welfare import Allocation, BidProfile, assignment_value, welfare_value
 
 
 @dataclass(frozen=True)
@@ -54,11 +60,6 @@ class SuiteReport:
 
 
 GS_CLASSES = ("additive", "unit_demand", "oxs")
-
-
-def _profile_json(profile: BidProfile) -> dict:
-    return {"m": profile.m,
-            "players": [{"valuation": valuation_to_json(b)} for b in profile.bids]}
 
 
 def random_gs_profile(rng: random.Random, *, m_range=(2, 4), n_range=(2, 4),
@@ -110,7 +111,7 @@ def lemma_gs_suite(runs: int = 500, seed: int = 0,
                     first = {"run": k, "partition": list(part.bundles),
                              "total": format_money(rep.total),
                              "bound": format_money(rep.single_bound),
-                             "profile": _profile_json(bids)}
+                             "profile": jsonable(bids)}
     return SuiteReport("lemma_gs", runs, failures, first,
                        {"partitions_per_run": partitions})
 
@@ -138,7 +139,7 @@ def lemma_xos_suite(runs: int = 500, seed: int = 0,
                     first = {"run": k, "partition": list(part.bundles),
                              "total": format_money(rep.total),
                              "bound": format_money(rep.double_bound),
-                             "profile": _profile_json(bids)}
+                             "profile": jsonable(bids)}
     return SuiteReport("lemma_xos", runs, failures, first,
                        {"partitions_per_run": partitions,
                         "factor1_interesting_witnesses": factor1_breaks})
@@ -160,7 +161,7 @@ def ordering_suite(runs: int = 500, seed: int = 0) -> SuiteReport:
         if bad_chain or bad_dwm:
             failures += 1
             if first is None:
-                first = {"run": k, "profile": _profile_json(bids),
+                first = {"run": k, "profile": jsonable(bids),
                          "payments": {r: [format_money(p) for p in pays]
                                       for r, pays in rep.payments_by_rule.items()}}
     return SuiteReport("ordering", runs, failures, first, {})
@@ -191,8 +192,8 @@ def smoothness_suite(runs: int = 500, seed: int = 0) -> SuiteReport:
                              "rhs": format_money(cert.rhs),
                              "dwm_ok": cert.dwm_ok,
                              "per_agent_ok": cert.per_agent_ok,
-                             "types": _profile_json(types),
-                             "bids": _profile_json(bids)}
+                             "types": jsonable(types),
+                             "bids": jsonable(bids)}
     return SuiteReport("smoothness", runs, failures, first,
                        {"rules": [r.value for r in PaymentRule]})
 
@@ -210,8 +211,8 @@ def vcg_deviation_suite(runs: int = 200, seed: int = 0) -> SuiteReport:
         if not rep.holds:
             failures += 1
             if first is None:
-                first = {"run": k, "types": _profile_json(types),
-                         "bids": _profile_json(bids)}
+                first = {"run": k, "types": jsonable(types),
+                         "bids": jsonable(bids)}
     return SuiteReport("vcg_deviation", runs, failures, first, {})
 
 
@@ -228,12 +229,8 @@ def lattice_suite(runs: int = 500, seed: int = 0,
         bids = random_gs_profile(rng)
         low = min_walrasian_prices(bids)
         high = max_walrasian_prices(bids)
-        value, bundles = welfare_max(bids, ms_ones(bids.m))
-        used = 0
-        for b in bundles:
-            used |= b
-        alloc = Allocation(bids.m,
-                           (bundles[0] | (full_mask(bids.m) & ~used),) + bundles[1:])
+        value = welfare_value(bids, ms_ones(bids.m))
+        alloc = allocate_declared(bids)
         problems = []
         if not all(a <= b for a, b in zip(low, high)):
             problems.append("lattice order")
@@ -241,10 +238,8 @@ def lattice_suite(runs: int = 500, seed: int = 0,
             cert = verify_walrasian_equilibrium(bids, alloc, prices)
             if not cert.is_equilibrium:
                 problems.append(f"verify {name}")
-            else:
-                declared = sum(bid.value(x) for bid, x in zip(bids.bids, alloc.bundles))
-                if declared != value:
-                    problems.append(f"first-welfare at {name}")
+            elif assignment_value(bids, alloc.bundles) != value:
+                problems.append(f"first-welfare at {name}")
         result = tatonnement(bids, tat_epsilon)
         tolerance = bids.m * tat_epsilon
         gaps = [abs(a - b) for a, b in zip(result.prices, low)]
@@ -255,7 +250,7 @@ def lattice_suite(runs: int = 500, seed: int = 0,
             failures += 1
             if first is None:
                 first = {"run": k, "problems": problems,
-                         "profile": _profile_json(bids),
+                         "profile": jsonable(bids),
                          "low": [format_money(p) for p in low],
                          "high": [format_money(p) for p in high],
                          "tatonnement": [format_money(p) for p in result.prices]}
@@ -276,11 +271,9 @@ def stability_suite(runs: int = 100, seed: int = 0) -> SuiteReport:
         instance = Instance(types.m, types)
         bids = construct_efficient_profile(instance)
         out = run_mechanism(PaymentRule.ENGLISH, bids)
-        welfare = sum((v.value(x) for v, x in
-                       zip(types.bids, out.allocation.bundles)), ZERO)
         opt, _ = instance.optimal()
         problems = []
-        if welfare != opt:
+        if assignment_value(types, out.allocation.bundles) != opt:
             problems.append("welfare below optimum")
         if any(p != 0 for p in out.payments):
             problems.append("nonzero payment")
@@ -295,8 +288,8 @@ def stability_suite(runs: int = 100, seed: int = 0) -> SuiteReport:
             failures += 1
             if first is None:
                 first = {"run": k, "problems": problems,
-                         "types": _profile_json(types),
-                         "bids": _profile_json(bids)}
+                         "types": jsonable(types),
+                         "bids": jsonable(bids)}
     return SuiteReport("stability", runs, failures, first, {})
 
 

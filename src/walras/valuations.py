@@ -244,16 +244,7 @@ def budget_additive(weights: Iterable, cap) -> Tabular:
     return Tabular(tuple(table))
 
 
-def tabulate(v: Valuation) -> Tabular:
-    return v if isinstance(v, Tabular) else Tabular(v.table())
-
-
 # -- oracles ----------------------------------------------------------------
-
-def evaluate(v: Valuation, bundle: int) -> Fraction:
-    """v(bundle); bundle must fit the valuation's m items."""
-    return v.value(bundle)
-
 
 def marginal_value(f: Callable[[tuple[int, ...]], Fraction],
                    y: Sequence[int], x: Sequence[int]) -> Fraction:
@@ -388,8 +379,7 @@ def xos_supporting_clause(v: Xos, bundle: int) -> tuple[Fraction, ...]:
 
 # -- random generation -------------------------------------------------------
 
-_KINDS = {"additive": "additive", "unit_demand": "unit_demand",
-          "oxs": "oxs", "xos": "xos"}
+_KINDS = ("additive", "unit_demand", "oxs", "xos")
 
 
 def sample_valuation(kind, m: int, cap, seed: int, *,

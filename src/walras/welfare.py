@@ -35,8 +35,8 @@ from .bundles import (
     full_mask,
     subsets_ascending,
 )
-from .money import scale_rows
-from .valuations import Valuation
+from .money import ZERO, scale_rows
+from .valuations import Valuation, marginal_value
 
 
 @dataclass(frozen=True)
@@ -242,9 +242,12 @@ def _scaled_welfare(profile: BidProfile, ms: tuple[int, ...],
 
 
 def welfare_value(profile: BidProfile, supply, exclude: int | None = None) -> Fraction:
-    """W(supply), optionally leaving one agent out."""
+    """W(supply), optionally leaving agent ``exclude`` out (zero for a lone
+    agent)."""
     ms = tuple(supply)
     check_multiset(profile.m, ms)
+    if exclude is not None and not 0 <= exclude < profile.n:
+        raise IndexError(f"agent index {exclude} out of range for n={profile.n}")
     denom, _ = scaled_tables(profile)
     return Fraction(_scaled_welfare(profile, ms, exclude), denom)
 
@@ -286,21 +289,14 @@ def welfare_max(profile: BidProfile, supply) -> tuple[Fraction, tuple[int, ...]]
     return Fraction(value, denom), bundles
 
 
-def welfare_excluding(profile: BidProfile, i: int, supply) -> Fraction:
-    """W of the profile with agent i removed (zero for a lone agent)."""
-    if not 0 <= i < profile.n:
-        raise IndexError(f"agent index {i} out of range for n={profile.n}")
-    return welfare_value(profile, supply, exclude=i)
-
-
 def welfare_marginal(profile: BidProfile, add, base,
                      exclude: int | None = None) -> Fraction:
-    """W(add + base) - W(base)."""
-    add = tuple(add)
-    base = tuple(base)
-    combined = tuple(a + b for a, b in zip(add, base, strict=True))
-    check_multiset(profile.m, combined)
-    check_multiset(profile.m, base)
-    denom, _ = scaled_tables(profile)
-    return Fraction(_scaled_welfare(profile, combined, exclude)
-                    - _scaled_welfare(profile, base, exclude), denom)
+    """W(add + base) - W(base), optionally leaving agent ``exclude`` out."""
+    return marginal_value(lambda ms: welfare_value(profile, ms, exclude), add, base)
+
+
+def assignment_value(profile: BidProfile, bundles) -> Fraction:
+    """Sum of v_i(bundles[i]): the profile's total value of an assignment
+    (declared welfare for bids, true welfare for types)."""
+    return sum((v.value(x) for v, x in zip(profile.bids, bundles, strict=True)),
+               ZERO)

@@ -250,6 +250,13 @@ def test_poa_search_budget_guard():
         poa_search(EX2, PaymentRule.VCG, grid, 0, max_profiles=100)
 
 
+def test_poa_search_rejects_jobs_below_one():
+    grid = BidGrid.additive(2, 2, F(1, 2), F(1))
+    for jobs in (0, -3):
+        with pytest.raises(ValueError, match="jobs"):
+            poa_search(EX2, PaymentRule.VCG, grid, 0, jobs=jobs)
+
+
 def test_poa_search_parallel_matches_serial():
     grid = BidGrid.additive(2, 2, F(1), F(2))
     serial = poa_search(EX2, PaymentRule.ENGLISH, grid, 0)

@@ -108,6 +108,44 @@ def test_poa_subcommand_json_and_csv(capsys):
     assert row.startswith("example2,vcg,0,1.875")
 
 
+def test_poa_rejects_jobs_below_one(capsys):
+    code, out, err = run_cli(capsys, "poa", fixture("example2_eps_0.125.json"),
+                             "--grid-delta", "1/2", "--grid-cap", "1",
+                             "--jobs", "0")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "jobs" in err
+
+
+def test_bad_money_flag_exits_2(capsys):
+    path = fixture("example2_eps_0.125.json")
+    for argv in (("poa", path, "--gamma", "x"),
+                 ("poa", path, "--grid-delta", "1/0", "--grid-cap", "1"),
+                 ("verify-nash", path, "--eps-dev", "0.1.2")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: not an exact rational")
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "X", "--jobs", "2"),
+    ("solve", "X", "--jobs", "99", "--seed", "4", "--format", "csv"),
+    ("prices", "X", "--format", "csv"),
+    ("mechanism", "X", "--seed", "1"),
+    ("verify-nash", "X", "--format", "csv"),
+    ("verify-nash", "X", "--jobs", "2"),
+    ("poa", "X", "--seed", "1"),
+    ("property-test", "--jobs", "2"),
+    ("reproduce", "example1", "--format", "csv"),
+])
+def test_flags_a_subcommand_does_not_read_are_rejected(argv, capsys):
+    argv = tuple(fixture("example2_eps_0.125.json") if a == "X" else a
+                 for a in argv)
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_property_test_subcommand(capsys):
     code, out, _ = run_cli(capsys, "property-test", "--suite", "lattice",
                            "--seeds", "10")

@@ -12,7 +12,6 @@ from walras.valuations import (
     Xos,
     budget_additive,
     demand_set,
-    evaluate,
     is_gross_substitutes,
     is_monotone_normalized,
     is_submodular,
@@ -31,15 +30,15 @@ BUDGET = budget_additive((3, 5, 3), 6)
 
 
 def test_evaluate_examples():
-    assert evaluate(Additive((F(2), F(2))), 0b11) == 4
+    assert Additive((F(2), F(2))).value(0b11) == 4
     for v in (V1, V2, V3, BUDGET):
-        assert evaluate(v, 0) == 0
-    assert evaluate(V1, 0b101) == 6
+        assert v.value(0) == 0
+    assert V1.value(0b101) == 6
 
 
 def test_evaluate_rejects_out_of_range_bundle():
     with pytest.raises(ValueError):
-        evaluate(Additive((F(1), F(1))), 0b100)
+        Additive((F(1), F(1))).value(0b100)
 
 
 def test_multiset_value_clamps():

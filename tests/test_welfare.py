@@ -18,7 +18,6 @@ from walras.welfare import (
     Allocation,
     BidProfile,
     _layout,
-    welfare_excluding,
     welfare_marginal,
     welfare_max,
     welfare_value,
@@ -126,14 +125,26 @@ def test_welfare_monotone_in_supply():
 
 
 def test_welfare_excluding():
-    assert welfare_excluding(
-        BidProfile(2, (Additive((F(1), F(1))),)), 0, ms_ones(2)) == 0
-    assert welfare_excluding(OVERBID, 0, ms_ones(3)) == 3
+    assert welfare_value(
+        BidProfile(2, (Additive((F(1), F(1))),)), ms_ones(2), exclude=0) == 0
+    assert welfare_value(OVERBID, ms_ones(3), exclude=0) == 3
     ex2 = BidProfile(2, (UnitDemand((2 - EPS, F(1))),
                          UnitDemand((F(1), 2 - EPS))))
-    assert welfare_excluding(ex2, 0, ms_ones(2)) == 2 - EPS
+    assert welfare_value(ex2, ms_ones(2), exclude=0) == 2 - EPS
     with pytest.raises(IndexError):
-        welfare_excluding(OVERBID, 5, ms_ones(3))
+        welfare_value(OVERBID, ms_ones(3), exclude=5)
+
+
+def test_leave_one_out_rejects_an_agent_outside_the_profile():
+    prof = BidProfile(2, (Additive((1, 2)), Additive((3, 1))))
+    assert welfare_value(prof, (1, 1)) == 5
+    assert welfare_value(prof, (1, 1), exclude=0) == 4
+    assert welfare_marginal(prof, (1, 0), (0, 1), exclude=0) == 3
+    for bad in (5, -1, 2):
+        with pytest.raises(IndexError, match="out of range"):
+            welfare_value(prof, (1, 1), exclude=bad)
+        with pytest.raises(IndexError, match="out of range"):
+            welfare_marginal(prof, (1, 0), (0, 1), exclude=bad)
 
 
 def test_excluding_agent_never_helps():
@@ -142,7 +153,7 @@ def test_excluding_agent_never_helps():
         prof = _random_profile(rng, m_hi=3)
         full, _ = welfare_max(prof, ms_ones(prof.m))
         for i in range(prof.n):
-            assert welfare_excluding(prof, i, ms_ones(prof.m)) <= full
+            assert welfare_value(prof, ms_ones(prof.m), exclude=i) <= full
 
 
 def test_welfare_marginal():
@@ -212,7 +223,7 @@ def test_integer_core_matches_oracles_on_odd_denominators():
         assert w == brute_welfare(prof.bids, supply)
         for i in range(prof.n):
             rest = prof.bids[:i] + prof.bids[i + 1:]
-            w_ex = welfare_excluding(prof, i, supply)
+            w_ex = welfare_value(prof, supply, exclude=i)
             assert type(w_ex) is F
             assert w_ex == brute_welfare(rest, supply)
         j = rng.randrange(m)
