@@ -19,6 +19,7 @@ from .bundles import iter_bits, ms_ones
 from .money import ZERO, granularity, parse_money, scale_rows
 from .mechanisms import PaymentRule, _scaled_externality, run_mechanism, utility
 from .valuations import (
+    CHECKER_MAX_ITEMS,
     Additive,
     Oxs,
     UnitDemand,
@@ -249,13 +250,14 @@ def construct_efficient_profile(instance: Instance) -> BidProfile:
     unclaimed zero-priced items fall to it through the leftover rule.
 
     Requires every true type to pass the gross-substitutes check (tabulated;
-    refuse beyond m = 6).
+    refused beyond m = CHECKER_MAX_ITEMS).
     """
     from .walrasian import min_walrasian_prices
 
-    if instance.m > 6:
-        raise ValueError("tabulated gross-substitutes precondition is limited "
-                         "to m <= 6")
+    if instance.m > CHECKER_MAX_ITEMS:
+        raise ValueError(
+            "the tabulated gross-substitutes precondition is limited to "
+            f"m <= CHECKER_MAX_ITEMS = {CHECKER_MAX_ITEMS}, got m = {instance.m}")
     profile = instance.true_valuations
     for i, v in enumerate(profile.bids):
         if not is_gross_substitutes(v):
@@ -411,7 +413,8 @@ def marginal_sum_bound(bids: BidProfile, partition: Allocation) -> MarginalSumRe
     total = sum((_blocking_term(bids, i, x)
                  for i, x in enumerate(partition.bundles)), ZERO)
     w_full = welfare_value(bids, ms_ones(bids.m))
-    if bids.m <= 6 and all(is_gross_substitutes(b) for b in bids.bids):
+    if bids.m <= CHECKER_MAX_ITEMS and all(is_gross_substitutes(b)
+                                           for b in bids.bids):
         classification = "gross_substitutes"
     elif all(isinstance(b, (Additive, UnitDemand, Xos, Oxs)) for b in bids.bids):
         classification = "xos"

@@ -55,12 +55,6 @@ def ms_ones(m: int) -> tuple[int, ...]:
     return (1,) * m
 
 
-def ms_unit(m: int, j: int) -> tuple[int, ...]:
-    if not 0 <= j < m:
-        raise ValueError(f"item index {j} out of range for m={m}")
-    return tuple(1 if k == j else 0 for k in range(m))
-
-
 def clamp_mask(ms: tuple[int, ...]) -> int:
     """Bundle of items present at least once (per-agent consumption is 0/1)."""
     mask = 0

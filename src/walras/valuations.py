@@ -6,8 +6,10 @@ to private slots) and tabular (an explicit table of 2^m values).  All are
 monotone and normalized (v(empty) = 0) by construction, except tabular,
 which is what the class-membership checkers below are for.
 
-Class checkers tabulate the valuation, so they are exponential in m; they
-are meant for desk-scale inputs (m <= 6 or so).
+Class checkers tabulate the valuation, so they are exponential in m; the
+analysis layer runs them only up to ``CHECKER_MAX_ITEMS`` items.  They compare
+the table scaled to integers by the lcm of its denominators, which keeps the
+order of every sum, so each verdict is exact.
 """
 
 from __future__ import annotations
@@ -20,6 +22,10 @@ from typing import Callable, Iterable, Sequence
 
 from .bundles import check_bundle, check_item_count, clamp_mask, iter_bits
 from .money import ZERO, format_money, parse_money, scale_rows
+
+# Largest m the analysis layer hands to the class checkers: the exchange test
+# visits all 4^m bundle pairs.
+CHECKER_MAX_ITEMS = 6
 
 
 def _to_weights(weights: Iterable) -> tuple[Fraction, ...]:
@@ -47,6 +53,12 @@ class Valuation:
 
     def scale(self, factor) -> "Valuation":
         raise NotImplementedError
+
+    @cached_property
+    def _gross_substitutes(self) -> bool:
+        """Exchange-test verdict, computed once per valuation.  A table that
+        is not monotone normalized raises, and nothing is cached."""
+        return _exchange_holds(self)
 
 
 @lru_cache(maxsize=1 << 16)
@@ -285,12 +297,15 @@ def demand_set(v: Valuation, prices: Sequence) -> list[int]:
 
 # -- class membership checkers ----------------------------------------------
 
-def is_monotone_normalized(v: Valuation) -> bool:
-    """True iff v(empty) = 0 and adding an item never lowers the value."""
-    tab = v.table()
+def _scaled_table(v: Valuation) -> tuple[int, ...]:
+    """v's table times the lcm of its denominators: same order, int sums."""
+    _, (tab,) = scale_rows((v.table(),))
+    return tab
+
+
+def _monotone_normalized(tab: Sequence[int], m: int) -> bool:
     if tab[0] != 0:
         return False
-    m = v.m
     for mask in range(1 << m):
         for j in range(m):
             if not mask >> j & 1:
@@ -299,10 +314,16 @@ def is_monotone_normalized(v: Valuation) -> bool:
     return True
 
 
-def _require_normalized(v: Valuation) -> tuple[Fraction, ...]:
-    if not is_monotone_normalized(v):
+def is_monotone_normalized(v: Valuation) -> bool:
+    """True iff v(empty) = 0 and adding an item never lowers the value."""
+    return _monotone_normalized(_scaled_table(v), v.m)
+
+
+def _require_normalized(v: Valuation) -> tuple[int, ...]:
+    tab = _scaled_table(v)
+    if not _monotone_normalized(tab, v.m):
         raise ValueError("valuation is not monotone and normalized")
-    return v.table()
+    return tab
 
 
 def is_submodular(v: Valuation) -> bool:
@@ -331,30 +352,33 @@ def is_gross_substitutes(v: Valuation) -> bool:
                           max_{j in Y\\X} v(X-i+j)+v(Y+i-j) ).
 
     Equivalent to the price-based definition for monotone normalized
-    valuations, and finitely checkable, which the price form is not.
+    valuations, and finitely checkable, which the price form is not.  The
+    verdict is kept on the valuation, so each valuation is checked once.
     """
+    return v._gross_substitutes
+
+
+def _exchange_holds(v: Valuation) -> bool:
+    """The exchange loop of :func:`is_gross_substitutes`, on integers."""
     tab = _require_normalized(v)
-    m = v.m
-    size = 1 << m
+    size = 1 << v.m
+    bits = [tuple(1 << i for i in iter_bits(mask)) for mask in range(size)]
     for x in range(size):
+        tx = tab[x]
         for y in range(size):
             only_x = x & ~y
             if not only_x:
                 continue
-            lhs = tab[x] + tab[y]
-            only_y = y & ~x
-            for i in iter_bits(only_x):
-                bit_i = 1 << i
-                best = tab[x ^ bit_i] + tab[y | bit_i]
-                if best >= lhs:
+            lhs = tx + tab[y]
+            only_y = bits[y & ~x]
+            for bit_i in bits[only_x]:
+                x_i, y_i = x ^ bit_i, y | bit_i
+                if tab[x_i] + tab[y_i] >= lhs:
                     continue
-                ok = False
-                for j in iter_bits(only_y):
-                    bit_j = 1 << j
-                    if tab[(x ^ bit_i) | bit_j] + tab[(y | bit_i) ^ bit_j] >= lhs:
-                        ok = True
+                for bit_j in only_y:
+                    if tab[x_i | bit_j] + tab[y_i ^ bit_j] >= lhs:
                         break
-                if not ok:
+                else:
                     return False
     return True
 

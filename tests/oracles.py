@@ -88,3 +88,61 @@ def brute_max_prices(bids, m):
         supply = tuple(0 if k == j else 1 for k in range(m))
         out.append(base - brute_welfare(bids, supply))
     return tuple(out)
+
+
+def _fraction_table(v):
+    return [v.value(x) for x in range(1 << v.m)]
+
+
+def brute_monotone_normalized(v):
+    """v(empty) = 0 and no added item lowers the value, on Fractions."""
+    tab = _fraction_table(v)
+    if tab[0] != 0:
+        return False
+    return all(tab[x | 1 << j] >= tab[x]
+               for x in range(1 << v.m) for j in range(v.m))
+
+
+def _require_normalized(v):
+    if not brute_monotone_normalized(v):
+        raise ValueError("valuation is not monotone and normalized")
+    return _fraction_table(v)
+
+
+def brute_submodular(v):
+    """v(x+i) + v(x+j) >= v(x+i+j) + v(x) for all x and items i, j not in x,
+    summed as Fractions."""
+    tab = _require_normalized(v)
+    m = v.m
+    for x in range(1 << m):
+        free = [j for j in range(m) if not x >> j & 1]
+        for a in range(len(free)):
+            i = 1 << free[a]
+            for b in range(a + 1, len(free)):
+                j = 1 << free[b]
+                if tab[x | i] + tab[x | j] < tab[x | i | j] + tab[x]:
+                    return False
+    return True
+
+
+def brute_gross_substitutes(v):
+    """The discrete exchange test, summed as Fractions: for all bundles X, Y
+    and i in X\\Y, v(X)+v(Y) <= v(X-i)+v(Y+i) or v(X-i+j)+v(Y+i-j) for some
+    j in Y\\X."""
+    tab = _require_normalized(v)
+    m = v.m
+    for x in range(1 << m):
+        for y in range(1 << m):
+            lhs = tab[x] + tab[y]
+            only_y = [1 << j for j in range(m) if y >> j & 1 and not x >> j & 1]
+            for i in range(m):
+                bit_i = 1 << i
+                if not x & bit_i or y & bit_i:
+                    continue
+                x_i, y_i = x ^ bit_i, y | bit_i
+                if tab[x_i] + tab[y_i] >= lhs:
+                    continue
+                if not any(tab[x_i | bit_j] + tab[y_i ^ bit_j] >= lhs
+                           for bit_j in only_y):
+                    return False
+    return True

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -5,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from walras import analysis, valuations
 from walras.analysis import (
     BidGrid,
     EnumerationBudgetExceeded,
@@ -21,9 +23,13 @@ from walras.analysis import (
 )
 from walras.mechanisms import PaymentRule, run_mechanism
 from walras.valuations import (
+    CHECKER_MAX_ITEMS,
     Additive,
+    Oxs,
+    Tabular,
     UnitDemand,
     Xos,
+    is_gross_substitutes,
     sample_valuation,
 )
 from walras.welfare import Allocation, BidProfile
@@ -218,6 +224,53 @@ def test_marginal_sum_bound_rejects_mismatched_partition():
     bids = BidProfile(2, (Additive((F(1), F(2))), Additive((F(3), F(1)))))
     with pytest.raises(ValueError):
         marginal_sum_bound(bids, Allocation(3, (0b111, 0, 0)))
+
+
+def _never_called(*args):
+    raise AssertionError("called above the class-checker limit")
+
+
+def test_checker_limit_is_one_constant_and_checked_first(monkeypatch):
+    m = CHECKER_MAX_ITEMS + 1
+    assert m == 7
+    bids = BidProfile(m, (Additive((F(1),) * m), Additive((F(2),) * m)))
+    monkeypatch.setattr(analysis, "is_gross_substitutes", _never_called)
+    monkeypatch.setattr(valuations, "_exchange_holds", _never_called)
+    rep = marginal_sum_bound(bids, Allocation(m, ((1 << m) - 1, 0)))
+    assert rep.classification == "xos"
+    # The refusal comes before any table is built.
+    monkeypatch.setattr(valuations.Valuation, "table", _never_called)
+    with pytest.raises(ValueError, match="m <= CHECKER_MAX_ITEMS = 6, got m = 7"):
+        construct_efficient_profile(Instance(m, bids))
+
+
+def test_gross_substitutes_verdict_is_computed_once_per_valuation(monkeypatch):
+    runs = collections.Counter()
+    loop = valuations._exchange_holds
+
+    def counted(v):
+        runs[id(v)] += 1
+        return loop(v)
+
+    monkeypatch.setattr(valuations, "_exchange_holds", counted)
+    bids = BidProfile(3, (Additive((F(1), F(2, 3), F(0))),
+                          UnitDemand((F(3, 5), F(1), F(2))),
+                          Oxs(((F(1), F(0)), (F(1, 7), F(2)), (F(1), F(1))))))
+    rng = random.Random(11)
+    for _ in range(10):
+        owners = [rng.randrange(3) for _ in range(3)]
+        part = Allocation(3, tuple(sum(1 << j for j in range(3) if owners[j] == i)
+                                   for i in range(3)))
+        rep = marginal_sum_bound(bids, part)
+        assert rep.classification == "gross_substitutes"
+    assert all(is_gross_substitutes(b) for b in bids.bids)  # the kept verdicts
+    assert runs == {id(b): 1 for b in bids.bids}
+    # A table that fails the precondition is checked, and raises, every time.
+    bad = Tabular((F(1), F(2), F(2), F(3)))
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            is_gross_substitutes(bad)
+    assert runs[id(bad)] == 2
 
 
 def test_half_clause_deviation():

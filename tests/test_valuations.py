@@ -2,8 +2,15 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from oracles import brute_demand, brute_matching_value
+from oracles import (
+    brute_demand,
+    brute_gross_substitutes,
+    brute_matching_value,
+    brute_monotone_normalized,
+    brute_submodular,
+)
 from walras.valuations import (
     Additive,
     Oxs,
@@ -174,6 +181,80 @@ def test_gs_implies_submodular_on_random_draws():
         v = sample_valuation(kind, 3, 4, seed=rng.randrange(10**6))
         if is_gross_substitutes(v):
             assert is_submodular(v)
+
+
+# Denominators whose lcm is not the largest of them, so a checker that scaled
+# by the largest denominator would compare wrong integers.
+ODD_DENOMINATORS = (1, 3, 5, 7, 9, 11)
+CHECKER_EXAMPLES = settings(derandomize=True, database=None, deadline=None,
+                            max_examples=150)
+weights = st.sampled_from(ODD_DENOMINATORS).flatmap(
+    lambda d: st.integers(0, 3 * d).map(lambda k: F(k, d)))
+
+
+@st.composite
+def monotone_tables(draw, m):
+    """v(x) = max(a fresh weight, v of x's one-item-smaller subsets).
+    Entries keep their own denominators, so a table's lcm is often above its
+    largest denominator."""
+    values = [F(0)]
+    for x in range(1, 1 << m):
+        below = max(values[x ^ (1 << j)] for j in range(m) if x >> j & 1)
+        values.append(max(below, draw(weights)))
+    return values
+
+
+@st.composite
+def checker_inputs(draw):
+    m = draw(st.sampled_from((1, 2, 3, 3, 4, 4)))
+
+    def row(k):
+        return tuple(draw(weights) for _ in range(k))
+
+    kind = draw(st.sampled_from(("additive", "unit_demand", "xos", "oxs",
+                                 "budget", "gs_table", "table")))
+    if kind == "additive":
+        return Additive(row(m))
+    if kind == "unit_demand":
+        return UnitDemand(row(m))
+    if kind == "xos":
+        return Xos(tuple(row(m) for _ in range(draw(st.integers(1, 3)))))
+    if kind in ("oxs", "gs_table"):
+        slots = draw(st.integers(1, m))
+        v = Oxs(tuple(row(slots) for _ in range(m)))
+        return v if kind == "oxs" else Tabular(v.table())
+    if kind == "budget":
+        items = row(m)
+        return budget_additive(items, max(items) + draw(weights))
+    return Tabular(tuple(draw(monotone_tables(m))))
+
+
+@CHECKER_EXAMPLES
+@example(BUDGET)  # submodular, not gross substitutes
+@example(UnitDemand((F(4, 3), F(6, 5))))  # times 5, not 15, it reads 0, 4, 6, 4
+@given(checker_inputs())
+def test_class_checkers_match_fraction_reference(v):
+    assert is_monotone_normalized(v) and brute_monotone_normalized(v)
+    assert is_submodular(v) == brute_submodular(v)
+    assert is_gross_substitutes(v) == brute_gross_substitutes(v)
+
+
+@CHECKER_EXAMPLES
+@given(st.integers(1, 4).flatmap(monotone_tables), st.data())
+def test_checkers_reject_non_monotone_tables_like_the_reference(values, data):
+    x = data.draw(st.integers(0, len(values) - 1))
+    drop = data.draw(weights.filter(bool))
+    if x == 0:
+        values[0] += drop  # v(empty) > 0
+    else:
+        values[x] = values[x & (x - 1)] - drop  # dropping an item gains
+    v = Tabular(tuple(values))
+    assert not is_monotone_normalized(v) and not brute_monotone_normalized(v)
+    # is_gross_substitutes twice: a failed precondition is never cached.
+    for check in (is_submodular, is_gross_substitutes, is_gross_substitutes,
+                  brute_submodular, brute_gross_substitutes):
+        with pytest.raises(ValueError):
+            check(v)
 
 
 def test_xos_supporting_clause():

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from oracles import brute_welfare, brute_welfare_maps
-from walras.bundles import ms_ones, ms_unit
+from walras.bundles import ms_ones
 from walras.valuations import (
     Additive,
     Tabular,
@@ -35,6 +35,11 @@ DEMAND_REDUCTION = BidProfile(2, (
     UnitDemand((1 + EPS, 1 + EPS)),
     Additive((F(2), F(2))),
 ))
+
+
+def _unit(m, j):
+    """The multiset holding one copy of item j."""
+    return tuple(int(k == j) for k in range(m))
 
 
 def _random_profile(rng, m_hi=4, n_hi=4):
@@ -159,15 +164,15 @@ def test_excluding_agent_never_helps():
 def test_welfare_marginal():
     assert welfare_marginal(OVERBID, (0, 0, 0), ms_ones(3)) == 0
     for j in range(3):
-        assert welfare_marginal(OVERBID, ms_unit(3, j), ms_ones(3)) == 1
+        assert welfare_marginal(OVERBID, _unit(3, j), ms_ones(3)) == 1
     for j in range(2):
-        assert welfare_marginal(DEMAND_REDUCTION, ms_unit(2, j), ms_ones(2)) == 1 + EPS
+        assert welfare_marginal(DEMAND_REDUCTION, _unit(2, j), ms_ones(2)) == 1 + EPS
 
 
 def test_generic_marginal_applies_to_the_welfare_function():
     from walras.valuations import marginal_value
     w = lambda ms: welfare_value(OVERBID, ms)
-    assert marginal_value(w, ms_unit(3, 2), ms_ones(3)) == 1
+    assert marginal_value(w, _unit(3, 2), ms_ones(3)) == 1
     assert marginal_value(w, (0, 0, 0), (1, 1, 1)) == 0
 
 
@@ -227,7 +232,7 @@ def test_integer_core_matches_oracles_on_odd_denominators():
             assert type(w_ex) is F
             assert w_ex == brute_welfare(rest, supply)
         j = rng.randrange(m)
-        gain = welfare_marginal(prof, ms_unit(m, j), ms_ones(m))
+        gain = welfare_marginal(prof, _unit(m, j), ms_ones(m))
         assert type(gain) is F
         assert gain == (brute_welfare(prof.bids, ms_ones(m)[:j] + (2,) + ms_ones(m)[j + 1:])
                         - brute_welfare(prof.bids, ms_ones(m)))
