@@ -13,6 +13,7 @@ import io
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .analysis import BidGrid, EnumerationBudgetExceeded, poa_search, verify_nash
 from .bundles import ms_ones
@@ -140,6 +141,7 @@ def _cmd_reproduce(args) -> int:
     return 0 if ok else 1
 
 
+@cache  # built once per process: main runs it on every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="walras",
@@ -193,8 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except (InstanceFormatError, FileNotFoundError, ValueError,

@@ -84,9 +84,10 @@ def allocate_declared(bids: BidProfile) -> Allocation:
 def _scaled_externality(bids: BidProfile, i: int, bundle: int) -> int:
     """D * W_without_i(bundle | 1 - bundle): the welfare the others forgo
     when agent i takes ``bundle``."""
-    m = bids.m
-    rest = tuple(1 - (bundle >> j & 1) for j in range(m))
-    return _scaled_welfare(bids, ms_ones(m), i) - _scaled_welfare(bids, rest, i)
+    full = full_mask(bids.m)
+    everything, rest = _scaled_welfare(bids, ms_ones(bids.m),
+                                       (full, full & ~bundle), i)
+    return everything - rest
 
 
 def _outcome(rule: PaymentRule, bids: BidProfile,

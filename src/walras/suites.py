@@ -2,10 +2,9 @@
 
 Each suite draws a reproducible stream of random instances or bid profiles
 and checks one family of exact inequalities: the leave-one-out marginal
-bounds, the payment-rule ordering chain, the half-truthful deviation bound,
-the price-lattice facts, and the efficient-equilibrium construction.  A
-single exact violation is a failure; the first counterexample is kept in a
-JSON-friendly form.
+bounds, the payment-rule ordering chain, the half-truthful deviation bound
+and the price-lattice facts.  A single exact violation is a failure; the
+first counterexample is kept in a JSON-friendly form.
 
 The same functions back the ``property-test`` CLI subcommand and the
 acceptance tests.
@@ -17,23 +16,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .analysis import (
-    BidGrid,
-    Instance,
-    construct_efficient_profile,
-    exposure_factor_bound,
-    marginal_sum_bound,
-    smoothness_certificate,
-    vcg_deviation_certificate,
-    verify_nash,
-)
+from .analysis import Instance, marginal_sum_bound, smoothness_certificate
 from .bundles import ms_ones
-from .mechanisms import (
-    PaymentRule,
-    allocate_declared,
-    check_payment_ordering,
-    run_mechanism,
-)
+from .mechanisms import PaymentRule, allocate_declared, check_payment_ordering
 from .money import ZERO, format_money
 from .serialize import jsonable
 from .valuations import sample_valuation
@@ -198,24 +183,6 @@ def smoothness_suite(runs: int = 500, seed: int = 0) -> SuiteReport:
                        {"rules": [r.value for r in PaymentRule]})
 
 
-def vcg_deviation_suite(runs: int = 200, seed: int = 0) -> SuiteReport:
-    """Truthful-deviation bound under the externality rule, GS draws."""
-    rng = random.Random(("vcg-deviation", seed).__repr__())
-    failures = 0
-    first = None
-    for k in range(runs):
-        types = random_gs_profile(rng)
-        bids = random_gs_profile(
-            rng, m_range=(types.m, types.m), n_range=(types.n, types.n))
-        rep = vcg_deviation_certificate(Instance(types.m, types), bids)
-        if not rep.holds:
-            failures += 1
-            if first is None:
-                first = {"run": k, "types": jsonable(types),
-                         "bids": jsonable(bids)}
-    return SuiteReport("vcg_deviation", runs, failures, first, {})
-
-
 def lattice_suite(runs: int = 500, seed: int = 0,
                   tat_epsilon=Fraction(1, 64)) -> SuiteReport:
     """Lattice ordering, equilibrium verification at both endpoints, declared
@@ -257,40 +224,6 @@ def lattice_suite(runs: int = 500, seed: int = 0,
     return SuiteReport("lattice", runs, failures, first,
                        {"tat_epsilon": format_money(Fraction(tat_epsilon)),
                         "worst_tatonnement_gap": format_money(tat_worst)})
-
-
-def stability_suite(runs: int = 100, seed: int = 0) -> SuiteReport:
-    """Efficient-profile construction: optimal welfare, zero payments, zero
-    exposure, and a grid-Nash pass on the instance's default grid."""
-    rng = random.Random(("stability", seed).__repr__())
-    failures = 0
-    first = None
-    for k in range(runs):
-        types = random_gs_profile(rng, m_range=(2, 3), n_range=(2, 3),
-                                  cap=2, denominators=(1,))
-        instance = Instance(types.m, types)
-        bids = construct_efficient_profile(instance)
-        out = run_mechanism(PaymentRule.ENGLISH, bids)
-        opt, _ = instance.optimal()
-        problems = []
-        if assignment_value(types, out.allocation.bundles) != opt:
-            problems.append("welfare below optimum")
-        if any(p != 0 for p in out.payments):
-            problems.append("nonzero payment")
-        if any(exposure_factor_bound(v, b) != 0
-               for v, b in zip(types.bids, bids.bids)):
-            problems.append("exposure")
-        rep = verify_nash(instance, PaymentRule.ENGLISH, bids,
-                          BidGrid.default_for(instance))
-        if not rep.is_nash:
-            problems.append("grid deviation found")
-        if problems:
-            failures += 1
-            if first is None:
-                first = {"run": k, "problems": problems,
-                         "types": jsonable(types),
-                         "bids": jsonable(bids)}
-    return SuiteReport("stability", runs, failures, first, {})
 
 
 _SUITES = {

@@ -147,7 +147,8 @@ class Oxs(Valuation):
 
     The value of a bundle is the weight of a maximum matching of its items
     to slots, each slot used at most once.  Assignment valuations are gross
-    substitutes.
+    substitutes.  The values of all bundles are tabulated once, on the
+    matrix scaled to integers, and ``value`` reads that table.
     """
 
     matrix: tuple[tuple[Fraction, ...], ...]
@@ -172,30 +173,34 @@ class Oxs(Valuation):
         return len(self.matrix[0])
 
     @cached_property
-    def _scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        return scale_rows(self.matrix)
+    def _scaled_values(self) -> tuple[int, tuple[int, ...]]:
+        """(D, table): D times the value of every bundle, D the lcm of the
+        matrix denominators.  Slots join one at a time, each like a
+        unit-demand bidder: with slot k, a bundle either leaves it empty or
+        gives it one item i, g_{k+1}(S) = max(g_k(S), g_k(S - i) + w[i][k])."""
+        denom, matrix = scale_rows(self.matrix)
+        size = 1 << self.m
+        best = [0] * size
+        for slot in range(self.slots):
+            column = [row[slot] for row in matrix]
+            prev = best
+            best = list(prev)
+            for mask in range(1, size):
+                top = best[mask]
+                rest = mask
+                while rest:
+                    low = rest & -rest
+                    cand = prev[mask ^ low] + column[low.bit_length() - 1]
+                    if cand > top:
+                        top = cand
+                    rest ^= low
+                best[mask] = top
+        return denom, tuple(best)
 
     def value(self, bundle: int) -> Fraction:
         check_bundle(self.m, bundle)
-        # DP over items in the bundle, on the matrix scaled to integers;
-        # state = set of used slots.
-        denom, matrix = self._scaled
-        slots = range(self.slots)
-        states = {0: 0}
-        for item in iter_bits(bundle):
-            row = matrix[item]
-            nxt = dict(states)  # leaving the item unmatched is allowed
-            for used, val in states.items():
-                for slot in slots:
-                    if used >> slot & 1:
-                        continue
-                    cand = val + row[slot]
-                    key = used | (1 << slot)
-                    cur = nxt.get(key)
-                    if cur is None or cand > cur:
-                        nxt[key] = cand
-            states = nxt
-        return Fraction(max(states.values()), denom)
+        denom, table = self._scaled_values
+        return Fraction(table[bundle], denom)
 
     def scale(self, factor) -> "Oxs":
         c = parse_money(factor)

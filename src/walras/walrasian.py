@@ -6,11 +6,13 @@ closed forms in terms of welfare marginals:
     low_j  = W(1_j | 1)        extra benefit of one more copy of item j
     high_j = W(1_j | 1 - 1_j)  harm of removing item j
 
-Both are computed exactly, on the profile's scaled integer welfare tables;
-the english and dutch payment rules read the same integers.  The
-ascending-price procedure is kept only as a
-cross-check: with discrete increments it can approach but not hit the lattice
-bottom, so payment rules never use it.
+Both are computed exactly on the profile's scaled integers, from the
+ones-shape suffix levels of ``welfare``: W(1 + 1_j) folds only the states
+with two copies of j, and W(1) and W(1 - 1_j) are merges at one state each.
+The english and dutch payment rules read the same integers.  The
+ascending-price procedure is kept only as a cross-check: with discrete
+increments it can approach but not hit the lattice bottom, so payment rules
+never use it.
 """
 
 from __future__ import annotations
@@ -22,7 +24,13 @@ from math import lcm
 from .bundles import full_mask, iter_bits, ms_ones
 from .money import ZERO, parse_money
 from .valuations import demand_set
-from .welfare import Allocation, BidProfile, _scaled_welfare, scaled_tables
+from .welfare import (
+    Allocation,
+    BidProfile,
+    _scaled_extra_copy_welfare,
+    _scaled_welfare,
+    scaled_tables,
+)
 
 
 class IterationCapExceeded(RuntimeError):
@@ -60,15 +68,13 @@ class TatonnementResult:
 def _scaled_prices(profile: BidProfile, lowest: bool) -> tuple[int, ...]:
     """D times the lowest or the highest Walrasian prices, with D from
     ``scaled_tables(profile)``."""
-    ones = ms_ones(profile.m)
-
-    def with_copies(j: int, copies: int) -> int:
-        return _scaled_welfare(profile, ones[:j] + (copies,) + ones[j + 1:], None)
-
-    base = _scaled_welfare(profile, ones, None)
+    ones, full = ms_ones(profile.m), full_mask(profile.m)
     if lowest:
-        return tuple(with_copies(j, 2) - base for j in range(profile.m))
-    return tuple(base - with_copies(j, 0) for j in range(profile.m))
+        (base,) = _scaled_welfare(profile, ones, (full,))
+        return tuple(w - base for w in _scaled_extra_copy_welfare(profile))
+    base, *without = _scaled_welfare(
+        profile, ones, [full] + [full ^ 1 << j for j in range(profile.m)])
+    return tuple(base - w for w in without)
 
 
 def min_walrasian_prices(profile: BidProfile) -> tuple[Fraction, ...]:

@@ -6,12 +6,14 @@ item usage at most x (each agent consuming at most one copy of each item).
 It is computed by dynamic programming over agents and sub-multisets, exact
 over rationals and exponential in the number of items: desk scale.
 
-``or_value_table`` tabulates W over *all* sub-multisets of a supply at once,
-which is what makes the leave-one-out marginals in the mechanism and
-analysis layers cheap.  ``welfare_value`` builds one table per doubled-item
-pattern of the multiset it is asked about (two copies where the multiset
-has two, one elsewhere), so W(1 + 1_j) costs 3 * 2^(m-1) states rather than
-the 3^m of a table over two copies of every item.
+Agents are folded in one at a time (``_or_step``) into the suffix levels
+L_k (agents k..n-1) of a supply shape, once per profile.  Readers need W at
+a few states only and merge there: W(x) is agent 0 merged with L_1 at x
+(``_fold_at``; only ``welfare_max`` folds L_0), W without agent i joins the
+prefix table of agents 0..i-1 (``or_value_table``) with L_{i+1} at x
+(``_join_at``), and W(1 + 1_j) folds only the 2^(m-1) states with two copies
+of j (``_scaled_extra_copy_welfare``).  A multiset with doubled items is read
+on its doubled-item pattern: two copies where it has two, one elsewhere.
 
 The DP runs on integers.  ``scaled_tables`` multiplies every bid table of a
 profile by D, the lcm of all their denominators, once per profile (or takes
@@ -159,86 +161,132 @@ def scaled_tables(profile: BidProfile) -> tuple[int, tuple[tuple[int, ...], ...]
     return cached
 
 
-def _or_step(tab: tuple[int, ...], cur: list[int],
-             size: int, ssum: tuple[int, ...], clamps: tuple[int, ...]) -> list[int]:
+def _fold_at(tab, level, idx: int, ssum: tuple[int, ...],
+             clamps: tuple[int, ...]) -> int:
+    """Best split of state ``idx`` between one agent and ``level``: the agent
+    takes one copy of each item in a submask of the state's items (the empty
+    bundle is worth 0) and ``level`` gets the rest."""
+    cm = clamps[idx]
+    best = level[idx]
+    sub = cm
+    while sub:
+        cand = tab[sub] + level[idx - ssum[sub]]
+        if cand > best:
+            best = cand
+        sub = (sub - 1) & cm
+    return best
+
+
+def _join_at(left, right, supply: tuple[int, ...], idx: int) -> int:
+    """max over sub-multisets s of state ``idx`` of left[s] + right[idx - s]:
+    the best split of the state between two groups of agents."""
+    subs = [0]
+    stride = 1
+    rest = idx
+    for cap in supply:
+        rest, digit = divmod(rest, cap + 1)
+        subs = [s + d * stride for s in subs for d in range(digit + 1)]
+        stride *= cap + 1
+    return max(left[s] + right[idx - s] for s in subs)
+
+
+def _or_step(tab: tuple[int, ...], cur, size: int, ssum: tuple[int, ...],
+             clamps: tuple[int, ...]) -> list[int]:
     """One agent folded into the running welfare table (scaled integers)."""
-    nxt = list(cur)
-    for idx in range(size):
-        cm = clamps[idx]
-        if not cm:
-            continue
-        best = nxt[idx]
-        sub = cm
-        while sub:
-            cand = tab[sub] + cur[idx - ssum[sub]]
-            if cand > best:
-                best = cand
-            sub = (sub - 1) & cm
-        nxt[idx] = best
-    return nxt
+    return [_fold_at(tab, cur, idx, ssum, clamps) for idx in range(size)]
 
 
 def or_value_table(profile: BidProfile, supply: tuple[int, ...],
-                   exclude: int | None = None) -> tuple[int, ...]:
-    """D times W over every sub-multiset of ``supply``, mixed-radix indexed,
-    with D from :func:`scaled_tables`.
+                   agents: int) -> tuple[int, ...]:
+    """D times the welfare of agents 0..agents-1 over every sub-multiset of
+    ``supply``, mixed-radix indexed, with D from :func:`scaled_tables`.
 
-    ``exclude`` drops one agent (leave-one-out welfare).  Cached per profile;
-    the all-agents table is level 0 of :func:`_suffix_levels`.
+    Cached per profile; each prefix is one fold onto the one before it.
     """
     supply = tuple(supply)
-    if exclude is None:
-        return _suffix_levels(profile, supply)[0][0]
-    key = ("table", supply, exclude)
+    key = ("prefix", supply, agents)
     cached = profile._cache.get(key)
     if cached is not None:
         return cached
     size, ssum, clamps = _layout(supply)
     _, tables = scaled_tables(profile)
-    cur = [0] * size
-    for i, tab in enumerate(tables):
-        if i == exclude:
-            continue
-        cur = _or_step(tab, cur, size, ssum, clamps)
-    result = tuple(cur)
+    prev = or_value_table(profile, supply, agents - 1) if agents > 1 else [0] * size
+    result = tuple(_or_step(tables[agents - 1], prev, size, ssum, clamps))
     profile._cache[key] = result
     return result
 
 
-def _suffix_levels(profile: BidProfile, supply: tuple[int, ...]):
-    """levels[k] = scaled welfare table of agents k..n-1; levels[n] is all
-    zeros."""
+def _suffix_levels(profile: BidProfile, supply: tuple[int, ...], stop: int = 1):
+    """levels[k] = scaled welfare table of agents k..n-1, folded for every
+    k >= ``stop``; levels[n] is all zeros.  Cached per profile, and a later
+    call with a lower ``stop`` folds only the levels still missing."""
     key = ("suffix", supply)
-    cached = profile._cache.get(key)
-    if cached is not None:
-        return cached
-    size, ssum, clamps = _layout(supply)
-    _, tables = scaled_tables(profile)
-    levels = [None] * (profile.n + 1)
-    level = [0] * size
-    levels[profile.n] = tuple(level)
-    for k in range(profile.n - 1, -1, -1):
-        level = _or_step(tables[k], level, size, ssum, clamps)
-        levels[k] = tuple(level)
-    out = (levels, size, ssum, clamps)
-    profile._cache[key] = out
+    out = profile._cache.get(key)
+    if out is None:
+        size, ssum, clamps = _layout(supply)
+        levels = [None] * profile.n + [(0,) * size]
+        out = profile._cache[key] = (levels, size, ssum, clamps)
+    levels, size, ssum, clamps = out
+    if levels[stop] is None:
+        _, tables = scaled_tables(profile)
+        for k in range(profile.n - 1, stop - 1, -1):
+            if levels[k] is None:
+                levels[k] = tuple(_or_step(tables[k], levels[k + 1], size, ssum, clamps))
     return out
 
 
 # -- public operations --------------------------------------------------------
 
-def _scaled_welfare(profile: BidProfile, ms: tuple[int, ...],
-                    exclude: int | None) -> int:
-    """D * W(ms), read from the table of ms's doubled-item pattern."""
-    shape = tuple(2 if c == 2 else 1 for c in ms)
-    # The all-agents table is level 0 of the suffix levels.  Reading it here
-    # rather than through or_value_table keeps one builder per table, so the
-    # benchmark's per-builder table counts see each build once.
+def _scaled_welfare(profile: BidProfile, shape: tuple[int, ...], states,
+                    exclude: int | None = None) -> list[int]:
+    """D * W at each state index in ``states`` of ``shape`` (on the ones
+    shape a state's index is its bitmask): agent 0 merged with level 1, or,
+    without agent ``exclude``, the agents before it joined with the level
+    after it."""
     if exclude is None:
-        table = _suffix_levels(profile, shape)[0][0]
-    else:
+        levels, _, ssum, clamps = _suffix_levels(profile, shape)
+        tab = scaled_tables(profile)[1][0]
+        return [_fold_at(tab, levels[1], idx, ssum, clamps) for idx in states]
+    # Welfare tables are monotone, so a join with an empty group of agents
+    # is the other group's entry.
+    if exclude == 0:
+        table = _suffix_levels(profile, shape, 1)[0][1]
+    elif exclude == profile.n - 1:
         table = or_value_table(profile, shape, exclude)
-    return table[_ms_index(shape, ms)]
+    else:
+        prefix = or_value_table(profile, shape, exclude)
+        level = _suffix_levels(profile, shape, exclude + 1)[0][exclude + 1]
+        return [_join_at(prefix, level, shape, idx) for idx in states]
+    return [table[idx] for idx in states]
+
+
+def _scaled_extra_copy_welfare(profile: BidProfile) -> tuple[int, ...]:
+    """D * W(1 + 1_j) for every item j, from the ones-shape suffix levels.
+
+    For agents k..n-1, shifted[U] = D * W_k(U + 1_j).  Where U lacks j that
+    is the ones-shape level at U + j, so only the 2^(m-1) states holding j
+    are folded: an agent taking B <= U leaves (U - B) + 1_j.  The last agent
+    takes at most one copy of j, and agent 0 is evaluated at U = 1 only.
+    Cached per profile.
+    """
+    cached = profile._cache.get("extra_copy")
+    if cached is not None:
+        return cached
+    levels, size, ssum, clamps = _suffix_levels(profile, (1,) * profile.m)
+    _, tables = scaled_tables(profile)
+    start = max(profile.n - 1, 1)
+    out = []
+    for j in range(profile.m):
+        bit = 1 << j
+        shifted = [levels[start][u | bit] for u in range(size)]
+        for k in range(start - 1, 0, -1):
+            tab, level = tables[k], levels[k]
+            shifted = [_fold_at(tab, shifted, u, ssum, clamps) if u & bit
+                       else level[u | bit] for u in range(size)]
+        out.append(_fold_at(tables[0], shifted, size - 1, ssum, clamps))
+    result = tuple(out)
+    profile._cache["extra_copy"] = result
+    return result
 
 
 def welfare_value(profile: BidProfile, supply, exclude: int | None = None) -> Fraction:
@@ -248,21 +296,24 @@ def welfare_value(profile: BidProfile, supply, exclude: int | None = None) -> Fr
     check_multiset(profile.m, ms)
     if exclude is not None and not 0 <= exclude < profile.n:
         raise IndexError(f"agent index {exclude} out of range for n={profile.n}")
+    shape = tuple(2 if c == 2 else 1 for c in ms)
+    (value,) = _scaled_welfare(profile, shape, (_ms_index(shape, ms),), exclude)
     denom, _ = scaled_tables(profile)
-    return Fraction(_scaled_welfare(profile, ms, exclude), denom)
+    return Fraction(value, denom)
 
 
-def _welfare_argmax(profile: BidProfile,
-                    ms: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    """D * W(ms) and the canonical maximizing assignment of :func:`welfare_max`."""
-    levels, size, ssum, clamps = _suffix_levels(profile, ms)
+def _welfare_argmax(profile: BidProfile, ms: tuple[int, ...],
+                    stop: int = 1) -> tuple[int, tuple[int, ...]]:
+    """D * W(ms) and the canonical maximizing assignment of :func:`welfare_max`,
+    from level 0 folded in full (``stop`` 0) or merged at ms alone (1)."""
+    levels, _, ssum, clamps = _suffix_levels(profile, ms, stop)
     _, tables = scaled_tables(profile)
     idx = _ms_index(ms, ms)
-    value = levels[0][idx]
+    value = target = (levels[0][idx] if stop == 0
+                      else _fold_at(tables[0], levels[1], idx, ssum, clamps))
     bundles = []
     for k in range(profile.n):
         tab = tables[k]
-        target = levels[k][idx]
         nxt_level = levels[k + 1]
         chosen = 0
         for b in subsets_ascending(clamps[idx]):
@@ -271,6 +322,7 @@ def _welfare_argmax(profile: BidProfile,
                 break
         bundles.append(chosen)
         idx -= ssum[chosen]
+        target = nxt_level[idx]
     return value, tuple(bundles)
 
 
@@ -284,7 +336,7 @@ def welfare_max(profile: BidProfile, supply) -> tuple[Fraction, tuple[int, ...]]
     """
     ms = tuple(supply)
     check_multiset(profile.m, ms)
-    value, bundles = _welfare_argmax(profile, ms)
+    value, bundles = _welfare_argmax(profile, ms, stop=0)
     denom, _ = scaled_tables(profile)
     return Fraction(value, denom), bundles
 

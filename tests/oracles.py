@@ -2,11 +2,16 @@
 
 These deliberately avoid the package's DP and table machinery: welfare by
 enumerating raw item-to-agent maps, matchings by trying every permutation,
-demand by rescanning bundles.  Slow and obviously correct.
+demand by rescanning bundles.  Slow and obviously correct.  The one
+exception is ``table_welfare``, a plain copy of the full-table welfare path
+that the point merges replaced, kept as the reference they are tested
+against.
 """
 
 from fractions import Fraction
 from itertools import permutations, product
+
+from walras.money import scale_rows
 
 ZERO = Fraction(0)
 
@@ -70,24 +75,52 @@ def brute_matching_value(matrix, bundle):
     return best
 
 
-def brute_min_prices(bids, m):
+def brute_min_prices(bids, m, welfare=brute_welfare):
     ones = (1,) * m
-    base = brute_welfare(bids, ones)
+    base = welfare(bids, ones)
     out = []
     for j in range(m):
         supply = tuple(2 if k == j else 1 for k in range(m))
-        out.append(brute_welfare(bids, supply) - base)
+        out.append(welfare(bids, supply) - base)
     return tuple(out)
 
 
-def brute_max_prices(bids, m):
+def brute_max_prices(bids, m, welfare=brute_welfare):
     ones = (1,) * m
-    base = brute_welfare(bids, ones)
+    base = welfare(bids, ones)
     out = []
     for j in range(m):
         supply = tuple(0 if k == j else 1 for k in range(m))
-        out.append(base - brute_welfare(bids, supply))
+        out.append(base - welfare(bids, supply))
     return tuple(out)
+
+
+def table_welfare(bids, supply, exclude=None):
+    """W(supply) read from a full table over supply's doubled-item pattern
+    (two copies where supply has two, one elsewhere), folding every agent but
+    ``exclude``: the two-copy and leave-one-out table paths that the point
+    merges replaced.  Runs on the bid tables scaled by the lcm of their
+    denominators; an agent's empty bundle counts 0."""
+    m = len(supply)
+    shape = tuple(2 if c == 2 else 1 for c in supply)
+    denom, tabs = scale_rows(b.table() for b in bids)
+    strides = [1]
+    for cap in shape:
+        strides.append(strides[-1] * (cap + 1))
+    size = strides[-1]
+    present = [sum(1 << j for j in range(m) if idx // strides[j] % (shape[j] + 1))
+               for idx in range(size)]
+    offset = [sum(strides[j] for j in range(m) if sub >> j & 1)
+              for sub in range(1 << m)]
+    table = [0] * size
+    for i, tab in enumerate(tabs):
+        if i == exclude:
+            continue
+        table = [max([table[idx]] + [tab[sub] + table[idx - offset[sub]]
+                                     for sub in range(1, 1 << m)
+                                     if not sub & ~present[idx]])
+                 for idx in range(size)]
+    return Fraction(table[sum(c * s for c, s in zip(supply, strides))], denom)
 
 
 def _fraction_table(v):

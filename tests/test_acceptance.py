@@ -4,10 +4,18 @@ pass/fail line each.
 Run with  pytest tests/test_acceptance.py -v  (add -s to stream the lines).
 """
 
+import random
 import sys
 from fractions import Fraction as F
 
-from walras.analysis import BidGrid, Instance, poa_search, verify_nash
+from walras.analysis import (
+    BidGrid,
+    Instance,
+    construct_efficient_profile,
+    exposure_factor_bound,
+    poa_search,
+    verify_nash,
+)
 from walras.instancefile import load_fixture
 from walras.mechanisms import (
     PaymentRule,
@@ -15,17 +23,19 @@ from walras.mechanisms import (
     search_vcg_english_inversion,
     utility,
 )
+from walras.serialize import jsonable
 from walras.suites import (
+    SuiteReport,
     lattice_suite,
     lemma_gs_suite,
     lemma_xos_suite,
     ordering_suite,
+    random_gs_profile,
     smoothness_suite,
-    stability_suite,
 )
 from walras.valuations import Additive, UnitDemand, valuation_from_json
 from walras.walrasian import min_walrasian_prices, verify_walrasian_equilibrium
-from walras.welfare import BidProfile, welfare_max
+from walras.welfare import BidProfile, assignment_value, welfare_max
 from walras.bundles import ms_ones
 from walras.reproduce import run_case
 
@@ -204,6 +214,40 @@ def test_criterion_10_lattice_suite():
                   f"pair-bidder fixture fails verification at (1,1)")
     assert report.failures == 0, report.first_failure
     assert not spot.is_equilibrium
+
+
+def stability_suite(runs: int = 100, seed: int = 0) -> SuiteReport:
+    """Efficient-profile construction: optimal welfare, zero payments, zero
+    exposure, and a grid-Nash pass on the instance's default grid."""
+    rng = random.Random(("stability", seed).__repr__())
+    failures = 0
+    first = None
+    for k in range(runs):
+        types = random_gs_profile(rng, m_range=(2, 3), n_range=(2, 3),
+                                  cap=2, denominators=(1,))
+        instance = Instance(types.m, types)
+        bids = construct_efficient_profile(instance)
+        out = run_mechanism(PaymentRule.ENGLISH, bids)
+        opt, _ = instance.optimal()
+        problems = []
+        if assignment_value(types, out.allocation.bundles) != opt:
+            problems.append("welfare below optimum")
+        if any(p != 0 for p in out.payments):
+            problems.append("nonzero payment")
+        if any(exposure_factor_bound(v, b) != 0
+               for v, b in zip(types.bids, bids.bids)):
+            problems.append("exposure")
+        rep = verify_nash(instance, PaymentRule.ENGLISH, bids,
+                          BidGrid.default_for(instance))
+        if not rep.is_nash:
+            problems.append("grid deviation found")
+        if problems:
+            failures += 1
+            if first is None:
+                first = {"run": k, "problems": problems,
+                         "types": jsonable(types),
+                         "bids": jsonable(bids)}
+    return SuiteReport("stability", runs, failures, first, {})
 
 
 def test_criterion_11_stability_evidence():

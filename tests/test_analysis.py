@@ -32,6 +32,8 @@ from walras.valuations import (
     is_gross_substitutes,
     sample_valuation,
 )
+from walras.serialize import jsonable
+from walras.suites import SuiteReport, random_gs_profile
 from walras.welfare import Allocation, BidProfile
 
 EPS = F(1, 8)
@@ -184,13 +186,30 @@ def test_smoothness_certificate_random_gs_draws():
             assert cert.holds and cert.dwm_ok and cert.per_agent_ok
 
 
+def vcg_deviation_suite(runs: int = 200, seed: int = 0) -> SuiteReport:
+    """Truthful-deviation bound under the externality rule, GS draws."""
+    rng = random.Random(("vcg-deviation", seed).__repr__())
+    failures = 0
+    first = None
+    for k in range(runs):
+        types = random_gs_profile(rng)
+        bids = random_gs_profile(
+            rng, m_range=(types.m, types.m), n_range=(types.n, types.n))
+        rep = vcg_deviation_certificate(Instance(types.m, types), bids)
+        if not rep.holds:
+            failures += 1
+            if first is None:
+                first = {"run": k, "types": jsonable(types),
+                         "bids": jsonable(bids)}
+    return SuiteReport("vcg_deviation", runs, failures, first, {})
+
+
 def test_vcg_deviation_certificate():
     report = vcg_deviation_certificate(EX2, MISCOORDINATION)
     assert report.holds
     assert report.equilibrium_welfare == 2
     assert report.ratio == F(15, 8)
 
-    from walras.suites import vcg_deviation_suite
     suite = vcg_deviation_suite(runs=80, seed=7)
     assert suite.failures == 0, suite.first_failure
 

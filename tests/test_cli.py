@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from walras.cli import main
+from walras.cli import build_parser, main
 from walras.instancefile import (
     InstanceFormatError,
     eval_money_expr,
@@ -144,6 +144,15 @@ def test_flags_a_subcommand_does_not_read_are_rejected(argv, capsys):
         main(list(argv))
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    assert build_parser() is build_parser()
+    # A reused parser starts every parse afresh: no value carries over.
+    assert run_cli(capsys, "mechanism", fixture("example2_eps_0.125.json"),
+                   "--rule", "vcg")[0] == 0
+    code, out, _ = run_cli(capsys, "mechanism", fixture("example2_eps_0.125.json"))
+    assert code == 0 and json.loads(out)["rule"] == "english"
 
 
 def test_property_test_subcommand(capsys):

@@ -257,6 +257,16 @@ def test_checkers_reject_non_monotone_tables_like_the_reference(values, data):
             check(v)
 
 
+@settings(CHECKER_EXAMPLES, max_examples=80)
+@given(st.integers(1, 5).flatmap(lambda m: st.integers(1, 4).flatmap(
+    lambda slots: st.lists(st.lists(weights, min_size=slots, max_size=slots),
+                           min_size=m, max_size=m))))
+def test_oxs_slot_fold_matches_brute_force_matching(matrix):
+    v = Oxs(tuple(tuple(row) for row in matrix))
+    assert v.table() == tuple(brute_matching_value(v.matrix, bundle)
+                              for bundle in range(1 << v.m))
+
+
 def test_xos_supporting_clause():
     single = Xos(((F(1), F(2)),))
     assert xos_supporting_clause(single, 0b01) == (F(1), F(2))

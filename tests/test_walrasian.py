@@ -87,17 +87,27 @@ def test_lattice_endpoints_match_oracles_on_odd_denominators():
         assert all(type(p) is F for p in result.prices)
 
 
-def test_min_prices_fold_one_doubled_item_at_a_time():
+def test_min_prices_fold_one_doubled_item_at_a_time(monkeypatch):
+    import walras.welfare as welfare
+
+    folds = []
+    fold = welfare._or_step
+
+    def counted(*args):
+        folds.append(args[2])  # the table size
+        return fold(*args)
+
+    monkeypatch.setattr(welfare, "_or_step", counted)
     rng = random.Random(47)
     prof = _gs_profile(rng, m_hi=4)
     while prof.m != 4:
         prof = _gs_profile(rng, m_hi=4)
     min_walrasian_prices(prof)
-    # All-agents tables are cached as level 0 of the suffix levels.
-    supplies = [key[1] for key in prof._cache
-                if isinstance(key, tuple) and key[0] in ("table", "suffix")]
-    assert len(supplies) == prof.m + 1  # the all-ones table and one per item
-    assert all(supply.count(2) <= 1 for supply in supplies)
+    # Only the ones-shape suffix levels are full folds; each doubled item
+    # is a slice of the states holding it, folded outside _or_step.
+    assert folds == [1 << prof.m] * (prof.n - 1)
+    supplies = [key[1] for key in prof._cache if isinstance(key, tuple)]
+    assert supplies == [ms_ones(prof.m)]
 
 
 def test_verify_unit_prices_on_overbidding_instance():

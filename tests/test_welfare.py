@@ -2,11 +2,20 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from oracles import brute_welfare, brute_welfare_maps
+from oracles import (
+    brute_max_prices,
+    brute_min_prices,
+    brute_welfare,
+    brute_welfare_maps,
+    table_welfare,
+)
 from walras.bundles import ms_ones
+from walras.mechanisms import _scaled_externality
 from walras.valuations import (
     Additive,
+    Oxs,
     Tabular,
     UnitDemand,
     Xos,
@@ -14,10 +23,13 @@ from walras.valuations import (
     is_submodular,
     sample_valuation,
 )
+from walras.walrasian import max_walrasian_prices, min_walrasian_prices
 from walras.welfare import (
     Allocation,
     BidProfile,
     _layout,
+    _welfare_argmax,
+    scaled_tables,
     welfare_marginal,
     welfare_max,
     welfare_value,
@@ -250,8 +262,7 @@ def test_layout_is_shared_and_guarded():
 
 def test_all_agents_table_is_folded_once(monkeypatch):
     import walras.welfare as welfare
-    from walras.mechanisms import allocate_declared
-    from walras.walrasian import max_walrasian_prices
+    from walras.mechanisms import PaymentRule, allocate_declared, run_mechanism
 
     folds = []
     fold = welfare._or_step
@@ -264,9 +275,83 @@ def test_all_agents_table_is_folded_once(monkeypatch):
     prof = BidProfile(5, tuple(sample_valuation("additive", 5, 3, seed=s)
                                for s in range(4)))
     allocate_declared(prof)
-    assert len(folds) == 4
-    # max prices read W(1) and W(1 - 1_j) from the same all-agents table
+    # Suffix levels n-1..1; agent 0 is merged at the one state it needs.
+    assert folds == [32] * (prof.n - 1)
+    # Both price endpoints and the english, dutch and pay-your-bid rules
+    # read the same levels; only vcg adds prefix folds.
+    min_walrasian_prices(prof)
     max_walrasian_prices(prof)
-    levels = welfare._suffix_levels(prof, ms_ones(5))[0]
-    assert welfare.or_value_table(prof, ms_ones(5)) is levels[0]
-    assert len(folds) == 4
+    for rule in ("english", "dutch", "paybid"):
+        run_mechanism(rule, prof)
+    assert len(folds) == prof.n - 1
+    run_mechanism(PaymentRule.VCG, prof)
+    assert len(folds) <= 2 * (prof.n - 1)
+    assert set(folds) == {32}  # no two-copy table
+    assert not any(2 in key[1] for key in prof._cache if isinstance(key, tuple))
+
+
+# Denominators whose lcm (1260) is far above the largest of them.
+MERGE_DENOMINATORS = (1, 3, 4, 5, 7, 9)
+MERGE_EXAMPLES = settings(derandomize=True, database=None, deadline=None,
+                          max_examples=100)
+merge_weights = st.sampled_from(MERGE_DENOMINATORS).flatmap(
+    lambda d: st.integers(0, 3 * d).map(lambda k: F(k, d)))
+# Non-monotone: v({0}) = 2 > v({0, 1}) = 1.
+NON_MONOTONE = Tabular((F(0), F(2), F(1, 3), F(1)))
+
+
+@st.composite
+def merge_profiles(draw):
+    """n = 1..4 bids over m <= 5 items: the four sampled kinds and tables
+    with independent entries, which are mostly not monotone."""
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 4))
+
+    def row(k):
+        return tuple(draw(merge_weights) for _ in range(k))
+
+    bids = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(("additive", "unit_demand", "xos", "oxs",
+                                     "table")))
+        if kind == "additive":
+            bids.append(Additive(row(m)))
+        elif kind == "unit_demand":
+            bids.append(UnitDemand(row(m)))
+        elif kind == "xos":
+            bids.append(Xos(tuple(row(m) for _ in range(draw(st.integers(1, 3))))))
+        elif kind == "oxs":
+            slots = draw(st.integers(1, m))
+            bids.append(Oxs(tuple(row(slots) for _ in range(m))))
+        else:
+            bids.append(Tabular((F(0),) + row((1 << m) - 1)))
+    return BidProfile(m, tuple(bids))
+
+
+@MERGE_EXAMPLES
+@example(BidProfile(2, (NON_MONOTONE, Additive((F(1, 4), F(1, 3))),
+                        UnitDemand((F(1, 5), F(6, 7))))), 0)
+@given(merge_profiles(), st.integers(0, 1 << 20))
+def test_point_merges_match_the_table_paths(prof, seed):
+    """Min and max prices, the vcg externality at any bundle, and W with and
+    without one agent at multisets with doubled items all equal the values
+    read from full welfare tables."""
+    rng = random.Random(seed)
+    m, bids = prof.m, prof.bids
+    denom, _ = scaled_tables(prof)
+    assert min_walrasian_prices(prof) == brute_min_prices(bids, m, table_welfare)
+    assert max_walrasian_prices(prof) == brute_max_prices(bids, m, table_welfare)
+    # The allocation's argmax merges agent 0 at one state; welfare_max reads
+    # a folded level 0.  Same value, same canonical bundles.
+    assert _welfare_argmax(prof, ms_ones(m)) == _welfare_argmax(prof, ms_ones(m), 0)
+    assert welfare_max(prof, ms_ones(m))[0] == table_welfare(bids, ms_ones(m))
+    supply = tuple(rng.choice((0, 1, 2)) for _ in range(m))
+    assert welfare_value(prof, supply) == table_welfare(bids, supply)
+    for i in range(prof.n):
+        assert welfare_value(prof, supply, exclude=i) == table_welfare(
+            bids, supply, exclude=i)
+        bundle = rng.randrange(1 << m)
+        rest = tuple(1 - (bundle >> j & 1) for j in range(m))
+        assert F(_scaled_externality(prof, i, bundle), denom) == (
+            table_welfare(bids, ms_ones(m), exclude=i)
+            - table_welfare(bids, rest, exclude=i))
