@@ -1,6 +1,7 @@
 """Golden outputs: the stdout and exit code of every ``reproduce`` case, of
 ``solve``, ``prices`` and ``mechanism --rule R`` on every shipped fixture, and
-of ``verify-nash``, ``poa`` and ``property-test`` on a few pinned inputs.
+of ``verify-nash`` (every rule, and bids off the grid), ``poa`` (every rule)
+and ``property-test`` on a few pinned inputs.
 
 A refactor must leave these byte-identical.  To record them afresh (only when
 an output is meant to change), run from the repository root:
@@ -34,13 +35,21 @@ def _commands() -> dict[str, tuple[str, ...]]:
         out[f"prices__{fx}"] = ("prices", fx)
         for rule in RULES:
             out[f"mechanism_{rule}__{fx}"] = ("mechanism", fx, "--rule", rule)
+    grid = ("--grid-delta", "1/8", "--grid-cap", "4")
     for fx in ("example1_eps_0.125", "example2_eps_0.125"):
-        out[f"verify-nash__{fx}"] = ("verify-nash", fx, "--grid-delta", "1/8",
-                                     "--grid-cap", "4")
-    poa = ("poa", "example2_eps_0.125", "--rule", "vcg", "--grid-delta", "1/4",
-           "--grid-cap", "2")
-    out["poa_vcg__example2_eps_0.125"] = poa
-    out["poa_vcg_csv__example2_eps_0.125"] = poa + ("--format", "csv")
+        out[f"verify-nash__{fx}"] = ("verify-nash", fx) + grid
+    for rule in ("vcg", "dutch", "paybid"):
+        out[f"verify-nash_{rule}__example1_eps_0.125"] = (
+            "verify-nash", "example1_eps_0.125", "--rule", rule) + grid
+    # Unit-demand bids off the additive grid: pins the current-bid deviation.
+    out["verify-nash_bids_example2__example1_eps_0.125"] = (
+        "verify-nash", "example1_eps_0.125", "--bids", "example2_eps_0.125") + grid
+    for rule in RULES:
+        out[f"poa_{rule}__example2_eps_0.125"] = (
+            "poa", "example2_eps_0.125", "--rule", rule, "--grid-delta", "1/4",
+            "--grid-cap", "2")
+    out["poa_vcg_csv__example2_eps_0.125"] = (
+        out["poa_vcg__example2_eps_0.125"] + ("--format", "csv"))
     suites = ("property-test", "--suite", "all", "--seeds", "3", "--seed", "1")
     out["property-test__all_seeds3_seed1"] = suites
     out["property-test_csv__all_seeds3_seed1"] = suites + ("--format", "csv")
@@ -53,6 +62,9 @@ COMMANDS = _commands()
 def _run(argv: tuple[str, ...]) -> tuple[int, str]:
     if argv[0] not in ("reproduce", "property-test"):
         argv = (argv[0], str(fixture_path(argv[1] + ".json"))) + argv[2:]
+    if "--bids" in argv:
+        k = argv.index("--bids") + 1
+        argv = argv[:k] + (str(fixture_path(argv[k] + ".json")),) + argv[k + 1:]
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = main(list(argv))
