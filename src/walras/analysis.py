@@ -6,6 +6,12 @@ statement is grid-relative: deviations range over a finite per-agent grid,
 always extended with the agent's truthful bid and half-truthful bid (the two
 deviations the welfare-loss arguments rely on).  All comparisons are exact;
 the default deviation tolerance is zero.
+
+Every mechanism run goes through one path, ``_Scaled``: a call scales all
+the bids and types it reads (grid, current, truthful and half-truthful bids)
+to one common denominator D once, seeds each profile it runs with those
+integer tables, and compares D times the utilities.  Values become Fractions
+only in the returned reports.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from math import inf, prod
 
 from .bundles import iter_bits, ms_ones
 from .money import ZERO, granularity, parse_money, scale_rows
-from .mechanisms import PaymentRule, _scaled_externality, run_mechanism, utility
+from .mechanisms import PaymentRule, _scaled_externality, run_mechanism
 from .valuations import (
     CHECKER_MAX_ITEMS,
     Additive,
@@ -31,11 +37,13 @@ from .valuations import (
 from .welfare import (
     Allocation,
     BidProfile,
-    assignment_value,
     scaled_tables,
     welfare_max,
     welfare_value,
 )
+
+
+MAX_PROFILES = 200_000  # default budget of one poa_search, in grid profiles
 
 
 class EnumerationBudgetExceeded(RuntimeError):
@@ -175,13 +183,56 @@ def _ratio(opt: Fraction, welfare: Fraction):
     return opt / welfare
 
 
-def _deviation_candidates(instance: Instance, grid: BidGrid, i: int,
-                          current: Valuation) -> list[Valuation]:
-    v = instance.true_valuations.bids[i]
-    seen = dict.fromkeys(grid.per_agent[i])
-    for extra in (current, v, v.scale(Fraction(1, 2))):
-        seen.setdefault(extra)
-    return list(seen)
+@dataclass(frozen=True)
+class _Scaled:
+    """The bids and types one analysis call reads, as (bid, D * table) pairs
+    over one common denominator D, scaled once; the only place in this module
+    that runs the mechanism.
+
+    ``grid[i]`` holds agent i's grid bids, ``current`` the profile under
+    test, ``truthful`` and ``half`` each agent's truthful and half-truthful
+    bid (``truthful`` doubles as the types); ``eps`` is D times ``eps_dev``.
+    A profile to run is a tuple of one pair per agent.
+    """
+
+    rule: PaymentRule
+    m: int
+    denom: int
+    grid: tuple
+    current: tuple
+    truthful: tuple
+    half: tuple
+    eps: int
+
+    @classmethod
+    def of(cls, instance: Instance, rule: PaymentRule, grid: BidGrid | None = None,
+           current: BidProfile | None = None, eps_dev: Fraction = ZERO) -> "_Scaled":
+        types = instance.true_valuations.bids
+        groups = [*(grid.per_agent if grid else ()),
+                  current.bids if current else (), types,
+                  tuple(v.scale(Fraction(1, 2)) for v in types)]
+        denom, tables = scale_rows(
+            [bid.table() for group in groups for bid in group] + [(eps_dev,)])
+        it = iter(tables)
+        pairs = [tuple((bid, next(it)) for bid in group) for group in groups]
+        (eps,) = next(it)
+        return cls(PaymentRule(rule), instance.m, denom, tuple(pairs[:-3]),
+                   *pairs[-3:], eps)
+
+    def run(self, pairs: tuple) -> tuple:
+        """The ``MechanismOutcome`` of one profile, D times its true welfare
+        and D times every agent's utility."""
+        bids, tables = zip(*pairs)
+        out = run_mechanism(self.rule, BidProfile.with_scaled_tables(
+            self.m, bids, self.denom, tables))
+        values = [t[x] for (_, t), x in zip(self.truthful, out.allocation.bundles)]
+        return out, sum(values), tuple(
+            v - p for v, p in zip(values, out._scaled_payments))
+
+    def utilities(self, pairs: tuple, i: int, candidates) -> list[int]:
+        """D times agent i's utility with each candidate pair in place of its
+        pair in ``pairs``, in candidate order."""
+        return [self.run(pairs[:i] + (c,) + pairs[i + 1:])[2][i] for c in candidates]
 
 
 def verify_nash(instance: Instance, rule: PaymentRule, profile: BidProfile,
@@ -196,30 +247,26 @@ def verify_nash(instance: Instance, rule: PaymentRule, profile: BidProfile,
     eps_dev = parse_money(eps_dev)
     if grid.n != instance.n or profile.n != instance.n:
         raise ValueError("instance, profile and grid disagree on agent count")
-    base = run_mechanism(rule, profile)
+    scaled = _Scaled.of(instance, rule, grid, profile)
+    denom, current = scaled.denom, scaled.current
+    _, welfare, here = scaled.run(current)
     rows = []
     for i in range(instance.n):
-        v = instance.true_valuations.bids[i]
-        current_u = utility(v, base, i)
-        best_u = current_u
-        best_bid = profile.bids[i]
-        for cand in _deviation_candidates(instance, grid, i, profile.bids[i]):
-            u = utility(v, run_mechanism(rule, profile.replace(i, cand)), i)
-            if u > best_u:
-                best_u = u
-                best_bid = cand
-        rows.append(AgentDeviation(i, current_u, best_u, best_bid,
-                                   best_u - current_u))
+        cands = dict(scaled.grid[i])
+        for bid, tab in (current[i], scaled.truthful[i], scaled.half[i]):
+            cands.setdefault(bid, tab)
+        cands = list(cands.items())
+        utils = scaled.utilities(current, i, cands)
+        best = max(utils)  # the current bid is a candidate: best >= here[i]
+        best_bid = cands[utils.index(best)][0] if best > here[i] else current[i][0]
+        rows.append(AgentDeviation(i, Fraction(here[i], denom),
+                                   Fraction(best, denom), best_bid,
+                                   Fraction(best - here[i], denom)))
     opt, _ = instance.optimal()
-    welfare = assignment_value(instance.true_valuations, base.allocation.bundles)
-    return NashReport(
-        is_nash=all(r.gain <= eps_dev for r in rows),
-        eps_dev=eps_dev,
-        deviations=tuple(rows),
-        welfare=welfare,
-        optimal_welfare=opt,
-        ratio=_ratio(opt, welfare),
-    )
+    welfare = Fraction(welfare, denom)
+    return NashReport(is_nash=all(r.gain <= eps_dev for r in rows),
+                      eps_dev=eps_dev, deviations=tuple(rows), welfare=welfare,
+                      optimal_welfare=opt, ratio=_ratio(opt, welfare))
 
 
 # -- efficient equilibrium construction ----------------------------------------
@@ -286,11 +333,6 @@ def _blocking_term(bids: BidProfile, i: int, bundle: int) -> Fraction:
     return Fraction(_scaled_externality(bids, i, bundle), denom)
 
 
-def _dwm_bound_ok(outcome, bids: BidProfile) -> bool:
-    return all(outcome.payments[i] <= bids.bids[i].value(x)
-               for i, x in enumerate(outcome.allocation.bundles))
-
-
 @dataclass(frozen=True)
 class SmoothnessRow:
     agent: int
@@ -321,32 +363,32 @@ def smoothness_certificate(instance: Instance, bids: BidProfile,
     Each agent deviates to half its true valuation; the certified inequality
     is  sum_i u_i(v_i/2, b_-i)  >=  OPT/2 - sum_i b_i(x_i(b)).  The per-agent
     rows additionally compare u_i against  v_i(x*_i)/2 - blocking_i, which is
-    guaranteed for gross-substitutes bids.
+    guaranteed for gross-substitutes bids.  ``dwm_ok`` states that no run,
+    the deviations included, charges an agent more than its bid.
     """
-    rule = PaymentRule(rule)
-    base = run_mechanism(rule, bids)
-    dwm_ok = _dwm_bound_ok(base, bids)
-    declared = assignment_value(bids, base.allocation.bundles)
+    scaled = _Scaled.of(instance, rule, current=bids)
+    denom, current = scaled.denom, scaled.current
+    profiles = [current] + [current[:i] + (scaled.half[i],) + current[i + 1:]
+                            for i in range(instance.n)]
+    runs = [scaled.run(p) for p in profiles]
+    dwm_ok = all(pay <= t[x] for p, (out, _, _) in zip(profiles, runs)
+                 for (_, t), x, pay in zip(p, out.allocation.bundles,
+                                           out._scaled_payments))
+    declared = Fraction(sum(t[x] for (_, t), x in
+                            zip(current, runs[0][0].allocation.bundles)), denom)
     opt, opt_bundles = instance.optimal()
     rows = []
-    lhs = ZERO
-    for i, v in enumerate(instance.true_valuations.bids):
-        half = v.scale(Fraction(1, 2))
-        dev_profile = bids.replace(i, half)
-        out = run_mechanism(rule, dev_profile)
-        dwm_ok = dwm_ok and _dwm_bound_ok(out, dev_profile)
-        u = utility(v, out, i)
-        lhs += u
-        share = v.value(opt_bundles[i]) / 2
-        blocking = _blocking_term(bids, i, opt_bundles[i])
+    for i, x in enumerate(opt_bundles):
+        u = Fraction(runs[i + 1][2][i], denom)
+        share = Fraction(scaled.truthful[i][1][x], 2 * denom)
+        blocking = _blocking_term(bids, i, x)
         rows.append(SmoothnessRow(i, u, share, blocking, u >= share - blocking))
+    lhs = sum((r.deviation_utility for r in rows), ZERO)
     rhs = opt / 2 - declared
     return SmoothnessReport(
-        rule=rule, lhs=lhs, rhs=rhs, slack=lhs - rhs, holds=lhs >= rhs,
-        rows=tuple(rows), declared_on_allocation=declared,
-        optimal_welfare=opt, dwm_ok=dwm_ok,
-        per_agent_ok=all(r.per_agent_ok for r in rows),
-    )
+        rule=scaled.rule, lhs=lhs, rhs=rhs, slack=lhs - rhs, holds=lhs >= rhs,
+        rows=tuple(rows), declared_on_allocation=declared, optimal_welfare=opt,
+        dwm_ok=dwm_ok, per_agent_ok=all(r.per_agent_ok for r in rows))
 
 
 @dataclass(frozen=True)
@@ -373,22 +415,21 @@ def vcg_deviation_certificate(instance: Instance,
     """Certify the truthful-deviation bound under the externality rule:
     u_i(v_i, b_-i) >= v_i(x*_i) - blocking_i for every agent."""
     opt, opt_bundles = instance.optimal()
-    base = run_mechanism(PaymentRule.VCG, bids)
+    scaled = _Scaled.of(instance, PaymentRule.VCG, current=bids)
+    denom, current = scaled.denom, scaled.current
+    _, welfare, _ = scaled.run(current)
     rows = []
-    lhs = rhs = ZERO
-    for i, v in enumerate(instance.true_valuations.bids):
-        u = utility(v, run_mechanism(PaymentRule.VCG, bids.replace(i, v)), i)
-        bound = v.value(opt_bundles[i]) - _blocking_term(bids, i, opt_bundles[i])
+    for i, (v, x) in enumerate(zip(scaled.truthful, opt_bundles)):
+        (u,) = scaled.utilities(current, i, (v,))
+        u = Fraction(u, denom)
+        bound = Fraction(v[1][x], denom) - _blocking_term(bids, i, x)
         rows.append(VcgDeviationRow(i, u, bound, u >= bound))
-        lhs += u
-        rhs += bound
-    welfare = assignment_value(instance.true_valuations, base.allocation.bundles)
+    welfare = Fraction(welfare, denom)
     return VcgDeviationReport(
-        rows=tuple(rows), lhs_total=lhs, rhs_total=rhs,
-        holds=all(r.ok for r in rows),
-        optimal_welfare=opt, equilibrium_welfare=welfare,
-        ratio=_ratio(opt, welfare),
-    )
+        rows=tuple(rows), lhs_total=sum((r.deviation_utility for r in rows), ZERO),
+        rhs_total=sum((r.lower_bound for r in rows), ZERO),
+        holds=all(r.ok for r in rows), optimal_welfare=opt,
+        equilibrium_welfare=welfare, ratio=_ratio(opt, welfare))
 
 
 @dataclass(frozen=True)
@@ -447,40 +488,6 @@ class PoaReport:
     profiles_checked: int
 
 
-@dataclass(frozen=True)
-class _ScaledSearch:
-    """A ``poa_search`` input on one common denominator D, scaled once.
-
-    ``grid[i][k]`` is D times the table of grid bid k of agent i, ``types[i]``
-    D times agent i's true type, ``injected[i]`` the truthful and
-    half-truthful bids of agent i with their tables times D, and ``eps`` is D
-    times ``eps_dev``.
-    """
-
-    denom: int
-    grid: tuple[tuple[tuple[int, ...], ...], ...]
-    types: tuple[tuple[int, ...], ...]
-    injected: tuple[tuple[tuple[Valuation, tuple[int, ...]], ...], ...]
-    eps: int
-
-
-def _scale_search(instance: Instance, grid: BidGrid, eps_dev: Fraction) -> _ScaledSearch:
-    types = instance.true_valuations.bids
-    injected = [(v, v.scale(Fraction(1, 2))) for v in types]
-    rows = [b.table() for bids in grid.per_agent for b in bids]
-    rows += [v.table() for v in types]
-    rows += [cand.table() for pair in injected for cand in pair]
-    rows.append((eps_dev,))
-    denom, scaled = scale_rows(rows)
-    it = iter(scaled)
-    grid_tabs = tuple(tuple(next(it) for _ in bids) for bids in grid.per_agent)
-    type_tabs = tuple(next(it) for _ in types)
-    injected_tabs = tuple(tuple((cand, next(it)) for cand in pair)
-                          for pair in injected)
-    (eps,) = next(it)
-    return _ScaledSearch(denom, grid_tabs, type_tabs, injected_tabs, eps)
-
-
 def _grid_indices(sizes, index_range: range):
     """Per-agent grid indices of the flat profile indices in ``index_range``
     (step 1), last agent fastest."""
@@ -488,28 +495,15 @@ def _grid_indices(sizes, index_range: range):
                             index_range.start, index_range.stop)
 
 
-def _scaled_utilities(rule: PaymentRule, m: int, bids, tables,
-                      scaled: _ScaledSearch) -> tuple[int, tuple[int, ...]]:
-    """D times the true welfare and every agent's utility of one profile."""
-    out = run_mechanism(rule, BidProfile.with_scaled_tables(
-        m, bids, scaled.denom, tables))
-    values = [t[x] for t, x in zip(scaled.types, out.allocation.bundles)]
-    return sum(values), tuple(v - p for v, p in zip(values, out._scaled_payments))
-
-
-def _profile_outcomes(instance: Instance, rule: PaymentRule, grid: BidGrid,
-                      scaled: _ScaledSearch, index_range: range) -> list:
+def _profile_outcomes(scaled: _Scaled, sizes, index_range: range) -> list:
     """D times (welfare, utilities) per flat profile index, in index order."""
-    per_agent, tabs = grid.per_agent, scaled.grid
-    return [_scaled_utilities(
-                rule, instance.m,
-                tuple(per_agent[i][k] for i, k in enumerate(idxs)),
-                tuple(tabs[i][k] for i, k in enumerate(idxs)), scaled)
-            for idxs in _grid_indices(grid.sizes(), index_range)]
+    grid = scaled.grid
+    return [scaled.run(tuple(grid[i][k] for i, k in enumerate(idxs)))[1:]
+            for idxs in _grid_indices(sizes, index_range)]
 
 
 def poa_search(instance: Instance, rule: PaymentRule, grid: BidGrid, gamma,
-               *, eps_dev=ZERO, max_profiles: int = 200_000,
+               *, eps_dev=ZERO, max_profiles: int = MAX_PROFILES,
                jobs: int = 1) -> PoaReport:
     """Enumerate every grid profile; keep the ones that are grid-Nash (with
     truthful and half-truthful deviations injected) and whose bids all have
@@ -533,18 +527,18 @@ def poa_search(instance: Instance, rule: PaymentRule, grid: BidGrid, gamma,
     if total > max_profiles:
         raise EnumerationBudgetExceeded(
             f"{total} grid profiles exceed the budget of {max_profiles}")
-    scaled = _scale_search(instance, grid, eps_dev)
+    scaled = _Scaled.of(instance, rule, grid, eps_dev=eps_dev)
 
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         chunk = (total + jobs - 1) // jobs
         ranges = [range(a, min(a + chunk, total)) for a in range(0, total, chunk)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            pieces = list(pool.map(_poa_chunk, [(instance, rule, grid, scaled, r)
-                                                for r in ranges]))
+            pieces = list(pool.map(_profile_outcomes, itertools.repeat(scaled),
+                                   itertools.repeat(sizes), ranges))
         outcomes = [row for piece in pieces for row in piece]
     else:
-        outcomes = _profile_outcomes(instance, rule, grid, scaled, range(total))
+        outcomes = _profile_outcomes(scaled, sizes, range(total))
     profiles = list(zip(_grid_indices(sizes, range(total)), outcomes))
 
     exposure_ok = [
@@ -569,18 +563,11 @@ def poa_search(instance: Instance, rule: PaymentRule, grid: BidGrid, gamma,
 
     def injected_max(i: int, ctx: int, idxs) -> int:
         cached = injected_best[i].get(ctx)
-        if cached is not None:
-            return cached
-        bids = [grid.per_agent[k][idxs[k]] for k in range(instance.n)]
-        tables = [scaled.grid[k][idxs[k]] for k in range(instance.n)]
-        best = None
-        for cand, tab in scaled.injected[i]:
-            bids[i], tables[i] = cand, tab
-            u = _scaled_utilities(rule, instance.m, tuple(bids), tables, scaled)[1][i]
-            if best is None or u > best:
-                best = u
-        injected_best[i][ctx] = best
-        return best
+        if cached is None:
+            cached = injected_best[i][ctx] = max(scaled.utilities(
+                tuple(g[k] for g, k in zip(scaled.grid, idxs)), i,
+                (scaled.truthful[i], scaled.half[i])))
+        return cached
 
     # The optimum is fixed, so the worst ratio is at the least equilibrium
     # welfare (and true welfare never exceeds the optimum).
@@ -607,17 +594,8 @@ def poa_search(instance: Instance, rule: PaymentRule, grid: BidGrid, gamma,
             grid.per_agent[i][k] for i, k in enumerate(witness_idxs)))
         opt, _ = instance.optimal()
         worst = _ratio(opt, Fraction(worst_welfare, scaled.denom))
-    return PoaReport(
-        rule=rule, gamma=gamma,
-        worst_ratio=worst,
-        witness=witness,
-        equilibrium_count=equilibria,
-        profiles_checked=total,
-    )
-
-
-def _poa_chunk(args):
-    return _profile_outcomes(*args)
+    return PoaReport(rule=rule, gamma=gamma, worst_ratio=worst, witness=witness,
+                     equilibrium_count=equilibria, profiles_checked=total)
 
 
 # -- best-response dynamics ------------------------------------------------------
@@ -654,6 +632,7 @@ def best_response_dynamics(instance: Instance, rule: PaymentRule,
             current.append(grid.per_agent[i].index(bid))
         except ValueError:
             raise ValueError(f"start bid of agent {i} is not on its grid") from None
+    scaled = _Scaled.of(instance, rule, grid)
     steps: list[BestResponseStep] = []
     seen = {tuple(current)}
     status = "budget"
@@ -661,22 +640,15 @@ def best_response_dynamics(instance: Instance, rule: PaymentRule,
     for rounds in range(1, max_iter + 1):
         moved = False
         for i in range(instance.n):
-            v = instance.true_valuations.bids[i]
-            utilities = []
-            for cand in grid.per_agent[i]:
-                bids = tuple(grid.per_agent[k][current[k]] if k != i else cand
-                             for k in range(instance.n))
-                utilities.append(utility(
-                    v, run_mechanism(rule, BidProfile(instance.m, bids)), i))
-            here = utilities[current[i]]
-            best = max(utilities)
+            utils = scaled.utilities(
+                tuple(g[k] for g, k in zip(scaled.grid, current)), i, scaled.grid[i])
+            here = utils[current[i]]
+            best = max(utils)
             if best > here:
-                target = utilities.index(best)
-                current[i] = target
+                current[i] = utils.index(best)
                 moved = True
-                steps.append(BestResponseStep(rounds, i,
-                                              grid.per_agent[i][target],
-                                              best - here))
+                steps.append(BestResponseStep(rounds, i, grid.per_agent[i][current[i]],
+                                              Fraction(best - here, scaled.denom)))
         if not moved:
             status = "converged"
             break

@@ -27,6 +27,18 @@ def check_bundle(m: int, bundle: int) -> None:
         raise ValueError(f"bundle {bundle:#x} has bits outside the {m} items")
 
 
+def disjoint_union(m: int, bundles) -> int:
+    """The union of bundles over m items; raises unless they are pairwise
+    disjoint and inside the items."""
+    union = 0
+    for b in bundles:
+        check_bundle(m, b)
+        if union & b:
+            raise ValueError(f"bundles overlap on items {union & b:#x}")
+        union |= b
+    return union
+
+
 def iter_bits(mask: int) -> Iterator[int]:
     """Item indices of a bundle, ascending."""
     while mask:

@@ -44,7 +44,7 @@ def eval_money_expr(text, eps: Fraction | None = None) -> Fraction:
     >>> eval_money_expr("2-2*eps", Fraction(1, 8))
     Fraction(7, 4)
     """
-    if isinstance(text, int):
+    if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     if not isinstance(text, str):
         raise InstanceFormatError(f"expected a number or expression, got {text!r}")
@@ -135,17 +135,20 @@ def instance_from_dict(data: dict, *, epsilon=None) -> Instance:
         players = data["players"]
     except KeyError as exc:
         raise InstanceFormatError(f"instance file missing field {exc}") from exc
-    if not isinstance(m, int) or not 1 <= m <= MAX_ITEMS:
+    if type(m) is not int or not 1 <= m <= MAX_ITEMS:
         raise InstanceFormatError(f"m must be an integer in 1..{MAX_ITEMS}")
+    if not isinstance(players, list):
+        raise InstanceFormatError("players must be a list of player objects")
+    if not isinstance(data.get("name", ""), str):
+        raise InstanceFormatError("name must be a string")
     eps = None
     if epsilon is not None:
         eps = parse_money(epsilon)
     elif "epsilon" in data:
-        eps = eval_money_expr(data["epsilon"])
-
-    def number(x):
-        value = eval_money_expr(x, eps)
-        return value
+        try:
+            eps = eval_money_expr(data["epsilon"])
+        except InstanceFormatError as exc:
+            raise InstanceFormatError(f"epsilon: {exc}") from exc
 
     bids = []
     for k, entry in enumerate(players):
@@ -154,7 +157,8 @@ def instance_from_dict(data: dict, *, epsilon=None) -> Instance:
         except (TypeError, KeyError):
             raise InstanceFormatError(f"player {k} needs a 'valuation' object")
         try:
-            v = valuation_from_json(payload, number=number)
+            v = valuation_from_json(payload,
+                                    number=lambda x: eval_money_expr(x, eps))
         except ValueError as exc:
             raise InstanceFormatError(f"player {k}: {exc}") from exc
         if v.m != m:

@@ -475,17 +475,31 @@ def valuation_from_json(data: dict, *, number=parse_money) -> Valuation:
     if not isinstance(data, dict) or "type" not in data:
         raise ValueError("valuation JSON must be an object with a 'type' field")
     kind = data["type"]
+
+    def numbers(key: str, nested: bool = False):
+        """The numbers in list field ``key`` (a list of lists if nested)."""
+        rows = data[key] if nested else [data[key]]
+        if not (isinstance(data[key], list)
+                and all(isinstance(r, list) for r in rows)):
+            raise ValueError(f"valuation field {key!r} must be a list"
+                             + " of lists" * nested)
+        try:
+            out = tuple(tuple(number(w) for w in row) for row in rows)
+        except ValueError as exc:
+            raise ValueError(f"valuation field {key!r}: {exc}") from exc
+        return out if nested else out[0]
+
     try:
         if kind == "additive":
-            return Additive(tuple(number(w) for w in data["weights"]))
+            return Additive(numbers("weights"))
         if kind == "unit_demand":
-            return UnitDemand(tuple(number(w) for w in data["weights"]))
+            return UnitDemand(numbers("weights"))
         if kind == "xos":
-            return Xos(tuple(tuple(number(w) for w in c) for c in data["clauses"]))
+            return Xos(numbers("clauses", nested=True))
         if kind == "oxs":
-            return Oxs(tuple(tuple(number(w) for w in row) for row in data["matrix"]))
+            return Oxs(numbers("matrix", nested=True))
         if kind == "tabular":
-            table = Tabular(tuple(number(x) for x in data["values"]))
+            table = Tabular(numbers("values"))
             if not is_monotone_normalized(table):
                 raise ValueError("tabular valuation is not monotone normalized")
             return table

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .bundles import full_mask, iter_bits, ms_ones
+from .bundles import disjoint_union, full_mask, iter_bits, ms_ones
 from .money import ZERO, parse_money
 from .valuations import demand_set
 from .welfare import (
@@ -97,17 +97,9 @@ def verify_walrasian_equilibrium(profile: BidProfile, allocation,
     Overlapping bundles are malformed input and raise; unsold items are
     reported as market-clearing violations in the certificate.
     """
-    if isinstance(allocation, Allocation):
-        bundles = allocation.bundles
-    else:
-        bundles = tuple(allocation)
-        union = 0
-        for b in bundles:
-            if b < 0 or b >> profile.m:
-                raise ValueError("allocation bundle outside the item range")
-            if union & b:
-                raise ValueError("allocation bundles overlap")
-            union |= b
+    bundles = (allocation.bundles if isinstance(allocation, Allocation)
+               else tuple(allocation))
+    unsold = full_mask(profile.m) & ~disjoint_union(profile.m, bundles)
     if len(bundles) != profile.n:
         raise ValueError(f"allocation has {len(bundles)} bundles for {profile.n} agents")
     p = [parse_money(q) for q in prices]
@@ -115,9 +107,6 @@ def verify_walrasian_equilibrium(profile: BidProfile, allocation,
         raise ValueError("price vector length mismatch")
 
     failures: list = []
-    unsold = full_mask(profile.m)
-    for b in bundles:
-        unsold &= ~b
     if unsold:
         failures.append(ClearingViolation(unsold))
     for i, bid in enumerate(profile.bids):

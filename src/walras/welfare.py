@@ -34,6 +34,7 @@ from functools import cache
 from .bundles import (
     check_item_count,
     check_multiset,
+    disjoint_union,
     full_mask,
     subsets_ascending,
 )
@@ -93,18 +94,14 @@ class Allocation:
 
     def __post_init__(self):
         object.__setattr__(self, "bundles", tuple(self.bundles))
-        union = 0
-        for b in self.bundles:
-            if b < 0 or b >> self.m:
-                raise ValueError("bundle outside the item range")
-            if union & b:
-                raise ValueError("allocation bundles overlap")
-            union |= b
-        if union != full_mask(self.m):
+        if disjoint_union(self.m, self.bundles) != full_mask(self.m):
             raise ValueError("allocation does not cover all items")
 
 
 # -- multiset indexing --------------------------------------------------------
+
+MAX_TABLE_STATES = 2_000_000  # largest welfare table, in item multisets
+
 
 @cache
 def _layout(supply: tuple[int, ...]):
@@ -119,8 +116,11 @@ def _layout(supply: tuple[int, ...]):
         strides.append(acc)
         acc *= supply[j] + 1
     size = acc
-    if size > 2_000_000:
-        raise ValueError("welfare table too large; reduce m (desk scale only)")
+    if size > MAX_TABLE_STATES:
+        raise ValueError(
+            f"welfare table too large: {size} states over supply {supply} "
+            f"exceed MAX_TABLE_STATES = {MAX_TABLE_STATES}; use fewer items "
+            "or fewer items with two copies")
     ssum = [0] * (1 << m)
     for mask in range(1, 1 << m):
         low = mask & -mask

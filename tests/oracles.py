@@ -2,10 +2,11 @@
 
 These deliberately avoid the package's DP and table machinery: welfare by
 enumerating raw item-to-agent maps, matchings by trying every permutation,
-demand by rescanning bundles.  Slow and obviously correct.  The one
-exception is ``table_welfare``, a plain copy of the full-table welfare path
-that the point merges replaced, kept as the reference they are tested
-against.
+demand by rescanning bundles.  Slow and obviously correct.  Two exceptions
+are kept as references for the paths that replaced them: ``table_welfare``,
+a plain copy of the full-table welfare path the point merges replaced, and
+the ``fraction_*`` deviation loops of the analysis layer, which ran each
+deviation on a fresh profile in Fractions.
 """
 
 from fractions import Fraction
@@ -179,3 +180,150 @@ def brute_gross_substitutes(v):
                            for bit_j in only_y):
                     return False
     return True
+
+
+# -- Fraction deviation loops -------------------------------------------------
+# Plain copies of the analysis layer's deviation loops as they were before it
+# moved onto one scaled-integer rerun path: every deviation builds a fresh
+# BidProfile and compares Fraction utilities.  The blocking term is taken
+# from ``brute_welfare`` instead of the package's DP.
+
+def _ratio(opt, welfare):
+    from math import inf
+    if welfare == 0:
+        return Fraction(1) if opt == 0 else inf
+    return opt / welfare
+
+
+def brute_blocking(bids, i, bundle):
+    """W_without_i(1) - W_without_i(1 - bundle), by enumeration."""
+    others = bids.bids[:i] + bids.bids[i + 1:]
+    full = (1,) * bids.m
+    rest = tuple(0 if bundle >> j & 1 else 1 for j in range(bids.m))
+    return brute_welfare(others, full) - brute_welfare(others, rest)
+
+
+def fraction_verify_nash(instance, rule, profile, grid, eps_dev=ZERO):
+    from walras.analysis import AgentDeviation, NashReport
+    from walras.mechanisms import run_mechanism, utility
+    from walras.welfare import assignment_value
+
+    base = run_mechanism(rule, profile)
+    rows = []
+    for i in range(instance.n):
+        v = instance.true_valuations.bids[i]
+        current_u = utility(v, base, i)
+        best_u = current_u
+        best_bid = profile.bids[i]
+        seen = dict.fromkeys(grid.per_agent[i])
+        for extra in (profile.bids[i], v, v.scale(Fraction(1, 2))):
+            seen.setdefault(extra)
+        for cand in seen:
+            u = utility(v, run_mechanism(rule, profile.replace(i, cand)), i)
+            if u > best_u:
+                best_u = u
+                best_bid = cand
+        rows.append(AgentDeviation(i, current_u, best_u, best_bid,
+                                   best_u - current_u))
+    opt, _ = instance.optimal()
+    welfare = assignment_value(instance.true_valuations, base.allocation.bundles)
+    return NashReport(is_nash=all(r.gain <= eps_dev for r in rows),
+                      eps_dev=eps_dev, deviations=tuple(rows), welfare=welfare,
+                      optimal_welfare=opt, ratio=_ratio(opt, welfare))
+
+
+def _dwm_bound_ok(outcome, bids):
+    return all(outcome.payments[i] <= bids.bids[i].value(x)
+               for i, x in enumerate(outcome.allocation.bundles))
+
+
+def fraction_smoothness_certificate(instance, bids, rule):
+    from walras.analysis import SmoothnessReport, SmoothnessRow
+    from walras.mechanisms import PaymentRule, run_mechanism, utility
+    from walras.welfare import assignment_value
+
+    rule = PaymentRule(rule)
+    base = run_mechanism(rule, bids)
+    dwm_ok = _dwm_bound_ok(base, bids)
+    declared = assignment_value(bids, base.allocation.bundles)
+    opt, opt_bundles = instance.optimal()
+    rows = []
+    lhs = ZERO
+    for i, v in enumerate(instance.true_valuations.bids):
+        dev_profile = bids.replace(i, v.scale(Fraction(1, 2)))
+        out = run_mechanism(rule, dev_profile)
+        dwm_ok = dwm_ok and _dwm_bound_ok(out, dev_profile)
+        u = utility(v, out, i)
+        lhs += u
+        share = v.value(opt_bundles[i]) / 2
+        blocking = brute_blocking(bids, i, opt_bundles[i])
+        rows.append(SmoothnessRow(i, u, share, blocking, u >= share - blocking))
+    rhs = opt / 2 - declared
+    return SmoothnessReport(
+        rule=rule, lhs=lhs, rhs=rhs, slack=lhs - rhs, holds=lhs >= rhs,
+        rows=tuple(rows), declared_on_allocation=declared,
+        optimal_welfare=opt, dwm_ok=dwm_ok,
+        per_agent_ok=all(r.per_agent_ok for r in rows))
+
+
+def fraction_vcg_deviation_certificate(instance, bids):
+    from walras.analysis import VcgDeviationReport, VcgDeviationRow
+    from walras.mechanisms import PaymentRule, run_mechanism, utility
+    from walras.welfare import assignment_value
+
+    opt, opt_bundles = instance.optimal()
+    base = run_mechanism(PaymentRule.VCG, bids)
+    rows = []
+    lhs = rhs = ZERO
+    for i, v in enumerate(instance.true_valuations.bids):
+        u = utility(v, run_mechanism(PaymentRule.VCG, bids.replace(i, v)), i)
+        bound = v.value(opt_bundles[i]) - brute_blocking(bids, i, opt_bundles[i])
+        rows.append(VcgDeviationRow(i, u, bound, u >= bound))
+        lhs += u
+        rhs += bound
+    welfare = assignment_value(instance.true_valuations, base.allocation.bundles)
+    return VcgDeviationReport(
+        rows=tuple(rows), lhs_total=lhs, rhs_total=rhs,
+        holds=all(r.ok for r in rows), optimal_welfare=opt,
+        equilibrium_welfare=welfare, ratio=_ratio(opt, welfare))
+
+
+def fraction_best_response_dynamics(instance, rule, grid, start, max_iter=100):
+    from walras.analysis import BestResponseStep, BestResponseTrace
+    from walras.mechanisms import run_mechanism, utility
+    from walras.welfare import BidProfile
+
+    current = [grid.per_agent[i].index(bid) for i, bid in enumerate(start.bids)]
+    steps = []
+    seen = {tuple(current)}
+    status = "budget"
+    rounds = 0
+    for rounds in range(1, max_iter + 1):
+        moved = False
+        for i in range(instance.n):
+            v = instance.true_valuations.bids[i]
+            utilities = []
+            for cand in grid.per_agent[i]:
+                bids = tuple(grid.per_agent[k][current[k]] if k != i else cand
+                             for k in range(instance.n))
+                utilities.append(utility(
+                    v, run_mechanism(rule, BidProfile(instance.m, bids)), i))
+            here = utilities[current[i]]
+            best = max(utilities)
+            if best > here:
+                target = utilities.index(best)
+                current[i] = target
+                moved = True
+                steps.append(BestResponseStep(rounds, i, grid.per_agent[i][target],
+                                              best - here))
+        if not moved:
+            status = "converged"
+            break
+        state = tuple(current)
+        if state in seen:
+            status = "cycle"
+            break
+        seen.add(state)
+    final = BidProfile(instance.m, tuple(
+        grid.per_agent[i][k] for i, k in enumerate(current)))
+    return BestResponseTrace(status, final, tuple(steps), rounds)

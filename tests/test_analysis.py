@@ -5,6 +5,13 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from oracles import (
+    fraction_best_response_dynamics,
+    fraction_smoothness_certificate,
+    fraction_vcg_deviation_certificate,
+    fraction_verify_nash,
+)
 
 from walras import analysis, valuations
 from walras.analysis import (
@@ -398,3 +405,96 @@ def test_best_response_requires_start_on_grid():
     with pytest.raises(ValueError):
         best_response_dynamics(EX1, PaymentRule.ENGLISH, grid,
                                EX1.true_valuations)
+
+
+# Type denominators whose lcm (315) is none of theirs; the grid is over
+# halves and the tolerance over ninths.
+TYPE_WEIGHTS = st.sampled_from((3, 5, 7, 9)).flatmap(
+    lambda d: st.integers(0, 2 * d).map(lambda k: F(k, d)))
+
+
+@st.composite
+def deviation_cases(draw):
+    """Types of every sampled kind at m, n <= 3, an additive grid over
+    halves, a current profile with some bids off the grid, and a grid
+    start profile for best response."""
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 3))
+
+    def row(k):
+        return tuple(draw(TYPE_WEIGHTS) for _ in range(k))
+
+    def valuation():
+        kind = draw(st.sampled_from(("additive", "unit_demand", "xos", "oxs")))
+        if kind == "xos":
+            return Xos(tuple(row(m) for _ in range(draw(st.integers(1, 2)))))
+        if kind == "oxs":
+            slots = draw(st.integers(1, m))
+            return Oxs(tuple(row(slots) for _ in range(m)))
+        return {"additive": Additive, "unit_demand": UnitDemand}[kind](row(m))
+
+    instance = Instance(m, BidProfile(m, tuple(valuation() for _ in range(n))))
+    grid = BidGrid.additive(m, n, "1/2", "1" if m < 3 else "1/2")
+    start = tuple(draw(st.integers(0, len(g) - 1)) for g in grid.per_agent)
+    current = tuple(draw(st.sampled_from(grid.per_agent[i] + (valuation(),)))
+                    for i in range(n))
+    return instance, grid, BidProfile(m, current), BidProfile(
+        m, tuple(g[k] for g, k in zip(grid.per_agent, start)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(deviation_cases())
+def test_deviation_reports_match_the_fraction_loops(case):
+    """verify_nash, both certificates and best response give the same
+    reports as the Fraction loops they replaced, under every rule."""
+    instance, grid, current, start = case
+    eps = F(1, 9)
+    for rule in PaymentRule:
+        assert verify_nash(instance, rule, current, grid, eps) == (
+            fraction_verify_nash(instance, rule, current, grid, eps))
+        assert smoothness_certificate(instance, current, rule) == (
+            fraction_smoothness_certificate(instance, current, rule))
+        assert best_response_dynamics(instance, rule, grid, start, 3) == (
+            fraction_best_response_dynamics(instance, rule, grid, start, 3))
+    assert vcg_deviation_certificate(instance, current) == (
+        fraction_vcg_deviation_certificate(instance, current))
+
+
+def test_no_deviation_is_rescaled(monkeypatch):
+    """A call scales its tables once: the welfare layer's own scaling runs
+    as often on a 9-bid grid as on a 25-bid one, and at n = 2 as at n = 3."""
+    from walras import welfare
+
+    calls = []
+    real = welfare.scale_rows
+    monkeypatch.setattr(welfare, "scale_rows",
+                        lambda rows: calls.append(1) or real(rows))
+
+    def fresh(inst):  # profiles with cold caches
+        return Instance(inst.m, BidProfile(inst.m, inst.true_valuations.bids))
+
+    def count(call):
+        before = len(calls)
+        call()
+        return len(calls) - before
+
+    def grid_calls(delta):
+        grid = BidGrid.additive(2, 2, delta, "1")
+        start = BidProfile(2, (grid.per_agent[0][0], grid.per_agent[1][-1]))
+        return [count(lambda: verify_nash(fresh(EX2), rule, start, grid)) +
+                count(lambda: best_response_dynamics(fresh(EX2), rule, grid, start))
+                + count(lambda: poa_search(fresh(EX2), rule, grid, 0))
+                for rule in PaymentRule]
+
+    assert len(BidGrid.additive(2, 2, "1/2", "1").per_agent[0]) == 9
+    assert grid_calls("1/2") == grid_calls("1/4")
+
+    def certificate_calls(n):
+        types = BidProfile(2, (EX1.true_valuations.bids * 2)[:n])
+        bids = BidProfile(2, (MISCOORDINATION.bids * 2)[:n])
+        return [count(lambda: smoothness_certificate(fresh(Instance(2, types)),
+                                                     bids, rule))
+                for rule in PaymentRule] + [
+            count(lambda: vcg_deviation_certificate(fresh(Instance(2, types)), bids))]
+
+    assert certificate_calls(2) == certificate_calls(3)

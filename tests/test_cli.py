@@ -280,3 +280,27 @@ def test_run_suites_dispatch():
                                          "smoothness", "lattice"]
     with pytest.raises(ValueError):
         run_suites("mystery", runs=1)
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"m": 2, "players": 5}, "players must be a list"),
+    ({"m": 1, "players": [{"valuation": {"type": "xos", "clauses": 3}}]},
+     "'clauses' must be a list of lists"),
+    ({"m": 1, "players": [{"valuation": {"type": "xos", "clauses": [3]}}]},
+     "'clauses' must be a list of lists"),
+    ({"m": 2, "players": [{"valuation": {"type": "additive",
+                                         "weights": [True, False]}}]},
+     "'weights': expected a number"),
+    ({"m": True, "players": [{"valuation": {"type": "additive",
+                                            "weights": ["1"]}}]},
+     "m must be an integer"),
+    ({"m": 1, "epsilon": True, "players": []}, "epsilon: expected a number"),
+    ({"m": 1, "name": 5, "players": []}, "name must be a string"),
+])
+def test_fields_of_the_wrong_type_exit_2(tmp_path, capsys, payload, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "solve", str(path))
+    assert code == 2 and out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("error: ") and message in line

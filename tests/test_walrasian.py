@@ -16,7 +16,7 @@ from walras.walrasian import (
     tatonnement,
     verify_walrasian_equilibrium,
 )
-from walras.welfare import BidProfile, welfare_max
+from walras.welfare import Allocation, BidProfile, welfare_max
 
 EPS = F(1, 8)
 
@@ -144,6 +144,16 @@ def test_verify_failure_modes():
 
     cert = verify_walrasian_equilibrium(prof, (0b01, 0b00), ("0", "0"))
     assert any(isinstance(f, ClearingViolation) for f in cert.failures)
+
+
+def test_allocation_and_certificate_share_one_disjointness_check():
+    prof = BidProfile(2, (Additive((F(1), F(1))),) * 2)
+    for bundles, message in (((0b01, 0b11), "overlap"), ((0b100, 0b01), "outside")):
+        with pytest.raises(ValueError, match=message) as built:
+            Allocation(2, bundles)
+        with pytest.raises(ValueError, match=message) as checked:
+            verify_walrasian_equilibrium(prof, bundles, ("1", "1"))
+        assert str(built.value) == str(checked.value)
 
 
 def test_no_price_vector_clears_the_pair_bidder_market():

@@ -355,3 +355,11 @@ def test_point_merges_match_the_table_paths(prof, seed):
         assert F(_scaled_externality(prof, i, bundle), denom) == (
             table_welfare(bids, ms_ones(m), exclude=i)
             - table_welfare(bids, rest, exclude=i))
+
+
+def test_table_limit_names_the_states_and_the_limit():
+    # 3^14 = 4,782,969 states with every item doubled
+    prof = BidProfile(14, (Additive((F(1),) * 14),))
+    with pytest.raises(ValueError, match="welfare table too large") as exc:
+        welfare_value(prof, (2,) * 14)
+    assert "4782969" in str(exc.value) and "2000000" in str(exc.value)
