@@ -1,7 +1,8 @@
 """Golden outputs: the stdout and exit code of every ``reproduce`` case, of
 ``solve``, ``prices`` and ``mechanism --rule R`` on every shipped fixture, and
-of ``verify-nash`` (every rule, and bids off the grid), ``poa`` (every rule)
-and ``property-test`` on a few pinned inputs.
+of ``verify-nash`` (every rule, and bids off the grid), ``poa`` (every rule,
+two and three agents, serial and parallel) and ``property-test`` on a few
+pinned inputs.
 
 A refactor must leave these byte-identical.  To record them afresh (only when
 an output is meant to change), run from the repository root:
@@ -50,6 +51,17 @@ def _commands() -> dict[str, tuple[str, ...]]:
             "--grid-cap", "2")
     out["poa_vcg_csv__example2_eps_0.125"] = (
         out["poa_vcg__example2_eps_0.125"] + ("--format", "csv"))
+    # A tabular bidder on the default grid, and three agents over three items
+    # (middle-agent vcg joins, doubled slices at n = 3), serial and parallel.
+    tolerant = ("--gamma", "1", "--eps-dev", "1")
+    for rule in RULES:
+        out[f"poa_{rule}__and_bidder"] = (
+            "poa", "and_bidder", "--rule", rule) + tolerant
+        out[f"poa_{rule}__appendix_overbidding"] = (
+            "poa", "appendix_overbidding", "--rule", rule, "--grid-delta", "1",
+            "--grid-cap", "1") + tolerant
+    out["poa_dutch_jobs2__appendix_overbidding"] = (
+        out["poa_dutch__appendix_overbidding"] + ("--jobs", "2"))
     suites = ("property-test", "--suite", "all", "--seeds", "3", "--seed", "1")
     out["property-test__all_seeds3_seed1"] = suites
     out["property-test_csv__all_seeds3_seed1"] = suites + ("--format", "csv")
