@@ -6,7 +6,7 @@ analysis layer (exposure factors, grid Nash checks, welfare-ratio search),
 all over exact rationals.
 """
 
-from .money import Money, format_money, parse_money
+from .money import INFINITY, Money, format_money, parse_money
 from .valuations import (
     Additive,
     Oxs,

@@ -11,7 +11,12 @@ Every mechanism run goes through one path, ``_Scaled``: a call scales all
 the bids and types it reads (grid, current, truthful and half-truthful bids)
 to one common denominator D once, seeds each profile it runs with those
 integer tables, and compares D times the utilities.  Values become Fractions
-only in the returned reports.
+only in the returned reports.  ``poa_search`` runs no mechanism per grid
+profile: its kernel, ``_grid_outcomes``, reads the same tables by grid index
+and gives every grid profile's D times welfare and utilities.  Only its
+injected truthful and half-truthful deviations, which are off the grid, and
+the runs of ``verify_nash``, the certificates and best response go through
+``_Scaled.run``.
 """
 
 from __future__ import annotations
@@ -19,10 +24,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf, prod
+from math import prod
 
 from .bundles import iter_bits, ms_ones
-from .money import ZERO, granularity, parse_money, scale_rows
+from .money import INFINITY, ZERO, Infinity, granularity, parse_money, scale_rows
 from .mechanisms import PaymentRule, _scaled_externality, run_mechanism
 from .valuations import (
     CHECKER_MAX_ITEMS,
@@ -34,9 +39,15 @@ from .valuations import (
     is_gross_substitutes,
     xos_supporting_clause,
 )
+from .walrasian import _merged_prices
 from .welfare import (
     Allocation,
     BidProfile,
+    _backtrack,
+    _doubled_slices,
+    _fold_at,
+    _fold_levels,
+    _layout,
     scaled_tables,
     welfare_max,
     welfare_value,
@@ -89,12 +100,6 @@ class BidGrid:
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(g) for g in self.per_agent)
 
-    def with_extra(self, agent: int, bids) -> "BidGrid":
-        extended = list(self.per_agent)
-        extra = tuple(b for b in bids if b not in extended[agent])
-        extended[agent] = extended[agent] + extra
-        return BidGrid(tuple(extended))
-
     @classmethod
     def additive(cls, m: int, n: int, delta, cap) -> "BidGrid":
         """All additive bids with per-item weights 0, delta, ..., cap."""
@@ -129,11 +134,11 @@ class BidGrid:
 
 # -- exposure ------------------------------------------------------------------
 
-def exposure_factor_bound(v: Valuation, b: Valuation):
+def exposure_factor_bound(v: Valuation, b: Valuation) -> Fraction | Infinity:
     """Upper bound on the exposure factor of bidding ``b`` with type ``v``.
 
-    max over bundles S of b(S)/v(S) - 1, clamped at zero; infinite when b
-    bids positively on a worthless bundle.  Because a declared-welfare
+    max over bundles S of b(S)/v(S) - 1, clamped at zero; ``INFINITY`` when
+    b bids positively on a worthless bundle.  Because a declared-welfare
     maximizer never charges above the bid, a bound of g here guarantees the
     agent never pays more than (1+g) times true value, whatever the others do.
     """
@@ -144,16 +149,12 @@ def exposure_factor_bound(v: Valuation, b: Valuation):
     for mask in range(1, 1 << v.m):
         if vt[mask] == 0:
             if bt[mask] > 0:
-                return inf
+                return INFINITY
             continue
         ratio = bt[mask] / vt[mask] - 1
         if ratio > worst:
             worst = ratio
     return worst
-
-
-def _exposure_at_most(bound, gamma) -> bool:
-    return bound is not inf and bound <= gamma
 
 
 # -- grid Nash ----------------------------------------------------------------
@@ -174,12 +175,12 @@ class NashReport:
     deviations: tuple[AgentDeviation, ...]
     welfare: Fraction
     optimal_welfare: Fraction
-    ratio: object  # Fraction, or inf when the equilibrium welfare is zero
+    ratio: Fraction | Infinity  # INFINITY when the equilibrium welfare is zero
 
 
 def _ratio(opt: Fraction, welfare: Fraction):
     if welfare == 0:
-        return Fraction(1) if opt == 0 else inf
+        return Fraction(1) if opt == 0 else INFINITY
     return opt / welfare
 
 
@@ -192,7 +193,8 @@ class _Scaled:
     ``grid[i]`` holds agent i's grid bids, ``current`` the profile under
     test, ``truthful`` and ``half`` each agent's truthful and half-truthful
     bid (``truthful`` doubles as the types); ``eps`` is D times ``eps_dev``.
-    A profile to run is a tuple of one pair per agent.
+    A profile to run is a tuple of one pair per agent.  ``of`` refuses a
+    grid or profile that does not fit the instance.
     """
 
     rule: PaymentRule
@@ -207,6 +209,15 @@ class _Scaled:
     @classmethod
     def of(cls, instance: Instance, rule: PaymentRule, grid: BidGrid | None = None,
            current: BidProfile | None = None, eps_dev: Fraction = ZERO) -> "_Scaled":
+        for what, per_agent in (("grid", grid and grid.per_agent),
+                                ("profile", current and [(b,) for b in current.bids])):
+            if per_agent and len(per_agent) != instance.n:
+                raise ValueError(f"the {what} has {len(per_agent)} agents, "
+                                 f"the instance {instance.n}")
+            for i, k, bid in ((i, k, b) for i, bids in enumerate(per_agent or ())
+                              for k, b in enumerate(bids) if b.m != instance.m):
+                raise ValueError(f"{what} bid {k} of agent {i} is over {bid.m} "
+                                 f"items, the instance has {instance.m}")
         types = instance.true_valuations.bids
         groups = [*(grid.per_agent if grid else ()),
                   current.bids if current else (), types,
@@ -243,10 +254,7 @@ def verify_nash(instance: Instance, rule: PaymentRule, profile: BidProfile,
     the truthful bid and the half-truthful bid.  ``is_nash`` means no
     candidate improves any agent's utility by more than ``eps_dev``.
     """
-    rule = PaymentRule(rule)
     eps_dev = parse_money(eps_dev)
-    if grid.n != instance.n or profile.n != instance.n:
-        raise ValueError("instance, profile and grid disagree on agent count")
     scaled = _Scaled.of(instance, rule, grid, profile)
     denom, current = scaled.denom, scaled.current
     _, welfare, here = scaled.run(current)
@@ -407,7 +415,7 @@ class VcgDeviationReport:
     holds: bool
     optimal_welfare: Fraction
     equilibrium_welfare: Fraction
-    ratio: object
+    ratio: Fraction | Infinity
 
 
 def vcg_deviation_certificate(instance: Instance,
@@ -482,24 +490,62 @@ def half_clause_deviation(v: Xos, target: int) -> Additive:
 class PoaReport:
     rule: PaymentRule
     gamma: Fraction
-    worst_ratio: object  # Fraction (1 when no equilibrium was found) or inf
+    worst_ratio: Fraction | Infinity  # 1 when no equilibrium was found
     witness: BidProfile | None
     equilibrium_count: int
     profiles_checked: int
 
 
-def _grid_indices(sizes, index_range: range):
-    """Per-agent grid indices of the flat profile indices in ``index_range``
-    (step 1), last agent fastest."""
-    return itertools.islice(itertools.product(*(range(s) for s in sizes)),
-                            index_range.start, index_range.stop)
+def _grid_outcomes(scaled: _Scaled, contexts) -> list[list[tuple]]:
+    """D times (true welfare, utilities) of the grid profiles in each opponent
+    context of ``contexts`` (a tuple of grid indices of agents 1..n-1): one
+    row per context, indexed by agent 0's grid index.
 
-
-def _profile_outcomes(scaled: _Scaled, sizes, index_range: range) -> list:
-    """D times (welfare, utilities) per flat profile index, in index order."""
-    grid = scaled.grid
-    return [scaled.run(tuple(grid[i][k] for i, k in enumerate(idxs)))[1:]
-            for idxs in _grid_indices(sizes, index_range)]
+    The opponents' suffix levels, their share of each state agent 0 leaves
+    and the doubled slices (english) are folded once per context; agent 0
+    merges at a few states per profile.  W without opponent i (vcg) is one
+    table per grid index of the other agents.  No object per profile.
+    """
+    rule, n = scaled.rule, len(scaled.grid)
+    size, ssum, clamps = _layout(ms_ones(scaled.m))
+    full, zeros = size - 1, (0,) * size
+    items = [tuple(iter_bits(x)) for x in range(size)]
+    without = {}  # (i, grid indices of every agent but i) -> D * W_-i table
+    rows = []
+    for idxs in contexts:
+        tables = (None,) + tuple(scaled.grid[i][k][1] for i, k in enumerate(idxs, 1))
+        levels = [None] * n + [zeros]
+        _fold_levels(tables, levels, 1, size, ssum, clamps)
+        rest, shares = levels[1], {}
+        slices = (_doubled_slices(tables, levels, size, ssum, clamps)
+                  if rule is PaymentRule.ENGLISH else None)
+        row = []
+        for a, (_, t0) in enumerate(scaled.grid[0]):
+            w = _fold_at(t0, rest, full, ssum, clamps)
+            (b0,) = _backtrack((t0,), (None, rest), full, w, ssum, clamps)
+            bundles = shares.get(b0)
+            if bundles is None:  # agent 0 also takes the items nobody uses
+                others = _backtrack(tables[1:], levels[1:], full ^ b0,
+                                    rest[full ^ b0], ssum, clamps)
+                bundles = shares[b0] = (full ^ sum(others),) + others
+            if rule is PaymentRule.PAY_YOUR_BID:
+                pays = [t[x] for t, x in zip((t0,) + tables[1:], bundles)]
+            elif rule is PaymentRule.VCG:
+                pays = [rest[full] - rest[full ^ bundles[0]]]
+                for i, x in enumerate(bundles[1:], 1):
+                    key = (i, a) + idxs[:i - 1] + idxs[i:]
+                    if x and key not in without:
+                        partial = [None] * i + [levels[i + 1]]
+                        _fold_levels((t0,) + tables[1:i], partial, 0, size, ssum, clamps)
+                        without[key] = partial[0]
+                    pays.append(without[key][full] - without[key][full ^ x] if x else 0)
+            else:
+                prices = _merged_prices(t0, rest, w, slices, ssum, clamps)
+                pays = [sum(prices[j] for j in items[x]) for x in bundles]
+            values = [t[x] for (_, t), x in zip(scaled.truthful, bundles)]
+            row.append((sum(values), tuple(v - p for v, p in zip(values, pays))))
+        rows.append(row)
+    return rows
 
 
 def poa_search(instance: Instance, rule: PaymentRule, grid: BidGrid, gamma,
@@ -510,92 +556,81 @@ def poa_search(instance: Instance, rule: PaymentRule, grid: BidGrid, gamma,
     exposure bound at most gamma; report the worst optimal-to-equilibrium
     welfare ratio and a witness.
 
-    Cost is the full product of grid sizes.  Every table is scaled once to a
-    common denominator, so utilities, welfare and the Nash tests compare
-    integers.  Ties on the worst ratio resolve to the smallest enumeration
-    index, so parallel runs reduce identically.
+    Cost is the full product of grid sizes, all of it in
+    :func:`_grid_outcomes`, chunked by whole opponent contexts over ``jobs``
+    processes.  Ties on the worst ratio resolve to the smallest flat index
+    (last agent fastest), so every ``jobs`` reduces identically.
     """
-    rule = PaymentRule(rule)
     gamma = parse_money(gamma)
     eps_dev = parse_money(eps_dev)
-    if grid.n != instance.n:
-        raise ValueError("grid and instance disagree on agent count")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
+    scaled = _Scaled.of(instance, rule, grid, eps_dev=eps_dev)
     sizes = grid.sizes()
     total = prod(sizes)
     if total > max_profiles:
         raise EnumerationBudgetExceeded(
             f"{total} grid profiles exceed the budget of {max_profiles}")
-    scaled = _Scaled.of(instance, rule, grid, eps_dev=eps_dev)
-
+    # Opponent context c is the c-th tuple here; flat = a * contexts + c.
+    opponents = list(itertools.product(*(range(s) for s in sizes[1:])))
+    contexts = len(opponents)
+    chunk = -(-contexts // jobs)
+    chunks = [opponents[c:c + chunk] for c in range(0, contexts, chunk)]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
-        chunk = (total + jobs - 1) // jobs
-        ranges = [range(a, min(a + chunk, total)) for a in range(0, total, chunk)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            pieces = list(pool.map(_profile_outcomes, itertools.repeat(scaled),
-                                   itertools.repeat(sizes), ranges))
-        outcomes = [row for piece in pieces for row in piece]
+            pieces = list(pool.map(_grid_outcomes, itertools.repeat(scaled), chunks))
     else:
-        outcomes = _profile_outcomes(scaled, sizes, range(total))
-    profiles = list(zip(_grid_indices(sizes, range(total)), outcomes))
+        pieces = [_grid_outcomes(scaled, piece) for piece in chunks]
+    rows = [row for piece in pieces for row in piece]
 
-    exposure_ok = [
-        [_exposure_at_most(
-            exposure_factor_bound(instance.true_valuations.bids[i], b), gamma)
-         for b in grid.per_agent[i]]
-        for i in range(instance.n)]
+    exposure_ok = [[exposure_factor_bound(v, b) <= gamma for b in bids]
+                   for v, bids in zip(instance.true_valuations.bids, grid.per_agent)]
 
-    # Best achievable utility per agent within each opponent context (the
-    # profile with agent i's index zeroed): the grid part comes from the
-    # outcome table, the injected deviations are evaluated once per context.
+    # Best grid utility per agent within each of its opponent contexts (the
+    # flat index with its own grid index zeroed): agent 0's is the best of its
+    # row.  The injected deviations are run once per context, when a profile
+    # first needs them.
     strides = [prod(sizes[k + 1:]) for k in range(instance.n)]
-    best_grid = [dict() for _ in range(instance.n)]
-    for flat, (idxs, (_, utils)) in enumerate(profiles):
-        for i in range(instance.n):
-            ctx = flat - idxs[i] * strides[i]
-            cur = best_grid[i].get(ctx)
-            if cur is None or utils[i] > cur:
-                best_grid[i][ctx] = utils[i]
+    best_grid = [{c: max(u[0] for _, u in row) for c, row in enumerate(rows)}]
+    for i in range(1, instance.n):
+        best_grid.append(best := {})
+        for c, row in enumerate(rows):
+            base = c - opponents[c][i - 1] * strides[i]  # the context of a = 0
+            for ctx, (_, utils) in zip(range(base, total, contexts), row):
+                best[ctx] = max(best.get(ctx, utils[i]), utils[i])
 
-    injected_best: list[dict] = [dict() for _ in range(instance.n)]
+    injected_best = {}  # (agent, context) -> D * its best injected utility
 
     def injected_max(i: int, ctx: int, idxs) -> int:
-        cached = injected_best[i].get(ctx)
-        if cached is None:
-            cached = injected_best[i][ctx] = max(scaled.utilities(
+        if (i, ctx) not in injected_best:
+            injected_best[i, ctx] = max(scaled.utilities(
                 tuple(g[k] for g, k in zip(scaled.grid, idxs)), i,
                 (scaled.truthful[i], scaled.half[i])))
-        return cached
+        return injected_best[i, ctx]
 
+    found = []  # (D * true welfare, flat index, grid indices) of each equilibrium
+    for c, row in enumerate(rows):
+        for a, (welfare, utils) in enumerate(row):
+            idxs = (a,) + opponents[c]
+            flat = a * contexts + c
+            if all(exposure_ok[i][k] for i, k in enumerate(idxs)) and not any(
+                    best_grid[i][flat - k * strides[i]] - utils[i] > scaled.eps
+                    or injected_max(i, flat - k * strides[i], idxs) - utils[i] > scaled.eps
+                    for i, k in enumerate(idxs)):
+                found.append((welfare, flat, idxs))
     # The optimum is fixed, so the worst ratio is at the least equilibrium
-    # welfare (and true welfare never exceeds the optimum).
-    worst_welfare = None
-    witness_idxs = None
-    equilibria = 0
-    for flat, (idxs, (welfare, utils)) in enumerate(profiles):
-        if not all(exposure_ok[i][idxs[i]] for i in range(instance.n)):
-            continue
-        for i in range(instance.n):
-            ctx = flat - idxs[i] * strides[i]
-            if (best_grid[i][ctx] - utils[i] > scaled.eps
-                    or injected_max(i, ctx, idxs) - utils[i] > scaled.eps):
-                break
-        else:
-            equilibria += 1
-            if worst_welfare is None or welfare < worst_welfare:
-                worst_welfare = welfare
-                witness_idxs = idxs
-    witness = None
-    worst = Fraction(1)
-    if witness_idxs is not None:
+    # welfare (true welfare never exceeds the optimum).
+    witness, ratio = None, Fraction(1)
+    if found:
+        welfare, _, idxs = min(found)
         witness = BidProfile(instance.m, tuple(
-            grid.per_agent[i][k] for i, k in enumerate(witness_idxs)))
+            g[k] for g, k in zip(grid.per_agent, idxs)))
         opt, _ = instance.optimal()
-        worst = _ratio(opt, Fraction(worst_welfare, scaled.denom))
-    return PoaReport(rule=rule, gamma=gamma, worst_ratio=worst, witness=witness,
-                     equilibrium_count=equilibria, profiles_checked=total)
+        ratio = _ratio(opt, Fraction(welfare, scaled.denom))
+    return PoaReport(rule=scaled.rule, gamma=gamma, worst_ratio=ratio,
+                     witness=witness, equilibrium_count=len(found),
+                     profiles_checked=total)
 
 
 # -- best-response dynamics ------------------------------------------------------
@@ -625,14 +660,13 @@ def best_response_dynamics(instance: Instance, rule: PaymentRule,
     maximizer; a full silent round is a grid-Nash fixpoint.  Revisiting a
     round-boundary profile reports a cycle.
     """
-    rule = PaymentRule(rule)
+    scaled = _Scaled.of(instance, rule, grid, start)
     current: list[int] = []
     for i, bid in enumerate(start.bids):
         try:
             current.append(grid.per_agent[i].index(bid))
         except ValueError:
             raise ValueError(f"start bid of agent {i} is not on its grid") from None
-    scaled = _Scaled.of(instance, rule, grid)
     steps: list[BestResponseStep] = []
     seen = {tuple(current)}
     status = "budget"

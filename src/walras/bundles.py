@@ -51,16 +51,6 @@ def bits_list(mask: int) -> list[int]:
     return list(iter_bits(mask))
 
 
-def subsets_ascending(mask: int) -> Iterator[int]:
-    """All submasks of ``mask`` in ascending numeric order, starting at 0."""
-    s = 0
-    while True:
-        yield s
-        if s == mask:
-            return
-        s = (s - mask) & mask
-
-
 # -- item multisets ---------------------------------------------------------
 
 def ms_ones(m: int) -> tuple[int, ...]:

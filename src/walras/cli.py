@@ -12,7 +12,6 @@ import csv
 import io
 import json
 import sys
-from fractions import Fraction
 from functools import cache
 
 from .analysis import BidGrid, EnumerationBudgetExceeded, poa_search, verify_nash
@@ -105,8 +104,7 @@ def _cmd_poa(args) -> int:
             instance.name or args.instance,
             report.rule.value,
             format_money(report.gamma),
-            format_money(report.worst_ratio)
-            if isinstance(report.worst_ratio, Fraction) else "inf",
+            jsonable(report.worst_ratio),
             json.dumps(jsonable(report.witness)) if report.witness else "",
             report.equilibrium_count,
             report.profiles_checked,

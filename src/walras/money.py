@@ -10,11 +10,29 @@ violations.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import total_ordering
 from math import gcd, lcm
+from numbers import Rational
 
 Money = Fraction
 
 ZERO = Fraction(0)
+
+
+@total_ordering
+class Infinity:
+    """The exact unbounded value ``INFINITY`` (a ratio over zero welfare, the
+    exposure of a positive bid on a worthless bundle): above every rational,
+    equal only to itself, printed ``inf``, unpickled to the one instance."""
+
+    def __lt__(self, other):
+        return False if isinstance(other, (Rational, Infinity)) else NotImplemented
+
+    __str__ = __repr__ = lambda self: "inf"
+    __reduce__ = lambda self: "INFINITY"
+
+
+INFINITY = Infinity()
 
 
 def parse_money(value) -> Fraction:

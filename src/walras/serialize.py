@@ -9,10 +9,9 @@ from __future__ import annotations
 import dataclasses
 from enum import Enum
 from fractions import Fraction
-from math import isinf
 
 from .bundles import bits_list
-from .money import format_money
+from .money import INFINITY, format_money
 from .valuations import Valuation, valuation_to_json
 from .welfare import Allocation, BidProfile
 
@@ -22,10 +21,8 @@ def jsonable(obj):
         return obj
     if isinstance(obj, Fraction):
         return format_money(obj)
-    if isinstance(obj, float):
-        if isinf(obj):
-            return "inf"
-        raise TypeError(f"refusing to serialize inexact float {obj!r}")
+    if obj is INFINITY:
+        return "inf"
     if isinstance(obj, Enum):
         return obj.value
     if isinstance(obj, Valuation):

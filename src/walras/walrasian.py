@@ -9,7 +9,8 @@ closed forms in terms of welfare marginals:
 Both are computed exactly on the profile's scaled integers, from the
 ones-shape suffix levels of ``welfare``: W(1 + 1_j) folds only the states
 with two copies of j, and W(1) and W(1 - 1_j) are merges at one state each.
-The english and dutch payment rules read the same integers.  The
+The english and dutch payment rules read the same integers, and the grid
+kernel of ``poa_search`` the same merges (``_merged_prices``).  The
 ascending-price procedure is kept only as a cross-check: with discrete
 increments it can approach but not hit the lattice bottom, so payment rules
 never use it.
@@ -27,8 +28,9 @@ from .valuations import demand_set
 from .welfare import (
     Allocation,
     BidProfile,
-    _scaled_extra_copy_welfare,
-    _scaled_welfare,
+    _doubled_slices,
+    _fold_at,
+    _suffix_levels,
     scaled_tables,
 )
 
@@ -65,16 +67,29 @@ class TatonnementResult:
     price_history: tuple[tuple[Fraction, ...], ...] | None = None
 
 
+def _merged_prices(tab0, rest, base: int, slices, ssum, clamps) -> tuple[int, ...]:
+    """D times the lowest prices W(1 + 1_j) - W(1) (from the others' doubled
+    ``slices``) or, with ``slices`` None, the highest W(1) - W(1 - 1_j), with
+    agent 0's ``tab0`` merged onto the others' ones-shape table ``rest``."""
+    full = len(rest) - 1
+    if slices is not None:
+        return tuple([_fold_at(tab0, s, full, ssum, clamps) - base for s in slices])
+    return tuple([base - _fold_at(tab0, rest, full ^ 1 << j, ssum, clamps)
+                  for j in range(full.bit_length())])
+
+
 def _scaled_prices(profile: BidProfile, lowest: bool) -> tuple[int, ...]:
     """D times the lowest or the highest Walrasian prices, with D from
-    ``scaled_tables(profile)``."""
-    ones, full = ms_ones(profile.m), full_mask(profile.m)
-    if lowest:
-        (base,) = _scaled_welfare(profile, ones, (full,))
-        return tuple(w - base for w in _scaled_extra_copy_welfare(profile))
-    base, *without = _scaled_welfare(
-        profile, ones, [full] + [full ^ 1 << j for j in range(profile.m)])
-    return tuple(base - w for w in without)
+    ``scaled_tables(profile)``.  Cached per profile."""
+    key = "lowest_prices" if lowest else "highest_prices"
+    if key not in profile._cache:
+        levels, size, ssum, clamps = _suffix_levels(profile, ms_ones(profile.m))
+        _, tables = scaled_tables(profile)
+        base = _fold_at(tables[0], levels[1], size - 1, ssum, clamps)
+        slices = _doubled_slices(tables, levels, size, ssum, clamps) if lowest else None
+        profile._cache[key] = _merged_prices(tables[0], levels[1], base, slices,
+                                             ssum, clamps)
+    return profile._cache[key]
 
 
 def min_walrasian_prices(profile: BidProfile) -> tuple[Fraction, ...]:

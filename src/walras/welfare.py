@@ -12,8 +12,8 @@ a few states only and merge there: W(x) is agent 0 merged with L_1 at x
 (``_fold_at``; only ``welfare_max`` folds L_0), W without agent i joins the
 prefix table of agents 0..i-1 (``or_value_table``) with L_{i+1} at x
 (``_join_at``), and W(1 + 1_j) folds only the 2^(m-1) states with two copies
-of j (``_scaled_extra_copy_welfare``).  A multiset with doubled items is read
-on its doubled-item pattern: two copies where it has two, one elsewhere.
+of j (``_doubled_slices``).  A multiset with doubled items is read on its
+doubled-item pattern: two copies where it has two, one elsewhere.
 
 The DP runs on integers.  ``scaled_tables`` multiplies every bid table of a
 profile by D, the lcm of all their denominators, once per profile (or takes
@@ -22,7 +22,7 @@ common multiple D); the folds, the cached tables and the argmax backtrack
 all hold D * W.  Values become ``Fraction(x, D)`` only where they leave the
 module: ``welfare_value``, ``welfare_max`` and ``welfare_marginal``.  The
 price and mechanism layers read the integers directly (``_scaled_welfare``,
-``_welfare_argmax``).
+``_welfare_argmax``, ``_suffix_levels``).
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .bundles import (
     check_multiset,
     disjoint_union,
     full_mask,
-    subsets_ascending,
 )
 from .money import ZERO, scale_rows
 from .valuations import Valuation, marginal_value
@@ -216,6 +215,15 @@ def or_value_table(profile: BidProfile, supply: tuple[int, ...],
     return result
 
 
+def _fold_levels(tables, levels: list, stop: int, size: int,
+                 ssum: tuple[int, ...], clamps: tuple[int, ...]) -> None:
+    """Fill levels[k], the scaled welfare table of agents k..n-1 of
+    ``tables``, for every k >= ``stop`` still None; levels[n] must be set."""
+    for k in range(len(tables) - 1, stop - 1, -1):
+        if levels[k] is None:
+            levels[k] = tuple(_or_step(tables[k], levels[k + 1], size, ssum, clamps))
+
+
 def _suffix_levels(profile: BidProfile, supply: tuple[int, ...], stop: int = 1):
     """levels[k] = scaled welfare table of agents k..n-1, folded for every
     k >= ``stop``; levels[n] is all zeros.  Cached per profile, and a later
@@ -228,10 +236,7 @@ def _suffix_levels(profile: BidProfile, supply: tuple[int, ...], stop: int = 1):
         out = profile._cache[key] = (levels, size, ssum, clamps)
     levels, size, ssum, clamps = out
     if levels[stop] is None:
-        _, tables = scaled_tables(profile)
-        for k in range(profile.n - 1, stop - 1, -1):
-            if levels[k] is None:
-                levels[k] = tuple(_or_step(tables[k], levels[k + 1], size, ssum, clamps))
+        _fold_levels(scaled_tables(profile)[1], levels, stop, size, ssum, clamps)
     return out
 
 
@@ -260,33 +265,26 @@ def _scaled_welfare(profile: BidProfile, shape: tuple[int, ...], states,
     return [table[idx] for idx in states]
 
 
-def _scaled_extra_copy_welfare(profile: BidProfile) -> tuple[int, ...]:
-    """D * W(1 + 1_j) for every item j, from the ones-shape suffix levels.
+def _doubled_slices(tables, levels, size: int, ssum: tuple[int, ...],
+                    clamps: tuple[int, ...]) -> list[list[int]]:
+    """For every item j, U -> D * W_1(U + 1_j) from the ones-shape levels.
 
     For agents k..n-1, shifted[U] = D * W_k(U + 1_j).  Where U lacks j that
     is the ones-shape level at U + j, so only the 2^(m-1) states holding j
     are folded: an agent taking B <= U leaves (U - B) + 1_j.  The last agent
-    takes at most one copy of j, and agent 0 is evaluated at U = 1 only.
-    Cached per profile.
+    takes at most one copy of j.
     """
-    cached = profile._cache.get("extra_copy")
-    if cached is not None:
-        return cached
-    levels, size, ssum, clamps = _suffix_levels(profile, (1,) * profile.m)
-    _, tables = scaled_tables(profile)
-    start = max(profile.n - 1, 1)
+    start = max(len(tables) - 1, 1)
     out = []
-    for j in range(profile.m):
+    for j in range(size.bit_length() - 1):
         bit = 1 << j
         shifted = [levels[start][u | bit] for u in range(size)]
         for k in range(start - 1, 0, -1):
             tab, level = tables[k], levels[k]
             shifted = [_fold_at(tab, shifted, u, ssum, clamps) if u & bit
                        else level[u | bit] for u in range(size)]
-        out.append(_fold_at(tables[0], shifted, size - 1, ssum, clamps))
-    result = tuple(out)
-    profile._cache["extra_copy"] = result
-    return result
+        out.append(shifted)
+    return out
 
 
 def welfare_value(profile: BidProfile, supply, exclude: int | None = None) -> Fraction:
@@ -309,21 +307,31 @@ def _welfare_argmax(profile: BidProfile, ms: tuple[int, ...],
     levels, _, ssum, clamps = _suffix_levels(profile, ms, stop)
     _, tables = scaled_tables(profile)
     idx = _ms_index(ms, ms)
-    value = target = (levels[0][idx] if stop == 0
-                      else _fold_at(tables[0], levels[1], idx, ssum, clamps))
+    value = (levels[0][idx] if stop == 0
+             else _fold_at(tables[0], levels[1], idx, ssum, clamps))
+    return value, _backtrack(tables, levels, idx, value, ssum, clamps)
+
+
+def _backtrack(tables, levels, idx: int, target: int, ssum: tuple[int, ...],
+               clamps: tuple[int, ...]) -> tuple[int, ...]:
+    """The canonical assignment of state ``idx``, worth ``target``, to the
+    agents of ``tables`` in index order: each takes the smallest bundle that
+    leaves levels[k + 1] enough.  The one tie-breaking rule of every DP."""
     bundles = []
-    for k in range(profile.n):
-        tab = tables[k]
-        nxt_level = levels[k + 1]
-        chosen = 0
-        for b in subsets_ascending(clamps[idx]):
+    for tab, nxt_level in zip(tables, levels[1:]):
+        cm = clamps[idx]
+        chosen = b = 0
+        while True:  # the submasks of cm, ascending
             if tab[b] + nxt_level[idx - ssum[b]] == target:
                 chosen = b
                 break
+            if b == cm:
+                break
+            b = (b - cm) & cm
         bundles.append(chosen)
         idx -= ssum[chosen]
         target = nxt_level[idx]
-    return value, tuple(bundles)
+    return tuple(bundles)
 
 
 def welfare_max(profile: BidProfile, supply) -> tuple[Fraction, tuple[int, ...]]:

@@ -6,7 +6,8 @@ demand by rescanning bundles.  Slow and obviously correct.  Two exceptions
 are kept as references for the paths that replaced them: ``table_welfare``,
 a plain copy of the full-table welfare path the point merges replaced, and
 the ``fraction_*`` deviation loops of the analysis layer, which ran each
-deviation on a fresh profile in Fractions.
+deviation on a fresh profile in Fractions, and ``scaled_profile_outcomes``,
+the per-profile runs the grid kernel of ``poa_search`` replaced.
 """
 
 from fractions import Fraction
@@ -189,9 +190,9 @@ def brute_gross_substitutes(v):
 # from ``brute_welfare`` instead of the package's DP.
 
 def _ratio(opt, welfare):
-    from math import inf
+    from walras.money import INFINITY
     if welfare == 0:
-        return Fraction(1) if opt == 0 else inf
+        return Fraction(1) if opt == 0 else INFINITY
     return opt / welfare
 
 
@@ -327,3 +328,11 @@ def fraction_best_response_dynamics(instance, rule, grid, start, max_iter=100):
     final = BidProfile(instance.m, tuple(
         grid.per_agent[i][k] for i, k in enumerate(current)))
     return BestResponseTrace(status, final, tuple(steps), rounds)
+
+
+def scaled_profile_outcomes(scaled):
+    """D times (welfare, utilities) of every grid profile of an analysis
+    ``_Scaled``, in flat index order (last agent fastest): each profile runs
+    the whole mechanism through ``_Scaled.run`` on a fresh bid profile, as
+    ``poa_search`` did before its grid kernel."""
+    return [scaled.run(pairs)[1:] for pairs in product(*scaled.grid)]

@@ -11,6 +11,7 @@ from oracles import (
     fraction_smoothness_certificate,
     fraction_vcg_deviation_certificate,
     fraction_verify_nash,
+    scaled_profile_outcomes,
 )
 
 from walras import analysis, valuations
@@ -29,6 +30,7 @@ from walras.analysis import (
     verify_nash,
 )
 from walras.mechanisms import PaymentRule, run_mechanism
+from walras.money import INFINITY
 from walras.valuations import (
     CHECKER_MAX_ITEMS,
     Additive,
@@ -53,13 +55,19 @@ MISCOORDINATION = BidProfile(2, (Additive((F(0), F(1))),
                                  Additive((F(1), F(0)))))
 
 
+def with_extra(grid, bids):
+    """The grid with bids[i] appended to agent i's bids where missing."""
+    return BidGrid(tuple(g + ((b,) if b not in g else ())
+                         for g, b in zip(grid.per_agent, bids)))
+
+
 def test_exposure_factor_bound_basics():
     v = UnitDemand((F(2), F(1)))
     assert exposure_factor_bound(v, v) == 0
     assert exposure_factor_bound(v, v.scale(F(1, 2))) == 0
     assert exposure_factor_bound(v, v.scale(2)) == 1
     assert exposure_factor_bound(
-        UnitDemand((F(0), F(1))), Additive((F(1), F(0)))) == math.inf
+        UnitDemand((F(0), F(1))), Additive((F(1), F(0)))) is INFINITY
 
 
 def test_exposure_factor_gamma_family():
@@ -373,9 +381,8 @@ def test_poa_search_matches_brute_force_on_odd_denominators():
 
 
 def test_best_response_dynamics_examples():
-    grid = (BidGrid.additive(2, 2, F(1, 8), F(2))
-            .with_extra(0, (EX1.true_valuations.bids[0],))
-            .with_extra(1, (EX1.true_valuations.bids[1],)))
+    grid = with_extra(BidGrid.additive(2, 2, F(1, 8), F(2)),
+                      EX1.true_valuations.bids)
     trace = best_response_dynamics(EX1, PaymentRule.ENGLISH, grid,
                                    EX1.true_valuations, max_iter=25)
     assert trace.status == "converged"
@@ -385,9 +392,7 @@ def test_best_response_dynamics_examples():
     assert welfare == 3 + EPS
 
     efficient = construct_efficient_profile(EX1)
-    fixed = (BidGrid.default_for(EX1)
-             .with_extra(0, (efficient.bids[0],))
-             .with_extra(1, (efficient.bids[1],)))
+    fixed = with_extra(BidGrid.default_for(EX1), efficient.bids)
     trace = best_response_dynamics(EX1, PaymentRule.ENGLISH, fixed,
                                    efficient, max_iter=5)
     assert trace.status == "converged" and not trace.steps
@@ -498,3 +503,157 @@ def test_no_deviation_is_rescaled(monkeypatch):
             count(lambda: vcg_deviation_certificate(fresh(Instance(2, types)), bids))]
 
     assert certificate_calls(2) == certificate_calls(3)
+
+
+@st.composite
+def grid_cases(draw):
+    """n, m <= 3; types and one to three grid bids per agent, each additive,
+    unit-demand, OXS or a normalized table that need not be monotone, over
+    denominators 3, 5, 7 and 9; a nonzero tolerance over elevenths; and a
+    point to split the opponent contexts at."""
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 3))
+
+    def row(k):
+        return tuple(draw(TYPE_WEIGHTS) for _ in range(k))
+
+    def valuation():
+        kind = draw(st.sampled_from(("additive", "unit_demand", "oxs", "tabular")))
+        if kind == "oxs":
+            slots = draw(st.integers(1, m))
+            return Oxs(tuple(row(slots) for _ in range(m)))
+        if kind == "tabular":
+            return Tabular((F(0),) + row((1 << m) - 1))
+        return {"additive": Additive, "unit_demand": UnitDemand}[kind](row(m))
+
+    instance = Instance(m, BidProfile(m, tuple(valuation() for _ in range(n))))
+    grid = BidGrid(tuple(tuple(valuation() for _ in range(draw(st.integers(1, 3))))
+                         for _ in range(n)))
+    contexts = math.prod(grid.sizes()[1:])
+    return instance, grid, F(draw(st.integers(1, 10)), 11), draw(
+        st.integers(0, contexts))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(grid_cases())
+def test_grid_kernel_matches_the_per_profile_runs(case):
+    """Under every rule, poa_search's kernel gives each grid profile the
+    welfare and utilities of a full mechanism run on that profile, and two
+    runs on a split of the opponent contexts give the rows of one."""
+    instance, grid, eps, split = case
+    sizes = grid.sizes()
+    contexts = list(itertools.product(*map(range, sizes[1:])))
+    for rule in PaymentRule:
+        scaled = analysis._Scaled.of(instance, rule, grid, eps_dev=eps)
+        rows = analysis._grid_outcomes(scaled, contexts)
+        assert [row[a] for a in range(sizes[0]) for row in rows] == (
+            scaled_profile_outcomes(scaled))
+        assert rows == (analysis._grid_outcomes(scaled, contexts[:split])
+                        + analysis._grid_outcomes(scaled, contexts[split:]))
+
+
+THREE = Instance(2, BidProfile(2, (UnitDemand((F(2), F(1))),
+                                   Additive((F(1), F(1, 2))),
+                                   UnitDemand((F(1, 3), F(4, 3))))))
+
+
+def _uneven_grid():
+    """Grids of 3, 5 and 5 bids: 25 opponent contexts, which two processes
+    split 13/12 and three split 9/9/7."""
+    bids = BidGrid.additive(2, 1, "1/2", "1").per_agent[0]
+    return BidGrid((bids[:3], bids[2:7], bids[4:]))
+
+
+def test_poa_search_reports_equal_for_one_two_and_three_jobs():
+    grid = _uneven_grid()
+    for rule in PaymentRule:
+        serial = poa_search(THREE, rule, grid, 1, eps_dev=1)
+        assert serial.equilibrium_count > 1
+        for jobs in (2, 3):
+            assert poa_search(THREE, rule, grid, 1, eps_dev=1, jobs=jobs) == serial
+
+
+def test_poa_search_matches_brute_force_at_three_agents():
+    """At n = 3 the least equilibrium welfare ties across opponent contexts:
+    the witness is the tie with the smallest flat index (last agent
+    fastest), not the first one the kernel's loop meets."""
+    inst = Instance(2, BidProfile(2, (UnitDemand((F(1), F(2))),
+                                      Additive((F(1), F(1))),
+                                      Additive((F(0), F(0))))))
+    grid = BidGrid.additive(2, 3, 1, 1)
+    types = inst.true_valuations.bids
+    for rule in PaymentRule:
+        count, worst, witness = 0, None, None
+        for bids in itertools.product(*grid.per_agent):
+            if any(exposure_factor_bound(v, b) > 1 for v, b in zip(types, bids)):
+                continue
+            nash = verify_nash(inst, rule, BidProfile(2, bids), grid, F(1, 2))
+            if nash.is_nash:
+                count += 1
+                if worst is None or nash.ratio > worst:
+                    worst, witness = nash.ratio, bids
+        report = poa_search(inst, rule, grid, 1, eps_dev=F(1, 2))
+        assert report.equilibrium_count == count
+        assert report.worst_ratio == (worst if worst is not None else 1)
+        assert (report.witness.bids if report.witness else None) == witness
+
+
+def test_poa_search_runs_the_mechanism_only_for_injected_deviations(monkeypatch):
+    """The kernel makes no mechanism run and no Fraction; poa_search runs
+    the mechanism only for the truthful and half-truthful deviations, at
+    most two per agent and opponent context of that agent."""
+    runs = []
+    real_run = analysis.run_mechanism
+    monkeypatch.setattr(analysis, "run_mechanism",
+                        lambda rule, bids: runs.append(bids) or real_run(rule, bids))
+    fractions = []
+    real_new = F.__new__
+
+    def counted_new(cls, *args, **kwargs):
+        fractions.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    for instance, grid in ((THREE, _uneven_grid()),
+                           (EX2, BidGrid.additive(2, 2, "1/2", "1"))):
+        sizes = grid.sizes()
+        total = math.prod(sizes)
+        contexts = list(itertools.product(*map(range, sizes[1:])))
+        for rule in PaymentRule:
+            scaled = analysis._Scaled.of(instance, rule, grid)
+            runs.clear()
+            monkeypatch.setattr(F, "__new__", counted_new)
+            rows = analysis._grid_outcomes(scaled, contexts)
+            monkeypatch.setattr(F, "__new__", real_new)
+            assert runs == [] and fractions == []
+            assert all(type(x) is int for row in rows for w, u in row
+                       for x in (w, *u))
+
+            poa_search(instance, rule, grid, 1, eps_dev=1)
+            deviations = {(i, b) for i in range(instance.n)
+                          for b in (instance.true_valuations.bids[i],
+                                    instance.true_valuations.bids[i].scale(F(1, 2)))}
+            assert 0 < len(runs) <= sum(2 * total // s for s in sizes)
+            for bids in runs:
+                assert any((i, b) in deviations for i, b in enumerate(bids.bids))
+
+
+def test_a_grid_that_does_not_fit_the_instance_is_refused():
+    narrow = BidGrid.additive(2, 2, 1, 1)
+    wide = BidGrid.additive(3, 2, 1, 1)
+    start = BidProfile(2, (narrow.per_agent[0][0],) * 2)
+    calls = (lambda g: poa_search(EX2, "vcg", g, 0),
+             lambda g: verify_nash(EX2, "vcg", EX2.true_valuations, g),
+             lambda g: best_response_dynamics(EX2, "vcg", g, start))
+    off = Additive((F(1),) * 3)
+    cases = (
+        (wide, "grid bid 0 of agent 0 is over 3 items, the instance has 2"),
+        (with_extra(narrow, (narrow.per_agent[0][0], off)),
+         "grid bid 4 of agent 1 is over 3 items"),
+        (BidGrid.additive(2, 3, 1, 1), "the grid has 3 agents, the instance 2"),
+    )
+    for grid, message in cases:
+        for call in calls:
+            with pytest.raises(ValueError, match=message):
+                call(grid)
+    with pytest.raises(ValueError, match="the profile has 1 agents, the instance 2"):
+        verify_nash(EX2, "vcg", BidProfile(2, start.bids[:1]), narrow)

@@ -116,6 +116,33 @@ def test_poa_rejects_jobs_below_one(capsys):
     assert err.startswith("error: ") and "jobs" in err
 
 
+def test_an_infinite_worst_ratio_prints_inf(capsys, tmp_path):
+    # Bidder 0 values nothing and takes the item when both bid 0; with a
+    # wide tolerance that profile is an equilibrium of welfare zero.
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"m": 1, "players": [
+        {"valuation": {"type": "additive", "weights": [w]}} for w in ("0", "1")]}))
+    args = ("poa", str(path), "--grid-delta", "1", "--grid-cap", "1",
+            "--eps-dev", "5", "--gamma", "5")
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0 and json.loads(out)["worst_ratio"] == "inf"
+    code, out, _ = run_cli(capsys, *args, "--format", "csv")
+    assert code == 0 and out.splitlines()[1].split(",")[3] == "inf"
+
+
+def test_a_grid_that_does_not_fit_the_instance_exits_2(capsys, monkeypatch):
+    import walras.cli as cli
+    from walras.analysis import BidGrid
+
+    monkeypatch.setattr(cli, "_grid_for",
+                        lambda instance, args: BidGrid.additive(3, instance.n, 1, 1))
+    for command in ("poa", "verify-nash"):
+        code, out, err = run_cli(capsys, command, fixture("example2_eps_0.125.json"))
+        assert code == 2 and out == ""
+        assert err == ("error: grid bid 0 of agent 0 is over 3 items, "
+                       "the instance has 2\n")
+
+
 def test_bad_money_flag_exits_2(capsys):
     path = fixture("example2_eps_0.125.json")
     for argv in (("poa", path, "--gamma", "x"),
