@@ -6,7 +6,7 @@ analysis layer (exposure factors, grid Nash checks, welfare-ratio search),
 all over exact rationals.
 """
 
-from .money import INFINITY, Money, format_money, parse_money
+from .money import INFINITY, format_money, parse_money
 from .valuations import (
     Additive,
     Oxs,
@@ -47,7 +47,6 @@ from .mechanisms import (
     PaymentRule,
     allocate_declared,
     check_payment_ordering,
-    payments,
     run_mechanism,
     search_vcg_english_inversion,
     utility,

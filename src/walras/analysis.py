@@ -27,7 +27,8 @@ from fractions import Fraction
 from math import prod
 
 from .bundles import iter_bits, ms_ones
-from .money import INFINITY, ZERO, Infinity, granularity, parse_money, scale_rows
+from .money import (INFINITY, ZERO, Infinity, format_money, granularity,
+                    parse_money, scale_rows)
 from .mechanisms import PaymentRule, _scaled_externality, run_mechanism
 from .valuations import (
     CHECKER_MAX_ITEMS,
@@ -102,18 +103,19 @@ class BidGrid:
 
     @classmethod
     def additive(cls, m: int, n: int, delta, cap) -> "BidGrid":
-        """All additive bids with per-item weights 0, delta, ..., cap."""
+        """All additive bids with per-item weights 0, delta, ..., cap; refused
+        before any is built when one agent would get over MAX_PROFILES."""
         step = parse_money(delta)
         top = parse_money(cap)
         if step <= 0:
             raise ValueError("grid delta must be positive")
-        levels = []
-        w = ZERO
-        while w <= top:
-            levels.append(w)
-            w += step
-        bids = tuple(Additive(weights)
-                     for weights in itertools.product(levels, repeat=m))
+        count = max(top // step + 1, 0)  # weights per item
+        if count ** m > MAX_PROFILES:
+            raise EnumerationBudgetExceeded(
+                f"grid delta {format_money(step)}, cap {format_money(top)} and "
+                f"m={m} give {count ** m} bids per agent, over {MAX_PROFILES}")
+        levels = [k * step for k in range(count)]
+        bids = tuple(Additive(w) for w in itertools.product(levels, repeat=m))
         return cls((bids,) * n)
 
     @classmethod
@@ -144,17 +146,22 @@ def exposure_factor_bound(v: Valuation, b: Valuation) -> Fraction | Infinity:
     """
     if v.m != b.m:
         raise ValueError("type and bid are over different item counts")
-    vt, bt = v.table(), b.table()
-    worst = ZERO
-    for mask in range(1, 1 << v.m):
+    _, (vt, bt) = scale_rows((v.table(), b.table()))
+    return _exposure(vt, bt)
+
+
+def _exposure(vt, bt) -> Fraction | Infinity:
+    """:func:`exposure_factor_bound` of a type's and a bid's tables over one
+    denominator: the largest ratio is kept as an int pair, and it becomes a
+    Fraction once."""
+    top = bottom = 1  # the ratio 1, so the bound is clamped at zero
+    for mask in range(1, len(vt)):
         if vt[mask] == 0:
             if bt[mask] > 0:
                 return INFINITY
-            continue
-        ratio = bt[mask] / vt[mask] - 1
-        if ratio > worst:
-            worst = ratio
-    return worst
+        elif bt[mask] * bottom > top * vt[mask]:
+            top, bottom = bt[mask], vt[mask]
+    return Fraction(top, bottom) - 1
 
 
 # -- grid Nash ----------------------------------------------------------------
@@ -565,12 +572,12 @@ def poa_search(instance: Instance, rule: PaymentRule, grid: BidGrid, gamma,
     eps_dev = parse_money(eps_dev)
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    scaled = _Scaled.of(instance, rule, grid, eps_dev=eps_dev)
     sizes = grid.sizes()
     total = prod(sizes)
     if total > max_profiles:
         raise EnumerationBudgetExceeded(
             f"{total} grid profiles exceed the budget of {max_profiles}")
+    scaled = _Scaled.of(instance, rule, grid, eps_dev=eps_dev)
     # Opponent context c is the c-th tuple here; flat = a * contexts + c.
     opponents = list(itertools.product(*(range(s) for s in sizes[1:])))
     contexts = len(opponents)
@@ -584,8 +591,8 @@ def poa_search(instance: Instance, rule: PaymentRule, grid: BidGrid, gamma,
         pieces = [_grid_outcomes(scaled, piece) for piece in chunks]
     rows = [row for piece in pieces for row in piece]
 
-    exposure_ok = [[exposure_factor_bound(v, b) <= gamma for b in bids]
-                   for v, bids in zip(instance.true_valuations.bids, grid.per_agent)]
+    exposure_ok = [[_exposure(vt, bt) <= gamma for _, bt in bids]
+                   for (_, vt), bids in zip(scaled.truthful, scaled.grid)]
 
     # Best grid utility per agent within each of its opponent contexts (the
     # flat index with its own grid index zeroed): agent 0's is the best of its

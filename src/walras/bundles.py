@@ -47,33 +47,20 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def bits_list(mask: int) -> list[int]:
-    return list(iter_bits(mask))
-
-
 # -- item multisets ---------------------------------------------------------
 
 def ms_ones(m: int) -> tuple[int, ...]:
     return (1,) * m
 
 
-def clamp_mask(ms: tuple[int, ...]) -> int:
-    """Bundle of items present at least once (per-agent consumption is 0/1)."""
-    mask = 0
-    for j, count in enumerate(ms):
-        if count > 0:
-            mask |= 1 << j
-    return mask
-
-
-def check_multiset(m: int, ms: tuple[int, ...], cap: int = 2) -> None:
+def check_multiset(m: int, ms: tuple[int, ...]) -> None:
     if len(ms) != m:
         raise ValueError(f"multiset length {len(ms)} != m={m}")
     for j, count in enumerate(ms):
         if count < 0:
             raise ValueError(f"negative multiplicity at item {j}")
-        if count > cap:
+        if count > 2:
             raise ValueError(
-                f"multiplicity {count} at item {j} exceeds {cap}; "
+                f"multiplicity {count} at item {j} exceeds 2; "
                 "the welfare formulas never need more copies"
             )

@@ -209,5 +209,5 @@ def fixture_path(name: str) -> Path:
         return Path(concrete)
 
 
-def load_fixture(name: str, *, epsilon=None) -> Instance:
-    return load_instance(fixture_path(name), epsilon=epsilon)
+def load_fixture(name: str) -> Instance:
+    return load_instance(fixture_path(name))

@@ -25,7 +25,6 @@ from fractions import Fraction
 from itertools import product
 
 from .bundles import full_mask, iter_bits, ms_ones
-from .money import ZERO, parse_money
 from .valuations import Additive, Valuation, budget_additive
 from .walrasian import _scaled_prices, verify_walrasian_equilibrium
 from .welfare import (
@@ -48,16 +47,16 @@ class PaymentRule(str, Enum):
 class MechanismOutcome:
     """Allocation, payments and (english/dutch) item prices of one run.
 
-    ``_scaled_payments`` are the payments times ``_denom``, the D of the
-    profile's scaled tables, for callers that stay on integers; the
-    underscore keeps them out of reports and they take no part in equality.
+    ``_scaled_payments`` are the payments times D, the denominator of the
+    profile's scaled tables (``welfare.scaled_tables``), for callers that
+    stay on integers; the underscore keeps them out of reports and they take
+    no part in equality.
     """
 
     rule: PaymentRule
     allocation: Allocation
     payments: tuple[Fraction, ...]
     prices_used: tuple[Fraction, ...] | None
-    _denom: int = field(compare=False, repr=False)
     _scaled_payments: tuple[int, ...] = field(compare=False, repr=False)
 
 
@@ -108,16 +107,7 @@ def _outcome(rule: PaymentRule, bids: BidProfile,
         rule, alloc,
         tuple(Fraction(p, denom) for p in pays),
         None if prices is None else tuple(Fraction(p, denom) for p in prices),
-        denom, pays)
-
-
-def payments(rule: PaymentRule, bids: BidProfile,
-             alloc: Allocation) -> tuple[Fraction, ...]:
-    """Per-agent payments for the rule; ``alloc`` must be the declared optimum."""
-    if alloc != allocate_declared(bids):
-        raise ValueError("allocation mismatch: payments are defined on the "
-                         "declared-optimal allocation")
-    return _outcome(PaymentRule(rule), bids, alloc).payments
+        pays)
 
 
 def run_mechanism(rule: PaymentRule, bids: BidProfile) -> MechanismOutcome:
@@ -181,26 +171,22 @@ class RankingSearchReport:
     other_link_violations: int
 
 
-def search_vcg_english_inversion(*, steps=None, scale=100) -> RankingSearchReport:
+def search_vcg_english_inversion() -> RankingSearchReport:
     """Scan the submodular three-item family for a vcg > english payment.
 
     The family fixes a dominant two-item additive bidder and a budget-additive
     third bidder min(6, 3A + 5B + 3C), and sweeps a small additive middle
-    bidder over a weight grid.  Budget-additive valuations are submodular but
-    not gross substitutes, so the usual payment chain is not guaranteed; the
-    scan reports whether an inversion actually occurs (no numbers asserted).
+    bidder over the weights 0..6 on each item.  Budget-additive valuations
+    are submodular but not gross substitutes, so the usual payment chain is
+    not guaranteed; the scan reports whether an inversion actually occurs (no
+    numbers asserted).
     """
-    if steps is None:
-        steps = [Fraction(k) for k in range(0, 7)]
-    else:
-        steps = [parse_money(s) for s in steps]
-    big = parse_money(scale)
-    v1 = Additive((big, big, ZERO))
+    v1 = Additive((100, 100, 0))
     v3 = budget_additive((3, 5, 3), 6)
     checked = 0
     witness = None
     other = 0
-    for w in product(steps, repeat=3):
+    for w in product([Fraction(k) for k in range(7)], repeat=3):
         bids = BidProfile(3, (v1, Additive(w), v3))
         report = check_payment_ordering(bids)
         checked += 1

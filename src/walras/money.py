@@ -14,8 +14,6 @@ from functools import total_ordering
 from math import gcd, lcm
 from numbers import Rational
 
-Money = Fraction
-
 ZERO = Fraction(0)
 
 
@@ -105,15 +103,13 @@ def rational_gcd(a: Fraction, b: Fraction) -> Fraction:
     return Fraction(num, a.denominator * b.denominator)
 
 
-def granularity(values, floor: Fraction = Fraction(1, 8)) -> Fraction:
-    """gcd-style step of a value collection, floored from below.
+def granularity(values) -> Fraction:
+    """gcd-style step of a value collection, floored at 1/8.
 
     Used to pick a default bid-grid step: fine enough to express every value
-    in the instance, but never finer than ``floor``.
+    in the instance, but never finer than 1/8.
     """
     g = ZERO
     for v in values:
         g = rational_gcd(g, v)
-    if g == 0:
-        return floor
-    return max(g, floor)
+    return max(g, Fraction(1, 8))

@@ -32,7 +32,7 @@ from .mechanisms import (
     search_vcg_english_inversion,
     utility,
 )
-from .money import ZERO, format_money, parse_money
+from .money import ZERO, format_money
 from .suites import ordering_suite
 from .valuations import UnitDemand, Additive, valuation_from_json
 from .walrasian import min_walrasian_prices
@@ -84,39 +84,42 @@ def _show(x) -> str:
     return str(x)
 
 
-def _load_case(name: str, eps=None) -> tuple[Instance, dict]:
-    """A fixture's instance and its metadata, from one read of the file."""
+EPS = Fraction(1, 8)  # the epsilon every parametric case is stated at
+
+
+def _load_case(name: str) -> tuple[Instance, dict]:
+    """A fixture's instance at ``EPS`` and its metadata, from one read."""
     data = read_json(fixture_path(name))
-    return instance_from_dict(data, epsilon=eps), data.get("metadata", {})
+    return instance_from_dict(data, epsilon=EPS), data.get("metadata", {})
 
 
-def _expected(meta: dict, key: str, eps):
-    return eval_money_expr(meta["expected"][key], eps)
+def _expected(meta: dict, key: str):
+    return eval_money_expr(meta["expected"][key], EPS)
 
 
-def run_case(case: str, epsilon=None) -> tuple[bool, dict]:
+def run_case(case: str) -> tuple[bool, dict]:
     if case not in CASES:
         raise ValueError(f"unknown case {case!r}; choose from {CASES}")
-    return _HANDLERS[case](parse_money(epsilon) if epsilon is not None else None)
+    return _HANDLERS[case]()
 
 
-def _case_overbidding(eps_override):
+def _case_overbidding():
     rec = _Recorder()
     instance, meta = _load_case("appendix_overbidding.json")
     truthful = instance.true_valuations
 
     value, bundles = welfare_max(truthful, ms_ones(instance.m))
-    rec.check("truthful welfare", _expected(meta, "optimal_welfare", None), value)
+    rec.check("truthful welfare", _expected(meta, "optimal_welfare"), value)
     rec.check("truthful allocation", (0b101, 0b010, 0), bundles)
 
     prices = min_walrasian_prices(truthful)
-    per_item = _expected(meta, "truthful_price_per_item", None)
+    per_item = _expected(meta, "truthful_price_per_item")
     rec.check("truthful minimum prices", (per_item,) * 3, prices)
 
     out = run_mechanism(PaymentRule.ENGLISH, truthful)
     u_truthful = utility(truthful.bids[0], out, 0)
     rec.check("truthful utility of the overbidder",
-              _expected(meta, "truthful_utility_agent0", None), u_truthful)
+              _expected(meta, "truthful_utility_agent0"), u_truthful)
 
     dev_bid = valuation_from_json(meta["deviation"]["valuation"])
     deviated = truthful.replace(meta["deviation"]["agent"], dev_bid)
@@ -124,7 +127,7 @@ def _case_overbidding(eps_override):
               bundles, welfare_max(deviated, ms_ones(instance.m))[1])
     dev_prices = min_walrasian_prices(deviated)
     rec.check("deviation prices",
-              tuple(eval_money_expr(p, None) for p in meta["expected"]["deviation_prices"]),
+              tuple(eval_money_expr(p) for p in meta["expected"]["deviation_prices"]),
               dev_prices)
     out_dev = run_mechanism(PaymentRule.ENGLISH, deviated)
     u_dev = utility(truthful.bids[0], out_dev, 0)
@@ -135,16 +138,15 @@ def _case_overbidding(eps_override):
     return rec.report("overbidding")
 
 
-def _case_example1(eps_override):
+def _case_example1():
     rec = _Recorder()
-    eps = eps_override if eps_override is not None else Fraction(1, 8)
-    instance, meta = _load_case("example1_eps_0.125.json", eps)
+    instance, meta = _load_case("example1_eps_0.125.json")
     grid = BidGrid.additive(instance.m, instance.n,
-                            eval_money_expr(meta["grid"]["delta"], eps),
-                            eval_money_expr(meta["grid"]["cap"], eps))
+                            eval_money_expr(meta["grid"]["delta"], EPS),
+                            eval_money_expr(meta["grid"]["cap"], EPS))
 
     opt, _ = instance.optimal()
-    rec.check("optimal welfare", _expected(meta, "optimal_welfare", eps), opt)
+    rec.check("optimal welfare", _expected(meta, "optimal_welfare"), opt)
 
     truthful_report = verify_nash(instance, PaymentRule.ENGLISH,
                                   instance.true_valuations, grid)
@@ -153,7 +155,7 @@ def _case_example1(eps_override):
                    f"best gain {_show(max(r.gain for r in truthful_report.deviations))}")
 
     dev_bid = valuation_from_json(meta["deviation"]["valuation"],
-                                  number=lambda x: eval_money_expr(x, eps))
+                                  number=lambda x: eval_money_expr(x, EPS))
     agent = meta["deviation"]["agent"]
     base_out = run_mechanism(PaymentRule.ENGLISH, instance.true_valuations)
     u_before = utility(instance.true_valuations.bids[agent], base_out, agent)
@@ -165,7 +167,7 @@ def _case_example1(eps_override):
 
     nash_report = verify_nash(instance, PaymentRule.ENGLISH, dev_profile, grid)
     rec.check_that("demand-reduction profile is grid-Nash", nash_report.is_nash)
-    rec.check("equilibrium welfare", _expected(meta, "equilibrium_welfare", eps),
+    rec.check("equilibrium welfare", _expected(meta, "equilibrium_welfare"),
               nash_report.welfare)
     rec.check_that("welfare ratio at least 1.28",
                    nash_report.ratio >= Fraction(128, 100),
@@ -173,32 +175,31 @@ def _case_example1(eps_override):
     return rec.report("example1")
 
 
-def _case_example2(eps_override):
+def _case_example2():
     rec = _Recorder()
-    eps = eps_override if eps_override is not None else Fraction(1, 8)
-    instance, meta = _load_case("example2_eps_0.125.json", eps)
+    instance, meta = _load_case("example2_eps_0.125.json")
     grid = BidGrid.additive(instance.m, instance.n,
-                            eval_money_expr(meta["grid"]["delta"], eps),
-                            eval_money_expr(meta["grid"]["cap"], eps))
+                            eval_money_expr(meta["grid"]["delta"], EPS),
+                            eval_money_expr(meta["grid"]["cap"], EPS))
     mis = BidProfile(instance.m, tuple(
         valuation_from_json(b) for b in meta["miscoordination_bids"]))
 
     report = verify_nash(instance, PaymentRule.ENGLISH, mis, grid)
     rec.check_that("miscoordination is grid-Nash", report.is_nash)
-    rec.check("equilibrium welfare", _expected(meta, "equilibrium_welfare", eps),
+    rec.check("equilibrium welfare", _expected(meta, "equilibrium_welfare"),
               report.welfare)
-    rec.check("optimal welfare", _expected(meta, "optimal_welfare", eps),
+    rec.check("optimal welfare", _expected(meta, "optimal_welfare"),
               report.optimal_welfare)
     bounds = tuple(exposure_factor_bound(v, b)
                    for v, b in zip(instance.true_valuations.bids, mis.bids))
     rec.check("exposure of the miscoordination bids", (ZERO, ZERO), bounds)
     rec.check_that("ratio at least 2 - 2*eps",
-                   report.ratio >= 2 - 2 * eps, f"ratio {_show(report.ratio)}")
+                   report.ratio >= 2 - 2 * EPS, f"ratio {_show(report.ratio)}")
 
     gamma = Fraction(1)
     lo = 2 / (2 + gamma)
-    v1 = UnitDemand((2 - eps, lo))
-    v2 = UnitDemand((lo, 2 - eps))
+    v1 = UnitDemand((2 - EPS, lo))
+    v2 = UnitDemand((lo, 2 - EPS))
     overbid = 2 * (1 + gamma) / (2 + gamma)
     bids = BidProfile(2, (Additive((ZERO, overbid)), Additive((overbid, ZERO))))
     variant = Instance(2, BidProfile(2, (v1, v2)), name="example2-gamma1")
@@ -207,16 +208,15 @@ def _case_example2(eps_override):
     rec.check("exposure of the gamma-variant bids", (gamma, gamma), bounds)
     out = run_mechanism(PaymentRule.ENGLISH, bids)
     welfare = assignment_value(variant.true_valuations, out.allocation.bundles)
-    ratio = (4 - 2 * eps) / welfare
+    ratio = (4 - 2 * EPS) / welfare
     rec.check_that("gamma-variant ratio at least (2+gamma)(1-eps)",
-                   ratio >= (2 + gamma) * (1 - eps), f"ratio {_show(ratio)}")
+                   ratio >= (2 + gamma) * (1 - EPS), f"ratio {_show(ratio)}")
     return rec.report("example2")
 
 
-def _case_bullying(eps_override):
+def _case_bullying():
     rec = _Recorder()
-    eps = eps_override if eps_override is not None else Fraction(1, 8)
-    instance, meta = _load_case("bullying.json", eps)
+    instance, meta = _load_case("bullying.json")
     bids = BidProfile(instance.m, tuple(
         valuation_from_json(b) for b in meta["aggressive_bids"]))
 
@@ -224,9 +224,9 @@ def _case_bullying(eps_override):
     rec.check("winner", (0, 1), out.allocation.bundles)
     rec.check("payments", (ZERO, ZERO), out.payments)
     welfare = assignment_value(instance.true_valuations, out.allocation.bundles)
-    rec.check("equilibrium welfare", _expected(meta, "equilibrium_welfare", eps),
+    rec.check("equilibrium welfare", _expected(meta, "equilibrium_welfare"),
               welfare)
-    rec.check("optimal welfare", _expected(meta, "optimal_welfare", eps),
+    rec.check("optimal welfare", _expected(meta, "optimal_welfare"),
               instance.optimal()[0])
     report = verify_nash(instance, PaymentRule.VCG, bids,
                          BidGrid.default_for(instance))
@@ -237,7 +237,7 @@ def _case_bullying(eps_override):
     return rec.report("bullying")
 
 
-def _case_payment_ranking(eps_override):
+def _case_payment_ranking():
     rec = _Recorder()
     instance = load_fixture("payment_ranking.json")
     ranking = check_payment_ordering(instance.true_valuations)

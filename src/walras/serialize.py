@@ -10,7 +10,7 @@ import dataclasses
 from enum import Enum
 from fractions import Fraction
 
-from .bundles import bits_list
+from .bundles import iter_bits
 from .money import INFINITY, format_money
 from .valuations import Valuation, valuation_to_json
 from .welfare import Allocation, BidProfile
@@ -28,7 +28,7 @@ def jsonable(obj):
     if isinstance(obj, Valuation):
         return valuation_to_json(obj)
     if isinstance(obj, Allocation):
-        return {"bundles": [bits_list(b) for b in obj.bundles]}
+        return {"bundles": [list(iter_bits(b)) for b in obj.bundles]}
     # The one encoder of a bid profile: instance files and suite
     # counterexamples are written through this branch too.
     if isinstance(obj, BidProfile):

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Sequence
 
-from .bundles import check_bundle, check_item_count, clamp_mask, iter_bits
+from .bundles import check_bundle, check_item_count, iter_bits
 from .money import ZERO, format_money, parse_money, scale_rows
 
 # Largest m the analysis layer hands to the class checkers: the exchange test
@@ -42,10 +42,6 @@ class Valuation:
 
     def value(self, bundle: int) -> Fraction:
         raise NotImplementedError
-
-    def multiset_value(self, ms: Sequence[int]) -> Fraction:
-        """Extension to item multisets: extra copies beyond one are ignored."""
-        return self.value(clamp_mask(tuple(ms)))
 
     def table(self) -> tuple[Fraction, ...]:
         """Full table of values, indexed by bundle bitmask.  Cached."""
@@ -283,16 +279,20 @@ def demand_set(v: Valuation, prices: Sequence) -> list[int]:
         raise ValueError("prices must be non-negative")
     # Table and prices on one denominator, so utilities compare as ints.
     _, (tab, p) = scale_rows((v.table(), p))
-    size = 1 << v.m
-    cost = [0] * size
-    for mask in range(1, size):
+    return _demanded(tab, p)
+
+
+def _demanded(tab: Sequence[int], p: Sequence[int]) -> list[int]:
+    """The bundles maximizing tab[x] - p.x, ascending, for a table and
+    prices over one denominator."""
+    cost = [0] * len(tab)
+    best = tab[0]
+    winners = [0]
+    for mask in range(1, len(tab)):
         low = mask & -mask
-        cost[mask] = cost[mask ^ low] + p[low.bit_length() - 1]
-    best = None
-    winners: list[int] = []
-    for mask in range(size):
-        u = tab[mask] - cost[mask]
-        if best is None or u > best:
+        cost[mask] = c = cost[mask ^ low] + p[low.bit_length() - 1]
+        u = tab[mask] - c
+        if u > best:
             best = u
             winners = [mask]
         elif u == best:
@@ -411,18 +411,14 @@ def xos_supporting_clause(v: Xos, bundle: int) -> tuple[Fraction, ...]:
 _KINDS = ("additive", "unit_demand", "oxs", "xos")
 
 
-def sample_valuation(kind, m: int, cap, seed: int, *,
-                     denominators: Sequence[int] = (1, 2, 4, 8),
-                     max_clauses: int = 3,
-                     max_slots: int | None = None) -> Valuation:
+def sample_valuation(kind: str, m: int, cap, seed: int, *,
+                     denominators: Sequence[int] = (1, 2, 4, 8)) -> Valuation:
     """Deterministic random valuation of the given class.
 
     Weights are rationals w/denominator drawn from ``denominators`` and
-    bounded by ``cap``.  Same arguments, same output.
+    bounded by ``cap``; an OXS valuation has 1..m slots and an XOS one 1..3
+    clauses.  Same arguments, same output.
     """
-    if isinstance(kind, type):
-        kind = {Additive: "additive", UnitDemand: "unit_demand",
-                Oxs: "oxs", Xos: "xos"}.get(kind, kind)
     if kind not in _KINDS:
         raise ValueError(f"unknown valuation class {kind!r}")
     check_item_count(m)
@@ -442,9 +438,9 @@ def sample_valuation(kind, m: int, cap, seed: int, *,
     if kind == "unit_demand":
         return UnitDemand(weight_row(m))
     if kind == "oxs":
-        slots = rng.randint(1, max_slots or m)
+        slots = rng.randint(1, m)
         return Oxs(tuple(weight_row(slots) for _ in range(m)))
-    clauses = rng.randint(1, max_clauses)
+    clauses = rng.randint(1, 3)
     return Xos(tuple(weight_row(m) for _ in range(clauses)))
 
 

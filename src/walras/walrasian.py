@@ -24,7 +24,7 @@ from math import lcm
 
 from .bundles import disjoint_union, full_mask, iter_bits, ms_ones
 from .money import ZERO, parse_money
-from .valuations import demand_set
+from .valuations import _demanded, demand_set
 from .welfare import (
     Allocation,
     BidProfile,
@@ -64,7 +64,6 @@ class TatonnementResult:
     prices: tuple[Fraction, ...]
     allocation: Allocation
     steps: int
-    price_history: tuple[tuple[Fraction, ...], ...] | None = None
 
 
 def _merged_prices(tab0, rest, base: int, slices, ssum, clamps) -> tuple[int, ...]:
@@ -136,8 +135,7 @@ def verify_walrasian_equilibrium(profile: BidProfile, allocation,
 
 
 def tatonnement(profile: BidProfile, epsilon, *,
-                max_steps: int | None = None,
-                record_history: bool = False) -> TatonnementResult:
+                max_steps: int | None = None) -> TatonnementResult:
     """Ascending-price auction with provisional assignment.
 
     Prices start at zero.  Agents are visited round-robin (lowest index
@@ -165,10 +163,8 @@ def tatonnement(profile: BidProfile, epsilon, *,
     if max_steps is None:
         max_steps = max(10 * m * (max_value // eps_int + 1), 4 * n)
 
-    size = 1 << m
     prices = [0] * m
     holder = [-1] * m
-    history: list[tuple[Fraction, ...]] = []
     steps = 0
     settled = False
     while not settled:
@@ -185,31 +181,17 @@ def tatonnement(profile: BidProfile, epsilon, *,
                     held |= 1 << j
             ask = [prices[j] if holder[j] in (-1, i) else prices[j] + eps_int
                    for j in range(m)]
-            cost = [0] * size
-            for mask in range(1, size):
-                low = mask & -mask
-                cost[mask] = cost[mask ^ low] + ask[low.bit_length() - 1]
-            tab = tabs_int[i]
-            best_mask = 0
-            best_u = tab[0]
-            for mask in range(1, size):
-                u = tab[mask] - cost[mask]
-                if u > best_u:
-                    best_u = u
-                    best_mask = mask
-            if tab[held] - cost[held] == best_u:
+            winners = _demanded(tabs_int[i], ask)
+            if held in winners:
                 continue  # current holding is demanded; no move
             settled = False
-            raised = False
+            best_mask = winners[0]
             for j in iter_bits(best_mask & ~held):
                 if holder[j] not in (-1, i):
                     prices[j] += eps_int
-                    raised = True
                 holder[j] = i
             for j in iter_bits(held & ~best_mask):
                 holder[j] = -1
-            if raised and record_history:
-                history.append(tuple(Fraction(p, denom) for p in prices))
 
     bundles = [0] * n
     for j in range(m):
@@ -218,5 +200,4 @@ def tatonnement(profile: BidProfile, epsilon, *,
         prices=tuple(Fraction(p, denom) for p in prices),
         allocation=Allocation(m, tuple(bundles)),
         steps=steps,
-        price_history=tuple(history) if record_history else None,
     )

@@ -6,8 +6,10 @@ demand by rescanning bundles.  Slow and obviously correct.  Two exceptions
 are kept as references for the paths that replaced them: ``table_welfare``,
 a plain copy of the full-table welfare path the point merges replaced, and
 the ``fraction_*`` deviation loops of the analysis layer, which ran each
-deviation on a fresh profile in Fractions, and ``scaled_profile_outcomes``,
-the per-profile runs the grid kernel of ``poa_search`` replaced.
+deviation on a fresh profile in Fractions, ``scaled_profile_outcomes``,
+the per-profile runs the grid kernel of ``poa_search`` replaced, and
+``fraction_exposure_factor_bound``, the Fraction loop the integer exposure
+routine replaced.
 """
 
 from fractions import Fraction
@@ -336,3 +338,20 @@ def scaled_profile_outcomes(scaled):
     the whole mechanism through ``_Scaled.run`` on a fresh bid profile, as
     ``poa_search`` did before its grid kernel."""
     return [scaled.run(pairs)[1:] for pairs in product(*scaled.grid)]
+
+
+def fraction_exposure_factor_bound(v, b):
+    """max over nonempty bundles S of b(S)/v(S) - 1, clamped at zero, as a
+    Fraction per bundle; INFINITY when b is positive where v is zero."""
+    from walras.money import INFINITY
+    vt, bt = v.table(), b.table()
+    worst = ZERO
+    for mask in range(1, 1 << v.m):
+        if vt[mask] == 0:
+            if bt[mask] > 0:
+                return INFINITY
+            continue
+        ratio = bt[mask] / vt[mask] - 1
+        if ratio > worst:
+            worst = ratio
+    return worst

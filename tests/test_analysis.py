@@ -5,9 +5,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from oracles import (
     fraction_best_response_dynamics,
+    fraction_exposure_factor_bound,
     fraction_smoothness_certificate,
     fraction_vcg_deviation_certificate,
     fraction_verify_nash,
@@ -30,7 +31,7 @@ from walras.analysis import (
     verify_nash,
 )
 from walras.mechanisms import PaymentRule, run_mechanism
-from walras.money import INFINITY
+from walras.money import INFINITY, scale_rows
 from walras.valuations import (
     CHECKER_MAX_ITEMS,
     Additive,
@@ -75,6 +76,37 @@ def test_exposure_factor_gamma_family():
         v = UnitDemand((2 - EPS, 2 / (2 + gamma)))
         b = Additive((F(0), 2 * (1 + gamma) / (2 + gamma)))
         assert exposure_factor_bound(v, b) == gamma
+
+
+def exposure_cases():
+    """A type and a bid table over m <= 3 items with small entries (zeros
+    and non-monotone tables included), and a gamma below, at or above 0."""
+    def table(m):
+        return st.lists(st.fractions(min_value=0, max_value=4, max_denominator=6),
+                        min_size=1 << m, max_size=1 << m).map(tuple)
+
+    return st.integers(1, 3).flatmap(lambda m: st.tuples(
+        table(m), table(m),
+        st.fractions(min_value=-1, max_value=3, max_denominator=4)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(exposure_cases())
+@example(((F(0), F(0)), (F(0), F(1)), F(3)))  # a bid on a worthless bundle
+@example(((F(0), F(0), F(1), F(1)), (F(0), F(0), F(2), F(1)), F(0)))
+@example(((F(0), F(2), F(1), F(1)), (F(0), F(1), F(0), F(3)), F(2)))  # non-monotone
+def test_integer_exposure_matches_the_fraction_loop(case):
+    vt, bt, gamma = case
+    v, b = Tabular(vt), Tabular(bt)
+    expected = fraction_exposure_factor_bound(v, b)
+    assert exposure_factor_bound(v, b) == expected
+    # poa_search's filter reads the routine on tables over a larger common D
+    _, (vs, bs, _) = scale_rows((vt, bt, (F(1, 7),)))
+    exposure = analysis._exposure(vs, bs)
+    assert exposure == expected
+    for g in (F(-1, 2), F(0), F(1), gamma):
+        assert (exposure <= g) == (expected <= g)
+    assert not exposure <= F(-1, 2)  # a negative gamma admits no bid
 
 
 def test_grid_construction():
@@ -331,10 +363,33 @@ def test_poa_search_small_grid_finds_miscoordination():
     assert report.profiles_checked == 9 ** 2
 
 
-def test_poa_search_budget_guard():
+def test_poa_search_budget_guard(monkeypatch):
+    def no_scaling(*args, **kwargs):
+        raise AssertionError("the grid was scaled before the budget check")
+
+    monkeypatch.setattr(analysis._Scaled, "of", no_scaling)
     grid = BidGrid.additive(2, 2, F(1, 8), F(4))
-    with pytest.raises(EnumerationBudgetExceeded):
+    with pytest.raises(EnumerationBudgetExceeded,
+                       match="1185921 grid profiles exceed the budget of 100$"):
         poa_search(EX2, PaymentRule.VCG, grid, 0, max_profiles=100)
+    with pytest.raises(EnumerationBudgetExceeded, match="of 200000$"):
+        poa_search(EX2, PaymentRule.VCG, grid, 0)
+
+
+def test_additive_grid_refuses_before_building_a_bid(monkeypatch):
+    def no_bids(*args, **kwargs):
+        raise AssertionError("a bid was built")
+
+    monkeypatch.setattr(analysis, "Additive", no_bids)
+    with pytest.raises(EnumerationBudgetExceeded,
+                       match=r"delta 0.001, cap 1 and m=2 give 1002001 bids"):
+        BidGrid.additive(2, 2, "1/1000", "1")
+    with pytest.raises(EnumerationBudgetExceeded, match="m=6 give 531441 bids"):
+        BidGrid.additive(6, 1, F(1, 4), F(2))
+    # Within the budget the grid is built (447^2 = 199,809 bids per agent),
+    # here with plain weight tuples standing in for the bids.
+    monkeypatch.setattr(analysis, "Additive", tuple)
+    assert BidGrid.additive(2, 1, F(1, 446), F(1)).sizes() == (447 ** 2,)
 
 
 def test_poa_search_rejects_jobs_below_one():

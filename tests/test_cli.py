@@ -116,6 +116,20 @@ def test_poa_rejects_jobs_below_one(capsys):
     assert err.startswith("error: ") and "jobs" in err
 
 
+def test_an_oversize_grid_exits_2_before_it_is_scaled(capsys, monkeypatch):
+    from walras.analysis import _Scaled
+
+    def no_scaling(*args, **kwargs):
+        raise AssertionError("the grid was scaled before the budget check")
+
+    monkeypatch.setattr(_Scaled, "of", no_scaling)
+    code, out, err = run_cli(capsys, "poa", fixture("example2_eps_0.125.json"),
+                             "--grid-delta", "1/300", "--grid-cap", "1")
+    assert code == 2 and out == ""
+    assert err == ("error: 8208541201 grid profiles exceed the budget "
+                   "of 200000\n")
+
+
 def test_an_infinite_worst_ratio_prints_inf(capsys, tmp_path):
     # Bidder 0 values nothing and takes the item when both bid 0; with a
     # wide tolerance that profile is an equilibrium of welfare zero.

@@ -1,22 +1,19 @@
 import random
 from fractions import Fraction as F
 
-import pytest
-
 from oracles import brute_max_prices, brute_min_prices, brute_welfare
 from walras.bundles import iter_bits
 from walras.mechanisms import (
     PaymentRule,
     allocate_declared,
     check_payment_ordering,
-    payments,
     run_mechanism,
     search_vcg_english_inversion,
     utility,
 )
 from walras.valuations import Additive, Tabular, UnitDemand, Xos, sample_valuation
 from walras.walrasian import max_walrasian_prices, min_walrasian_prices
-from walras.welfare import Allocation, BidProfile, scaled_tables
+from walras.welfare import BidProfile, scaled_tables
 
 EPS = F(1, 8)
 
@@ -88,7 +85,6 @@ def test_run_mechanism_matches_oracles_on_odd_denominators():
             assert out.allocation.bundles == bundles
             assert (out.payments, out.prices_used) == (pays, prices)
             assert all(type(p) is F for p in out.payments + (out.prices_used or ()))
-            assert payments(rule, prof, out.allocation) == pays
             again = run_mechanism(rule, seeded)
             assert again == out
             assert again._scaled_payments == tuple(10 * p for p in out._scaled_payments)
@@ -102,16 +98,10 @@ def test_allocate_declared():
 
 
 def test_payments_per_rule_on_the_overbidding_instance():
-    alloc = allocate_declared(OVERBID)
-    assert payments(PaymentRule.ENGLISH, OVERBID, alloc) == (2, 1, 0)
-    assert payments(PaymentRule.PAY_YOUR_BID, OVERBID, alloc) == (6, 2, 0)
+    assert run_mechanism(PaymentRule.PAY_YOUR_BID, OVERBID).payments == (6, 2, 0)
     out = run_mechanism(PaymentRule.ENGLISH, OVERBID)
+    assert out.payments == (2, 1, 0)
     assert utility(OVERBID.bids[0], out, 0) == 4
-
-
-def test_payments_allocation_mismatch_rejected():
-    with pytest.raises(ValueError):
-        payments(PaymentRule.ENGLISH, OVERBID, Allocation(3, (0b111, 0, 0)))
 
 
 def test_vcg_bullying_winner_pays_nothing():

@@ -41,6 +41,8 @@ def test_evaluate_examples():
     for v in (V1, V2, V3, BUDGET):
         assert v.value(0) == 0
     assert V1.value(0b101) == 6
+    assert V2.value(0b101) == 2
+    assert V3.value(0b100) == 1
 
 
 def test_evaluate_rejects_out_of_range_bundle():
@@ -48,15 +50,14 @@ def test_evaluate_rejects_out_of_range_bundle():
         Additive((F(1), F(1))).value(0b100)
 
 
-def test_multiset_value_clamps():
-    assert V2.multiset_value((2, 0, 1)) == 2
-    assert V3.multiset_value((0, 0, 2)) == 1
-
-
 def test_marginal_value():
     add = Additive((F(3), F(5)))
-    assert marginal_value(add.multiset_value, (0, 1), (0, 0)) == 5
-    assert marginal_value(add.multiset_value, (0, 0), (1, 1)) == 0
+
+    def clamped(ms):  # extra copies of an item add nothing
+        return add.value(sum(1 << j for j, count in enumerate(ms) if count))
+
+    assert marginal_value(clamped, (0, 1), (0, 0)) == 5
+    assert marginal_value(clamped, (0, 0), (1, 1)) == 0
 
 
 def test_negative_weights_rejected():
