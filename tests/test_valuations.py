@@ -28,6 +28,7 @@ from walras.valuations import (
     valuation_to_json,
     xos_supporting_clause,
 )
+from walras.welfare import BidProfile, welfare_value
 
 # the three-bidder overbidding instance reused across the suite
 V1 = Xos(((F(4), F(2), F(0)), (F(4), F(0), F(2))))
@@ -43,6 +44,12 @@ def test_evaluate_examples():
     assert V1.value(0b101) == 6
     assert V2.value(0b101) == 2
     assert V3.value(0b100) == 1
+
+
+def test_multiset_value_clamps():
+    # a lone agent facing two copies of an item values it as one copy
+    assert welfare_value(BidProfile(3, (V2,)), (2, 0, 1)) == 2
+    assert welfare_value(BidProfile(3, (V3,)), (0, 0, 2)) == 1
 
 
 def test_evaluate_rejects_out_of_range_bundle():
