@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -38,6 +39,10 @@ class InstanceFormatError(ValueError):
 
 # -- tiny expression evaluator --------------------------------------------------
 
+# Operators, number literals and names; any other non-space character is bad.
+_TOKEN = re.compile(r"[-+*/()]|[0-9.]+|[A-Za-z]+|(\S)")
+
+
 def eval_money_expr(text, eps: Fraction | None = None) -> Fraction:
     """Evaluate ``+ - * /`` over exact literals and the symbol ``eps``.
 
@@ -48,38 +53,19 @@ def eval_money_expr(text, eps: Fraction | None = None) -> Fraction:
         return Fraction(text)
     if not isinstance(text, str):
         raise InstanceFormatError(f"expected a number or expression, got {text!r}")
-    tokens = _tokenize(text)
-    value, pos = _parse_sum(tokens, 0, eps)
+    tokens = []
+    for match in _TOKEN.finditer(text):
+        if match[1]:
+            raise InstanceFormatError(
+                f"bad character {match[1]!r} in expression {text!r}")
+        tokens.append(match[0])
+    try:
+        value, pos = _parse_sum(tokens, 0, eps)
+    except RecursionError:
+        raise InstanceFormatError("expression nested too deeply") from None
     if pos != len(tokens):
         raise InstanceFormatError(f"trailing junk in expression {text!r}")
     return value
-
-
-def _tokenize(text: str) -> list[str]:
-    out = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in "+-*/()":
-            out.append(c)
-            i += 1
-        elif c.isdigit() or c == ".":
-            j = i
-            while j < len(text) and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            out.append(text[i:j])
-            i = j
-        elif c.isalpha():
-            j = i
-            while j < len(text) and text[j].isalpha():
-                j += 1
-            out.append(text[i:j])
-            i = j
-        else:
-            raise InstanceFormatError(f"bad character {c!r} in expression {text!r}")
-    return out
 
 
 def _parse_sum(tokens, pos, eps):
@@ -177,6 +163,8 @@ def read_json(path) -> dict:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"{path}: invalid JSON ({exc})") from exc
+    except RecursionError:
+        raise InstanceFormatError(f"{path}: JSON nested too deeply") from None
 
 
 def load_instance(path, *, epsilon=None) -> Instance:

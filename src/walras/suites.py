@@ -19,7 +19,7 @@ from fractions import Fraction
 from .analysis import Instance, marginal_sum_bound, smoothness_certificate
 from .bundles import ms_ones
 from .mechanisms import PaymentRule, allocate_declared, check_payment_ordering
-from .money import ZERO, format_money
+from .money import ZERO
 from .serialize import jsonable
 from .valuations import sample_valuation
 from .walrasian import (
@@ -94,10 +94,10 @@ def _lemma_suite(name: str, rng: random.Random, draw, factor: int,
             if not (rep.factor1_ok if factor == 1 else rep.factor2_ok):
                 failures += 1
                 if first is None:
-                    first = {"run": k, "partition": list(part.bundles),
-                             "total": format_money(rep.total),
-                             "bound": format_money(factor * rep.single_bound),
-                             "profile": jsonable(bids)}
+                    first = jsonable({"run": k, "partition": part.bundles,
+                                      "total": rep.total,
+                                      "bound": factor * rep.single_bound,
+                                      "profile": bids})
     detail = {"partitions_per_run": PARTITIONS}
     if factor > 1:
         detail["factor1_interesting_witnesses"] = factor1_breaks
@@ -135,9 +135,8 @@ def ordering_suite(runs: int = 500, seed: int = 0) -> SuiteReport:
         if bad_chain or bad_dwm:
             failures += 1
             if first is None:
-                first = {"run": k, "profile": jsonable(bids),
-                         "payments": {r: [format_money(p) for p in pays]
-                                      for r, pays in rep.payments_by_rule.items()}}
+                first = jsonable({"run": k, "profile": bids,
+                                  "payments": rep.payments_by_rule})
     return SuiteReport("ordering", runs, failures, first, {})
 
 
@@ -161,13 +160,10 @@ def smoothness_suite(runs: int = 500, seed: int = 0) -> SuiteReport:
             if not (cert.holds and cert.dwm_ok and cert.per_agent_ok):
                 failures += 1
                 if first is None:
-                    first = {"run": k, "rule": rule.value,
-                             "lhs": format_money(cert.lhs),
-                             "rhs": format_money(cert.rhs),
-                             "dwm_ok": cert.dwm_ok,
-                             "per_agent_ok": cert.per_agent_ok,
-                             "types": jsonable(types),
-                             "bids": jsonable(bids)}
+                    first = jsonable({"run": k, "rule": rule.value, "lhs": cert.lhs,
+                                      "rhs": cert.rhs, "dwm_ok": cert.dwm_ok,
+                                      "per_agent_ok": cert.per_agent_ok,
+                                      "types": types, "bids": bids})
     return SuiteReport("smoothness", runs, failures, first,
                        {"rules": [r.value for r in PaymentRule]})
 
@@ -207,14 +203,12 @@ def lattice_suite(runs: int = 500, seed: int = 0) -> SuiteReport:
         if problems:
             failures += 1
             if first is None:
-                first = {"run": k, "problems": problems,
-                         "profile": jsonable(bids),
-                         "low": [format_money(p) for p in low],
-                         "high": [format_money(p) for p in high],
-                         "tatonnement": [format_money(p) for p in result.prices]}
+                first = jsonable({"run": k, "problems": problems,
+                                  "profile": bids, "low": low, "high": high,
+                                  "tatonnement": result.prices})
     return SuiteReport("lattice", runs, failures, first,
-                       {"tat_epsilon": format_money(TAT_EPSILON),
-                        "worst_tatonnement_gap": format_money(tat_worst)})
+                       jsonable({"tat_epsilon": TAT_EPSILON,
+                                 "worst_tatonnement_gap": tat_worst}))
 
 
 _SUITES = {

@@ -6,6 +6,12 @@ to private slots) and tabular (an explicit table of 2^m values).  All are
 monotone and normalized (v(empty) = 0) by construction, except tabular,
 which is what the class-membership checkers below are for.
 
+Each kind declares its JSON schema once, as class attributes: ``_type`` is
+its JSON ``"type"``, ``_field`` the one dataclass field that holds its
+numbers (the JSON field of the same name), and ``_rows`` whether that field
+is a list of rows.  :func:`valuation_to_json`, :func:`valuation_from_json`
+and :meth:`Valuation.scale` read that declaration and nothing per kind.
+
 Class checkers tabulate the valuation, so they are exponential in m; the
 analysis layer runs them only up to ``CHECKER_MAX_ITEMS`` items.  They compare
 the table scaled to integers by the lcm of its denominators, which keeps the
@@ -35,10 +41,18 @@ def _to_weights(weights: Iterable) -> tuple[Fraction, ...]:
     return out
 
 
+def _map_numbers(f, numbers, rows: bool) -> list:
+    """f over every number of a declared field, keeping its shape."""
+    return [list(map(f, r)) for r in numbers] if rows else list(map(f, numbers))
+
+
 class Valuation:
     """Base interface shared by all valuation representations."""
 
     m: int
+    _type: str | None = None  # the kind declaration, see the module docstring
+    _field: str
+    _rows = False
 
     def value(self, bundle: int) -> Fraction:
         raise NotImplementedError
@@ -48,7 +62,13 @@ class Valuation:
         return _tabulate(self)
 
     def scale(self, factor) -> "Valuation":
-        raise NotImplementedError
+        """The valuation of the same kind with every number times a
+        non-negative ``factor``."""
+        c = parse_money(factor)
+        if c < 0:
+            raise ValueError("scale factor must be non-negative")
+        return _BY_TYPE[self._type](_map_numbers(
+            lambda w: c * w, getattr(self, self._field), self._rows))
 
     @cached_property
     def _gross_substitutes(self) -> bool:
@@ -63,8 +83,11 @@ def _tabulate(v: Valuation) -> tuple[Fraction, ...]:
 
 
 @dataclass(frozen=True)
-class Additive(Valuation):
+class _ItemWeights(Valuation):
+    """One weight per item: the shared shape of additive and unit-demand."""
+
     weights: tuple[Fraction, ...]
+    _field = "weights"
 
     def __post_init__(self):
         object.__setattr__(self, "weights", _to_weights(self.weights))
@@ -73,35 +96,24 @@ class Additive(Valuation):
     @property
     def m(self) -> int:
         return len(self.weights)
+
+
+@dataclass(frozen=True)
+class Additive(_ItemWeights):
+    _type = "additive"
 
     def value(self, bundle: int) -> Fraction:
         check_bundle(self.m, bundle)
         return sum((self.weights[j] for j in iter_bits(bundle)), ZERO)
 
-    def scale(self, factor) -> "Additive":
-        c = parse_money(factor)
-        return Additive(tuple(c * w for w in self.weights))
-
 
 @dataclass(frozen=True)
-class UnitDemand(Valuation):
-    weights: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "weights", _to_weights(self.weights))
-        check_item_count(len(self.weights))
-
-    @property
-    def m(self) -> int:
-        return len(self.weights)
+class UnitDemand(_ItemWeights):
+    _type = "unit_demand"
 
     def value(self, bundle: int) -> Fraction:
         check_bundle(self.m, bundle)
         return max((self.weights[j] for j in iter_bits(bundle)), default=ZERO)
-
-    def scale(self, factor) -> "UnitDemand":
-        c = parse_money(factor)
-        return UnitDemand(tuple(c * w for w in self.weights))
 
 
 @dataclass(frozen=True)
@@ -109,6 +121,7 @@ class Xos(Valuation):
     """Max over additive clauses; every clause is a weight vector."""
 
     clauses: tuple[tuple[Fraction, ...], ...]
+    _type, _field, _rows = "xos", "clauses", True
 
     def __post_init__(self):
         clauses = tuple(_to_weights(c) for c in self.clauses)
@@ -123,18 +136,15 @@ class Xos(Valuation):
     def m(self) -> int:
         return len(self.clauses[0])
 
-    def value(self, bundle: int) -> Fraction:
+    def _support(self, bundle: int) -> tuple[Fraction, tuple[Fraction, ...]]:
+        """(v(bundle), the lowest-index clause attaining it)."""
         check_bundle(self.m, bundle)
-        best = ZERO
-        for clause in self.clauses:
-            dot = sum((clause[j] for j in iter_bits(bundle)), ZERO)
-            if dot > best:
-                best = dot
-        return best
+        dots = [sum((c[j] for j in iter_bits(bundle)), ZERO) for c in self.clauses]
+        k = dots.index(max(dots))
+        return dots[k], self.clauses[k]
 
-    def scale(self, factor) -> "Xos":
-        c = parse_money(factor)
-        return Xos(tuple(tuple(c * w for w in clause) for clause in self.clauses))
+    def value(self, bundle: int) -> Fraction:
+        return self._support(bundle)[0]
 
 
 @dataclass(frozen=True)
@@ -148,6 +158,7 @@ class Oxs(Valuation):
     """
 
     matrix: tuple[tuple[Fraction, ...], ...]
+    _type, _field, _rows = "oxs", "matrix", True
 
     def __post_init__(self):
         rows = tuple(_to_weights(r) for r in self.matrix)
@@ -198,10 +209,6 @@ class Oxs(Valuation):
         denom, table = self._scaled_values
         return Fraction(table[bundle], denom)
 
-    def scale(self, factor) -> "Oxs":
-        c = parse_money(factor)
-        return Oxs(tuple(tuple(c * w for w in row) for row in self.matrix))
-
 
 @dataclass(frozen=True)
 class Tabular(Valuation):
@@ -212,6 +219,7 @@ class Tabular(Valuation):
     """
 
     values: tuple[Fraction, ...]
+    _type, _field = "tabular", "values"
 
     def __post_init__(self):
         values = tuple(parse_money(v) for v in self.values)
@@ -232,11 +240,8 @@ class Tabular(Valuation):
     def table(self) -> tuple[Fraction, ...]:
         return self.values
 
-    def scale(self, factor) -> "Tabular":
-        c = parse_money(factor)
-        if c < 0:
-            raise ValueError("scale factor must be non-negative")
-        return Tabular(tuple(c * v for v in self.values))
+
+_BY_TYPE = {k._type: k for k in (Additive, UnitDemand, Xos, Oxs, Tabular)}
 
 
 def budget_additive(weights: Iterable, cap) -> Tabular:
@@ -394,16 +399,7 @@ def xos_supporting_clause(v: Xos, bundle: int) -> tuple[Fraction, ...]:
     The returned weight vector w satisfies w . 1_bundle = v(bundle) and, by
     the XOS structure, w . 1_T <= v(T) for every bundle T.
     """
-    check_bundle(v.m, bundle)
-    best = None
-    best_clause = None
-    for clause in v.clauses:
-        dot = sum((clause[j] for j in iter_bits(bundle)), ZERO)
-        if best is None or dot > best:
-            best = dot
-            best_clause = clause
-    assert best_clause is not None
-    return best_clause
+    return v._support(bundle)[1]
 
 
 # -- random generation -------------------------------------------------------
@@ -433,10 +429,8 @@ def sample_valuation(kind: str, m: int, cap, seed: int, *,
     def weight_row(n: int) -> tuple[Fraction, ...]:
         return tuple(weight() for _ in range(n))
 
-    if kind == "additive":
-        return Additive(weight_row(m))
-    if kind == "unit_demand":
-        return UnitDemand(weight_row(m))
+    if kind in ("additive", "unit_demand"):
+        return _BY_TYPE[kind](weight_row(m))
     if kind == "oxs":
         slots = rng.randint(1, m)
         return Oxs(tuple(weight_row(slots) for _ in range(m)))
@@ -447,19 +441,10 @@ def sample_valuation(kind: str, m: int, cap, seed: int, *,
 # -- JSON schema --------------------------------------------------------------
 
 def valuation_to_json(v: Valuation) -> dict:
-    if isinstance(v, Additive):
-        return {"type": "additive", "weights": [format_money(w) for w in v.weights]}
-    if isinstance(v, UnitDemand):
-        return {"type": "unit_demand", "weights": [format_money(w) for w in v.weights]}
-    if isinstance(v, Xos):
-        return {"type": "xos",
-                "clauses": [[format_money(w) for w in c] for c in v.clauses]}
-    if isinstance(v, Oxs):
-        return {"type": "oxs",
-                "matrix": [[format_money(w) for w in row] for row in v.matrix]}
-    if isinstance(v, Tabular):
-        return {"type": "tabular", "values": [format_money(x) for x in v.values]}
-    raise TypeError(f"cannot serialize {type(v).__name__}")
+    if getattr(v, "_type", None) is None:
+        raise TypeError(f"cannot serialize {type(v).__name__}")
+    return {"type": v._type,
+            v._field: _map_numbers(format_money, getattr(v, v._field), v._rows)}
 
 
 def valuation_from_json(data: dict, *, number=parse_money) -> Valuation:
@@ -471,34 +456,22 @@ def valuation_from_json(data: dict, *, number=parse_money) -> Valuation:
     if not isinstance(data, dict) or "type" not in data:
         raise ValueError("valuation JSON must be an object with a 'type' field")
     kind = data["type"]
-
-    def numbers(key: str, nested: bool = False):
-        """The numbers in list field ``key`` (a list of lists if nested)."""
-        rows = data[key] if nested else [data[key]]
-        if not (isinstance(data[key], list)
-                and all(isinstance(r, list) for r in rows)):
-            raise ValueError(f"valuation field {key!r} must be a list"
-                             + " of lists" * nested)
-        try:
-            out = tuple(tuple(number(w) for w in row) for row in rows)
-        except ValueError as exc:
-            raise ValueError(f"valuation field {key!r}: {exc}") from exc
-        return out if nested else out[0]
-
+    cls = _BY_TYPE.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ValueError(f"unknown valuation type {kind!r}")
+    key, rows = cls._field, cls._rows
+    if key not in data:
+        raise ValueError(f"valuation JSON missing field {key!r}")
+    field = data[key]
+    if not (isinstance(field, list)
+            and (not rows or all(isinstance(r, list) for r in field))):
+        raise ValueError(f"valuation field {key!r} must be a list"
+                         + " of lists" * rows)
     try:
-        if kind == "additive":
-            return Additive(numbers("weights"))
-        if kind == "unit_demand":
-            return UnitDemand(numbers("weights"))
-        if kind == "xos":
-            return Xos(numbers("clauses", nested=True))
-        if kind == "oxs":
-            return Oxs(numbers("matrix", nested=True))
-        if kind == "tabular":
-            table = Tabular(numbers("values"))
-            if not is_monotone_normalized(table):
-                raise ValueError("tabular valuation is not monotone normalized")
-            return table
-    except KeyError as exc:
-        raise ValueError(f"valuation JSON missing field {exc}") from exc
-    raise ValueError(f"unknown valuation type {kind!r}")
+        numbers = _map_numbers(number, field, rows)
+    except ValueError as exc:
+        raise ValueError(f"valuation field {key!r}: {exc}") from exc
+    v = cls(numbers)
+    if cls is Tabular and not is_monotone_normalized(v):
+        raise ValueError("tabular valuation is not monotone normalized")
+    return v

@@ -337,6 +337,8 @@ def test_run_suites_dispatch():
      "m must be an integer"),
     ({"m": 1, "epsilon": True, "players": []}, "epsilon: expected a number"),
     ({"m": 1, "name": 5, "players": []}, "name must be a string"),
+    ({"m": 1, "players": [{"valuation": {"type": ["additive"], "weights": [1]}}]},
+     "unknown valuation type ['additive']"),
 ])
 def test_fields_of_the_wrong_type_exit_2(tmp_path, capsys, payload, message):
     path = tmp_path / "bad.json"
@@ -345,3 +347,25 @@ def test_fields_of_the_wrong_type_exit_2(tmp_path, capsys, payload, message):
     assert code == 2 and out == ""
     (line,) = err.splitlines()
     assert line.startswith("error: ") and message in line
+
+
+def _one_weight(text):
+    return json.dumps({"m": 1, "players": [
+        {"valuation": {"type": "additive", "weights": [text]}}]})
+
+
+@pytest.mark.parametrize("text, message", [
+    (_one_weight("(" * 3000 + "1" + ")" * 3000),
+     "player 0: valuation field 'weights': expression nested too deeply"),
+    (_one_weight("-" * 3000 + "1"),
+     "player 0: valuation field 'weights': expression nested too deeply"),
+    ('{"m": 1, "players": ' + "[" * 100_000 + "]" * 100_000 + "}",
+     "bad.json: JSON nested too deeply"),
+], ids=["parentheses", "minus-signs", "players"])
+def test_deep_nesting_exits_2(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "solve", str(path))
+    assert code == 2 and out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("error: ") and line.endswith(message)

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from walras.money import format_money, granularity, parse_money, rational_gcd
 
@@ -39,6 +40,15 @@ def test_format_parse_round_trip():
         for den in range(1, 9):
             q = Fraction(num, den)
             assert parse_money(format_money(q)) == q
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.one_of(
+    st.fractions(),
+    st.builds(lambda n, a, b: Fraction(n, 2**a * 5**b),
+              st.integers(), st.integers(0, 12), st.integers(0, 12))))
+def test_format_parse_round_trip_on_any_fraction(q):
+    assert parse_money(format_money(q)) == q
 
 
 def test_rational_gcd():

@@ -11,6 +11,9 @@ from oracles import (
     brute_monotone_normalized,
     brute_submodular,
 )
+from walras.analysis import Instance
+from walras.instancefile import instance_from_dict, instance_to_dict
+from walras.money import format_money, parse_money
 from walras.valuations import (
     Additive,
     Oxs,
@@ -201,14 +204,14 @@ weights = st.sampled_from(ODD_DENOMINATORS).flatmap(
 
 
 @st.composite
-def monotone_tables(draw, m):
-    """v(x) = max(a fresh weight, v of x's one-item-smaller subsets).
+def monotone_tables(draw, m, numbers=weights):
+    """v(x) = max(a fresh number, v of x's one-item-smaller subsets).
     Entries keep their own denominators, so a table's lcm is often above its
     largest denominator."""
     values = [F(0)]
     for x in range(1, 1 << m):
         below = max(values[x ^ (1 << j)] for j in range(m) if x >> j & 1)
-        values.append(max(below, draw(weights)))
+        values.append(max(below, draw(numbers)))
     return values
 
 
@@ -285,6 +288,9 @@ def test_xos_supporting_clause():
     b1p = Xos(((F(4), F(2), F(0)), (F(4), F(0), F(3))))
     assert xos_supporting_clause(b1p, 0b101) == (F(4), F(0), F(3))
 
+    tied = Xos(((F(1), F(2)), (F(2), F(1))))  # a tie goes to the lowest index
+    assert xos_supporting_clause(tied, 0b11) == (F(1), F(2))
+
 
 def test_xos_supporting_clause_is_a_lower_bound_everywhere():
     rng = random.Random(29)
@@ -323,6 +329,9 @@ def test_sampler_determinism_and_invariants():
 
 
 def test_scale():
+    for v in (V1, V2, V3, BUDGET, Oxs(((F(1),), (F(2),)))):
+        with pytest.raises(ValueError, match="scale factor must be non-negative"):
+            v.scale(F(-1, 3))
     assert V1.scale(F(1, 2)).value(0b101) == 3
     assert BUDGET.scale(2).value(0b111) == 12
     assert V2.scale(F(1, 2)) == UnitDemand((F(1), F(1), F(0)))
@@ -344,3 +353,67 @@ def test_json_rejects_bad_input():
         valuation_from_json({"type": "mystery", "weights": ["1"]})
     with pytest.raises(ValueError):
         valuation_from_json({"type": "tabular", "values": ["1", "0"]})
+
+
+# Numbers of the round-trip tests: thirds, fifths, sevenths and ninths, and
+# one value over 11, so a valuation's numbers rarely share a denominator.
+ROUND_TRIP_NUMBERS = st.one_of(
+    st.just(F(1, 11)),
+    st.sampled_from((3, 5, 7, 9)).flatmap(
+        lambda d: st.integers(0, 4 * d).map(lambda k: F(k, d))))
+ROUND_TRIPS = settings(derandomize=True, database=None, deadline=None,
+                       max_examples=60)
+
+
+@st.composite
+def valuations(draw, m=None):
+    """Any of the five kinds over 1-4 items: XOS with 1-3 clauses, OXS with
+    1-3 slots, tabular tables monotone and normalized."""
+    m = m or draw(st.integers(1, 4))
+
+    def row(k):
+        return tuple(draw(ROUND_TRIP_NUMBERS) for _ in range(k))
+
+    kind = draw(st.sampled_from(("additive", "unit_demand", "xos", "oxs",
+                                 "tabular")))
+    if kind == "additive":
+        return Additive(row(m))
+    if kind == "unit_demand":
+        return UnitDemand(row(m))
+    if kind == "xos":
+        return Xos(tuple(row(m) for _ in range(draw(st.integers(1, 3)))))
+    if kind == "oxs":
+        slots = draw(st.integers(1, 3))
+        return Oxs(tuple(row(slots) for _ in range(m)))
+    return Tabular(tuple(draw(monotone_tables(m, ROUND_TRIP_NUMBERS))))
+
+
+@ROUND_TRIPS
+@given(valuations())
+def test_json_round_trip_of_every_kind(v):
+    assert valuation_from_json(valuation_to_json(v)) == v
+
+
+def _times(c, numbers):
+    """A JSON number field with every number multiplied by c."""
+    if isinstance(numbers, list):
+        return [_times(c, x) for x in numbers]
+    return format_money(c * parse_money(numbers))
+
+
+@ROUND_TRIPS
+@given(valuations(), ROUND_TRIP_NUMBERS)
+def test_scale_multiplies_every_json_number(v, c):
+    data = valuation_to_json(v)
+    expected = {k: x if k == "type" else _times(c, x) for k, x in data.items()}
+    assert v.scale(c) == valuation_from_json(expected)
+
+
+@ROUND_TRIPS
+@given(st.integers(1, 4).flatmap(lambda m: st.tuples(
+    st.just(m), st.lists(valuations(m), min_size=1, max_size=3))),
+    st.sampled_from(("", "round trip")))
+def test_instance_dict_round_trip(shape, name):
+    m, bids = shape
+    instance = Instance(m, BidProfile(m, tuple(bids)), name=name)
+    assert instance_from_dict(instance_to_dict(instance)) == instance
