@@ -28,7 +28,7 @@ from math import prod
 
 from .bundles import iter_bits, ms_ones
 from .money import (INFINITY, ZERO, Infinity, format_money, granularity,
-                    parse_money, scale_rows)
+                    on_one_denominator, parse_money)
 from .mechanisms import PaymentRule, _scaled_externality, run_mechanism
 from .valuations import (
     CHECKER_MAX_ITEMS,
@@ -37,6 +37,7 @@ from .valuations import (
     UnitDemand,
     Valuation,
     Xos,
+    _tabulate,
     is_gross_substitutes,
     xos_supporting_clause,
 )
@@ -122,13 +123,9 @@ class BidGrid:
     def default_for(cls, instance: Instance) -> "BidGrid":
         """Step = gcd-like granularity of the instance values (floored at
         1/8), cap = the largest single-item value."""
-        singles = [bid.value(1 << j)
-                   for bid in instance.true_valuations.bids
-                   for j in range(instance.m)]
-        values = [v for bid in instance.true_valuations.bids
-                  for v in bid.table()]
-        delta = granularity(values)
-        cap = max(singles, default=ZERO)
+        tables = [bid.table() for bid in instance.true_valuations.bids]
+        delta = granularity(v for tab in tables for v in tab)
+        cap = max(tab[1 << j] for tab in tables for j in range(instance.m))
         if cap == 0:
             return cls(((Additive((ZERO,) * instance.m),),) * instance.n)
         return cls.additive(instance.m, instance.n, delta, cap)
@@ -146,7 +143,7 @@ def exposure_factor_bound(v: Valuation, b: Valuation) -> Fraction | Infinity:
     """
     if v.m != b.m:
         raise ValueError("type and bid are over different item counts")
-    _, (vt, bt) = scale_rows((v.table(), b.table()))
+    _, (vt, bt) = on_one_denominator((_tabulate(v), _tabulate(b)))
     return _exposure(vt, bt)
 
 
@@ -229,8 +226,11 @@ class _Scaled:
         groups = [*(grid.per_agent if grid else ()),
                   current.bids if current else (), types,
                   tuple(v.scale(Fraction(1, 2)) for v in types)]
-        denom, tables = scale_rows(
-            [bid.table() for group in groups for bid in group] + [(eps_dev,)])
+        scaled = [_tabulate(bid) for group in groups[:-1] for bid in group]
+        # A half-truthful table is the truthful one over twice its denominator.
+        denom, tables = on_one_denominator(
+            scaled + [(2 * d, t) for d, t in scaled[-len(types):]]
+            + [(eps_dev.denominator, (eps_dev.numerator,))])
         it = iter(tables)
         pairs = [tuple((bid, next(it)) for bid in group) for group in groups]
         (eps,) = next(it)
@@ -287,17 +287,11 @@ def verify_nash(instance: Instance, rule: PaymentRule, profile: BidProfile,
 # -- efficient equilibrium construction ----------------------------------------
 
 def _smallest_positive_marginal(profile: BidProfile) -> Fraction | None:
-    best = None
-    for bid in profile.bids:
-        tab = bid.table()
-        for mask in range(1 << profile.m):
-            for j in range(profile.m):
-                if mask >> j & 1:
-                    continue
-                d = tab[mask | (1 << j)] - tab[mask]
-                if d > 0 and (best is None or d < best):
-                    best = d
-    return best
+    m = profile.m
+    gaps = [Fraction(tab[mask | 1 << j] - tab[mask], denom)
+            for denom, tab in map(_tabulate, profile.bids)
+            for mask in range(1 << m) for j in range(m) if not mask >> j & 1]
+    return min((d for d in gaps if d > 0), default=None)
 
 
 def construct_efficient_profile(instance: Instance) -> BidProfile:

@@ -69,6 +69,15 @@ def scale_rows(rows) -> tuple[int, tuple[tuple[int, ...], ...]]:
                         for row in rows)
 
 
+def on_one_denominator(scaled) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(D, rows) from ``(D_i, row_i)`` pairs, row i over D_i: D is the lcm of
+    the D_i, and row i is multiplied by D / D_i where that is not 1."""
+    scaled = list(scaled)
+    denom = lcm(*(d for d, _ in scaled))
+    return denom, tuple(row if d == denom else tuple(x * (denom // d) for x in row)
+                        for d, row in scaled)
+
+
 def format_money(q: Fraction) -> str:
     """Render exactly: a decimal string when the expansion terminates
     (denominator of the form 2^a 5^b), otherwise ``"p/q"``.

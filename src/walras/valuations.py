@@ -12,10 +12,16 @@ numbers (the JSON field of the same name), and ``_rows`` whether that field
 is a list of rows.  :func:`valuation_to_json`, :func:`valuation_from_json`
 and :meth:`Valuation.scale` read that declaration and nothing per kind.
 
+Each kind builds its integer table ``(D_v, ints)`` once (``_ints``, cached
+by :func:`_tabulate`): D_v is a common multiple of the kind's weight
+denominators and ``ints[x]`` is D_v times the value of bundle x.  Every
+reader (the welfare DP, demand sets, the checkers, the analysis layer)
+works on those ints; ``value`` and ``table`` are their Fraction views.
+
 Class checkers tabulate the valuation, so they are exponential in m; the
 analysis layer runs them only up to ``CHECKER_MAX_ITEMS`` items.  They compare
-the table scaled to integers by the lcm of its denominators, which keeps the
-order of every sum, so each verdict is exact.
+the integer table, which keeps the order of every sum, so each verdict is
+exact.
 """
 
 from __future__ import annotations
@@ -24,10 +30,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import add
 from typing import Callable, Iterable, Sequence
 
 from .bundles import check_bundle, check_item_count, iter_bits
-from .money import ZERO, format_money, parse_money, scale_rows
+from .money import (ZERO, format_money, on_one_denominator, parse_money,
+                    scale_rows)
 
 # Largest m the analysis layer hands to the class checkers: the exchange test
 # visits all 4^m bundle pairs.
@@ -54,12 +62,20 @@ class Valuation:
     _field: str
     _rows = False
 
-    def value(self, bundle: int) -> Fraction:
+    def _ints(self) -> tuple[int, tuple[int, ...]]:
+        """The kind's integer table; read it through :func:`_tabulate`."""
         raise NotImplementedError
 
+    def value(self, bundle: int) -> Fraction:
+        check_bundle(self.m, bundle)
+        denom, tab = _tabulate(self)
+        return Fraction(tab[bundle], denom)
+
     def table(self) -> tuple[Fraction, ...]:
-        """Full table of values, indexed by bundle bitmask.  Cached."""
-        return _tabulate(self)
+        """Full table of values, indexed by bundle bitmask: the Fraction view
+        of the integer table."""
+        denom, tab = _tabulate(self)
+        return tuple(Fraction(t, denom) for t in tab)
 
     def scale(self, factor) -> "Valuation":
         """The valuation of the same kind with every number times a
@@ -78,8 +94,10 @@ class Valuation:
 
 
 @lru_cache(maxsize=1 << 16)
-def _tabulate(v: Valuation) -> tuple[Fraction, ...]:
-    return tuple(v.value(x) for x in range(1 << v.m))
+def _tabulate(v: Valuation) -> tuple[int, tuple[int, ...]]:
+    """v's integer table ``(D_v, ints)``, built once per valuation: value
+    x is ``Fraction(ints[x], D_v)``.  Every table reader starts here."""
+    return v._ints()
 
 
 @dataclass(frozen=True)
@@ -97,23 +115,24 @@ class _ItemWeights(Valuation):
     def m(self) -> int:
         return len(self.weights)
 
+    def _ints(self) -> tuple[int, tuple[int, ...]]:
+        """Item j doubles the table: t[x + 2^j] = join(t[x], w[j]) for every
+        x below 2^j, with the kind's ``_join``."""
+        denom, (w,) = scale_rows((self.weights,))
+        t, join = [0], self._join
+        for wj in w:
+            t += [join(x, wj) for x in t]
+        return denom, tuple(t)
+
 
 @dataclass(frozen=True)
 class Additive(_ItemWeights):
-    _type = "additive"
-
-    def value(self, bundle: int) -> Fraction:
-        check_bundle(self.m, bundle)
-        return sum((self.weights[j] for j in iter_bits(bundle)), ZERO)
+    _type, _join = "additive", add
 
 
 @dataclass(frozen=True)
 class UnitDemand(_ItemWeights):
-    _type = "unit_demand"
-
-    def value(self, bundle: int) -> Fraction:
-        check_bundle(self.m, bundle)
-        return max((self.weights[j] for j in iter_bits(bundle)), default=ZERO)
+    _type, _join = "unit_demand", max
 
 
 @dataclass(frozen=True)
@@ -136,15 +155,10 @@ class Xos(Valuation):
     def m(self) -> int:
         return len(self.clauses[0])
 
-    def _support(self, bundle: int) -> tuple[Fraction, tuple[Fraction, ...]]:
-        """(v(bundle), the lowest-index clause attaining it)."""
-        check_bundle(self.m, bundle)
-        dots = [sum((c[j] for j in iter_bits(bundle)), ZERO) for c in self.clauses]
-        k = dots.index(max(dots))
-        return dots[k], self.clauses[k]
-
-    def value(self, bundle: int) -> Fraction:
-        return self._support(bundle)[0]
+    def _ints(self) -> tuple[int, tuple[int, ...]]:
+        """The element-wise max of the clauses' additive tables."""
+        denom, tables = on_one_denominator(Additive(c)._ints() for c in self.clauses)
+        return denom, tuple(map(max, zip(*tables)))
 
 
 @dataclass(frozen=True)
@@ -153,8 +167,7 @@ class Oxs(Valuation):
 
     The value of a bundle is the weight of a maximum matching of its items
     to slots, each slot used at most once.  Assignment valuations are gross
-    substitutes.  The values of all bundles are tabulated once, on the
-    matrix scaled to integers, and ``value`` reads that table.
+    substitutes.
     """
 
     matrix: tuple[tuple[Fraction, ...], ...]
@@ -175,21 +188,15 @@ class Oxs(Valuation):
     def m(self) -> int:
         return len(self.matrix)
 
-    @property
-    def slots(self) -> int:
-        return len(self.matrix[0])
-
-    @cached_property
-    def _scaled_values(self) -> tuple[int, tuple[int, ...]]:
-        """(D, table): D times the value of every bundle, D the lcm of the
-        matrix denominators.  Slots join one at a time, each like a
-        unit-demand bidder: with slot k, a bundle either leaves it empty or
-        gives it one item i, g_{k+1}(S) = max(g_k(S), g_k(S - i) + w[i][k])."""
+    def _ints(self) -> tuple[int, tuple[int, ...]]:
+        """On the lcm of the matrix denominators, slots join one at a time,
+        each like a unit-demand bidder: with slot k, a bundle either leaves
+        it empty or gives it one item i,
+        g_{k+1}(S) = max(g_k(S), g_k(S - i) + w[i][k])."""
         denom, matrix = scale_rows(self.matrix)
         size = 1 << self.m
         best = [0] * size
-        for slot in range(self.slots):
-            column = [row[slot] for row in matrix]
+        for column in zip(*matrix):
             prev = best
             best = list(prev)
             for mask in range(1, size):
@@ -203,11 +210,6 @@ class Oxs(Valuation):
                     rest ^= low
                 best[mask] = top
         return denom, tuple(best)
-
-    def value(self, bundle: int) -> Fraction:
-        check_bundle(self.m, bundle)
-        denom, table = self._scaled_values
-        return Fraction(table[bundle], denom)
 
 
 @dataclass(frozen=True)
@@ -233,9 +235,9 @@ class Tabular(Valuation):
     def m(self) -> int:
         return len(self.values).bit_length() - 1
 
-    def value(self, bundle: int) -> Fraction:
-        check_bundle(self.m, bundle)
-        return self.values[bundle]
+    def _ints(self) -> tuple[int, tuple[int, ...]]:
+        denom, (tab,) = scale_rows((self.values,))
+        return denom, tab
 
     def table(self) -> tuple[Fraction, ...]:
         return self.values
@@ -250,16 +252,11 @@ def budget_additive(weights: Iterable, cap) -> Tabular:
     Budget-additive valuations are submodular but in general not gross
     substitutes; they only exist here in tabular form.
     """
-    w = _to_weights(weights)
+    total = Additive(weights)  # checks the weights and the item count
     limit = parse_money(cap)
     if limit < 0:
         raise ValueError("budget cap must be non-negative")
-    m = len(w)
-    table = []
-    for x in range(1 << m):
-        total = sum((w[j] for j in iter_bits(x)), ZERO)
-        table.append(min(limit, total))
-    return Tabular(tuple(table))
+    return Tabular(tuple(min(limit, x) for x in total.table()))
 
 
 # -- oracles ----------------------------------------------------------------
@@ -283,7 +280,8 @@ def demand_set(v: Valuation, prices: Sequence) -> list[int]:
     if any(q < 0 for q in p):
         raise ValueError("prices must be non-negative")
     # Table and prices on one denominator, so utilities compare as ints.
-    _, (tab, p) = scale_rows((v.table(), p))
+    denom, (p,) = scale_rows((p,))
+    _, (tab, p) = on_one_denominator((_tabulate(v), (denom, p)))
     return _demanded(tab, p)
 
 
@@ -307,12 +305,6 @@ def _demanded(tab: Sequence[int], p: Sequence[int]) -> list[int]:
 
 # -- class membership checkers ----------------------------------------------
 
-def _scaled_table(v: Valuation) -> tuple[int, ...]:
-    """v's table times the lcm of its denominators: same order, int sums."""
-    _, (tab,) = scale_rows((v.table(),))
-    return tab
-
-
 def _monotone_normalized(tab: Sequence[int], m: int) -> bool:
     if tab[0] != 0:
         return False
@@ -326,11 +318,11 @@ def _monotone_normalized(tab: Sequence[int], m: int) -> bool:
 
 def is_monotone_normalized(v: Valuation) -> bool:
     """True iff v(empty) = 0 and adding an item never lowers the value."""
-    return _monotone_normalized(_scaled_table(v), v.m)
+    return _monotone_normalized(_tabulate(v)[1], v.m)
 
 
 def _require_normalized(v: Valuation) -> tuple[int, ...]:
-    tab = _scaled_table(v)
+    tab = _tabulate(v)[1]
     if not _monotone_normalized(tab, v.m):
         raise ValueError("valuation is not monotone and normalized")
     return tab
@@ -399,7 +391,9 @@ def xos_supporting_clause(v: Xos, bundle: int) -> tuple[Fraction, ...]:
     The returned weight vector w satisfies w . 1_bundle = v(bundle) and, by
     the XOS structure, w . 1_T <= v(T) for every bundle T.
     """
-    return v._support(bundle)[1]
+    check_bundle(v.m, bundle)
+    dots = [sum((c[j] for j in iter_bits(bundle)), ZERO) for c in v.clauses]
+    return v.clauses[dots.index(max(dots))]
 
 
 # -- random generation -------------------------------------------------------

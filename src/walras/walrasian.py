@@ -20,10 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .bundles import disjoint_union, full_mask, iter_bits, ms_ones
-from .money import ZERO, parse_money
+from .money import ZERO, on_one_denominator, parse_money
 from .valuations import _demanded, demand_set
 from .welfare import (
     Allocation,
@@ -153,12 +152,9 @@ def tatonnement(profile: BidProfile, epsilon, *,
     if eps <= 0:
         raise ValueError("epsilon must be positive")
     m, n = profile.m, profile.n
-    table_denom, tabs_int = scaled_tables(profile)
-    denom = lcm(table_denom, eps.denominator)
-    factor = denom // table_denom
-    if factor != 1:
-        tabs_int = [[v * factor for v in tab] for tab in tabs_int]
-    eps_int = eps.numerator * (denom // eps.denominator)
+    table_denom, tabs = scaled_tables(profile)
+    denom, (*tabs_int, (eps_int,)) = on_one_denominator(
+        [(table_denom, tab) for tab in tabs] + [(eps.denominator, (eps.numerator,))])
     max_value = max(tab[full_mask(m)] for tab in tabs_int)
     if max_steps is None:
         max_steps = max(10 * m * (max_value // eps_int + 1), 4 * n)

@@ -15,14 +15,14 @@ prefix table of agents 0..i-1 (``or_value_table``) with L_{i+1} at x
 of j (``_doubled_slices``).  A multiset with doubled items is read on its
 doubled-item pattern: two copies where it has two, one elsewhere.
 
-The DP runs on integers.  ``scaled_tables`` multiplies every bid table of a
-profile by D, the lcm of all their denominators, once per profile (or takes
-the tables a caller seeded with ``BidProfile.with_scaled_tables``, over any
-common multiple D); the folds, the cached tables and the argmax backtrack
-all hold D * W.  Values become ``Fraction(x, D)`` only where they leave the
-module: ``welfare_value``, ``welfare_max`` and ``welfare_marginal``.  The
-price and mechanism layers read the integers directly (``_scaled_welfare``,
-``_welfare_argmax``, ``_suffix_levels``).
+The DP runs on integers.  ``scaled_tables`` puts the bids' own integer
+tables (``valuations._tabulate``) on D, a common multiple of their
+denominators, once per profile (or takes the tables a caller seeded with
+``BidProfile.with_scaled_tables``); the folds, the cached tables and the
+argmax backtrack all hold D * W.  Values become ``Fraction(x, D)`` only
+where they leave the module: ``welfare_value``, ``welfare_max`` and
+``welfare_marginal``.  The price and mechanism layers read the integers
+directly (``_scaled_welfare``, ``_welfare_argmax``, ``_suffix_levels``).
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ from .bundles import (
     disjoint_union,
     full_mask,
 )
-from .money import ZERO, scale_rows
-from .valuations import Valuation, marginal_value
+from .money import ZERO, on_one_denominator
+from .valuations import Valuation, _tabulate, marginal_value
 
 
 @dataclass(frozen=True)
@@ -148,14 +148,15 @@ def _ms_index(supply: tuple[int, ...], ms: tuple[int, ...]) -> int:
 
 
 def scaled_tables(profile: BidProfile) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """(D, tables): every bid table times D, the lcm of all their denominators.
+    """(D, tables): every bid table times D, the lcm of the bids' own table
+    denominators (``valuations._tabulate``).
 
     Entry k of agent i's table is ``Fraction(tables[i][k], D)``.  Cached per
     profile.
     """
     cached = profile._cache.get("scaled")
     if cached is None:
-        cached = scale_rows(bid.table() for bid in profile.bids)
+        cached = on_one_denominator(_tabulate(bid) for bid in profile.bids)
         profile._cache["scaled"] = cached
     return cached
 

@@ -2,8 +2,9 @@
 
 These deliberately avoid the package's DP and table machinery: welfare by
 enumerating raw item-to-agent maps, matchings by trying every permutation,
-demand by rescanning bundles.  Slow and obviously correct.  Two exceptions
-are kept as references for the paths that replaced them: ``table_welfare``,
+demand by rescanning bundles, a valuation's values from its own numbers
+(``brute_value``).  Slow and obviously correct.  Two exceptions are kept
+as references for the paths that replaced them: ``table_welfare``,
 a plain copy of the full-table welfare path the point merges replaced, and
 the ``fraction_*`` deviation loops of the analysis layer, which ran each
 deviation on a fresh profile in Fractions, ``scaled_profile_outcomes``,
@@ -16,6 +17,7 @@ from fractions import Fraction
 from itertools import permutations, product
 
 from walras.money import scale_rows
+from walras.valuations import Additive, Oxs, UnitDemand, Xos
 
 ZERO = Fraction(0)
 
@@ -127,8 +129,24 @@ def table_welfare(bids, supply, exclude=None):
     return Fraction(table[sum(c * s for c, s in zip(supply, strides))], denom)
 
 
+def brute_value(v, bundle):
+    """v(bundle) from the valuation's own numbers, without its table: the
+    sum or the largest of the bundle's item weights, the best clause sum, a
+    brute-force matching, or the tabular entry."""
+    items = [j for j in range(v.m) if bundle >> j & 1]
+    if isinstance(v, Additive):
+        return sum((v.weights[j] for j in items), ZERO)
+    if isinstance(v, UnitDemand):
+        return max((v.weights[j] for j in items), default=ZERO)
+    if isinstance(v, Xos):
+        return max(sum((c[j] for j in items), ZERO) for c in v.clauses)
+    if isinstance(v, Oxs):
+        return brute_matching_value(v.matrix, bundle)
+    return v.values[bundle]
+
+
 def _fraction_table(v):
-    return [v.value(x) for x in range(1 << v.m)]
+    return [brute_value(v, x) for x in range(1 << v.m)]
 
 
 def brute_monotone_normalized(v):

@@ -521,14 +521,15 @@ def test_deviation_reports_match_the_fraction_loops(case):
 
 
 def test_no_deviation_is_rescaled(monkeypatch):
-    """A call scales its tables once: the welfare layer's own scaling runs
-    as often on a 9-bid grid as on a 25-bid one, and at n = 2 as at n = 3."""
+    """A call scales its tables once: the welfare layer's own scaling (the
+    join of the bids' integer tables in ``scaled_tables``) runs as often on
+    a 9-bid grid as on a 25-bid one, and at n = 2 as at n = 3."""
     from walras import welfare
 
     calls = []
-    real = welfare.scale_rows
-    monkeypatch.setattr(welfare, "scale_rows",
-                        lambda rows: calls.append(1) or real(rows))
+    real = welfare.on_one_denominator
+    monkeypatch.setattr(welfare, "on_one_denominator",
+                        lambda scaled: calls.append(1) or real(scaled))
 
     def fresh(inst):  # profiles with cold caches
         return Instance(inst.m, BidProfile(inst.m, inst.true_valuations.bids))

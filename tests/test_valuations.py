@@ -10,16 +10,19 @@ from oracles import (
     brute_matching_value,
     brute_monotone_normalized,
     brute_submodular,
+    brute_value,
 )
 from walras.analysis import Instance
 from walras.instancefile import instance_from_dict, instance_to_dict
-from walras.money import format_money, parse_money
+from walras.mechanisms import PaymentRule, run_mechanism
+from walras.money import format_money, parse_money, scale_rows
 from walras.valuations import (
     Additive,
     Oxs,
     Tabular,
     UnitDemand,
     Xos,
+    _tabulate,
     budget_additive,
     demand_set,
     is_gross_substitutes,
@@ -31,7 +34,7 @@ from walras.valuations import (
     valuation_to_json,
     xos_supporting_clause,
 )
-from walras.welfare import BidProfile, welfare_value
+from walras.welfare import BidProfile, scaled_tables, welfare_max, welfare_value
 
 # the three-bidder overbidding instance reused across the suite
 V1 = Xos(((F(4), F(2), F(0)), (F(4), F(0), F(2))))
@@ -53,6 +56,16 @@ def test_multiset_value_clamps():
     # a lone agent facing two copies of an item values it as one copy
     assert welfare_value(BidProfile(3, (V2,)), (2, 0, 1)) == 2
     assert welfare_value(BidProfile(3, (V3,)), (0, 0, 2)) == 1
+
+
+def test_budget_additive_checks_the_item_count_first():
+    with pytest.raises(ValueError, match=r"item count must be in 1\.\.16, got 18"):
+        budget_additive([1] * 18, 5)
+    with pytest.raises(ValueError, match=r"item count must be in 1\.\.16, got 0"):
+        budget_additive([], 5)
+    assert BUDGET.table() == (0, 3, 5, 6, 3, 6, 6, 6)
+    assert budget_additive((F(1, 2), F(1, 3)), F(3, 4)).table() == (
+        0, F(1, 2), F(1, 3), F(3, 4))
 
 
 def test_evaluate_rejects_out_of_range_bundle():
@@ -417,3 +430,79 @@ def test_instance_dict_round_trip(shape, name):
     m, bids = shape
     instance = Instance(m, BidProfile(m, tuple(bids)), name=name)
     assert instance_from_dict(instance_to_dict(instance)) == instance
+
+
+# Integer tables against the brute-force values: numbers over 3, 5, 7, 9 and
+# 11, so the kinds' own denominators D_v rarely equal a table's lcm.
+ORACLE_EXAMPLES = settings(derandomize=True, database=None, deadline=None,
+                           max_examples=80)
+
+
+@st.composite
+def oracle_valuations(draw, m=None):
+    """Any kind over 1-6 items: XOS with 1-3 clauses, OXS with 1-2 slots
+    (the matching oracle tries every permutation), tables with independent
+    entries over mixed denominators."""
+    m = m or draw(st.integers(1, 6))
+
+    def row(k):
+        return tuple(draw(ROUND_TRIP_NUMBERS) for _ in range(k))
+
+    kind = draw(st.sampled_from(("additive", "unit_demand", "xos", "oxs",
+                                 "tabular")))
+    if kind == "additive":
+        return Additive(row(m))
+    if kind == "unit_demand":
+        return UnitDemand(row(m))
+    if kind == "xos":
+        return Xos(tuple(row(m) for _ in range(draw(st.integers(1, 3)))))
+    if kind == "oxs":
+        slots = draw(st.integers(1, 2))
+        return Oxs(tuple(row(slots) for _ in range(m)))
+    return Tabular((F(0),) + row((1 << m) - 1))
+
+
+# A clause over thirds that is never the best: every value is whole, D_v is 3.
+HIDDEN_THIRDS = Xos(((F(1), F(1)), (F(1, 3), F(0))))
+
+
+@ORACLE_EXAMPLES
+@example(HIDDEN_THIRDS)
+@example(Additive((F(0),) * 6))
+@example(UnitDemand((F(0),) * 6))
+@example(Xos(((F(0),) * 6,) * 2))
+@example(Oxs(((F(0), F(0)),) * 6))
+@example(Tabular((F(0), F(1, 2), F(2, 3), F(5, 7))))
+@given(oracle_valuations())
+def test_integer_table_matches_brute_values(v):
+    denom, ints = _tabulate(v)
+    assert all(type(t) is int for t in ints)
+    assert [F(t, denom) for t in ints] == [brute_value(v, x) for x in range(1 << v.m)]
+    assert v.table() == tuple(F(t, denom) for t in ints)
+
+
+def test_table_denominator_is_a_common_multiple():
+    assert _tabulate(HIDDEN_THIRDS) == (3, (0, 3, 3, 6))
+    assert _tabulate(Additive((F(0),) * 3)) == (1, (0,) * 8)
+    assert _tabulate(Tabular((F(0), F(1, 2), F(2, 3), F(5, 7))))[0] == 42
+
+
+@ORACLE_EXAMPLES
+@example(BidProfile(2, (HIDDEN_THIRDS, Additive((F(1, 2), F(1))))))
+@given(st.integers(1, 4).flatmap(lambda m: st.lists(
+    oracle_valuations(m), min_size=1, max_size=3).map(
+        lambda bids: BidProfile(m, tuple(bids)))))
+def test_scaled_tables_match_a_profile_seeded_over_the_lcm(prof):
+    """D, a common multiple of the bids' own D_v, gives the brute-force
+    values; and allocations, ties and payments equal those of the same
+    profile seeded over the lcm of every value's denominator."""
+    m, bids = prof.m, prof.bids
+    values = [[brute_value(b, x) for x in range(1 << m)] for b in bids]
+    denom, tables = scaled_tables(prof)
+    assert [[F(t, denom) for t in tab] for tab in tables] == values
+    lcm_denom, lcm_tables = scale_rows(values)
+    assert denom % lcm_denom == 0
+    seeded = BidProfile.with_scaled_tables(m, bids, lcm_denom, lcm_tables)
+    assert welfare_max(prof, (1,) * m) == welfare_max(seeded, (1,) * m)
+    for rule in PaymentRule:
+        assert run_mechanism(rule, prof) == run_mechanism(rule, seeded)
