@@ -3,14 +3,19 @@
 These deliberately avoid the package's DP and table machinery: welfare by
 enumerating raw item-to-agent maps, matchings by trying every permutation,
 demand by rescanning bundles, a valuation's values from its own numbers
-(``brute_value``).  Slow and obviously correct.  Two exceptions are kept
-as references for the paths that replaced them: ``table_welfare``,
-a plain copy of the full-table welfare path the point merges replaced, and
-the ``fraction_*`` deviation loops of the analysis layer, which ran each
-deviation on a fresh profile in Fractions, ``scaled_profile_outcomes``,
-the per-profile runs the grid kernel of ``poa_search`` replaced, and
-``fraction_exposure_factor_bound``, the Fraction loop the integer exposure
-routine replaced.
+(``brute_value``).  Slow and obviously correct.  The exceptions are kept
+as references for the paths that replaced them:
+
+- ``table_welfare``, a plain copy of the full-table welfare path the point
+  merges replaced;
+- the ``fraction_*`` deviation loops of the analysis layer, which ran each
+  deviation on a fresh profile in Fractions;
+- ``scaled_profile_outcomes``, the per-profile runs the grid kernel of
+  ``poa_search`` replaced;
+- ``fraction_exposure_factor_bound``, the Fraction loop the integer
+  exposure routine replaced;
+- ``fraction_walrasian_certificate``, equilibrium verification through
+  per-bidder demand sets and Fraction gains.
 """
 
 from fractions import Fraction
@@ -65,6 +70,31 @@ def brute_demand(v, prices):
         elif u == best:
             winners.append(bundle)
     return winners
+
+
+def fraction_walrasian_certificate(profile, bundles, prices):
+    """The certificate of ``verify_walrasian_equilibrium`` for well-formed
+    input, in Fractions: unsold items first, then for each bidder whose
+    bundle ``brute_demand`` leaves out, its lowest demanded bundle and the
+    utility it gains there."""
+    from walras.walrasian import (ClearingViolation, DemandViolation,
+                                  WalrasianCertificate)
+
+    def utility(v, bundle):
+        return v.value(bundle) - sum((prices[j] for j in range(v.m)
+                                      if bundle >> j & 1), ZERO)
+
+    failures = []
+    unsold = (1 << profile.m) - 1 - sum(bundles)
+    if unsold:
+        failures.append(ClearingViolation(unsold))
+    for i, (v, mine) in enumerate(zip(profile.bids, bundles)):
+        winners = brute_demand(v, prices)
+        if mine not in winners:
+            better = winners[0]
+            failures.append(DemandViolation(i, mine, better,
+                                            utility(v, better) - utility(v, mine)))
+    return WalrasianCertificate(not failures, tuple(failures))
 
 
 def brute_matching_value(matrix, bundle):

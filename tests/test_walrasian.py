@@ -2,11 +2,13 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from oracles import brute_max_prices, brute_min_prices
+from oracles import brute_max_prices, brute_min_prices, fraction_walrasian_certificate
 from walras.bundles import ms_ones
 from walras.mechanisms import allocate_declared
-from walras.valuations import Additive, Tabular, UnitDemand, Xos, sample_valuation
+from walras.valuations import (Additive, Oxs, Tabular, UnitDemand, Xos,
+                               sample_valuation)
 from walras.walrasian import (
     ClearingViolation,
     DemandViolation,
@@ -144,6 +146,74 @@ def test_verify_failure_modes():
 
     cert = verify_walrasian_equilibrium(prof, (0b01, 0b00), ("0", "0"))
     assert any(isinstance(f, ClearingViolation) for f in cert.failures)
+
+
+# Numbers over 3, 5, 7 and 9, so bids, prices and gains rarely share a
+# denominator; zero is drawn often.
+THIRDS_TO_NINTHS = st.sampled_from((3, 5, 7, 9)).flatmap(
+    lambda d: st.integers(0, 3 * d).map(lambda k: F(k, d)))
+
+
+@st.composite
+def verification_inputs(draw):
+    """A profile of 1-3 bids of any kind over 1-4 items, any assignment of
+    the items to the agents or to nobody, and any non-negative prices."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 3))
+
+    def row(k):
+        return tuple(draw(THIRDS_TO_NINTHS) for _ in range(k))
+
+    def bid():
+        kind = draw(st.sampled_from(("additive", "unit_demand", "xos", "oxs",
+                                     "tabular")))
+        if kind == "additive":
+            return Additive(row(m))
+        if kind == "unit_demand":
+            return UnitDemand(row(m))
+        if kind == "xos":
+            return Xos(tuple(row(m) for _ in range(draw(st.integers(1, 3)))))
+        if kind == "oxs":
+            slots = draw(st.integers(1, 2))
+            return Oxs(tuple(row(slots) for _ in range(m)))
+        return Tabular((F(0),) + row((1 << m) - 1))
+
+    profile = BidProfile(m, tuple(bid() for _ in range(n)))
+    bundles = [0] * n
+    for j in range(m):
+        owner = draw(st.integers(0, n))  # n leaves item j unsold
+        if owner < n:
+            bundles[owner] |= 1 << j
+    return profile, tuple(bundles), row(m)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(verification_inputs())
+@example((OVERBID, (0b001, 0b010, 0b100), (F(1),) * 3))  # an equilibrium
+@example((BidProfile(2, (Tabular((F(0), F(0), F(0), F(3))), UnitDemand((F(2), F(2))))),
+          (0b01, 0), (F(0), F(1, 3))))  # unsold item and two violations
+def test_verification_matches_the_fraction_certificate(case):
+    profile, bundles, prices = case
+    expected = fraction_walrasian_certificate(profile, bundles, prices)
+    assert verify_walrasian_equilibrium(profile, bundles, prices) == expected
+    as_text = tuple(str(p) for p in prices)
+    if sum(bundles) == (1 << profile.m) - 1:
+        bundles = Allocation(profile.m, bundles)
+    assert verify_walrasian_equilibrium(profile, bundles, as_text) == expected
+
+
+@pytest.mark.parametrize("bundles,prices,message", [
+    ((0b01, 0b11), ("1", "1", "-1"), "bundles overlap on items 0x1"),
+    ((0b100, 0b01), ("1",), "bundle 0x4 has bits outside the 2 items"),
+    ((0b01,), ("1",), "allocation has 1 bundles for 2 agents"),
+    ((0b01, 0b10), ("1", "1", "-1"), "price vector length mismatch"),
+    ((0b01, 0b10), ("-1/3", "1"), "prices must be non-negative"),
+])
+def test_verification_errors_in_order(bundles, prices, message):
+    prof = BidProfile(2, (Additive((F(1), F(1))), UnitDemand((F(2), F(1)))))
+    with pytest.raises(ValueError) as raised:
+        verify_walrasian_equilibrium(prof, bundles, prices)
+    assert str(raised.value) == message
 
 
 def test_allocation_and_certificate_share_one_disjointness_check():
