@@ -24,11 +24,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
 from .bundles import iter_bits, ms_ones
-from .money import (INFINITY, ZERO, Infinity, format_money, granularity,
-                    on_one_denominator, parse_money)
+from .money import (INFINITY, ZERO, Infinity, format_money, on_one_denominator,
+                    parse_money)
 from .mechanisms import PaymentRule, _scaled_externality, run_mechanism
 from .valuations import (
     CHECKER_MAX_ITEMS,
@@ -41,7 +41,7 @@ from .valuations import (
     is_gross_substitutes,
     xos_supporting_clause,
 )
-from .walrasian import _merged_prices
+from .walrasian import _merged_prices, min_walrasian_prices
 from .welfare import (
     Allocation,
     BidProfile,
@@ -121,14 +121,15 @@ class BidGrid:
 
     @classmethod
     def default_for(cls, instance: Instance) -> "BidGrid":
-        """Step = gcd-like granularity of the instance values (floored at
-        1/8), cap = the largest single-item value."""
-        tables = [bid.table() for bid in instance.true_valuations.bids]
-        delta = granularity(v for tab in tables for v in tab)
-        cap = max(tab[1 << j] for tab in tables for j in range(instance.m))
-        if cap == 0:
+        """Step = the largest rational that divides every instance value
+        (floored at 1/8), cap = the largest single-item value."""
+        denom, tables = scaled_tables(instance.true_valuations)
+        step = gcd(*(x for tab in tables for x in tab))
+        top = max(tab[1 << j] for tab in tables for j in range(instance.m))
+        if top == 0:
             return cls(((Additive((ZERO,) * instance.m),),) * instance.n)
-        return cls.additive(instance.m, instance.n, delta, cap)
+        delta = max(Fraction(step, denom), Fraction(1, 8))
+        return cls.additive(instance.m, instance.n, delta, Fraction(top, denom))
 
 
 # -- exposure ------------------------------------------------------------------
@@ -287,11 +288,12 @@ def verify_nash(instance: Instance, rule: PaymentRule, profile: BidProfile,
 # -- efficient equilibrium construction ----------------------------------------
 
 def _smallest_positive_marginal(profile: BidProfile) -> Fraction | None:
+    denom, tables = scaled_tables(profile)
     m = profile.m
-    gaps = [Fraction(tab[mask | 1 << j] - tab[mask], denom)
-            for denom, tab in map(_tabulate, profile.bids)
+    gaps = [tab[mask | 1 << j] - tab[mask] for tab in tables
             for mask in range(1 << m) for j in range(m) if not mask >> j & 1]
-    return min((d for d in gaps if d > 0), default=None)
+    smallest = min((d for d in gaps if d > 0), default=None)
+    return None if smallest is None else Fraction(smallest, denom)
 
 
 def construct_efficient_profile(instance: Instance) -> BidProfile:
@@ -308,8 +310,6 @@ def construct_efficient_profile(instance: Instance) -> BidProfile:
     Requires every true type to pass the gross-substitutes check (tabulated;
     refused beyond m = CHECKER_MAX_ITEMS).
     """
-    from .walrasian import min_walrasian_prices
-
     if instance.m > CHECKER_MAX_ITEMS:
         raise ValueError(
             "the tabulated gross-substitutes precondition is limited to "
@@ -322,13 +322,14 @@ def construct_efficient_profile(instance: Instance) -> BidProfile:
     prices = min_walrasian_prices(profile)
     smallest = _smallest_positive_marginal(profile)
     bump = smallest / (4 * instance.m) if smallest is not None else ZERO
+    _, tables = scaled_tables(profile)
     bids = []
-    for i, (v, mine) in enumerate(zip(profile.bids, optimal_bundles)):
+    for i, (tab, mine) in enumerate(zip(tables, optimal_bundles)):
         weights = [ZERO] * instance.m
         for j in iter_bits(mine):
             if prices[j] > 0:
                 weights[j] = prices[j]
-            elif i > 0 and v.value(mine) - v.value(mine & ~(1 << j)) > 0:
+            elif i > 0 and tab[mine] > tab[mine ^ 1 << j]:
                 weights[j] = bump
         bids.append(Additive(tuple(weights)))
     return BidProfile(instance.m, tuple(bids))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import total_ordering
-from math import gcd, lcm
+from math import lcm
 from numbers import Rational
 
 ZERO = Fraction(0)
@@ -101,24 +101,3 @@ def format_money(q: Fraction) -> str:
     sign = "-" if num < 0 else ""
     return f"{sign}{digits[:-k]}.{digits[-k:]}"
 
-
-def rational_gcd(a: Fraction, b: Fraction) -> Fraction:
-    """Greatest rational g such that a and b are both integer multiples of g."""
-    if a == 0:
-        return abs(b)
-    if b == 0:
-        return abs(a)
-    num = gcd(a.numerator * b.denominator, b.numerator * a.denominator)
-    return Fraction(num, a.denominator * b.denominator)
-
-
-def granularity(values) -> Fraction:
-    """gcd-style step of a value collection, floored at 1/8.
-
-    Used to pick a default bid-grid step: fine enough to express every value
-    in the instance, but never finer than 1/8.
-    """
-    g = ZERO
-    for v in values:
-        g = rational_gcd(g, v)
-    return max(g, Fraction(1, 8))

@@ -10,10 +10,11 @@ Both are computed exactly on the profile's scaled integers, from the
 ones-shape suffix levels of ``welfare``: W(1 + 1_j) folds only the states
 with two copies of j, and W(1) and W(1 - 1_j) are merges at one state each.
 The english and dutch payment rules read the same integers, and the grid
-kernel of ``poa_search`` the same merges (``_merged_prices``).  The
-ascending-price procedure is kept only as a cross-check: with discrete
-increments it can approach but not hit the lattice bottom, so payment rules
-never use it.
+kernel of ``poa_search`` the same merges (``_merged_prices``).
+Verification and the ascending-price procedure put their prices on the
+tables' denominator.  The ascending-price procedure is kept only as a
+cross-check: with discrete increments it can approach but not hit the
+lattice bottom, so payment rules never use it.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bundles import disjoint_union, full_mask, iter_bits, ms_ones
-from .money import ZERO, on_one_denominator, parse_money
-from .valuations import _demanded, demand_set
+from .money import on_one_denominator, parse_money, scale_rows
+from .valuations import _demanded
 from .welfare import (
     Allocation,
     BidProfile,
@@ -118,18 +119,24 @@ def verify_walrasian_equilibrium(profile: BidProfile, allocation,
     p = [parse_money(q) for q in prices]
     if len(p) != profile.m:
         raise ValueError("price vector length mismatch")
+    if any(q < 0 for q in p):
+        raise ValueError("prices must be non-negative")
+    # Tables and prices on one denominator, so utilities compare as ints.
+    price_denom, (p,) = scale_rows((p,))
+    table_denom, tabs = scaled_tables(profile)
+    denom, (*tabs, p) = on_one_denominator(
+        [(table_denom, tab) for tab in tabs] + [(price_denom, p)])
 
     failures: list = []
     if unsold:
         failures.append(ClearingViolation(unsold))
-    for i, bid in enumerate(profile.bids):
-        winners = demand_set(bid, p)
-        if bundles[i] not in winners:
-            better = winners[0]
-            cost = sum((p[j] for j in iter_bits(better)), ZERO)
-            have = sum((p[j] for j in iter_bits(bundles[i])), ZERO)
-            gain = (bid.value(better) - cost) - (bid.value(bundles[i]) - have)
-            failures.append(DemandViolation(i, bundles[i], better, gain))
+    for i, (tab, mine) in enumerate(zip(tabs, bundles)):
+        winners = _demanded(tab, p)
+        if mine in winners:
+            continue
+        better = winners[0]
+        have, get = (tab[x] - sum(p[j] for j in iter_bits(x)) for x in (mine, better))
+        failures.append(DemandViolation(i, mine, better, Fraction(get - have, denom)))
     return WalrasianCertificate(not failures, tuple(failures))
 
 

@@ -15,11 +15,14 @@ as references for the paths that replaced them:
 - ``fraction_exposure_factor_bound``, the Fraction loop the integer
   exposure routine replaced;
 - ``fraction_walrasian_certificate``, equilibrium verification through
-  per-bidder demand sets and Fraction gains.
+  per-bidder demand sets and Fraction gains;
+- ``rational_gcd`` and ``granularity``, the pairwise Fraction fold the
+  default bid-grid step was computed by.
 """
 
 from fractions import Fraction
 from itertools import permutations, product
+from math import gcd
 
 from walras.money import scale_rows
 from walras.valuations import Additive, Oxs, UnitDemand, Xos
@@ -95,6 +98,24 @@ def fraction_walrasian_certificate(profile, bundles, prices):
             failures.append(DemandViolation(i, mine, better,
                                             utility(v, better) - utility(v, mine)))
     return WalrasianCertificate(not failures, tuple(failures))
+
+
+def rational_gcd(a, b):
+    """Greatest rational g such that a and b are both integer multiples of g."""
+    if a == 0:
+        return abs(b)
+    if b == 0:
+        return abs(a)
+    num = gcd(a.numerator * b.denominator, b.numerator * a.denominator)
+    return Fraction(num, a.denominator * b.denominator)
+
+
+def granularity(values):
+    """The ``rational_gcd`` of a value collection, floored at 1/8."""
+    g = ZERO
+    for v in values:
+        g = rational_gcd(g, v)
+    return max(g, Fraction(1, 8))
 
 
 def brute_matching_value(matrix, bundle):

@@ -7,11 +7,14 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from oracles import (
+    brute_value,
     fraction_best_response_dynamics,
     fraction_exposure_factor_bound,
     fraction_smoothness_certificate,
     fraction_vcg_deviation_certificate,
     fraction_verify_nash,
+    granularity,
+    rational_gcd,
     scaled_profile_outcomes,
 )
 
@@ -117,6 +120,48 @@ def test_grid_construction():
     assert len(default.per_agent[0]) == 17 ** 2
     with pytest.raises(ValueError):
         BidGrid.additive(2, 2, 0, 1)
+
+
+def _oracle_default_grid(instance):
+    """The default grid from the oracle's Fraction fold: step granularity(all
+    values), cap the largest single-item value."""
+    m, bids = instance.m, instance.true_valuations.bids
+    values = [brute_value(v, x) for v in bids for x in range(1 << m)]
+    cap = max(brute_value(v, 1 << j) for v in bids for j in range(m))
+    return BidGrid.additive(m, len(bids), granularity(values), cap)
+
+
+def _instance(*bids):
+    return Instance(bids[0].m, BidProfile(bids[0].m, bids))
+
+
+def test_default_grid_step_is_the_rational_gcd():
+    assert rational_gcd(F(0), F(5)) == 5
+    assert rational_gcd(F(3, 4), F(1, 2)) == F(1, 4)
+    for bids, step, cap in [
+        ((Additive((F(9, 8), F(2))),), F(1, 8), F(2)),  # 9/8 and 2
+        ((Additive((F(2), F(4))),), F(2), F(4)),  # 2 and 4
+        ((Additive((F(3, 2), F(3, 4))), UnitDemand((F(9, 4), F(3, 4)))),
+         F(3, 4), F(9, 4)),  # a gcd above the floor
+        ((Xos(((F(1), F(1, 3)), (F(2, 3), F(1)))),
+          Oxs(((F(1, 3), F(2)), (F(1), F(0))))), F(1, 3), F(2)),
+        ((Tabular((F(0), F(1, 2), F(1), F(5, 2))),), F(1, 2), F(1)),
+        ((Tabular((F(0), F(-1, 2), F(3, 4), F(1))),), F(1, 4), F(3, 4)),
+    ]:
+        instance = _instance(*bids)
+        grid = BidGrid.default_for(instance)
+        assert grid == _oracle_default_grid(instance)
+        assert grid == BidGrid.additive(instance.m, len(bids), step, cap)
+
+
+def test_default_grid_step_floor():
+    assert granularity([F(1, 64), F(1, 2)]) == F(1, 8)
+    assert granularity([]) == F(1, 8)
+    mixed = _instance(Additive((F(1, 3), F(1, 4))), UnitDemand((F(1, 2), F(0))))
+    assert BidGrid.default_for(mixed) == _oracle_default_grid(mixed)
+    assert BidGrid.default_for(mixed) == BidGrid.additive(2, 2, F(1, 8), F(1, 2))
+    zeros = _instance(Additive((F(0), F(0))), Xos(((F(0), F(0)),)))
+    assert BidGrid.default_for(zeros).per_agent == ((Additive((F(0), F(0))),),) * 2
 
 
 def test_verify_nash_on_the_miscoordination_profile():

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from walras.money import format_money, granularity, parse_money, rational_gcd
+from walras.money import format_money, parse_money
 
 
 def test_parse_int_and_strings():
@@ -50,14 +50,3 @@ def test_format_parse_round_trip():
 def test_format_parse_round_trip_on_any_fraction(q):
     assert parse_money(format_money(q)) == q
 
-
-def test_rational_gcd():
-    assert rational_gcd(Fraction(9, 8), Fraction(2)) == Fraction(1, 8)
-    assert rational_gcd(Fraction(0), Fraction(5)) == 5
-    assert rational_gcd(Fraction(3, 4), Fraction(1, 2)) == Fraction(1, 4)
-
-
-def test_granularity_floor():
-    assert granularity([Fraction(1, 64), Fraction(1, 2)]) == Fraction(1, 8)
-    assert granularity([Fraction(2), Fraction(4)]) == Fraction(2)
-    assert granularity([]) == Fraction(1, 8)
