@@ -34,6 +34,14 @@ def _emit(payload) -> None:
     print(json.dumps(jsonable(payload), indent=2, sort_keys=True))
 
 
+def _emit_csv(header, rows) -> None:
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(header)
+    writer.writerows(rows)
+    sys.stdout.write(out.getvalue())
+
+
 def _grid_for(instance, args) -> BidGrid:
     if args.grid_delta is not None and args.grid_cap is not None:
         return BidGrid.additive(instance.m, instance.n,
@@ -96,11 +104,8 @@ def _cmd_poa(args) -> int:
     report = poa_search(instance, args.rule, _grid_for(instance, args),
                         args.gamma, eps_dev=args.eps_dev, jobs=args.jobs)
     if args.format == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out)
-        writer.writerow(["instance", "rule", "gamma", "ratio",
-                         "witness", "equilibria", "profiles"])
-        writer.writerow([
+        _emit_csv(["instance", "rule", "gamma", "ratio", "witness", "equilibria",
+                   "profiles"], [[
             instance.name or args.instance,
             report.rule.value,
             format_money(report.gamma),
@@ -108,8 +113,7 @@ def _cmd_poa(args) -> int:
             json.dumps(jsonable(report.witness)) if report.witness else "",
             report.equilibrium_count,
             report.profiles_checked,
-        ])
-        sys.stdout.write(out.getvalue())
+        ]])
     else:
         _emit(report)
     return 0
@@ -121,13 +125,9 @@ def _cmd_property_test(args) -> int:
              "first_counterexample": r.first_failure, "detail": r.detail}
             for r in reports]
     if args.format == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out)
-        writer.writerow(["suite", "runs", "failures", "first_counterexample"])
-        for row in rows:
-            writer.writerow([row["suite"], row["runs"], row["failures"],
-                             json.dumps(row["first_counterexample"]) or ""])
-        sys.stdout.write(out.getvalue())
+        _emit_csv(["suite", "runs", "failures", "first_counterexample"],
+                  ([row["suite"], row["runs"], row["failures"],
+                    json.dumps(row["first_counterexample"]) or ""] for row in rows))
     else:
         _emit({"suites": rows, "ok": all(r.ok for r in reports)})
     return 0 if all(r.ok for r in reports) else 1

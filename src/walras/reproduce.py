@@ -97,6 +97,13 @@ def _expected(meta: dict, key: str):
     return eval_money_expr(meta["expected"][key], EPS)
 
 
+def _grid(instance: Instance, meta: dict) -> BidGrid:
+    """The additive bid grid a case's metadata states, at ``EPS``."""
+    return BidGrid.additive(instance.m, instance.n,
+                            eval_money_expr(meta["grid"]["delta"], EPS),
+                            eval_money_expr(meta["grid"]["cap"], EPS))
+
+
 def run_case(case: str) -> tuple[bool, dict]:
     if case not in CASES:
         raise ValueError(f"unknown case {case!r}; choose from {CASES}")
@@ -141,9 +148,7 @@ def _case_overbidding():
 def _case_example1():
     rec = _Recorder()
     instance, meta = _load_case("example1_eps_0.125.json")
-    grid = BidGrid.additive(instance.m, instance.n,
-                            eval_money_expr(meta["grid"]["delta"], EPS),
-                            eval_money_expr(meta["grid"]["cap"], EPS))
+    grid = _grid(instance, meta)
 
     opt, _ = instance.optimal()
     rec.check("optimal welfare", _expected(meta, "optimal_welfare"), opt)
@@ -178,9 +183,7 @@ def _case_example1():
 def _case_example2():
     rec = _Recorder()
     instance, meta = _load_case("example2_eps_0.125.json")
-    grid = BidGrid.additive(instance.m, instance.n,
-                            eval_money_expr(meta["grid"]["delta"], EPS),
-                            eval_money_expr(meta["grid"]["cap"], EPS))
+    grid = _grid(instance, meta)
     mis = BidProfile(instance.m, tuple(
         valuation_from_json(b) for b in meta["miscoordination_bids"]))
 
