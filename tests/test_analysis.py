@@ -141,10 +141,10 @@ def test_default_grid_step_is_the_rational_gcd():
     for bids, step, cap in [
         ((Additive((F(9, 8), F(2))),), F(1, 8), F(2)),  # 9/8 and 2
         ((Additive((F(2), F(4))),), F(2), F(4)),  # 2 and 4
-        ((Additive((F(3, 2), F(3, 4))), UnitDemand((F(9, 4), F(3, 4)))),
-         F(3, 4), F(9, 4)),  # a gcd above the floor
+        ((Additive((F(3, 2), F(3, 4))), UnitDemand((F(9, 4), F(1, 2)))),
+         F(1, 4), F(9, 4)),  # a gcd above the floor, set by the second bid
         ((Xos(((F(1), F(1, 3)), (F(2, 3), F(1)))),
-          Oxs(((F(1, 3), F(2)), (F(1), F(0))))), F(1, 3), F(2)),
+          Oxs(((F(1, 2), F(0)), (F(1), F(0))))), F(1, 6), F(1)),
         ((Tabular((F(0), F(1, 2), F(1), F(5, 2))),), F(1, 2), F(1)),
         ((Tabular((F(0), F(-1, 2), F(3, 4), F(1))),), F(1, 4), F(3, 4)),
     ]:

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction as F
 
+from hypothesis import given, settings, strategies as st
+
 from oracles import brute_max_prices, brute_min_prices, brute_welfare
-from walras.bundles import iter_bits
+from walras.bundles import iter_bits, ms_ones
 from walras.mechanisms import (
     PaymentRule,
     allocate_declared,
@@ -11,9 +13,10 @@ from walras.mechanisms import (
     search_vcg_english_inversion,
     utility,
 )
-from walras.valuations import Additive, Tabular, UnitDemand, Xos, sample_valuation
+from walras.valuations import (Additive, Oxs, Tabular, UnitDemand, Xos,
+                               sample_valuation)
 from walras.walrasian import max_walrasian_prices, min_walrasian_prices
-from walras.welfare import BidProfile, scaled_tables
+from walras.welfare import BidProfile, scaled_tables, welfare_value
 
 EPS = F(1, 8)
 
@@ -213,3 +216,66 @@ def test_submodular_ranking_instance_stays_well_defined():
     inst = load_fixture("payment_ranking.json")
     report = check_payment_ordering(inst.true_valuations)
     assert set(report.payments_by_rule) == {"vcg", "english", "dutch", "paybid"}
+
+
+# -- metamorphic relations -----------------------------------------------------
+# Exact relations between the outcomes of two related markets, checked at
+# sizes beyond the brute-force oracles.  Numbers are whole or over 3, 5, 7
+# and 9, so the two markets' scaled tables rarely share a denominator.
+
+METAMORPHIC = settings(derandomize=True, database=None, deadline=None,
+                       max_examples=100)
+MIXED_NUMBERS = st.sampled_from((1, 3, 5, 7, 9)).flatmap(
+    lambda d: st.integers(0, 3 * d).map(lambda k: F(k, d)))
+
+
+@st.composite
+def markets(draw, max_n=4):
+    """1..max_n bids of any kind over 1-6 items: XOS with 1-2 clauses, OXS
+    with 1-2 slots, tables with independent entries."""
+    m = draw(st.integers(1, 6))
+
+    def row(k):
+        return tuple(draw(MIXED_NUMBERS) for _ in range(k))
+
+    def bid():
+        kind = draw(st.sampled_from(("additive", "unit_demand", "xos", "oxs",
+                                     "tabular")))
+        if kind == "additive":
+            return Additive(row(m))
+        if kind == "unit_demand":
+            return UnitDemand(row(m))
+        if kind == "xos":
+            return Xos(tuple(row(m) for _ in range(draw(st.integers(1, 2)))))
+        if kind == "oxs":
+            slots = draw(st.integers(1, 2))
+            return Oxs(tuple(row(slots) for _ in range(m)))
+        return Tabular((F(0),) + row((1 << m) - 1))
+
+    return BidProfile(m, tuple(bid() for _ in range(draw(st.integers(1, max_n)))))
+
+
+@METAMORPHIC
+@given(markets(), st.builds(F, st.integers(1, 12), st.sampled_from((1, 2, 3, 5, 7))))
+def test_scaling_every_bid_scales_welfare_prices_and_payments(profile, c):
+    scaled = BidProfile(profile.m, tuple(b.scale(c) for b in profile.bids))
+    ones = ms_ones(profile.m)
+    assert welfare_value(scaled, ones) == c * welfare_value(profile, ones)
+    for prices in (min_walrasian_prices, max_walrasian_prices):
+        assert prices(scaled) == tuple(c * p for p in prices(profile))
+    for rule in PaymentRule:
+        before, after = run_mechanism(rule, profile), run_mechanism(rule, scaled)
+        assert after.allocation == before.allocation
+        assert after.payments == tuple(c * p for p in before.payments)
+
+
+@METAMORPHIC
+@given(markets(max_n=3))
+def test_a_zero_bidder_appended_last_changes_nothing(profile):
+    joined = BidProfile(profile.m, profile.bids + (Additive((F(0),) * profile.m),))
+    for prices in (min_walrasian_prices, max_walrasian_prices):
+        assert prices(joined) == prices(profile)
+    for rule in PaymentRule:
+        before, after = run_mechanism(rule, profile), run_mechanism(rule, joined)
+        assert after.allocation.bundles == before.allocation.bundles + (0,)
+        assert after.payments == before.payments + (0,)
