@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction as F
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import brute_max_prices, brute_min_prices, brute_welfare
+from test_valuations import oracle_valuations
 from walras.bundles import iter_bits, ms_ones
 from walras.mechanisms import (
     PaymentRule,
@@ -13,8 +14,7 @@ from walras.mechanisms import (
     search_vcg_english_inversion,
     utility,
 )
-from walras.valuations import (Additive, Oxs, Tabular, UnitDemand, Xos,
-                               sample_valuation)
+from walras.valuations import Additive, Tabular, UnitDemand, Xos, sample_valuation
 from walras.walrasian import max_walrasian_prices, min_walrasian_prices
 from walras.welfare import BidProfile, scaled_tables, welfare_value
 
@@ -220,42 +220,29 @@ def test_submodular_ranking_instance_stays_well_defined():
 
 # -- metamorphic relations -----------------------------------------------------
 # Exact relations between the outcomes of two related markets, checked at
-# sizes beyond the brute-force oracles.  Numbers are whole or over 3, 5, 7
-# and 9, so the two markets' scaled tables rarely share a denominator.
+# sizes beyond the brute-force oracles.  Numbers are over 3, 5, 7, 9 and 11,
+# so the two markets' scaled tables rarely share a denominator.
 
 METAMORPHIC = settings(derandomize=True, database=None, deadline=None,
                        max_examples=100)
-MIXED_NUMBERS = st.sampled_from((1, 3, 5, 7, 9)).flatmap(
-    lambda d: st.integers(0, 3 * d).map(lambda k: F(k, d)))
 
 
 @st.composite
 def markets(draw, max_n=4):
-    """1..max_n bids of any kind over 1-6 items: XOS with 1-2 clauses, OXS
-    with 1-2 slots, tables with independent entries."""
+    """1..max_n bids of any kind over 1-6 items."""
     m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, max_n))
+    return BidProfile(m, tuple(draw(oracle_valuations(m)) for _ in range(n)))
 
-    def row(k):
-        return tuple(draw(MIXED_NUMBERS) for _ in range(k))
 
-    def bid():
-        kind = draw(st.sampled_from(("additive", "unit_demand", "xos", "oxs",
-                                     "tabular")))
-        if kind == "additive":
-            return Additive(row(m))
-        if kind == "unit_demand":
-            return UnitDemand(row(m))
-        if kind == "xos":
-            return Xos(tuple(row(m) for _ in range(draw(st.integers(1, 2)))))
-        if kind == "oxs":
-            slots = draw(st.integers(1, 2))
-            return Oxs(tuple(row(slots) for _ in range(m)))
-        return Tabular((F(0),) + row((1 << m) - 1))
-
-    return BidProfile(m, tuple(bid() for _ in range(draw(st.integers(1, max_n)))))
+# The largest market drawn, which the draws above rarely reach.
+SIX_ITEMS = BidProfile(6, tuple(
+    sample_valuation(kind, 6, 3, seed=k, denominators=(3, 5, 7, 9))
+    for k, kind in enumerate(("xos", "oxs", "unit_demand", "additive"))))
 
 
 @METAMORPHIC
+@example(SIX_ITEMS, F(5, 3))
 @given(markets(), st.builds(F, st.integers(1, 12), st.sampled_from((1, 2, 3, 5, 7))))
 def test_scaling_every_bid_scales_welfare_prices_and_payments(profile, c):
     scaled = BidProfile(profile.m, tuple(b.scale(c) for b in profile.bids))
@@ -270,6 +257,7 @@ def test_scaling_every_bid_scales_welfare_prices_and_payments(profile, c):
 
 
 @METAMORPHIC
+@example(BidProfile(6, SIX_ITEMS.bids[:3]))
 @given(markets(max_n=3))
 def test_a_zero_bidder_appended_last_changes_nothing(profile):
     joined = BidProfile(profile.m, profile.bids + (Additive((F(0),) * profile.m),))

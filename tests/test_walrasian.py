@@ -5,10 +5,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import brute_max_prices, brute_min_prices, fraction_walrasian_certificate
+from test_valuations import ROUND_TRIP_NUMBERS, oracle_valuations
 from walras.bundles import ms_ones
 from walras.mechanisms import allocate_declared
-from walras.valuations import (Additive, Oxs, Tabular, UnitDemand, Xos,
-                               sample_valuation)
+from walras.valuations import Additive, Tabular, UnitDemand, Xos, sample_valuation
 from walras.walrasian import (
     ClearingViolation,
     DemandViolation,
@@ -148,43 +148,19 @@ def test_verify_failure_modes():
     assert any(isinstance(f, ClearingViolation) for f in cert.failures)
 
 
-# Numbers over 3, 5, 7 and 9, so bids, prices and gains rarely share a
-# denominator; zero is drawn often.
-THIRDS_TO_NINTHS = st.sampled_from((3, 5, 7, 9)).flatmap(
-    lambda d: st.integers(0, 3 * d).map(lambda k: F(k, d)))
-
-
 @st.composite
 def verification_inputs(draw):
     """A profile of 1-3 bids of any kind over 1-4 items, any assignment of
     the items to the agents or to nobody, and any non-negative prices."""
     m = draw(st.integers(1, 4))
     n = draw(st.integers(1, 3))
-
-    def row(k):
-        return tuple(draw(THIRDS_TO_NINTHS) for _ in range(k))
-
-    def bid():
-        kind = draw(st.sampled_from(("additive", "unit_demand", "xos", "oxs",
-                                     "tabular")))
-        if kind == "additive":
-            return Additive(row(m))
-        if kind == "unit_demand":
-            return UnitDemand(row(m))
-        if kind == "xos":
-            return Xos(tuple(row(m) for _ in range(draw(st.integers(1, 3)))))
-        if kind == "oxs":
-            slots = draw(st.integers(1, 2))
-            return Oxs(tuple(row(slots) for _ in range(m)))
-        return Tabular((F(0),) + row((1 << m) - 1))
-
-    profile = BidProfile(m, tuple(bid() for _ in range(n)))
+    profile = BidProfile(m, tuple(draw(oracle_valuations(m)) for _ in range(n)))
     bundles = [0] * n
     for j in range(m):
         owner = draw(st.integers(0, n))  # n leaves item j unsold
         if owner < n:
             bundles[owner] |= 1 << j
-    return profile, tuple(bundles), row(m)
+    return profile, tuple(bundles), tuple(draw(ROUND_TRIP_NUMBERS) for _ in range(m))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
