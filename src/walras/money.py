@@ -100,4 +100,3 @@ def format_money(q: Fraction) -> str:
     digits = str(scaled).rjust(k + 1, "0")
     sign = "-" if num < 0 else ""
     return f"{sign}{digits[:-k]}.{digits[-k:]}"
-

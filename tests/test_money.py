@@ -49,4 +49,3 @@ def test_format_parse_round_trip():
               st.integers(), st.integers(0, 12), st.integers(0, 12))))
 def test_format_parse_round_trip_on_any_fraction(q):
     assert parse_money(format_money(q)) == q
-
