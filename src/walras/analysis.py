@@ -56,7 +56,7 @@ from .welfare import (
 )
 
 
-MAX_PROFILES = 200_000  # default budget of one poa_search, in grid profiles
+MAX_PROFILES = 200_000  # budget of one poa_search, in grid profiles
 
 
 class EnumerationBudgetExceeded(RuntimeError):
@@ -94,10 +94,6 @@ class BidGrid:
                            tuple(tuple(g) for g in self.per_agent))
         if any(len(g) == 0 for g in self.per_agent):
             raise ValueError("every agent needs a non-empty bid grid")
-
-    @property
-    def n(self) -> int:
-        return len(self.per_agent)
 
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(g) for g in self.per_agent)
@@ -551,8 +547,7 @@ def _grid_outcomes(scaled: _Scaled, contexts) -> list[list[tuple]]:
 
 
 def poa_search(instance: Instance, rule: PaymentRule, grid: BidGrid, gamma,
-               *, eps_dev=ZERO, max_profiles: int = MAX_PROFILES,
-               jobs: int = 1) -> PoaReport:
+               *, eps_dev=ZERO, jobs: int = 1) -> PoaReport:
     """Enumerate every grid profile; keep the ones that are grid-Nash (with
     truthful and half-truthful deviations injected) and whose bids all have
     exposure bound at most gamma; report the worst optimal-to-equilibrium
@@ -569,9 +564,9 @@ def poa_search(instance: Instance, rule: PaymentRule, grid: BidGrid, gamma,
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     sizes = grid.sizes()
     total = prod(sizes)
-    if total > max_profiles:
+    if total > MAX_PROFILES:
         raise EnumerationBudgetExceeded(
-            f"{total} grid profiles exceed the budget of {max_profiles}")
+            f"{total} grid profiles exceed the budget of {MAX_PROFILES}")
     scaled = _Scaled.of(instance, rule, grid, eps_dev=eps_dev)
     # Opponent context c is the c-th tuple here; flat = a * contexts + c.
     opponents = list(itertools.product(*(range(s) for s in sizes[1:])))

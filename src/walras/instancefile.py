@@ -12,8 +12,9 @@ An instance file is JSON:
 
 Valuation JSON follows the schema in :mod:`walras.valuations`.  Numeric
 fields may additionally be small expressions in ``eps`` ("2-2*eps"), which
-are evaluated exactly against the file's epsilon binding (or an override):
-that keeps parametric fixtures honest when the parameter moves.
+are evaluated exactly against the file's epsilon binding (or the ``epsilon``
+argument of :func:`instance_from_dict`): that keeps parametric fixtures
+honest when the parameter moves.
 """
 
 from __future__ import annotations
@@ -167,8 +168,8 @@ def read_json(path) -> dict:
         raise InstanceFormatError(f"{path}: JSON nested too deeply") from None
 
 
-def load_instance(path, *, epsilon=None) -> Instance:
-    return instance_from_dict(read_json(path), epsilon=epsilon)
+def load_instance(path) -> Instance:
+    return instance_from_dict(read_json(path))
 
 
 def instance_to_dict(instance: Instance) -> dict:

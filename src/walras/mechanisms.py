@@ -89,10 +89,11 @@ def _scaled_externality(bids: BidProfile, i: int, bundle: int) -> int:
     return everything - rest
 
 
-def _outcome(rule: PaymentRule, bids: BidProfile,
-             alloc: Allocation) -> MechanismOutcome:
-    """The rule's payments and prices on ``alloc``, computed as D times their
-    value (D from ``scaled_tables(bids)``) and converted once."""
+def run_mechanism(rule: PaymentRule, bids: BidProfile) -> MechanismOutcome:
+    """The rule's payments and prices on the declared allocation, computed as
+    D times their value (D from ``scaled_tables(bids)``) and converted once."""
+    rule = PaymentRule(rule)
+    alloc = allocate_declared(bids)
     denom, tables = scaled_tables(bids)
     prices = None
     if rule is PaymentRule.VCG:
@@ -108,10 +109,6 @@ def _outcome(rule: PaymentRule, bids: BidProfile,
         tuple(Fraction(p, denom) for p in pays),
         None if prices is None else tuple(Fraction(p, denom) for p in prices),
         pays)
-
-
-def run_mechanism(rule: PaymentRule, bids: BidProfile) -> MechanismOutcome:
-    return _outcome(PaymentRule(rule), bids, allocate_declared(bids))
 
 
 def utility(true_v: Valuation, outcome: MechanismOutcome, i: int) -> Fraction:
@@ -145,7 +142,7 @@ def check_payment_ordering(bids: BidProfile) -> PaymentOrderingReport:
     comparisons per agent, in chain order.
     """
     alloc = allocate_declared(bids)
-    by_rule = {rule: _outcome(rule, bids, alloc) for rule in _CHAIN}
+    by_rule = {rule: run_mechanism(rule, bids) for rule in _CHAIN}
     links = []
     for i in range(bids.n):
         seq = [by_rule[rule]._scaled_payments[i] for rule in _CHAIN]

@@ -7,7 +7,6 @@ float formatting anywhere.
 from __future__ import annotations
 
 import dataclasses
-from enum import Enum
 from fractions import Fraction
 
 from .bundles import iter_bits
@@ -23,8 +22,6 @@ def jsonable(obj):
         return format_money(obj)
     if obj is INFINITY:
         return "inf"
-    if isinstance(obj, Enum):
-        return obj.value
     if isinstance(obj, Valuation):
         return valuation_to_json(obj)
     if isinstance(obj, Allocation):
@@ -38,7 +35,7 @@ def jsonable(obj):
         return {f.name: jsonable(getattr(obj, f.name))
                 for f in dataclasses.fields(obj) if not f.name.startswith("_")}
     if isinstance(obj, dict):
-        return {str(k.value if isinstance(k, Enum) else k): jsonable(v)
+        return {str(k): jsonable(v)
                 for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonable(x) for x in obj]

@@ -127,12 +127,7 @@ def ordering_suite(runs: int = 500, seed: int = 0) -> SuiteReport:
     for k in range(runs):
         bids = random_gs_profile(rng)
         rep = check_payment_ordering(bids)
-        bad_chain = not rep.chain_ok
-        bad_dwm = any(
-            pay > bid.value(x)
-            for pay, bid, x in zip(rep.payments_by_rule["paybid"], bids.bids,
-                                   rep.allocation.bundles))
-        if bad_chain or bad_dwm:
+        if not rep.chain_ok:
             failures += 1
             if first is None:
                 first = jsonable({"run": k, "profile": bids,

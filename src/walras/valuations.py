@@ -305,27 +305,23 @@ def _demanded(tab: Sequence[int], p: Sequence[int]) -> list[int]:
 
 # -- class membership checkers ----------------------------------------------
 
-def _monotone_normalized(tab: Sequence[int], m: int) -> bool:
+def is_monotone_normalized(v: Valuation) -> bool:
+    """True iff v(empty) = 0 and adding an item never lowers the value."""
+    tab = _tabulate(v)[1]
     if tab[0] != 0:
         return False
-    for mask in range(1 << m):
-        for j in range(m):
+    for mask in range(1 << v.m):
+        for j in range(v.m):
             if not mask >> j & 1:
                 if tab[mask | (1 << j)] < tab[mask]:
                     return False
     return True
 
 
-def is_monotone_normalized(v: Valuation) -> bool:
-    """True iff v(empty) = 0 and adding an item never lowers the value."""
-    return _monotone_normalized(_tabulate(v)[1], v.m)
-
-
 def _require_normalized(v: Valuation) -> tuple[int, ...]:
-    tab = _tabulate(v)[1]
-    if not _monotone_normalized(tab, v.m):
+    if not is_monotone_normalized(v):
         raise ValueError("valuation is not monotone and normalized")
-    return tab
+    return _tabulate(v)[1]
 
 
 def is_submodular(v: Valuation) -> bool:

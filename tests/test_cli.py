@@ -13,6 +13,7 @@ from walras.instancefile import (
     instance_from_dict,
     instance_to_dict,
     load_instance,
+    read_json,
 )
 from fractions import Fraction as F
 
@@ -292,7 +293,8 @@ def test_eps_expression_parser():
 
 def test_alternate_epsilon_rederives_expectations():
     eps = F(1, 16)
-    inst = load_instance(fixture_path("example1_eps_0.125.json"), epsilon=eps)
+    data = read_json(fixture_path("example1_eps_0.125.json"))
+    inst = instance_from_dict(data, epsilon=eps)
     assert inst.true_valuations.bids[0].weights == (1 + eps, 1 + eps)
 
 
