@@ -17,11 +17,11 @@ from functools import cache
 from .analysis import BidGrid, EnumerationBudgetExceeded, poa_search, verify_nash
 from .bundles import ms_ones
 from .instancefile import InstanceFormatError, load_instance
-from .mechanisms import allocate_declared, run_mechanism
+from .mechanisms import PaymentRule, allocate_declared, run_mechanism
 from .money import format_money
 from .reproduce import CASES, run_case
 from .serialize import jsonable
-from .suites import run_suites
+from .suites import _SUITES, run_suites
 from .walrasian import (
     max_walrasian_prices,
     min_walrasian_prices,
@@ -153,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)
         p.add_argument("instance")
         if rule:
-            p.add_argument("--rule", choices=["vcg", "english", "dutch", "paybid"],
+            p.add_argument("--rule", choices=[r.value for r in PaymentRule],
                            default="english")
         if grid:
             p.add_argument("--grid-delta", help="bid grid step (exact rational)")
@@ -177,8 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["json", "csv"], default="json")
 
     p = sub.add_parser("property-test", help="seeded exact property suites")
-    p.add_argument("--suite", choices=["lemmas", "ordering", "smoothness",
-                                       "lattice", "all"], default="all")
+    p.add_argument("--suite", choices=[*_SUITES, "all"], default="all")
     p.add_argument("--seeds", type=int, default=100,
                    help="number of seeded runs per suite")
     p.add_argument("--seed", type=int, default=0)

@@ -40,9 +40,6 @@ from .welfare import BidProfile, assignment_value, welfare_max
 from .bundles import ms_ones
 
 
-CASES = ("example1", "example2", "overbidding", "bullying", "payment-ranking")
-
-
 @dataclass
 class Fact:
     name: str
@@ -260,9 +257,10 @@ def _case_payment_ranking():
 
 
 _HANDLERS = {
-    "overbidding": _case_overbidding,
     "example1": _case_example1,
     "example2": _case_example2,
+    "overbidding": _case_overbidding,
     "bullying": _case_bullying,
     "payment-ranking": _case_payment_ranking,
 }
+CASES = tuple(_HANDLERS)
