@@ -331,6 +331,14 @@ def test_marginal_sum_bound_additive_and_xos():
         assert rep.factor2_ok
 
 
+def test_marginal_sum_bound_unknown_class():
+    # Complements: neither gross substitutes nor XOS.
+    bids = BidProfile(2, (Tabular((F(0), F(1), F(1), F(3))), Additive((F(1), F(1)))))
+    rep = marginal_sum_bound(bids, Allocation(2, (0b11, 0)))
+    assert rep.classification == "unknown"
+    assert (rep.total, rep.single_bound) == (2, 3)
+
+
 def test_marginal_sum_bound_rejects_mismatched_partition():
     bids = BidProfile(2, (Additive((F(1), F(2))), Additive((F(3), F(1)))))
     with pytest.raises(ValueError):
@@ -501,6 +509,17 @@ def test_best_response_dynamics_examples():
     trace = best_response_dynamics(solo, PaymentRule.PAY_YOUR_BID, grid1, start)
     assert trace.status == "converged"
     assert trace.profile.bids[0] == Additive((F(0), F(0)))
+
+
+def test_best_response_dynamics_reports_a_cycle():
+    types = BidProfile(2, (UnitDemand((F(4), F(3))), Additive((F(3), F(1))),
+                           Additive((F(0), F(3)))))
+    start = BidProfile(2, (Additive((F(2), F(2))), Additive((F(1), F(0))),
+                           Additive((F(0), F(0)))))
+    trace = best_response_dynamics(Instance(2, types), PaymentRule.PAY_YOUR_BID,
+                                   BidGrid.additive(2, 3, 1, 2), start)
+    assert trace.status == "cycle"
+    assert trace.rounds == 4
 
 
 def test_best_response_requires_start_on_grid():

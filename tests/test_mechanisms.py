@@ -5,6 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from oracles import brute_max_prices, brute_min_prices, brute_welfare
 from test_valuations import oracle_valuations
+from walras.analysis import BidGrid, Instance, poa_search, verify_nash
 from walras.bundles import iter_bits, ms_ones
 from walras.mechanisms import (
     PaymentRule,
@@ -14,7 +15,7 @@ from walras.mechanisms import (
     search_vcg_english_inversion,
     utility,
 )
-from walras.valuations import Additive, Tabular, UnitDemand, Xos, sample_valuation
+from walras.valuations import Additive, Oxs, Tabular, UnitDemand, Xos, sample_valuation
 from walras.walrasian import max_walrasian_prices, min_walrasian_prices
 from walras.welfare import BidProfile, scaled_tables, welfare_value
 
@@ -228,9 +229,9 @@ METAMORPHIC = settings(derandomize=True, database=None, deadline=None,
 
 
 @st.composite
-def markets(draw, max_n=4):
-    """1..max_n bids of any kind over 1-6 items."""
-    m = draw(st.integers(1, 6))
+def markets(draw, max_n=4, m=st.integers(1, 6)):
+    """1..max_n bids of any kind over ``m`` items, by default 1-6."""
+    m = draw(m)
     n = draw(st.integers(1, max_n))
     return BidProfile(m, tuple(draw(oracle_valuations(m)) for _ in range(n)))
 
@@ -267,3 +268,120 @@ def test_a_zero_bidder_appended_last_changes_nothing(profile):
         before, after = run_mechanism(rule, profile), run_mechanism(rule, joined)
         assert after.allocation.bundles == before.allocation.bundles + (0,)
         assert after.payments == before.payments + (0,)
+
+
+def _relabel(v, perm):
+    """``v`` with its item j renamed ``perm[j]``, of the same kind."""
+    def move(row):
+        out = [None] * len(row)
+        for j, w in enumerate(row):
+            out[perm[j]] = w
+        return tuple(out)
+
+    if isinstance(v, (Additive, UnitDemand)):
+        return type(v)(move(v.weights))
+    if isinstance(v, Xos):
+        return Xos(tuple(move(c) for c in v.clauses))
+    if isinstance(v, Oxs):
+        return Oxs(move(v.matrix))
+    values = [None] * len(v.values)
+    for x, w in enumerate(v.values):
+        values[sum(1 << perm[j] for j in iter_bits(x))] = w
+    return Tabular(tuple(values))
+
+
+@st.composite
+def relabelled_markets(draw):
+    profile = draw(markets())
+    return profile, tuple(draw(st.permutations(range(profile.m))))
+
+
+@METAMORPHIC
+@example((SIX_ITEMS, (5, 3, 0, 4, 1, 2)))
+@given(relabelled_markets())
+def test_relabelling_the_items_permutes_both_price_vectors(case):
+    profile, perm = case
+    moved = BidProfile(profile.m, tuple(_relabel(b, perm) for b in profile.bids))
+    ones = ms_ones(profile.m)
+    assert welfare_value(moved, ones) == welfare_value(profile, ones)
+    for prices in (min_walrasian_prices, max_walrasian_prices):
+        before, after = prices(profile), prices(moved)
+        assert tuple(after[perm[j]] for j in range(profile.m)) == before
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@example(SIX_ITEMS)
+@given(markets(max_n=3, m=st.integers(6, 8)))
+def test_lattice_endpoints_are_welfare_differences(profile):
+    # Read through the general table DP over two copies of item j, not the
+    # doubled slices the price routines fold.
+    m = profile.m
+    ones = ms_ones(m)
+    full = welfare_value(profile, ones)
+    low, high = min_walrasian_prices(profile), max_walrasian_prices(profile)
+    for j in range(m):
+        two = ones[:j] + (2,) + ones[j + 1:]
+        none = ones[:j] + (0,) + ones[j + 1:]
+        assert low[j] == welfare_value(profile, two) - full
+        assert high[j] == full - welfare_value(profile, none)
+
+
+# (items, agents, weights per item) of additive grids with at most 81 profiles.
+SMALL_GRIDS = ((1, 2, 9), (1, 3, 4), (1, 4, 3), (2, 2, 3), (3, 2, 2))
+RATIONALS = st.builds(F, st.integers(1, 12), st.sampled_from((1, 2, 3, 5, 7)))
+
+
+@st.composite
+def grid_games(draw):
+    """Types, a bid profile, grid delta, cap and eps_dev of a small game."""
+    m, n, count = draw(st.sampled_from(SMALL_GRIDS))
+    types = BidProfile(m, tuple(draw(oracle_valuations(m)) for _ in range(n)))
+    bids = BidProfile(m, tuple(draw(oracle_valuations(m)) for _ in range(n)))
+    delta = draw(RATIONALS) / 4
+    eps_dev = draw(st.sampled_from((F(0), F(1, 4), F(1))))
+    return types, bids, delta, (count - 1) * delta, eps_dev
+
+
+def _scale_profile(profile, c):
+    return BidProfile(profile.m, tuple(b.scale(c) for b in profile.bids))
+
+
+# The miscoordination example: two crossed unit-demand types, and bids that
+# each take the other agent's favourite item.
+MISCOORDINATION_GAME = (
+    BidProfile(2, (UnitDemand((F(15, 8), F(1))), UnitDemand((F(1), F(15, 8))))),
+    MISCOORDINATION, F(1, 2), F(1), F(0))
+
+
+@METAMORPHIC
+@example(MISCOORDINATION_GAME, F(5, 3))
+@given(grid_games(), RATIONALS)
+def test_scaling_types_bids_and_grid_scales_verify_nash(game, c):
+    types, bids, delta, cap, eps_dev = game
+    m, n = types.m, types.n
+    before = verify_nash(Instance(m, types), PaymentRule.ENGLISH, bids,
+                         BidGrid.additive(m, n, delta, cap), eps_dev)
+    after = verify_nash(Instance(m, _scale_profile(types, c)), PaymentRule.ENGLISH,
+                        _scale_profile(bids, c),
+                        BidGrid.additive(m, n, c * delta, c * cap), c * eps_dev)
+    assert after.is_nash == before.is_nash
+    assert after.welfare == c * before.welfare
+    assert after.ratio == before.ratio
+    assert [d.gain for d in after.deviations] == [c * d.gain
+                                                  for d in before.deviations]
+
+
+@METAMORPHIC
+@example(MISCOORDINATION_GAME, F(5, 3), PaymentRule.VCG)
+@given(grid_games(), RATIONALS, st.sampled_from(PaymentRule))
+def test_scaling_types_and_grid_keeps_the_poa_search(game, c, rule):
+    types, _, delta, cap, eps_dev = game
+    m, n = types.m, types.n
+    before = poa_search(Instance(m, types), rule,
+                        BidGrid.additive(m, n, delta, cap), 0, eps_dev=eps_dev)
+    after = poa_search(Instance(m, _scale_profile(types, c)), rule,
+                       BidGrid.additive(m, n, c * delta, c * cap), 0,
+                       eps_dev=c * eps_dev)
+    assert after.equilibrium_count == before.equilibrium_count
+    assert after.worst_ratio == before.worst_ratio
+    assert after.witness == (before.witness and _scale_profile(before.witness, c))

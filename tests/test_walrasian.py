@@ -255,3 +255,14 @@ def test_tatonnement_iteration_cap():
         tatonnement(prof, F(1, 64), max_steps=3)
     with pytest.raises(ValueError):
         tatonnement(prof, 0)
+
+
+def test_tatonnement_releases_items_an_agent_stops_demanding():
+    # The complementary first bidder holds both items, is outbid on item 1,
+    # and then drops item 0 as well.
+    prof = BidProfile(2, (Tabular((F(0), F(3), F(3), F(8))),
+                          Additive((F(1), F(2))), UnitDemand((F(4), F(5)))))
+    result = tatonnement(prof, F(1, 4))
+    assert result.prices == (F(7, 2), F(9, 2))
+    assert result.steps == 45
+    assert result.allocation.bundles == (0b01, 0, 0b10)
