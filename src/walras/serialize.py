@@ -35,8 +35,7 @@ def jsonable(obj):
         return {f.name: jsonable(getattr(obj, f.name))
                 for f in dataclasses.fields(obj) if not f.name.startswith("_")}
     if isinstance(obj, dict):
-        return {str(k): jsonable(v)
-                for k, v in obj.items()}
+        return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonable(x) for x in obj]
     raise TypeError(f"cannot serialize {type(obj).__name__}")

@@ -384,4 +384,7 @@ def test_scaling_types_and_grid_keeps_the_poa_search(game, c, rule):
                        eps_dev=c * eps_dev)
     assert after.equilibrium_count == before.equilibrium_count
     assert after.worst_ratio == before.worst_ratio
-    assert after.witness == (before.witness and _scale_profile(before.witness, c))
+    if before.witness is None:
+        assert after.witness is None
+    else:
+        assert after.witness == _scale_profile(before.witness, c)

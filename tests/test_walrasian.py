@@ -258,8 +258,8 @@ def test_tatonnement_iteration_cap():
 
 
 def test_tatonnement_releases_items_an_agent_stops_demanding():
-    # The complementary first bidder holds both items, is outbid on item 1,
-    # and then drops item 0 as well.
+    # With a complementary bid in the market, an agent gives up an item it
+    # holds: the release step of the ascent.
     prof = BidProfile(2, (Tabular((F(0), F(3), F(3), F(8))),
                           Additive((F(1), F(2))), UnitDemand((F(4), F(5)))))
     result = tatonnement(prof, F(1, 4))
