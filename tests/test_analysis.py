@@ -457,6 +457,25 @@ def test_poa_search_parallel_matches_serial():
     assert serial == parallel
 
 
+def _assert_brute_force(report, inst, rule, grid, gamma, eps):
+    """``report`` counts the grid profiles within ``gamma`` that
+    ``verify_nash`` accepts at ``eps``, and has the worst ratio among them
+    at the first such profile in grid order (last agent fastest)."""
+    types = inst.true_valuations.bids
+    count, worst, witness = 0, None, None
+    for bids in itertools.product(*grid.per_agent):
+        if any(exposure_factor_bound(v, b) > gamma for v, b in zip(types, bids)):
+            continue
+        nash = verify_nash(inst, rule, BidProfile(inst.m, bids), grid, eps)
+        if nash.is_nash:
+            count += 1
+            if worst is None or nash.ratio > worst:
+                worst, witness = nash.ratio, bids
+    assert report.equilibrium_count == count
+    assert report.worst_ratio == (worst if worst is not None else 1)
+    assert (report.witness.bids if report.witness else None) == witness
+
+
 def test_poa_search_matches_brute_force_on_odd_denominators():
     # Types over sevenths and thirds, a grid over halves and a tolerance over
     # ninths: the common denominator is none of theirs alone.  The tolerance
@@ -466,21 +485,9 @@ def test_poa_search_matches_brute_force_on_odd_denominators():
     grid = BidGrid.additive(2, 2, "1/2", "1")
     eps = F(1, 9)
     gamma = F(1)
-    types = inst.true_valuations.bids
     for rule in PaymentRule:
-        count, worst, witness = 0, None, None
-        for bids in itertools.product(*grid.per_agent):
-            if any(exposure_factor_bound(v, b) > gamma for v, b in zip(types, bids)):
-                continue
-            nash = verify_nash(inst, rule, BidProfile(2, bids), grid, eps)
-            if nash.is_nash:
-                count += 1
-                if worst is None or nash.ratio > worst:
-                    worst, witness = nash.ratio, bids
         report = poa_search(inst, rule, grid, gamma, eps_dev=eps)
-        assert report.equilibrium_count == count
-        assert report.worst_ratio == (worst if worst is not None else 1)
-        assert (report.witness.bids if report.witness else None) == witness
+        _assert_brute_force(report, inst, rule, grid, gamma, eps)
         assert report == poa_search(inst, rule, grid, gamma, eps_dev=eps, jobs=2)
     vcg = poa_search(inst, PaymentRule.VCG, grid, gamma, eps_dev=eps)
     assert (vcg.equilibrium_count, vcg.worst_ratio) == (18, F(31, 24))
@@ -691,29 +698,27 @@ def test_poa_search_reports_equal_for_one_two_and_three_jobs():
             assert poa_search(THREE, rule, grid, 1, eps_dev=1, jobs=jobs) == serial
 
 
+TIES = Instance(2, BidProfile(2, (UnitDemand((F(1), F(2))),
+                                  Additive((F(1), F(1))),
+                                  Additive((F(0), F(0))))))
+
+
 def test_poa_search_matches_brute_force_at_three_agents():
-    """At n = 3 the least equilibrium welfare ties across opponent contexts:
-    the witness is the tie with the smallest flat index (last agent
-    fastest), not the first one the kernel's loop meets."""
-    inst = Instance(2, BidProfile(2, (UnitDemand((F(1), F(2))),
-                                      Additive((F(1), F(1))),
-                                      Additive((F(0), F(0))))))
-    grid = BidGrid.additive(2, 3, 1, 1)
-    types = inst.true_valuations.bids
-    for rule in PaymentRule:
-        count, worst, witness = 0, None, None
-        for bids in itertools.product(*grid.per_agent):
-            if any(exposure_factor_bound(v, b) > 1 for v, b in zip(types, bids)):
-                continue
-            nash = verify_nash(inst, rule, BidProfile(2, bids), grid, F(1, 2))
-            if nash.is_nash:
-                count += 1
-                if worst is None or nash.ratio > worst:
-                    worst, witness = nash.ratio, bids
-        report = poa_search(inst, rule, grid, 1, eps_dev=F(1, 2))
-        assert report.equilibrium_count == count
-        assert report.worst_ratio == (worst if worst is not None else 1)
-        assert (report.witness.bids if report.witness else None) == witness
+    """At n = 3 the least equilibrium welfare ties across opponent contexts
+    (``TIES``): the witness is the tie with the smallest flat index (last
+    agent fastest), not the first one the kernel's loop meets.  Grids of 3,
+    5 and 5 bids, and of 5, 5 and 3 bids in falling order (the low bids that
+    tend to be best responses last), give the agents their own strides and
+    grid sizes, so a stride or a size read for the wrong agent shows."""
+    uneven = _uneven_grid()
+    falling = BidGrid(tuple(g[::-1] for g in uneven.per_agent[::-1]))
+    for instance, grid, eps in ((TIES, BidGrid.additive(2, 3, 1, 1), F(1, 2)),
+                                (THREE, uneven, F(1)),
+                                (THREE, uneven, F(0)),
+                                (THREE, falling, F(0))):
+        for rule in PaymentRule:
+            report = poa_search(instance, rule, grid, 1, eps_dev=eps)
+            _assert_brute_force(report, instance, rule, grid, 1, eps)
 
 
 def test_poa_search_runs_the_mechanism_only_for_injected_deviations(monkeypatch):
