@@ -13,10 +13,10 @@ to one common denominator D once, seeds each profile it runs with those
 integer tables, and compares D times the utilities.  Values become Fractions
 only in the returned reports.  ``poa_search`` runs no mechanism per grid
 profile: its kernel, ``_grid_outcomes``, reads the same tables by grid index
-and gives every grid profile's D times welfare and utilities.  Only its
-injected truthful and half-truthful deviations, which are off the grid, and
-the runs of ``verify_nash``, the certificates and best response go through
-``_Scaled.run``.
+and gives every grid profile's D times welfare and utilities; one pass over
+them in flat order checks every agent alike.  Only its injected truthful and
+half-truthful deviations, which are off the grid, and the runs of
+``verify_nash``, the certificates and best response go through ``_Scaled.run``.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from fractions import Fraction
 from math import gcd, prod
 
 from .bundles import iter_bits, ms_ones
-from .money import (INFINITY, ZERO, Infinity, format_money, on_one_denominator,
-                    parse_money)
+from .money import (INFINITY, ZERO, Infinity, _parse_non_negative, format_money,
+                    on_one_denominator, parse_money)
 from .mechanisms import PaymentRule, _scaled_externality, run_mechanism
 from .valuations import (
     CHECKER_MAX_ITEMS,
@@ -103,10 +103,10 @@ class BidGrid:
         """All additive bids with per-item weights 0, delta, ..., cap; refused
         before any is built when one agent would get over MAX_PROFILES."""
         step = parse_money(delta)
-        top = parse_money(cap)
+        top = _parse_non_negative(cap, "grid cap")
         if step <= 0:
             raise ValueError("grid delta must be positive")
-        count = max(top // step + 1, 0)  # weights per item
+        count = top // step + 1  # weights per item
         if count ** m > MAX_PROFILES:
             raise EnumerationBudgetExceeded(
                 f"grid delta {format_money(step)}, cap {format_money(top)} and "
@@ -258,7 +258,7 @@ def verify_nash(instance: Instance, rule: PaymentRule, profile: BidProfile,
     the truthful bid and the half-truthful bid.  ``is_nash`` means no
     candidate improves any agent's utility by more than ``eps_dev``.
     """
-    eps_dev = parse_money(eps_dev)
+    eps_dev = _parse_non_negative(eps_dev, "deviation tolerance")
     scaled = _Scaled.of(instance, rule, grid, profile)
     denom, current = scaled.denom, scaled.current
     _, welfare, here = scaled.run(current)
@@ -558,8 +558,8 @@ def poa_search(instance: Instance, rule: PaymentRule, grid: BidGrid, gamma,
     processes.  Ties on the worst ratio resolve to the smallest flat index
     (last agent fastest), so every ``jobs`` reduces identically.
     """
-    gamma = parse_money(gamma)
-    eps_dev = parse_money(eps_dev)
+    gamma = _parse_non_negative(gamma, "gamma")
+    eps_dev = _parse_non_negative(eps_dev, "deviation tolerance")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     sizes = grid.sizes()
@@ -580,47 +580,42 @@ def poa_search(instance: Instance, rule: PaymentRule, grid: BidGrid, gamma,
     else:
         pieces = [_grid_outcomes(scaled, piece) for piece in chunks]
     rows = [row for piece in pieces for row in piece]
+    outcomes = [o for column in zip(*rows) for o in column]  # in flat order
 
     exposure_ok = [[_exposure(vt, bt) <= gamma for _, bt in bids]
                    for (_, vt), bids in zip(scaled.truthful, scaled.grid)]
-
-    # Best grid utility per agent within each of its opponent contexts (the
-    # flat index with its own grid index zeroed): agent 0's is the best of its
-    # row.  The injected deviations are run once per context, when a profile
-    # first needs them.
-    strides = [prod(sizes[k + 1:]) for k in range(instance.n)]
-    best_grid = [{c: max(u[0] for _, u in row) for c, row in enumerate(rows)}]
-    for i in range(1, instance.n):
-        best_grid.append(best := {})
-        for c, row in enumerate(rows):
-            base = c - opponents[c][i - 1] * strides[i]  # the context of a = 0
-            for ctx, (_, utils) in zip(range(base, total, contexts), row):
-                best[ctx] = max(best.get(ctx, utils[i]), utils[i])
-
-    injected_best = {}  # (agent, context) -> D * its best injected utility
-
-    def injected_max(i: int, ctx: int, idxs) -> int:
-        if (i, ctx) not in injected_best:
-            injected_best[i, ctx] = max(scaled.utilities(
-                tuple(g[k] for g, k in zip(scaled.grid, idxs)), i,
-                (scaled.truthful[i], scaled.half[i])))
-        return injected_best[i, ctx]
-
-    found = []  # (D * true welfare, flat index, grid indices) of each equilibrium
-    for c, row in enumerate(rows):
-        for a, (welfare, utils) in enumerate(row):
-            idxs = (a,) + opponents[c]
-            flat = a * contexts + c
-            if all(exposure_ok[i][k] for i, k in enumerate(idxs)) and not any(
-                    best_grid[i][flat - k * strides[i]] - utils[i] > scaled.eps
-                    or injected_max(i, flat - k * strides[i], idxs) - utils[i] > scaled.eps
-                    for i, k in enumerate(idxs)):
-                found.append((welfare, flat, idxs))
+    # Agent i's context in a profile is the flat index with its own grid
+    # index zeroed.  Its best grid utility there is the best of the slice
+    # from that context in steps of its stride, and its injected deviations
+    # run once per context: each when a profile first needs it.
+    strides = [prod(sizes[i + 1:]) for i in range(instance.n)]
+    grid_best, injected_best = {}, {}  # (agent, context) -> D * best utility
+    found = []  # (D * true welfare, grid indices) of each equilibrium
+    for flat, idxs in enumerate(itertools.product(*map(range, sizes))):
+        if not all(exposure_ok[i][k] for i, k in enumerate(idxs)):
+            continue
+        welfare, utils = outcomes[flat]
+        for i, (k, step) in enumerate(zip(idxs, strides)):
+            ctx = flat - k * step
+            if (i, ctx) not in grid_best:
+                grid_best[i, ctx] = max(
+                    u[i] for _, u in outcomes[ctx:ctx + sizes[i] * step:step])
+            if grid_best[i, ctx] - utils[i] > scaled.eps:
+                break
+            if (i, ctx) not in injected_best:
+                injected_best[i, ctx] = max(scaled.utilities(
+                    tuple(g[x] for g, x in zip(scaled.grid, idxs)), i,
+                    (scaled.truthful[i], scaled.half[i])))
+            if injected_best[i, ctx] - utils[i] > scaled.eps:
+                break
+        else:
+            found.append((welfare, idxs))
     # The optimum is fixed, so the worst ratio is at the least equilibrium
-    # welfare (true welfare never exceeds the optimum).
+    # welfare (true welfare never exceeds the optimum).  Grid indices order
+    # the ties as their flat indices do.
     witness, ratio = None, Fraction(1)
     if found:
-        welfare, _, idxs = min(found)
+        welfare, idxs = min(found)
         witness = BidProfile(instance.m, tuple(
             g[k] for g, k in zip(grid.per_agent, idxs)))
         opt, _ = instance.optimal()

@@ -127,7 +127,7 @@ def _cmd_property_test(args) -> int:
     if args.format == "csv":
         _emit_csv(["suite", "runs", "failures", "first_counterexample"],
                   ([row["suite"], row["runs"], row["failures"],
-                    json.dumps(row["first_counterexample"]) or ""] for row in rows))
+                    json.dumps(row["first_counterexample"])] for row in rows))
     else:
         _emit({"suites": rows, "ok": all(r.ok for r in reports)})
     return 0 if all(r.ok for r in reports) else 1

@@ -57,6 +57,14 @@ def parse_money(value) -> Fraction:
     raise TypeError(f"cannot parse money from {type(value).__name__}")
 
 
+def _parse_non_negative(value, what: str) -> Fraction:
+    """:func:`parse_money`, refusing a negative ``value`` with ``what`` named."""
+    amount = parse_money(value)
+    if amount < 0:
+        raise ValueError(f"{what} must be non-negative, got {format_money(amount)}")
+    return amount
+
+
 def scale_rows(rows) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """(D, every row times D), with D the lcm of all entries' denominators.
 

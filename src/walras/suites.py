@@ -1,10 +1,11 @@
 """Seeded property suites.
 
-Each suite draws a reproducible stream of random instances or bid profiles
-and checks one family of exact inequalities: the leave-one-out marginal
-bounds, the payment-rule ordering chain, the half-truthful deviation bound
-and the price-lattice facts.  A single exact violation is a failure; the
-first counterexample is kept in a JSON-friendly form.
+Each suite checks one family of exact inequalities on a seeded stream of
+random instances or bid profiles: the leave-one-out marginal bounds, the
+payment-rule ordering chain, the half-truthful deviation bound and the
+price-lattice facts.  It supplies a generator that draws one case and yields
+each exact violation; one driver, ``_suite``, runs it, counts the failures
+and keeps the first counterexample in a JSON-friendly form.
 
 The same functions back the ``property-test`` CLI subcommand and the
 acceptance tests.
@@ -78,36 +79,48 @@ def _random_partition(rng: random.Random, m: int, n: int) -> Allocation:
 PARTITIONS = 10  # random partitions checked per drawn profile
 
 
-def _lemma_suite(name: str, rng: random.Random, draw, factor: int,
-                 runs: int) -> SuiteReport:
-    """Sum of leave-one-out marginals <= factor * W(1) on each of the
-    ``runs`` profiles ``draw`` takes from ``rng``, over PARTITIONS random
-    partitions each; factor-1 breaks are counted too."""
-    failures = factor1_breaks = 0
+def _suite(name: str, runs: int, seed: int, violations, detail: dict) -> SuiteReport:
+    """Run ``violations(rng)`` on ``runs`` draws from the stream of suite
+    ``name``, tagged by the name with dashes.  It may update ``detail``,
+    which the report carries as it is at the end."""
+    if runs < 1:
+        raise ValueError(f"runs must be at least 1, got {runs}")
+    rng = random.Random((name.replace("_", "-"), seed).__repr__())
+    failures = 0
     first = None
     for k in range(runs):
+        for violation in violations(rng):
+            failures += 1
+            if first is None:
+                first = jsonable({"run": k, **violation})
+    return SuiteReport(name, runs, failures, first, jsonable(detail))
+
+
+def _lemma_suite(name: str, draw, factor: int, runs: int, seed: int) -> SuiteReport:
+    """Sum of leave-one-out marginals <= factor * W(1) on each profile
+    ``draw`` takes, over PARTITIONS random partitions each; for factor 2 the
+    factor-1 breaks are counted too."""
+    detail = {"partitions_per_run": PARTITIONS}
+    if factor > 1:
+        detail["factor1_interesting_witnesses"] = 0
+
+    def violations(rng):
         bids = draw(rng)
         for _ in range(PARTITIONS):
             part = _random_partition(rng, bids.m, bids.n)
             rep = marginal_sum_bound(bids, part)
-            factor1_breaks += not rep.factor1_ok
+            if factor > 1:
+                detail["factor1_interesting_witnesses"] += not rep.factor1_ok
             if not (rep.factor1_ok if factor == 1 else rep.factor2_ok):
-                failures += 1
-                if first is None:
-                    first = jsonable({"run": k, "partition": part.bundles,
-                                      "total": rep.total,
-                                      "bound": factor * rep.single_bound,
-                                      "profile": bids})
-    detail = {"partitions_per_run": PARTITIONS}
-    if factor > 1:
-        detail["factor1_interesting_witnesses"] = factor1_breaks
-    return SuiteReport(name, runs, failures, first, detail)
+                yield {"partition": part.bundles, "total": rep.total,
+                       "bound": factor * rep.single_bound, "profile": bids}
+
+    return _suite(name, runs, seed, violations, detail)
 
 
 def lemma_gs_suite(runs: int = 500, seed: int = 0) -> SuiteReport:
     """Sum of leave-one-out marginals <= W(1) on gross-substitutes bids."""
-    rng = random.Random(("lemma-gs", seed).__repr__())
-    return _lemma_suite("lemma_gs", rng, random_gs_profile, 1, runs)
+    return _lemma_suite("lemma_gs", random_gs_profile, 1, runs, seed)
 
 
 def lemma_xos_suite(runs: int = 500, seed: int = 0) -> SuiteReport:
@@ -115,24 +128,18 @@ def lemma_xos_suite(runs: int = 500, seed: int = 0) -> SuiteReport:
 
     Factor-1 violations are legal for XOS and recorded as curiosities.
     """
-    rng = random.Random(("lemma-xos", seed).__repr__())
-    return _lemma_suite("lemma_xos", rng, random_xos_profile, 2, runs)
+    return _lemma_suite("lemma_xos", random_xos_profile, 2, runs, seed)
 
 
 def ordering_suite(runs: int = 500, seed: int = 0) -> SuiteReport:
     """vcg <= english <= dutch <= paybid per agent on GS bid profiles."""
-    rng = random.Random(("ordering", seed).__repr__())
-    failures = 0
-    first = None
-    for k in range(runs):
+    def violations(rng):
         bids = random_gs_profile(rng)
         rep = check_payment_ordering(bids)
         if not rep.chain_ok:
-            failures += 1
-            if first is None:
-                first = jsonable({"run": k, "profile": bids,
-                                  "payments": rep.payments_by_rule})
-    return SuiteReport("ordering", runs, failures, first, {})
+            yield {"profile": bids, "payments": rep.payments_by_rule}
+
+    return _suite("ordering", runs, seed, violations, {})
 
 
 def smoothness_suite(runs: int = 500, seed: int = 0) -> SuiteReport:
@@ -141,10 +148,7 @@ def smoothness_suite(runs: int = 500, seed: int = 0) -> SuiteReport:
     Also requires every computed outcome to charge at most the bid (the
     declared-welfare-maximizer payment property).
     """
-    rng = random.Random(("smoothness", seed).__repr__())
-    failures = 0
-    first = None
-    for k in range(runs):
+    def violations(rng):
         types = random_gs_profile(rng)
         bids = random_gs_profile(
             rng, m_range=(types.m, types.m), n_range=(types.n, types.n),
@@ -153,14 +157,12 @@ def smoothness_suite(runs: int = 500, seed: int = 0) -> SuiteReport:
         for rule in PaymentRule:
             cert = smoothness_certificate(instance, bids, rule)
             if not (cert.holds and cert.dwm_ok and cert.per_agent_ok):
-                failures += 1
-                if first is None:
-                    first = jsonable({"run": k, "rule": rule.value, "lhs": cert.lhs,
-                                      "rhs": cert.rhs, "dwm_ok": cert.dwm_ok,
-                                      "per_agent_ok": cert.per_agent_ok,
-                                      "types": types, "bids": bids})
-    return SuiteReport("smoothness", runs, failures, first,
-                       {"rules": [r.value for r in PaymentRule]})
+                yield {"rule": rule.value, "lhs": cert.lhs, "rhs": cert.rhs,
+                       "dwm_ok": cert.dwm_ok, "per_agent_ok": cert.per_agent_ok,
+                       "types": types, "bids": bids}
+
+    return _suite("smoothness", runs, seed, violations,
+                  {"rules": [r.value for r in PaymentRule]})
 
 
 TAT_EPSILON = Fraction(1, 64)  # price increment of the ascending cross-check
@@ -170,11 +172,9 @@ def lattice_suite(runs: int = 500, seed: int = 0) -> SuiteReport:
     """Lattice ordering, equilibrium verification at both endpoints, declared
     welfare recovered from any verified pair, and the ascending cross-check.
     """
-    rng = random.Random(("lattice", seed).__repr__())
-    failures = 0
-    first = None
-    tat_worst = ZERO
-    for k in range(runs):
+    detail = {"tat_epsilon": TAT_EPSILON, "worst_tatonnement_gap": ZERO}
+
+    def violations(rng):
         bids = random_gs_profile(rng)
         low = min_walrasian_prices(bids)
         high = max_walrasian_prices(bids)
@@ -190,20 +190,15 @@ def lattice_suite(runs: int = 500, seed: int = 0) -> SuiteReport:
             elif assignment_value(bids, alloc.bundles) != value:
                 problems.append(f"first-welfare at {name}")
         result = tatonnement(bids, TAT_EPSILON)
-        tolerance = bids.m * TAT_EPSILON
-        gaps = [abs(a - b) for a, b in zip(result.prices, low)]
-        tat_worst = max(tat_worst, max(gaps))
-        if any(g > tolerance for g in gaps):
+        gap = max(abs(a - b) for a, b in zip(result.prices, low))
+        detail["worst_tatonnement_gap"] = max(detail["worst_tatonnement_gap"], gap)
+        if gap > bids.m * TAT_EPSILON:
             problems.append("tatonnement distance")
         if problems:
-            failures += 1
-            if first is None:
-                first = jsonable({"run": k, "problems": problems,
-                                  "profile": bids, "low": low, "high": high,
-                                  "tatonnement": result.prices})
-    return SuiteReport("lattice", runs, failures, first,
-                       jsonable({"tat_epsilon": TAT_EPSILON,
-                                 "worst_tatonnement_gap": tat_worst}))
+            yield {"problems": problems, "profile": bids, "low": low,
+                   "high": high, "tatonnement": result.prices}
+
+    return _suite("lattice", runs, seed, violations, detail)
 
 
 _SUITES = {

@@ -34,8 +34,8 @@ from operator import add
 from typing import Callable, Iterable, Sequence
 
 from .bundles import check_bundle, check_item_count, iter_bits
-from .money import (ZERO, format_money, on_one_denominator, parse_money,
-                    scale_rows)
+from .money import (ZERO, _parse_non_negative, format_money, on_one_denominator,
+                    parse_money, scale_rows)
 
 # Largest m the analysis layer hands to the class checkers: the exchange test
 # visits all 4^m bundle pairs.
@@ -80,9 +80,7 @@ class Valuation:
     def scale(self, factor) -> "Valuation":
         """The valuation of the same kind with every number times a
         non-negative ``factor``."""
-        c = parse_money(factor)
-        if c < 0:
-            raise ValueError("scale factor must be non-negative")
+        c = _parse_non_negative(factor, "scale factor")
         return _BY_TYPE[self._type](_map_numbers(
             lambda w: c * w, getattr(self, self._field), self._rows))
 
@@ -253,9 +251,7 @@ def budget_additive(weights: Iterable, cap) -> Tabular:
     substitutes; they only exist here in tabular form.
     """
     total = Additive(weights)  # checks the weights and the item count
-    limit = parse_money(cap)
-    if limit < 0:
-        raise ValueError("budget cap must be non-negative")
+    limit = _parse_non_negative(cap, "budget cap")
     return Tabular(tuple(min(limit, x) for x in total.table()))
 
 

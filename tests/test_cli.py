@@ -117,6 +117,27 @@ def test_poa_rejects_jobs_below_one(capsys):
     assert err.startswith("error: ") and "jobs" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("poa", "X", "--gamma", "-1"), "gamma must be non-negative, got -1"),
+    (("poa", "X", "--eps-dev", "-1"),
+     "deviation tolerance must be non-negative, got -1"),
+    (("verify-nash", "X", "--eps-dev=-1/2"),
+     "deviation tolerance must be non-negative, got -0.5"),
+    (("poa", "X", "--grid-delta", "1", "--grid-cap=-1"),
+     "grid cap must be non-negative, got -1"),
+    (("property-test", "--suite", "ordering", "--seeds", "-3"),
+     "runs must be at least 1, got -3"),
+    (("property-test", "--suite", "ordering", "--seeds", "0"),
+     "runs must be at least 1, got 0"),
+])
+def test_out_of_range_inputs_exit_2_naming_the_input(argv, message, capsys):
+    argv = tuple(fixture("example2_eps_0.125.json") if a == "X" else a
+                 for a in argv)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_an_oversize_grid_exits_2_before_it_is_scaled(capsys, monkeypatch):
     from walras.analysis import _Scaled
 
