@@ -83,6 +83,32 @@ class Instance:
         return welfare_max(self.true_valuations, ms_ones(self.m))
 
 
+def _additive_levels(m: int, delta, cap) -> tuple[Fraction, int]:
+    """(delta, count) of the per-item weights 0, delta, ..., cap of an
+    additive grid, which gives every agent count^m bids; refused when that
+    is over MAX_PROFILES."""
+    step = parse_money(delta)
+    top = _parse_non_negative(cap, "grid cap")
+    if step <= 0:
+        raise ValueError("grid delta must be positive")
+    count = top // step + 1
+    if count ** m > MAX_PROFILES:
+        raise EnumerationBudgetExceeded(
+            f"grid delta {format_money(step)}, cap {format_money(top)} and "
+            f"m={m} give {count ** m} bids per agent, over {MAX_PROFILES}")
+    return step, count
+
+
+def count_profiles(sizes) -> int:
+    """The profiles of a grid, the product of its per-agent ``sizes``;
+    refused over MAX_PROFILES, the budget of one :func:`poa_search`."""
+    total = prod(sizes)
+    if total > MAX_PROFILES:
+        raise EnumerationBudgetExceeded(
+            f"{total} grid profiles exceed the budget of {MAX_PROFILES}")
+    return total
+
+
 @dataclass(frozen=True)
 class BidGrid:
     """Finite per-agent sets of candidate bids."""
@@ -102,18 +128,15 @@ class BidGrid:
     def additive(cls, m: int, n: int, delta, cap) -> "BidGrid":
         """All additive bids with per-item weights 0, delta, ..., cap; refused
         before any is built when one agent would get over MAX_PROFILES."""
-        step = parse_money(delta)
-        top = _parse_non_negative(cap, "grid cap")
-        if step <= 0:
-            raise ValueError("grid delta must be positive")
-        count = top // step + 1  # weights per item
-        if count ** m > MAX_PROFILES:
-            raise EnumerationBudgetExceeded(
-                f"grid delta {format_money(step)}, cap {format_money(top)} and "
-                f"m={m} give {count ** m} bids per agent, over {MAX_PROFILES}")
+        step, count = _additive_levels(m, delta, cap)
         levels = [k * step for k in range(count)]
         bids = tuple(Additive(w) for w in itertools.product(levels, repeat=m))
         return cls((bids,) * n)
+
+    @staticmethod
+    def additive_sizes(m: int, n: int, delta, cap) -> tuple[int, ...]:
+        """``sizes()`` of ``additive(m, n, delta, cap)``, without a bid built."""
+        return (_additive_levels(m, delta, cap)[1] ** m,) * n
 
     @classmethod
     def default_for(cls, instance: Instance) -> "BidGrid":
@@ -563,10 +586,7 @@ def poa_search(instance: Instance, rule: PaymentRule, grid: BidGrid, gamma,
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     sizes = grid.sizes()
-    total = prod(sizes)
-    if total > MAX_PROFILES:
-        raise EnumerationBudgetExceeded(
-            f"{total} grid profiles exceed the budget of {MAX_PROFILES}")
+    total = count_profiles(sizes)
     scaled = _Scaled.of(instance, rule, grid, eps_dev=eps_dev)
     # Opponent context c is the c-th tuple here; flat = a * contexts + c.
     opponents = list(itertools.product(*(range(s) for s in sizes[1:])))

@@ -8,7 +8,9 @@ two copies of an item, so multiset arguments are validated to multiplicity 2.
 
 from __future__ import annotations
 
-from typing import Iterator
+from functools import cache
+from operator import itemgetter
+from typing import Iterator, Sequence
 
 MAX_ITEMS = 16
 
@@ -45,6 +47,35 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+@cache
+def _rotation(m: int):
+    """A gather that moves bit b of every bundle index to bit b + 1 (mod m):
+    after one pass on the top item it brings the next lower item to the top
+    bit, and m of them restore the order."""
+    top = m - 1
+    return itemgetter(*[(q >> 1) | (q & 1) << top for q in range(1 << m)])
+
+
+def fold_row(table: Sequence[int], row: Sequence[int], slot: bool) -> tuple[int, ...]:
+    """One row of item weights folded into a bundle-indexed table, one item
+    at a time.  The pass for item i sets g(S) = max(g(S), src(S - i) + w_i)
+    at every bundle S holding i; the top item goes first and a rotation
+    brings the next one up.  For a clause src is g itself, so the row adds
+    any subset of the items; for a slot it is the table before the row, so
+    the row adds at most one item."""
+    m = len(table).bit_length() - 1
+    half = 1 << (m - 1)
+    rotate = _rotation(m)
+    cur = base = table
+    for w in reversed(row):
+        src = base if slot else cur
+        cur = rotate([*cur[:half], *[h if h > (x := s + w) else x
+                                     for h, s in zip(cur[half:], src)]])
+        if slot:
+            base = rotate(base)
+    return cur
 
 
 # -- item multisets ---------------------------------------------------------

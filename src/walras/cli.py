@@ -14,7 +14,8 @@ import json
 import sys
 from functools import cache
 
-from .analysis import BidGrid, EnumerationBudgetExceeded, poa_search, verify_nash
+from .analysis import (BidGrid, EnumerationBudgetExceeded, count_profiles,
+                       poa_search, verify_nash)
 from .bundles import ms_ones
 from .instancefile import InstanceFormatError, load_instance
 from .mechanisms import PaymentRule, allocate_declared, run_mechanism
@@ -42,13 +43,19 @@ def _emit_csv(header, rows) -> None:
     sys.stdout.write(out.getvalue())
 
 
-def _grid_for(instance, args) -> BidGrid:
+def _grid_args(instance, args) -> tuple | None:
+    """The arguments of ``BidGrid.additive`` that --grid-delta and --grid-cap
+    give, or None for the instance's default grid."""
     if args.grid_delta is not None and args.grid_cap is not None:
-        return BidGrid.additive(instance.m, instance.n,
-                                args.grid_delta, args.grid_cap)
+        return instance.m, instance.n, args.grid_delta, args.grid_cap
     if args.grid_delta is not None or args.grid_cap is not None:
         raise InstanceFormatError("--grid-delta and --grid-cap go together")
-    return BidGrid.default_for(instance)
+    return None
+
+
+def _grid_for(instance, args) -> BidGrid:
+    grid = _grid_args(instance, args)
+    return BidGrid.default_for(instance) if grid is None else BidGrid.additive(*grid)
 
 
 def _cmd_solve(args) -> int:
@@ -101,6 +108,9 @@ def _cmd_verify_nash(args) -> int:
 
 def _cmd_poa(args) -> int:
     instance = load_instance(args.instance)
+    grid = _grid_args(instance, args)
+    if grid is not None:  # refused on its size before any bid is built
+        count_profiles(BidGrid.additive_sizes(*grid))
     report = poa_search(instance, args.rule, _grid_for(instance, args),
                         args.gamma, eps_dev=args.eps_dev, jobs=args.jobs)
     if args.format == "csv":

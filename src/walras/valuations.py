@@ -17,6 +17,10 @@ by :func:`_tabulate`): D_v is a common multiple of the kind's weight
 denominators and ``ints[x]`` is D_v times the value of bundle x.  Every
 reader (the welfare DP, demand sets, the checkers, the analysis layer)
 works on those ints; ``value`` and ``table`` are their Fraction views.
+The structured kinds also declare their fold rows on the same D_v
+(``_fold_rows``): additive clauses (additive, XOS) or OXS slot columns
+(``_slots``; unit-demand is one slot).  The welfare DP folds a bid item by
+item from these rows, and each kind's table is built from them.
 
 Class checkers tabulate the valuation, so they are exponential in m; the
 analysis layer runs them only up to ``CHECKER_MAX_ITEMS`` items.  They compare
@@ -33,7 +37,7 @@ from functools import cached_property, lru_cache
 from operator import add
 from typing import Callable, Iterable, Sequence
 
-from .bundles import check_bundle, check_item_count, iter_bits
+from .bundles import check_bundle, check_item_count, fold_row, iter_bits
 from .money import (ZERO, _parse_non_negative, format_money, on_one_denominator,
                     parse_money, scale_rows)
 
@@ -61,10 +65,20 @@ class Valuation:
     _type: str | None = None  # the kind declaration, see the module docstring
     _field: str
     _rows = False
+    _slots: bool | None = None  # fold rows: OXS slots, additive clauses, none
 
     def _ints(self) -> tuple[int, tuple[int, ...]]:
         """The kind's integer table; read it through :func:`_tabulate`."""
         raise NotImplementedError
+
+    def _weight_rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The kind's fold rows in Fractions, each indexed by item."""
+        raise NotImplementedError
+
+    @cached_property
+    def _fold_rows(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(D_v, every fold row times D_v), on the denominator of the table."""
+        return scale_rows(self._weight_rows())
 
     def value(self, bundle: int) -> Fraction:
         check_bundle(self.m, bundle)
@@ -98,9 +112,19 @@ def _tabulate(v: Valuation) -> tuple[int, tuple[int, ...]]:
     return v._ints()
 
 
+def _doubling(w: Sequence[int], join) -> list[int]:
+    """Item j doubles the table: t[x + 2^j] = join(t[x], w[j]) for every x
+    below 2^j (``add`` for a clause, ``max`` for a slot)."""
+    t = [0]
+    for wj in w:
+        t += [join(x, wj) for x in t]
+    return t
+
+
 @dataclass(frozen=True)
 class _ItemWeights(Valuation):
-    """One weight per item: the shared shape of additive and unit-demand."""
+    """One weight per item: the shared shape of additive and unit-demand,
+    one clause or one slot."""
 
     weights: tuple[Fraction, ...]
     _field = "weights"
@@ -113,24 +137,22 @@ class _ItemWeights(Valuation):
     def m(self) -> int:
         return len(self.weights)
 
+    def _weight_rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        return (self.weights,)
+
     def _ints(self) -> tuple[int, tuple[int, ...]]:
-        """Item j doubles the table: t[x + 2^j] = join(t[x], w[j]) for every
-        x below 2^j, with the kind's ``_join``."""
-        denom, (w,) = scale_rows((self.weights,))
-        t, join = [0], self._join
-        for wj in w:
-            t += [join(x, wj) for x in t]
-        return denom, tuple(t)
+        denom, (w,) = self._fold_rows
+        return denom, tuple(_doubling(w, max if self._slots else add))
 
 
 @dataclass(frozen=True)
 class Additive(_ItemWeights):
-    _type, _join = "additive", add
+    _type, _slots = "additive", False
 
 
 @dataclass(frozen=True)
 class UnitDemand(_ItemWeights):
-    _type, _join = "unit_demand", max
+    _type, _slots = "unit_demand", True
 
 
 @dataclass(frozen=True)
@@ -138,7 +160,7 @@ class Xos(Valuation):
     """Max over additive clauses; every clause is a weight vector."""
 
     clauses: tuple[tuple[Fraction, ...], ...]
-    _type, _field, _rows = "xos", "clauses", True
+    _type, _field, _rows, _slots = "xos", "clauses", True, False
 
     def __post_init__(self):
         clauses = tuple(_to_weights(c) for c in self.clauses)
@@ -153,10 +175,13 @@ class Xos(Valuation):
     def m(self) -> int:
         return len(self.clauses[0])
 
+    def _weight_rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        return self.clauses
+
     def _ints(self) -> tuple[int, tuple[int, ...]]:
         """The element-wise max of the clauses' additive tables."""
-        denom, tables = on_one_denominator(Additive(c)._ints() for c in self.clauses)
-        return denom, tuple(map(max, zip(*tables)))
+        denom, clauses = self._fold_rows
+        return denom, tuple(map(max, zip(*(_doubling(c, add) for c in clauses))))
 
 
 @dataclass(frozen=True)
@@ -169,7 +194,7 @@ class Oxs(Valuation):
     """
 
     matrix: tuple[tuple[Fraction, ...], ...]
-    _type, _field, _rows = "oxs", "matrix", True
+    _type, _field, _rows, _slots = "oxs", "matrix", True, True
 
     def __post_init__(self):
         rows = tuple(_to_weights(r) for r in self.matrix)
@@ -186,27 +211,18 @@ class Oxs(Valuation):
     def m(self) -> int:
         return len(self.matrix)
 
+    def _weight_rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(zip(*self.matrix))  # one row per slot
+
     def _ints(self) -> tuple[int, tuple[int, ...]]:
         """On the lcm of the matrix denominators, slots join one at a time,
         each like a unit-demand bidder: with slot k, a bundle either leaves
         it empty or gives it one item i,
         g_{k+1}(S) = max(g_k(S), g_k(S - i) + w[i][k])."""
-        denom, matrix = scale_rows(self.matrix)
-        size = 1 << self.m
-        best = [0] * size
-        for column in zip(*matrix):
-            prev = best
-            best = list(prev)
-            for mask in range(1, size):
-                top = best[mask]
-                rest = mask
-                while rest:
-                    low = rest & -rest
-                    cand = prev[mask ^ low] + column[low.bit_length() - 1]
-                    if cand > top:
-                        top = cand
-                    rest ^= low
-                best[mask] = top
+        denom, columns = self._fold_rows
+        best = (0,) * (1 << self.m)
+        for column in columns:
+            best = fold_row(best, column, slot=True)
         return denom, tuple(best)
 
 
@@ -244,6 +260,23 @@ class Tabular(Valuation):
 _BY_TYPE = {k._type: k for k in (Additive, UnitDemand, Xos, Oxs, Tabular)}
 
 
+def _hash_once(field_hash):
+    """A kind's dataclass hash, kept on the instance after the first call:
+    :func:`_tabulate` looks a valuation up by it on every table read, and
+    hashing the fields hashes every ``Fraction`` weight."""
+    def __hash__(self) -> int:
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            h = self.__dict__["_hash"] = field_hash(self)
+            return h
+    return __hash__
+
+
+for _kind in _BY_TYPE.values():
+    _kind.__hash__ = _hash_once(_kind.__hash__)
+
+
 def budget_additive(weights: Iterable, cap) -> Tabular:
     """min(cap, sum of weights) as an explicit table.
 
@@ -265,19 +298,26 @@ def marginal_value(f: Callable[[tuple[int, ...]], Fraction],
     return f(added) - f(base)
 
 
+def _parse_prices(prices: Sequence, m: int) -> tuple[int, tuple[int, ...]]:
+    """A price vector over m items as (D, every price times D), refused
+    unless it has m exact non-negative entries."""
+    p = [parse_money(q) for q in prices]
+    if len(p) != m:
+        raise ValueError(
+            f"price vector length mismatch: {len(p)} prices for m={m} items")
+    if any(q < 0 for q in p):
+        raise ValueError("prices must be non-negative")
+    denom, (p,) = scale_rows((p,))
+    return denom, p
+
+
 def demand_set(v: Valuation, prices: Sequence) -> list[int]:
     """All bundles maximizing v(x) - p.x, ascending bitmask order.
 
     Ties are kept; callers choose their own selection rule.
     """
-    p = [parse_money(q) for q in prices]
-    if len(p) != v.m:
-        raise ValueError(f"price vector length {len(p)} != m={v.m}")
-    if any(q < 0 for q in p):
-        raise ValueError("prices must be non-negative")
     # Table and prices on one denominator, so utilities compare as ints.
-    denom, (p,) = scale_rows((p,))
-    _, (tab, p) = on_one_denominator((_tabulate(v), (denom, p)))
+    _, (tab, p) = on_one_denominator((_tabulate(v), _parse_prices(prices, v.m)))
     return _demanded(tab, p)
 
 

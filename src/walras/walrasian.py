@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bundles import disjoint_union, full_mask, iter_bits, ms_ones
-from .money import on_one_denominator, parse_money, scale_rows
-from .valuations import _demanded
+from .money import on_one_denominator, parse_money
+from .valuations import _demanded, _parse_prices
 from .welfare import (
     Allocation,
     BidProfile,
@@ -116,13 +116,8 @@ def verify_walrasian_equilibrium(profile: BidProfile, allocation,
     unsold = full_mask(profile.m) & ~disjoint_union(profile.m, bundles)
     if len(bundles) != profile.n:
         raise ValueError(f"allocation has {len(bundles)} bundles for {profile.n} agents")
-    p = [parse_money(q) for q in prices]
-    if len(p) != profile.m:
-        raise ValueError("price vector length mismatch")
-    if any(q < 0 for q in p):
-        raise ValueError("prices must be non-negative")
+    price_denom, p = _parse_prices(prices, profile.m)
     # Tables and prices on one denominator, so utilities compare as ints.
-    price_denom, (p,) = scale_rows((p,))
     table_denom, tabs = scaled_tables(profile)
     denom, (*tabs, p) = on_one_denominator(
         [(table_denom, tab) for tab in tabs] + [(price_denom, p)])

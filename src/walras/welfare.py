@@ -13,7 +13,9 @@ a few states only and merge there: W(x) is agent 0 merged with L_1 at x
 prefix table of agents 0..i-1 (``or_value_table``) with L_{i+1} at x
 (``_join_at``), and W(1 + 1_j) folds only the 2^(m-1) states with two copies
 of j (``_doubled_slices``).  A multiset with doubled items is read on its
-doubled-item pattern: two copies where it has two, one elsewhere.
+doubled-item pattern: two copies where it has two, one elsewhere.  A fold
+enumerates submasks, except that a structured bid is folded one item at a
+time on the one-copy shape where that is cheaper (``_item_fold``).
 
 The DP runs on integers.  ``scaled_tables`` puts the bids' own integer
 tables (``valuations._tabulate``) on D, a common multiple of their
@@ -30,11 +32,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
+from typing import Sequence
 
 from .bundles import (
     check_item_count,
     check_multiset,
     disjoint_union,
+    fold_row,
     full_mask,
 )
 from .money import ZERO, on_one_denominator
@@ -151,14 +155,68 @@ def scaled_tables(profile: BidProfile) -> tuple[int, tuple[tuple[int, ...], ...]
     """(D, tables): every bid table times D, the lcm of the bids' own table
     denominators (``valuations._tabulate``).
 
-    Entry k of agent i's table is ``Fraction(tables[i][k], D)``.  Cached per
-    profile.
+    Entry k of agent i's table is ``Fraction(tables[i][k], D)``.  A table
+    whose bid folds faster item by item (``_item_fold_pays``) also carries
+    its fold rows on D (:class:`_FoldRows`).  Cached per profile.
     """
     cached = profile._cache.get("scaled")
     if cached is None:
-        cached = on_one_denominator(_tabulate(bid) for bid in profile.bids)
-        profile._cache["scaled"] = cached
+        denom, tables = on_one_denominator(_tabulate(bid) for bid in profile.bids)
+        cached = profile._cache["scaled"] = denom, tuple(
+            _with_rows(bid, tab, denom) if _item_fold_pays(bid) else tab
+            for bid, tab in zip(profile.bids, tables))
     return cached
+
+
+# -- folds ---------------------------------------------------------------------
+
+# Fewest items at which the item fold beats the submask fold for one clause
+# or slot; below it the item fold's per-pass overhead dominates.
+ITEM_FOLD_MIN_ITEMS = 5
+
+
+class _FoldRows(tuple):
+    """A scaled bid table that also carries its kind's fold rows on the same
+    D (``Valuation._fold_rows``): OXS slot columns when ``slots``, additive
+    clauses otherwise.  Every table reader sees the plain tuple."""
+
+    slots: bool
+    rows: tuple[tuple[int, ...], ...]
+
+
+def _item_fold_pays(bid: Valuation) -> bool:
+    """Whether folding ``bid`` item by item beats the submask fold: its k
+    rows take k * m passes over half a table, k * m * 2^(m-1) steps that
+    each cost up to twice a step of the submask fold's 3^m, so it pays when
+    k * m * 2^m <= 3^m, from ITEM_FOLD_MIN_ITEMS items on."""
+    if bid._slots is None or bid.m < ITEM_FOLD_MIN_ITEMS:
+        return False
+    return len(bid._fold_rows[1]) * bid.m << bid.m <= 3 ** bid.m
+
+
+def _with_rows(bid: Valuation, tab: tuple[int, ...], denom: int) -> _FoldRows:
+    """``tab`` (on ``denom``) carrying ``bid``'s fold rows on ``denom``."""
+    own, rows = bid._fold_rows
+    out = _FoldRows(tab)
+    out.slots = bid._slots
+    out.rows = rows if own == denom else tuple(
+        tuple(x * (denom // own) for x in row) for row in rows)
+    return out
+
+
+def _item_fold(tab: _FoldRows, cur: Sequence[int]) -> Sequence[int]:
+    """One bid folded into the running ones-shape table one item at a time,
+    with no submask loop.  Clauses: f_i(S) = max(f_{i-1}(S),
+    f_{i-1}(S - i) + w_i), and an XOS bid takes the element-wise max over
+    its clauses.  Slots, one after another: new(S) = max(W(S),
+    max_{i in S} w_i + W(S - i)), exact because welfare tables are
+    monotone.  Equal to the submask fold entry for entry."""
+    if tab.slots:
+        for column in tab.rows:
+            cur = fold_row(cur, column, slot=True)
+        return cur
+    folded = [fold_row(cur, clause, slot=False) for clause in tab.rows]
+    return folded[0] if len(folded) == 1 else tuple(map(max, *folded))
 
 
 def _fold_at(tab, level, idx: int, ssum: tuple[int, ...],
@@ -191,8 +249,12 @@ def _join_at(left, right, supply: tuple[int, ...], idx: int) -> int:
 
 
 def _or_step(tab: tuple[int, ...], cur, size: int, ssum: tuple[int, ...],
-             clamps: tuple[int, ...]) -> list[int]:
-    """One agent folded into the running welfare table (scaled integers)."""
+             clamps: tuple[int, ...]) -> Sequence[int]:
+    """One agent folded into the running welfare table (scaled integers):
+    item by item when its table carries fold rows and the shape is all ones
+    (``size`` equals the table's 2^m), by submasks otherwise."""
+    if size == len(tab) and isinstance(tab, _FoldRows):
+        return _item_fold(tab, cur)
     return [_fold_at(tab, cur, idx, ssum, clamps) for idx in range(size)]
 
 
@@ -267,13 +329,15 @@ def _scaled_welfare(profile: BidProfile, shape: tuple[int, ...], states,
 
 
 def _doubled_slices(tables, levels, size: int, ssum: tuple[int, ...],
-                    clamps: tuple[int, ...]) -> list[list[int]]:
+                    clamps: tuple[int, ...]) -> list[Sequence[int]]:
     """For every item j, U -> D * W_1(U + 1_j) from the ones-shape levels.
 
     For agents k..n-1, shifted[U] = D * W_k(U + 1_j).  Where U lacks j that
     is the ones-shape level at U + j, so only the 2^(m-1) states holding j
     are folded: an agent taking B <= U leaves (U - B) + 1_j.  The last agent
-    takes at most one copy of j.
+    takes at most one copy of j.  A table with fold rows is folded item by
+    item over all 2^m states, and the states lacking j are then overwritten,
+    which leaves the states holding j exact.
     """
     start = max(len(tables) - 1, 1)
     out = []
@@ -282,8 +346,13 @@ def _doubled_slices(tables, levels, size: int, ssum: tuple[int, ...],
         shifted = [levels[start][u | bit] for u in range(size)]
         for k in range(start - 1, 0, -1):
             tab, level = tables[k], levels[k]
-            shifted = [_fold_at(tab, shifted, u, ssum, clamps) if u & bit
-                       else level[u | bit] for u in range(size)]
+            if isinstance(tab, _FoldRows):
+                folded = _item_fold(tab, shifted)
+                shifted = [folded[u] if u & bit else level[u | bit]
+                           for u in range(size)]
+            else:
+                shifted = [_fold_at(tab, shifted, u, ssum, clamps) if u & bit
+                           else level[u | bit] for u in range(size)]
         out.append(shifted)
     return out
 

@@ -7,7 +7,8 @@ demand by rescanning bundles, a valuation's values from its own numbers
 as references for the paths that replaced them:
 
 - ``table_welfare``, a plain copy of the full-table welfare path the point
-  merges replaced;
+  merges replaced, and ``submask_fold``, its per-agent fold, which the item
+  fold replaced for the structured kinds;
 - the ``fraction_*`` deviation loops of the analysis layer, which ran each
   deviation on a fresh profile in Fractions;
 - ``scaled_profile_outcomes``, the per-profile runs the grid kernel of
@@ -152,31 +153,44 @@ def brute_max_prices(bids, m, welfare=brute_welfare):
     return tuple(out)
 
 
+def _strides(shape):
+    strides = [1]
+    for cap in shape:
+        strides.append(strides[-1] * (cap + 1))
+    return strides
+
+
+def submask_fold(tab, table, shape):
+    """One agent's integer table folded into a welfare table over the states
+    of the supply ``shape`` (mixed radix, item 0 fastest): at every state the
+    agent takes one copy of each item of a submask of the state's items, the
+    empty bundle counting 0, and ``table`` gets the rest.  The submask fold
+    every kind ran before the item fold."""
+    m = len(shape)
+    strides = _strides(shape)
+    present = [sum(1 << j for j in range(m) if idx // strides[j] % (shape[j] + 1))
+               for idx in range(strides[-1])]
+    offset = [sum(strides[j] for j in range(m) if sub >> j & 1)
+              for sub in range(1 << m)]
+    return [max([table[idx]] + [tab[sub] + table[idx - offset[sub]]
+                                for sub in range(1, 1 << m)
+                                if not sub & ~present[idx]])
+            for idx in range(strides[-1])]
+
+
 def table_welfare(bids, supply, exclude=None):
     """W(supply) read from a full table over supply's doubled-item pattern
     (two copies where supply has two, one elsewhere), folding every agent but
     ``exclude``: the two-copy and leave-one-out table paths that the point
     merges replaced.  Runs on the bid tables scaled by the lcm of their
-    denominators; an agent's empty bundle counts 0."""
-    m = len(supply)
+    denominators."""
     shape = tuple(2 if c == 2 else 1 for c in supply)
     denom, tabs = scale_rows(b.table() for b in bids)
-    strides = [1]
-    for cap in shape:
-        strides.append(strides[-1] * (cap + 1))
-    size = strides[-1]
-    present = [sum(1 << j for j in range(m) if idx // strides[j] % (shape[j] + 1))
-               for idx in range(size)]
-    offset = [sum(strides[j] for j in range(m) if sub >> j & 1)
-              for sub in range(1 << m)]
-    table = [0] * size
+    strides = _strides(shape)
+    table = [0] * strides[-1]
     for i, tab in enumerate(tabs):
-        if i == exclude:
-            continue
-        table = [max([table[idx]] + [tab[sub] + table[idx - offset[sub]]
-                                     for sub in range(1, 1 << m)
-                                     if not sub & ~present[idx]])
-                 for idx in range(size)]
+        if i != exclude:
+            table = submask_fold(tab, table, shape)
     return Fraction(table[sum(c * s for c, s in zip(supply, strides))], denom)
 
 

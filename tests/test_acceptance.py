@@ -4,7 +4,6 @@ pass/fail line each.
 Run with  pytest tests/test_acceptance.py -v  (add -s to stream the lines).
 """
 
-import random
 import sys
 from fractions import Fraction as F
 
@@ -23,10 +22,10 @@ from walras.mechanisms import (
     search_vcg_english_inversion,
     utility,
 )
-from walras.serialize import jsonable
 from walras.suites import (
     GS_CLASSES,
     SuiteReport,
+    _suite,
     lattice_suite,
     lemma_gs_suite,
     lemma_xos_suite,
@@ -219,10 +218,7 @@ def test_criterion_10_lattice_suite():
 def stability_suite(runs: int = 100, seed: int = 0) -> SuiteReport:
     """Efficient-profile construction: optimal welfare, zero payments, zero
     exposure, and a grid-Nash pass on the instance's default grid."""
-    rng = random.Random(("stability", seed).__repr__())
-    failures = 0
-    first = None
-    for k in range(runs):
+    def violations(rng):
         m, n = rng.randint(2, 3), rng.randint(2, 3)
         types = BidProfile(m, tuple(
             sample_valuation(rng.choice(GS_CLASSES), m, 2,
@@ -245,12 +241,9 @@ def stability_suite(runs: int = 100, seed: int = 0) -> SuiteReport:
         if not rep.is_nash:
             problems.append("grid deviation found")
         if problems:
-            failures += 1
-            if first is None:
-                first = {"run": k, "problems": problems,
-                         "types": jsonable(types),
-                         "bids": jsonable(bids)}
-    return SuiteReport("stability", runs, failures, first, {})
+            yield {"problems": problems, "types": types, "bids": bids}
+
+    return _suite("stability", runs, seed, violations, {})
 
 
 def test_criterion_11_stability_evidence():

@@ -45,8 +45,7 @@ from walras.valuations import (
     is_gross_substitutes,
     sample_valuation,
 )
-from walras.serialize import jsonable
-from walras.suites import SuiteReport, random_gs_profile
+from walras.suites import SuiteReport, _suite, random_gs_profile
 from walras.welfare import Allocation, BidProfile
 
 EPS = F(1, 8)
@@ -280,20 +279,14 @@ def test_smoothness_certificate_random_gs_draws():
 
 def vcg_deviation_suite(runs: int = 200, seed: int = 0) -> SuiteReport:
     """Truthful-deviation bound under the externality rule, GS draws."""
-    rng = random.Random(("vcg-deviation", seed).__repr__())
-    failures = 0
-    first = None
-    for k in range(runs):
+    def violations(rng):
         types = random_gs_profile(rng)
         bids = random_gs_profile(
             rng, m_range=(types.m, types.m), n_range=(types.n, types.n))
-        rep = vcg_deviation_certificate(Instance(types.m, types), bids)
-        if not rep.holds:
-            failures += 1
-            if first is None:
-                first = {"run": k, "types": jsonable(types),
-                         "bids": jsonable(bids)}
-    return SuiteReport("vcg_deviation", runs, failures, first, {})
+        if not vcg_deviation_certificate(Instance(types.m, types), bids).holds:
+            yield {"types": types, "bids": bids}
+
+    return _suite("vcg_deviation", runs, seed, violations, {})
 
 
 def test_vcg_deviation_certificate():

@@ -152,6 +152,22 @@ def test_an_oversize_grid_exits_2_before_it_is_scaled(capsys, monkeypatch):
                    "of 200000\n")
 
 
+def test_an_oversize_grid_exits_2_before_a_bid_is_built(capsys, monkeypatch):
+    # 301^2 = 90,601 bids per agent fit the budget; their square does not.
+    import walras.analysis as analysis
+
+    def no_bids(*args, **kwargs):
+        raise AssertionError("a grid bid was built")
+
+    monkeypatch.setattr(analysis, "Additive", no_bids)
+    code, out, err = run_cli(capsys, "poa", fixture("example2_eps_0.125.json"),
+                             "--grid-delta", "1/300", "--grid-cap", "1")
+    assert code == 2 and out == ""
+    assert err == ("error: 8208541201 grid profiles exceed the budget "
+                   "of 200000\n")
+    assert analysis.BidGrid.additive_sizes(2, 2, "1/300", 1) == (301 ** 2,) * 2
+
+
 def test_an_infinite_worst_ratio_prints_inf(capsys, tmp_path):
     # Bidder 0 values nothing and takes the item when both bid 0; with a
     # wide tolerance that profile is an equilibrium of welfare zero.

@@ -1,8 +1,11 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import walras
 from walras.money import format_money, parse_money
 
 
@@ -20,6 +23,18 @@ def test_parse_rejects_floats_and_junk():
         parse_money("abc")
     with pytest.raises(ValueError):
         parse_money("1/0")
+
+
+def test_no_module_holds_a_float_constant_or_calls_float():
+    """The no-float rule, read from the source of every walras module."""
+    found = []
+    for path in sorted(Path(walras.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if ((isinstance(node, ast.Constant) and isinstance(node.value, float))
+                    or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id == "float")):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 @pytest.mark.parametrize("value,text", [

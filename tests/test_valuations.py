@@ -90,6 +90,28 @@ def test_negative_weights_rejected():
         Oxs(((F(1), F(-2)),))
 
 
+def test_a_valuation_hashes_its_weights_once():
+    hashed = []
+
+    class Counted(F):
+        def __hash__(self):
+            hashed.append(self)
+            return super().__hash__()
+
+    w = (Counted(1, 2), Counted(3), Counted(0))
+    for v in (Additive(w), UnitDemand(w), Xos((w, w)), Oxs((w, w, w)),
+              Tabular(w + (Counted(4),))):
+        hashed.clear()
+        first = hash(v)
+        v.value(1)  # table lookups hash the valuation again
+        v.table()
+        assert hash(v) == first
+        numbers = getattr(v, v._field)
+        assert len(hashed) == sum(map(len, numbers if v._rows else (numbers,)))
+        # The same value as the dataclass hash of the fields.
+        assert first == hash((numbers,))
+
+
 def test_oxs_matches_brute_force_matching():
     rng = random.Random(5)
     for trial in range(30):

@@ -8,7 +8,8 @@ from oracles import brute_max_prices, brute_min_prices, fraction_walrasian_certi
 from test_valuations import ROUND_TRIP_NUMBERS, oracle_valuations
 from walras.bundles import ms_ones
 from walras.mechanisms import allocate_declared
-from walras.valuations import Additive, Tabular, UnitDemand, Xos, sample_valuation
+from walras.valuations import (Additive, Tabular, UnitDemand, Xos, demand_set,
+                               sample_valuation)
 from walras.walrasian import (
     ClearingViolation,
     DemandViolation,
@@ -182,7 +183,8 @@ def test_verification_matches_the_fraction_certificate(case):
     ((0b01, 0b11), ("1", "1", "-1"), "bundles overlap on items 0x1"),
     ((0b100, 0b01), ("1",), "bundle 0x4 has bits outside the 2 items"),
     ((0b01,), ("1",), "allocation has 1 bundles for 2 agents"),
-    ((0b01, 0b10), ("1", "1", "-1"), "price vector length mismatch"),
+    ((0b01, 0b10), ("1", "1", "-1"),
+     "price vector length mismatch: 3 prices for m=2 items"),
     ((0b01, 0b10), ("-1/3", "1"), "prices must be non-negative"),
 ])
 def test_verification_errors_in_order(bundles, prices, message):
@@ -190,6 +192,16 @@ def test_verification_errors_in_order(bundles, prices, message):
     with pytest.raises(ValueError) as raised:
         verify_walrasian_equilibrium(prof, bundles, prices)
     assert str(raised.value) == message
+
+
+def test_demand_and_verification_share_one_price_parser():
+    prof = BidProfile(2, (Additive((F(1), F(1))), UnitDemand((F(2), F(1)))))
+    for prices in (("1", "1", "-1"), ("-1/3", "1")):
+        with pytest.raises(ValueError) as demanded:
+            demand_set(prof.bids[0], prices)
+        with pytest.raises(ValueError) as verified:
+            verify_walrasian_equilibrium(prof, (0b01, 0b10), prices)
+        assert str(demanded.value) == str(verified.value)
 
 
 def test_allocation_and_certificate_share_one_disjointness_check():

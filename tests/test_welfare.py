@@ -4,14 +4,17 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import walras.welfare as welfare
 from oracles import (
     brute_max_prices,
     brute_min_prices,
     brute_welfare,
     brute_welfare_maps,
+    submask_fold,
     table_welfare,
 )
 from walras.bundles import ms_ones
+from walras.money import on_one_denominator
 from walras.mechanisms import _scaled_externality
 from walras.valuations import (
     Additive,
@@ -19,6 +22,7 @@ from walras.valuations import (
     Tabular,
     UnitDemand,
     Xos,
+    _tabulate,
     is_gross_substitutes,
     is_submodular,
     sample_valuation,
@@ -301,11 +305,12 @@ NON_MONOTONE = Tabular((F(0), F(2), F(1, 3), F(1)))
 
 
 @st.composite
-def merge_profiles(draw):
-    """n = 1..4 bids over m <= 5 items: the four sampled kinds and tables
-    with independent entries, which are mostly not monotone."""
-    m = draw(st.integers(1, 5))
-    n = draw(st.integers(1, 4))
+def merge_profiles(draw, m_range=(1, 5), n_range=(1, 4), tables=True):
+    """n bids over m items (1..4 and 1..5 by default): the four sampled
+    kinds and, with ``tables``, tables with independent entries, which are
+    mostly not monotone."""
+    m = draw(st.integers(*m_range))
+    n = draw(st.integers(*n_range))
 
     def row(k):
         return tuple(draw(merge_weights) for _ in range(k))
@@ -313,7 +318,7 @@ def merge_profiles(draw):
     bids = []
     for _ in range(n):
         kind = draw(st.sampled_from(("additive", "unit_demand", "xos", "oxs",
-                                     "table")))
+                                     "table")[:5 if tables else 4]))
         if kind == "additive":
             bids.append(Additive(row(m)))
         elif kind == "unit_demand":
@@ -363,3 +368,68 @@ def test_table_limit_names_the_states_and_the_limit():
     with pytest.raises(ValueError, match="welfare table too large") as exc:
         welfare_value(prof, (2,) * 14)
     assert "4782969" in str(exc.value) and "2000000" in str(exc.value)
+
+
+def _rowed_tables(prof):
+    """(D, plain tables, tables with every structured bid's fold rows on D,
+    whatever m and the row count)."""
+    denom, plain = on_one_denominator(_tabulate(b) for b in prof.bids)
+    rowed = tuple(t if b._slots is None else welfare._with_rows(b, t, denom)
+                  for b, t in zip(prof.bids, plain))
+    return denom, plain, rowed
+
+
+def _assert_folds_agree(prof, shape):
+    """Level by level, ``_or_step`` on the tables with fold rows equals the
+    submask fold of the plain tables, and the last level is table_welfare;
+    on the ones shape the doubled slices of both paths are equal too."""
+    denom, plain, rowed = _rowed_tables(prof)
+    size, ssum, clamps = _layout(shape)
+    levels = [None] * prof.n + [(0,) * size]
+    for k in reversed(range(prof.n)):
+        expected = submask_fold(plain[k], levels[k + 1], shape)
+        levels[k] = welfare._or_step(rowed[k], levels[k + 1], size, ssum, clamps)
+        assert list(levels[k]) == expected
+    assert F(levels[0][-1], denom) == table_welfare(prof.bids, shape)
+    if 2 not in shape:
+        slices = welfare._doubled_slices(rowed, levels, size, ssum, clamps)
+        assert list(map(list, slices)) == welfare._doubled_slices(
+            plain, levels, size, ssum, clamps)
+
+
+@MERGE_EXAMPLES
+@given(merge_profiles(), st.data())
+def test_item_fold_matches_the_submask_fold(prof, data):
+    """Every kind on every supply shape, with fold rows attached at any m:
+    the item fold runs on the ones shape, and tables and doubled shapes keep
+    the submask fold."""
+    shape = data.draw(st.tuples(*[st.sampled_from((1, 2))] * prof.m))
+    _assert_folds_agree(prof, shape)
+    _assert_folds_agree(prof, ms_ones(prof.m))
+    # Only structured bids from ITEM_FOLD_MIN_ITEMS items up carry rows.
+    for bid, tab in zip(prof.bids, scaled_tables(prof)[1]):
+        if isinstance(bid, Tabular) or prof.m < welfare.ITEM_FOLD_MIN_ITEMS:
+            assert type(tab) is tuple
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=8)
+@given(merge_profiles(m_range=(8, 8), n_range=(2, 3), tables=False))
+def test_item_fold_matches_the_submask_fold_at_eight_items(prof):
+    _assert_folds_agree(prof, ms_ones(8))
+
+
+def test_two_slots_of_one_bidder_never_take_both_copies_of_an_item():
+    # Agent 1's two slots each value item 0 at 4.  With a second copy of
+    # item 0 it may still take only one: agent 2 gets the other, so the
+    # lowest price of item 0 is W(1 + 1_0) - W(1) = (4 + 1) - 4 = 1, not the
+    # 8 - 4 = 4 of a bidder holding both copies.
+    zeros = (F(0),) * 6
+    prof = BidProfile(7, (
+        Additive(zeros + (F(1, 2),)),
+        Oxs(((F(4), F(4)),) + ((F(0), F(0)),) * 6),
+        Additive((F(1),) + zeros),
+    ))
+    assert isinstance(scaled_tables(prof)[1][1], welfare._FoldRows)
+    low = min_walrasian_prices(prof)
+    assert low[0] == 1
+    assert low == brute_min_prices(prof.bids, prof.m, table_welfare)
