@@ -12,15 +12,17 @@ numbers (the JSON field of the same name), and ``_rows`` whether that field
 is a list of rows.  :func:`valuation_to_json`, :func:`valuation_from_json`
 and :meth:`Valuation.scale` read that declaration and nothing per kind.
 
-Each kind builds its integer table ``(D_v, ints)`` once (``_ints``, cached
-by :func:`_tabulate`): D_v is a common multiple of the kind's weight
-denominators and ``ints[x]`` is D_v times the value of bundle x.  Every
+The structured kinds also declare what a row is (``_slots``): an additive
+clause (additive, XOS) or a slot (unit-demand, OXS).  ``_fold_rows`` reads
+the declared field as rows on D_v, a common multiple of the kind's weight
+denominators, an OXS matrix by its slot columns; a single-row kind is one
+row.  The welfare DP folds a bid item by item from these rows, and the one
+builder ``Valuation._ints`` makes every structured table from them.
+
+Each kind's integer table ``(D_v, ints)`` is built once (cached by
+:func:`_tabulate`): ``ints[x]`` is D_v times the value of bundle x.  Every
 reader (the welfare DP, demand sets, the checkers, the analysis layer)
 works on those ints; ``value`` and ``table`` are their Fraction views.
-The structured kinds also declare their fold rows on the same D_v
-(``_fold_rows``): additive clauses (additive, XOS) or OXS slot columns
-(``_slots``; unit-demand is one slot).  The welfare DP folds a bid item by
-item from these rows, and each kind's table is built from them.
 
 Class checkers tabulate the valuation, so they are exponential in m; the
 analysis layer runs them only up to ``CHECKER_MAX_ITEMS`` items.  They compare
@@ -67,18 +69,31 @@ class Valuation:
     _rows = False
     _slots: bool | None = None  # fold rows: OXS slots, additive clauses, none
 
-    def _ints(self) -> tuple[int, tuple[int, ...]]:
-        """The kind's integer table; read it through :func:`_tabulate`."""
-        raise NotImplementedError
-
-    def _weight_rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The kind's fold rows in Fractions, each indexed by item."""
-        raise NotImplementedError
-
     @cached_property
     def _fold_rows(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """(D_v, every fold row times D_v), on the denominator of the table."""
-        return scale_rows(self._weight_rows())
+        """(D_v, every fold row times D_v): the declared field as rows,
+        an OXS matrix read by its slot columns."""
+        rows = getattr(self, self._field)
+        if not self._rows:
+            rows = (rows,)
+        elif self._slots:
+            rows = zip(*rows)
+        return scale_rows(rows)
+
+    def _ints(self) -> tuple[int, tuple[int, ...]]:
+        """The kind's integer table, built from its fold rows; read it
+        through :func:`_tabulate`.  Clauses: the element-wise max of their
+        additive tables.  Slots join one at a time, each like a unit-demand
+        bidder: with slot k a bundle leaves it empty or gives it one item i,
+        g_{k+1}(S) = max(g_k(S), g_k(S - i) + w[i][k])."""
+        denom, rows = self._fold_rows
+        if not self._slots:
+            tables = [_doubling(row, add) for row in rows]
+            return denom, tuple(tables[0] if len(tables) == 1 else map(max, *tables))
+        best = _doubling(rows[0], max)
+        for column in rows[1:]:
+            best = fold_row(best, column, slot=True)
+        return denom, tuple(best)
 
     def value(self, bundle: int) -> Fraction:
         check_bundle(self.m, bundle)
@@ -137,13 +152,6 @@ class _ItemWeights(Valuation):
     def m(self) -> int:
         return len(self.weights)
 
-    def _weight_rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        return (self.weights,)
-
-    def _ints(self) -> tuple[int, tuple[int, ...]]:
-        denom, (w,) = self._fold_rows
-        return denom, tuple(_doubling(w, max if self._slots else add))
-
 
 @dataclass(frozen=True)
 class Additive(_ItemWeights):
@@ -155,37 +163,34 @@ class UnitDemand(_ItemWeights):
     _type, _slots = "unit_demand", True
 
 
+class _Rows(Valuation):
+    """Rows of weights of one length: XOS clauses, each indexed by item, or
+    an OXS matrix, one row per item and one column per slot."""
+
+    def __post_init__(self):
+        rows = tuple(map(_to_weights, getattr(self, self._field)))
+        if not rows or len({len(r) for r in rows}) != 1 or not rows[0]:
+            raise ValueError(f"{self._type} valuation field {self._field!r} "
+                             "needs one or more rows of one non-zero length")
+        object.__setattr__(self, self._field, rows)
+        check_item_count(self.m)
+
+    @property
+    def m(self) -> int:
+        rows = getattr(self, self._field)
+        return len(rows) if self._slots else len(rows[0])
+
+
 @dataclass(frozen=True)
-class Xos(Valuation):
+class Xos(_Rows):
     """Max over additive clauses; every clause is a weight vector."""
 
     clauses: tuple[tuple[Fraction, ...], ...]
     _type, _field, _rows, _slots = "xos", "clauses", True, False
 
-    def __post_init__(self):
-        clauses = tuple(_to_weights(c) for c in self.clauses)
-        if not clauses:
-            raise ValueError("an XOS valuation needs at least one clause")
-        if len({len(c) for c in clauses}) != 1:
-            raise ValueError("all XOS clauses must have the same length")
-        check_item_count(len(clauses[0]))
-        object.__setattr__(self, "clauses", clauses)
-
-    @property
-    def m(self) -> int:
-        return len(self.clauses[0])
-
-    def _weight_rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        return self.clauses
-
-    def _ints(self) -> tuple[int, tuple[int, ...]]:
-        """The element-wise max of the clauses' additive tables."""
-        denom, clauses = self._fold_rows
-        return denom, tuple(map(max, zip(*(_doubling(c, add) for c in clauses))))
-
 
 @dataclass(frozen=True)
-class Oxs(Valuation):
+class Oxs(_Rows):
     """Assignment valuation: rows are items, columns are private slots.
 
     The value of a bundle is the weight of a maximum matching of its items
@@ -195,35 +200,6 @@ class Oxs(Valuation):
 
     matrix: tuple[tuple[Fraction, ...], ...]
     _type, _field, _rows, _slots = "oxs", "matrix", True, True
-
-    def __post_init__(self):
-        rows = tuple(_to_weights(r) for r in self.matrix)
-        if not rows:
-            raise ValueError("OXS matrix needs at least one item row")
-        if len({len(r) for r in rows}) != 1:
-            raise ValueError("all OXS rows must have the same slot count")
-        if len(rows[0]) == 0:
-            raise ValueError("OXS matrix needs at least one slot")
-        check_item_count(len(rows))
-        object.__setattr__(self, "matrix", rows)
-
-    @property
-    def m(self) -> int:
-        return len(self.matrix)
-
-    def _weight_rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(zip(*self.matrix))  # one row per slot
-
-    def _ints(self) -> tuple[int, tuple[int, ...]]:
-        """On the lcm of the matrix denominators, slots join one at a time,
-        each like a unit-demand bidder: with slot k, a bundle either leaves
-        it empty or gives it one item i,
-        g_{k+1}(S) = max(g_k(S), g_k(S - i) + w[i][k])."""
-        denom, columns = self._fold_rows
-        best = (0,) * (1 << self.m)
-        for column in columns:
-            best = fold_row(best, column, slot=True)
-        return denom, tuple(best)
 
 
 @dataclass(frozen=True)

@@ -143,9 +143,7 @@ def _layout(supply: tuple[int, ...]):
 def _ms_index(supply: tuple[int, ...], ms: tuple[int, ...]) -> int:
     idx = 0
     acc = 1
-    for j, (cap, count) in enumerate(zip(supply, ms)):
-        if count > cap:
-            raise ValueError(f"multiset exceeds supply at item {j}")
+    for cap, count in zip(supply, ms):
         idx += count * acc
         acc *= cap + 1
     return idx
@@ -374,9 +372,9 @@ def _welfare_argmax(profile: BidProfile, ms: tuple[int, ...],
                     stop: int = 1) -> tuple[int, tuple[int, ...]]:
     """D * W(ms) and the canonical maximizing assignment of :func:`welfare_max`,
     from level 0 folded in full (``stop`` 0) or merged at ms alone (1)."""
-    levels, _, ssum, clamps = _suffix_levels(profile, ms, stop)
+    levels, size, ssum, clamps = _suffix_levels(profile, ms, stop)
     _, tables = scaled_tables(profile)
-    idx = _ms_index(ms, ms)
+    idx = size - 1  # the top state, ms itself
     value = (levels[0][idx] if stop == 0
              else _fold_at(tables[0], levels[1], idx, ssum, clamps))
     return value, _backtrack(tables, levels, idx, value, ssum, clamps)

@@ -5,6 +5,8 @@ import sys
 
 import pytest
 
+from walras.analysis import (BidGrid, EnumerationBudgetExceeded, MAX_PROFILES,
+                             count_profiles)
 from walras.cli import build_parser, main
 from walras.instancefile import (
     InstanceFormatError,
@@ -91,6 +93,21 @@ def test_verify_nash_subcommand(capsys):
     payload = json.loads(out)
     assert payload["is_nash"] is False
     assert payload["welfare"] == "4"
+
+
+def test_verify_nash_runs_a_default_grid_over_the_poa_budget(capsys):
+    """verify-nash checks one profile, so its grid may hold more profiles
+    than poa's budget: appendix_overbidding's default grid has 125 bids for
+    each of its three agents, 1,953,125 profiles."""
+    instance = load_instance(fixture("appendix_overbidding.json"))
+    sizes = BidGrid.default_for(instance).sizes()
+    assert sizes == (125,) * 3 and 125 ** 3 > MAX_PROFILES
+    with pytest.raises(EnumerationBudgetExceeded):
+        count_profiles(sizes)
+    code, out, _ = run_cli(capsys, "verify-nash", fixture("appendix_overbidding.json"))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["is_nash"] is False and payload["welfare"] == "8"
 
 
 def test_poa_subcommand_json_and_csv(capsys):
@@ -386,6 +403,20 @@ def test_fields_of_the_wrong_type_exit_2(tmp_path, capsys, payload, message):
     assert code == 2 and out == ""
     (line,) = err.splitlines()
     assert line.startswith("error: ") and message in line
+
+
+@pytest.mark.parametrize("kind, field", [("xos", "clauses"), ("oxs", "matrix")])
+@pytest.mark.parametrize("rows", [[], [["1", "2"], ["1"]], [[], []]],
+                         ids=["no-rows", "unequal-rows", "empty-rows"])
+def test_malformed_rows_exit_2_naming_the_kind_and_field(tmp_path, capsys, kind,
+                                                         field, rows):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"m": 2, "players": [
+        {"valuation": {"type": kind, field: rows}}]}))
+    code, out, err = run_cli(capsys, "solve", str(path))
+    assert code == 2 and out == ""
+    assert err == (f"error: player 0: {kind} valuation field {field!r} needs "
+                   "one or more rows of one non-zero length\n")
 
 
 def _one_weight(text):

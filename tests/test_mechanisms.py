@@ -236,14 +236,22 @@ def markets(draw, max_n=4, m=st.integers(1, 6)):
     return BidProfile(m, tuple(draw(oracle_valuations(m)) for _ in range(n)))
 
 
-# The largest market drawn, which the draws above rarely reach.
-SIX_ITEMS = BidProfile(6, tuple(
-    sample_valuation(kind, 6, 3, seed=k, denominators=(3, 5, 7, 9))
-    for k, kind in enumerate(("xos", "oxs", "unit_demand", "additive"))))
+def _sampled_market(m):
+    """One bid of each structured kind over m items."""
+    return BidProfile(m, tuple(
+        sample_valuation(kind, m, 3, seed=k, denominators=(3, 5, 7, 9))
+        for k, kind in enumerate(("xos", "oxs", "unit_demand", "additive"))))
+
+
+# The largest market drawn, which the draws above rarely reach, and two
+# beyond it, where the item-by-item folds run on every structured kind.
+SIX_ITEMS, NINE_ITEMS, TEN_ITEMS = map(_sampled_market, (6, 9, 10))
 
 
 @METAMORPHIC
 @example(SIX_ITEMS, F(5, 3))
+@example(NINE_ITEMS, F(7, 2))
+@example(TEN_ITEMS, F(5, 3))
 @given(markets(), st.builds(F, st.integers(1, 12), st.sampled_from((1, 2, 3, 5, 7))))
 def test_scaling_every_bid_scales_welfare_prices_and_payments(profile, c):
     scaled = BidProfile(profile.m, tuple(b.scale(c) for b in profile.bids))
@@ -298,6 +306,8 @@ def relabelled_markets(draw):
 
 @METAMORPHIC
 @example((SIX_ITEMS, (5, 3, 0, 4, 1, 2)))
+@example((NINE_ITEMS, (8, 6, 0, 4, 2, 7, 1, 3, 5)))
+@example((TEN_ITEMS, (9, 0, 7, 2, 5, 3, 8, 1, 6, 4)))
 @given(relabelled_markets())
 def test_relabelling_the_items_permutes_both_price_vectors(case):
     profile, perm = case
@@ -311,6 +321,8 @@ def test_relabelling_the_items_permutes_both_price_vectors(case):
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=25)
 @example(SIX_ITEMS)
+@example(NINE_ITEMS)
+@example(TEN_ITEMS)
 @given(markets(max_n=3, m=st.integers(6, 8)))
 def test_lattice_endpoints_are_welfare_differences(profile):
     # Read through the general table DP over two copies of item j, not the

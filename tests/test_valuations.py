@@ -503,6 +503,20 @@ def test_integer_table_matches_brute_values(v):
     assert v.table() == tuple(F(t, denom) for t in ints)
 
 
+@ORACLE_EXAMPLES
+@given(st.integers(1, 10).flatmap(
+    lambda m: st.lists(ROUND_TRIP_NUMBERS, min_size=m, max_size=m)))
+def test_kinds_declaring_the_same_rows_build_the_same_table(w):
+    """A one-slot OXS matrix declares the fold row of a unit-demand bid, and
+    one XOS clause that of an additive bid: the one builder gives each pair
+    the same fold rows and the same table."""
+    for kind, same in ((UnitDemand(w), Oxs(tuple((x,) for x in w))),
+                       (Additive(w), Xos((tuple(w),)))):
+        assert same.m == kind.m == len(w)
+        assert same._fold_rows == kind._fold_rows
+        assert _tabulate(same) == _tabulate(kind)
+
+
 def test_table_denominator_is_a_common_multiple():
     assert _tabulate(HIDDEN_THIRDS) == (3, (0, 3, 3, 6))
     assert _tabulate(Additive((F(0),) * 3)) == (1, (0,) * 8)
