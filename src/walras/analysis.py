@@ -33,10 +33,9 @@ from .mechanisms import PaymentRule, _scaled_externality, run_mechanism
 from .valuations import (
     CHECKER_MAX_ITEMS,
     Additive,
-    Oxs,
-    UnitDemand,
     Valuation,
     Xos,
+    _marginal_gaps,
     _tabulate,
     is_gross_substitutes,
     xos_supporting_clause,
@@ -145,8 +144,6 @@ class BidGrid:
         denom, tables = scaled_tables(instance.true_valuations)
         step = gcd(*(x for tab in tables for x in tab))
         top = max(tab[1 << j] for tab in tables for j in range(instance.m))
-        if top == 0:
-            return cls(((Additive((ZERO,) * instance.m),),) * instance.n)
         delta = max(Fraction(step, denom), Fraction(1, 8))
         return cls.additive(instance.m, instance.n, delta, Fraction(top, denom))
 
@@ -306,13 +303,11 @@ def verify_nash(instance: Instance, rule: PaymentRule, profile: BidProfile,
 
 # -- efficient equilibrium construction ----------------------------------------
 
-def _smallest_positive_marginal(profile: BidProfile) -> Fraction | None:
+def _smallest_positive_marginal(profile: BidProfile) -> Fraction:
+    """The smallest positive marginal value of any bid, 0 when none is."""
     denom, tables = scaled_tables(profile)
-    m = profile.m
-    gaps = [tab[mask | 1 << j] - tab[mask] for tab in tables
-            for mask in range(1 << m) for j in range(m) if not mask >> j & 1]
-    smallest = min((d for d in gaps if d > 0), default=None)
-    return None if smallest is None else Fraction(smallest, denom)
+    gaps = (gap for tab in tables for gap in _marginal_gaps(tab) if gap > 0)
+    return Fraction(min(gaps, default=0), denom)
 
 
 def construct_efficient_profile(instance: Instance) -> BidProfile:
@@ -339,8 +334,7 @@ def construct_efficient_profile(instance: Instance) -> BidProfile:
             raise ValueError(f"true valuation {i} is not gross substitutes")
     _, optimal_bundles = welfare_max(profile, ms_ones(instance.m))
     prices = min_walrasian_prices(profile)
-    smallest = _smallest_positive_marginal(profile)
-    bump = smallest / (4 * instance.m) if smallest is not None else ZERO
+    bump = _smallest_positive_marginal(profile) / (4 * instance.m)
     _, tables = scaled_tables(profile)
     bids = []
     for i, (tab, mine) in enumerate(zip(tables, optimal_bundles)):
@@ -486,7 +480,7 @@ def marginal_sum_bound(bids: BidProfile, partition: Allocation) -> MarginalSumRe
     if bids.m <= CHECKER_MAX_ITEMS and all(is_gross_substitutes(b)
                                            for b in bids.bids):
         classification = "gross_substitutes"
-    elif all(isinstance(b, (Additive, UnitDemand, Xos, Oxs)) for b in bids.bids):
+    elif all(b._slots is not None for b in bids.bids):  # structured kinds are XOS
         classification = "xos"
     else:
         classification = "unknown"

@@ -16,7 +16,7 @@ from functools import cache
 
 from .analysis import (BidGrid, EnumerationBudgetExceeded, count_profiles,
                        poa_search, verify_nash)
-from .bundles import ms_ones
+from .bundles import iter_bits, ms_ones
 from .instancefile import InstanceFormatError, load_instance
 from .mechanisms import PaymentRule, allocate_declared, run_mechanism
 from .money import format_money
@@ -62,8 +62,7 @@ def _cmd_solve(args) -> int:
     instance = load_instance(args.instance)
     value, bundles = welfare_max(instance.true_valuations, ms_ones(instance.m))
     _emit({"welfare": value,
-           "allocation": [[j for j in range(instance.m) if b >> j & 1]
-                          for b in bundles]})
+           "allocation": [list(iter_bits(b)) for b in bundles]})
     return 0
 
 

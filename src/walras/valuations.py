@@ -13,11 +13,14 @@ is a list of rows.  :func:`valuation_to_json`, :func:`valuation_from_json`
 and :meth:`Valuation.scale` read that declaration and nothing per kind.
 
 The structured kinds also declare what a row is (``_slots``): an additive
-clause (additive, XOS) or a slot (unit-demand, OXS).  ``_fold_rows`` reads
-the declared field as rows on D_v, a common multiple of the kind's weight
-denominators, an OXS matrix by its slot columns; a single-row kind is one
-row.  The welfare DP folds a bid item by item from these rows, and the one
-builder ``Valuation._ints`` makes every structured table from them.
+clause (additive, XOS) or a slot (unit-demand, OXS); tabular declares
+none.  ``_fold_rows`` reads the declared field as rows on D_v, a common
+multiple of the kind's weight denominators, an OXS matrix by its slot
+columns; a single-row kind is one row.  The welfare DP folds a bid item by
+item from these rows, and the one builder ``Valuation._ints`` makes every
+structured table from them.  The declaration also decides which kinds
+:func:`sample_valuation` draws and which profiles
+``analysis.marginal_sum_bound`` classes as XOS.
 
 Each kind's integer table ``(D_v, ints)`` is built once (cached by
 :func:`_tabulate`): ``ints[x]`` is D_v times the value of bundle x.  Every
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import add
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .bundles import check_bundle, check_item_count, fold_row, iter_bits
 from .money import (ZERO, _parse_non_negative, format_money, on_one_denominator,
@@ -317,17 +320,17 @@ def _demanded(tab: Sequence[int], p: Sequence[int]) -> list[int]:
 
 # -- class membership checkers ----------------------------------------------
 
+def _marginal_gaps(tab: Sequence[int]) -> Iterator[int]:
+    """tab[x + j] - tab[x] for every bundle x and every item j not in x."""
+    m = len(tab).bit_length() - 1
+    return (tab[x | 1 << j] - tab[x] for x in range(len(tab))
+            for j in range(m) if not x >> j & 1)
+
+
 def is_monotone_normalized(v: Valuation) -> bool:
     """True iff v(empty) = 0 and adding an item never lowers the value."""
     tab = _tabulate(v)[1]
-    if tab[0] != 0:
-        return False
-    for mask in range(1 << v.m):
-        for j in range(v.m):
-            if not mask >> j & 1:
-                if tab[mask | (1 << j)] < tab[mask]:
-                    return False
-    return True
+    return tab[0] == 0 and all(gap >= 0 for gap in _marginal_gaps(tab))
 
 
 def _require_normalized(v: Valuation) -> tuple[int, ...]:
@@ -406,18 +409,16 @@ def xos_supporting_clause(v: Xos, bundle: int) -> tuple[Fraction, ...]:
 
 # -- random generation -------------------------------------------------------
 
-_KINDS = ("additive", "unit_demand", "oxs", "xos")
-
-
 def sample_valuation(kind: str, m: int, cap, seed: int, *,
                      denominators: Sequence[int] = (1, 2, 4, 8)) -> Valuation:
-    """Deterministic random valuation of the given class.
+    """Deterministic random valuation of the given structured class.
 
     Weights are rationals w/denominator drawn from ``denominators`` and
     bounded by ``cap``; an OXS valuation has 1..m slots and an XOS one 1..3
     clauses.  Same arguments, same output.
     """
-    if kind not in _KINDS:
+    cls = _BY_TYPE.get(kind)
+    if cls is None or cls._slots is None:
         raise ValueError(f"unknown valuation class {kind!r}")
     check_item_count(m)
     limit = parse_money(cap)
@@ -431,13 +432,13 @@ def sample_valuation(kind: str, m: int, cap, seed: int, *,
     def weight_row(n: int) -> tuple[Fraction, ...]:
         return tuple(weight() for _ in range(n))
 
-    if kind in ("additive", "unit_demand"):
-        return _BY_TYPE[kind](weight_row(m))
-    if kind == "oxs":
+    if not cls._rows:
+        return cls(weight_row(m))
+    if cls._slots:  # one row per item over 1..m slots
         slots = rng.randint(1, m)
-        return Oxs(tuple(weight_row(slots) for _ in range(m)))
+        return cls(tuple(weight_row(slots) for _ in range(m)))
     clauses = rng.randint(1, 3)
-    return Xos(tuple(weight_row(m) for _ in range(clauses)))
+    return cls(tuple(weight_row(m) for _ in range(clauses)))
 
 
 # -- JSON schema --------------------------------------------------------------

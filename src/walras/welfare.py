@@ -6,13 +6,15 @@ item usage at most x (each agent consuming at most one copy of each item).
 It is computed by dynamic programming over agents and sub-multisets, exact
 over rationals and exponential in the number of items: desk scale.
 
-Agents are folded in one at a time (``_or_step``) into the suffix levels
-L_k (agents k..n-1) of a supply shape, once per profile.  Readers need W at
-a few states only and merge there: W(x) is agent 0 merged with L_1 at x
-(``_fold_at``; only ``welfare_max`` folds L_0), W without agent i joins the
-prefix table of agents 0..i-1 (``or_value_table``) with L_{i+1} at x
-(``_join_at``), and W(1 + 1_j) folds only the 2^(m-1) states with two copies
-of j (``_doubled_slices``).  A multiset with doubled items is read on its
+One driver, ``_fold_levels``, folds agents in one at a time (``_or_step``)
+into the suffix levels L_k (agents k..n-1) of a supply shape, once per
+profile (``_suffix_levels``); a prefix table of agents 0..k-1
+(``or_value_table``) is level n-k of the agents in reverse order.  Readers
+need W at a few states only and merge there: W(x) is agent 0 merged with
+L_1 at x (``_fold_at``; only ``welfare_max`` folds L_0), W without agent i
+joins the prefix table of agents 0..i-1 with L_{i+1} at x (``_join_at``),
+and W(1 + 1_j) folds only the 2^(m-1) states with two copies of j
+(``_doubled_slices``).  A multiset with doubled items is read on its
 doubled-item pattern: two copies where it has two, one elsewhere.  A fold
 enumerates submasks, except that a structured bid is folded one item at a
 time on the one-copy shape where that is cheaper (``_item_fold``).
@@ -256,26 +258,6 @@ def _or_step(tab: tuple[int, ...], cur, size: int, ssum: tuple[int, ...],
     return [_fold_at(tab, cur, idx, ssum, clamps) for idx in range(size)]
 
 
-def or_value_table(profile: BidProfile, supply: tuple[int, ...],
-                   agents: int) -> tuple[int, ...]:
-    """D times the welfare of agents 0..agents-1 over every sub-multiset of
-    ``supply``, mixed-radix indexed, with D from :func:`scaled_tables`.
-
-    Cached per profile; each prefix is one fold onto the one before it.
-    """
-    supply = tuple(supply)
-    key = ("prefix", supply, agents)
-    cached = profile._cache.get(key)
-    if cached is not None:
-        return cached
-    size, ssum, clamps = _layout(supply)
-    _, tables = scaled_tables(profile)
-    prev = or_value_table(profile, supply, agents - 1) if agents > 1 else [0] * size
-    result = tuple(_or_step(tables[agents - 1], prev, size, ssum, clamps))
-    profile._cache[key] = result
-    return result
-
-
 def _fold_levels(tables, levels: list, stop: int, size: int,
                  ssum: tuple[int, ...], clamps: tuple[int, ...]) -> None:
     """Fill levels[k], the scaled welfare table of agents k..n-1 of
@@ -285,11 +267,13 @@ def _fold_levels(tables, levels: list, stop: int, size: int,
             levels[k] = tuple(_or_step(tables[k], levels[k + 1], size, ssum, clamps))
 
 
-def _suffix_levels(profile: BidProfile, supply: tuple[int, ...], stop: int = 1):
-    """levels[k] = scaled welfare table of agents k..n-1, folded for every
-    k >= ``stop``; levels[n] is all zeros.  Cached per profile, and a later
-    call with a lower ``stop`` folds only the levels still missing."""
-    key = ("suffix", supply)
+def _suffix_levels(profile: BidProfile, supply: tuple[int, ...], stop: int = 1,
+                   reverse: bool = False):
+    """levels[k] = scaled welfare table of agents k..n-1 (with ``reverse``,
+    of agents 0..n-1-k), folded for every k >= ``stop``; levels[n] is all
+    zeros.  Cached per profile, supply and order, and a later call with a
+    lower ``stop`` folds only the levels still missing."""
+    key = ("prefix" if reverse else "suffix", supply)
     out = profile._cache.get(key)
     if out is None:
         size, ssum, clamps = _layout(supply)
@@ -297,8 +281,20 @@ def _suffix_levels(profile: BidProfile, supply: tuple[int, ...], stop: int = 1):
         out = profile._cache[key] = (levels, size, ssum, clamps)
     levels, size, ssum, clamps = out
     if levels[stop] is None:
-        _fold_levels(scaled_tables(profile)[1], levels, stop, size, ssum, clamps)
+        tables = scaled_tables(profile)[1][::-1 if reverse else 1]
+        _fold_levels(tables, levels, stop, size, ssum, clamps)
     return out
+
+
+def or_value_table(profile: BidProfile, supply: tuple[int, ...],
+                   agents: int) -> tuple[int, ...]:
+    """D times the welfare of agents 0..agents-1 (all zeros for none) over
+    every sub-multiset of ``supply``, mixed-radix indexed, with D from
+    :func:`scaled_tables`: level n - agents of the reversed suffix levels."""
+    if not 0 <= agents <= profile.n:
+        raise IndexError(f"prefix of {agents} agents out of range for n={profile.n}")
+    rest = profile.n - agents
+    return _suffix_levels(profile, tuple(supply), rest, True)[0][rest]
 
 
 # -- public operations --------------------------------------------------------

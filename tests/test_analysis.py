@@ -236,6 +236,27 @@ def test_construct_efficient_profile_overbidding_instance():
         assert exposure_factor_bound(v, b) == 0
 
 
+def test_smallest_positive_marginal_matches_the_bid_values():
+    rng = random.Random(23)
+    for _ in range(20):
+        m = rng.randint(1, 4)
+        prof = BidProfile(m, tuple(
+            sample_valuation(rng.choice(["additive", "unit_demand", "oxs", "xos"]),
+                             m, 4, seed=rng.randrange(10**6)) for _ in range(2)))
+        gaps = [brute_value(v, x | 1 << j) - brute_value(v, x) for v in prof.bids
+                for x in range(1 << m) for j in range(m) if not x >> j & 1]
+        assert analysis._smallest_positive_marginal(prof) == min(
+            (g for g in gaps if g > 0), default=0)
+
+
+def test_construct_efficient_profile_without_a_positive_marginal():
+    # No bid has a positive marginal, so the bump is 0 and every bid is zero.
+    zeros = Instance(2, BidProfile(2, (Additive((F(0), F(0))),
+                                       UnitDemand((F(0), F(0))))))
+    assert analysis._smallest_positive_marginal(zeros.true_valuations) == 0
+    assert construct_efficient_profile(zeros).bids == (Additive((F(0), F(0))),) * 2
+
+
 def test_construct_efficient_profile_rejects_non_gs_types():
     from walras.valuations import budget_additive
     inst = Instance(3, BidProfile(3, (

@@ -22,6 +22,7 @@ from walras.valuations import (
     Tabular,
     UnitDemand,
     Xos,
+    _BY_TYPE,
     _tabulate,
     budget_additive,
     demand_set,
@@ -361,6 +362,17 @@ def test_sampler_determinism_and_invariants():
             assert is_monotone_normalized(v)
             cap = F(4)
             assert all(v.value(1 << j) <= cap for j in range(v.m))
+
+
+def test_sampler_draws_every_kind_that_declares_slots():
+    structured = [k for k in _BY_TYPE.values() if k._slots is not None]
+    assert {k._type for k in structured} == {"additive", "unit_demand", "xos", "oxs"}
+    for kind in structured:
+        v = sample_valuation(kind._type, 3, 4, seed=5)
+        assert type(v) is kind and v.m == 3
+    for name in ("tabular", "budget_additive", "XOS"):
+        with pytest.raises(ValueError, match="unknown valuation class"):
+            sample_valuation(name, 3, 4, seed=5)
 
 
 def test_scale():

@@ -362,6 +362,24 @@ def test_point_merges_match_the_table_paths(prof, seed):
             - table_welfare(bids, rest, exclude=i))
 
 
+@MERGE_EXAMPLES
+@given(merge_profiles(), st.data())
+def test_prefix_tables_match_the_oracle_fold(prof, data):
+    """For every k from 0 to n, the prefix table of agents 0..k-1 on the
+    one-copy and on a doubled shape is the oracle fold of bids[:k] at every
+    state; no agents give all zeros."""
+    doubled = data.draw(st.tuples(*[st.sampled_from((1, 2))] * prof.m))
+    _, tables = scaled_tables(prof)
+    for shape in (ms_ones(prof.m), doubled):
+        expected = [0] * _layout(shape)[0]
+        assert welfare.or_value_table(prof, shape, 0) == tuple(expected)
+        for k in range(1, prof.n + 1):
+            expected = submask_fold(tables[k - 1], expected, shape)
+            assert list(welfare.or_value_table(prof, shape, k)) == expected
+    with pytest.raises(IndexError, match="out of range"):
+        welfare.or_value_table(prof, ms_ones(prof.m), prof.n + 1)
+
+
 def test_table_limit_names_the_states_and_the_limit():
     # 3^14 = 4,782,969 states with every item doubled
     prof = BidProfile(14, (Additive((F(1),) * 14),))
