@@ -40,7 +40,7 @@ from .valuations import (
     is_gross_substitutes,
     xos_supporting_clause,
 )
-from .walrasian import _merged_prices, min_walrasian_prices
+from .walrasian import min_walrasian_prices
 from .welfare import (
     Allocation,
     BidProfile,
@@ -554,8 +554,10 @@ def _grid_outcomes(scaled: _Scaled, contexts) -> list[list[tuple]]:
                         _fold_levels((t0,) + tables[1:i], partial, 0, size, ssum, clamps)
                         without[key] = partial[0]
                     pays.append(without[key][full] - without[key][full ^ x] if x else 0)
-            else:
-                prices = _merged_prices(t0, rest, w, slices, ssum, clamps)
+            else:  # D times the lowest (english) or the highest prices
+                prices = ([_fold_at(t0, s, full, ssum, clamps) - w for s in slices]
+                          if slices else [w - _fold_at(t0, rest, full ^ 1 << j, ssum, clamps)
+                                          for j in range(scaled.m)])
                 pays = [sum(prices[j] for j in items[x]) for x in bundles]
             values = [t[x] for (_, t), x in zip(scaled.truthful, bundles)]
             row.append((sum(values), tuple(v - p for v, p in zip(values, pays))))

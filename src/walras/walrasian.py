@@ -7,10 +7,10 @@ closed forms in terms of welfare marginals:
     high_j = W(1_j | 1 - 1_j)  harm of removing item j
 
 Both are computed exactly on the profile's scaled integers, from the
-ones-shape suffix levels of ``welfare``: W(1 + 1_j) folds only the states
-with two copies of j, and W(1) and W(1 - 1_j) are merges at one state each.
-The english and dutch payment rules read the same integers, and the grid
-kernel of ``poa_search`` the same merges (``_merged_prices``).
+ones-shape tables of ``welfare``: W(1) and W(1 - 1_j) are merges at one
+state each, and W(1 + 1_j) joins prefix and suffix tables that each hold a
+copy of j.  The english and dutch payment rules read the same integers; the
+``poa_search`` kernel merges agent 0's bids onto doubled slices instead.
 Verification and the ascending-price procedure put their prices on the
 tables' denominator.  The ascending-price procedure is kept only as a
 cross-check: with discrete increments it can approach but not hit the
@@ -28,9 +28,8 @@ from .valuations import _demanded, _parse_prices
 from .welfare import (
     Allocation,
     BidProfile,
-    _doubled_slices,
-    _fold_at,
-    _suffix_levels,
+    _doubled_welfare,
+    _scaled_welfare,
     scaled_tables,
 )
 
@@ -66,28 +65,16 @@ class TatonnementResult:
     steps: int
 
 
-def _merged_prices(tab0, rest, base: int, slices, ssum, clamps) -> tuple[int, ...]:
-    """D times the lowest prices W(1 + 1_j) - W(1) (from the others' doubled
-    ``slices``) or, with ``slices`` None, the highest W(1) - W(1 - 1_j), with
-    agent 0's ``tab0`` merged onto the others' ones-shape table ``rest``."""
-    full = len(rest) - 1
-    if slices is not None:
-        return tuple([_fold_at(tab0, s, full, ssum, clamps) - base for s in slices])
-    return tuple([base - _fold_at(tab0, rest, full ^ 1 << j, ssum, clamps)
-                  for j in range(full.bit_length())])
-
-
 def _scaled_prices(profile: BidProfile, lowest: bool) -> tuple[int, ...]:
     """D times the lowest or the highest Walrasian prices, with D from
     ``scaled_tables(profile)``.  Cached per profile."""
     key = "lowest_prices" if lowest else "highest_prices"
     if key not in profile._cache:
-        levels, size, ssum, clamps = _suffix_levels(profile, ms_ones(profile.m))
-        _, tables = scaled_tables(profile)
-        base = _fold_at(tables[0], levels[1], size - 1, ssum, clamps)
-        slices = _doubled_slices(tables, levels, size, ssum, clamps) if lowest else None
-        profile._cache[key] = _merged_prices(tables[0], levels[1], base, slices,
-                                             ssum, clamps)
+        m, full = profile.m, full_mask(profile.m)
+        states = [full] if lowest else [full] + [full ^ 1 << j for j in range(m)]
+        base, *rest = _scaled_welfare(profile, ms_ones(m), states)
+        profile._cache[key] = tuple([w - base for w in _doubled_welfare(profile, base)]
+                                    if lowest else [base - w for w in rest])
     return profile._cache[key]
 
 

@@ -13,8 +13,9 @@ profile (``_suffix_levels``); a prefix table of agents 0..k-1
 need W at a few states only and merge there: W(x) is agent 0 merged with
 L_1 at x (``_fold_at``; only ``welfare_max`` folds L_0), W without agent i
 joins the prefix table of agents 0..i-1 with L_{i+1} at x (``_join_at``),
-and W(1 + 1_j) folds only the 2^(m-1) states with two copies of j
-(``_doubled_slices``).  A multiset with doubled items is read on its
+and W(1 + 1_j) joins prefix and suffix tables that each hold a copy of j
+(``_doubled_welfare``; the poa kernel folds the doubled states instead,
+``_doubled_slices``).  A multiset with doubled items is read on its
 doubled-item pattern: two copies where it has two, one elsewhere.  A fold
 enumerates submasks, except that a structured bid is folded one item at a
 time on the one-copy shape where that is cheaper (``_item_fold``).
@@ -34,6 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
+from math import prod
+from operator import add, itemgetter
 from typing import Sequence
 
 from .bundles import (
@@ -42,6 +45,7 @@ from .bundles import (
     disjoint_union,
     fold_row,
     full_mask,
+    ms_ones,
 )
 from .money import ZERO, on_one_denominator
 from .valuations import Valuation, _tabulate, marginal_value
@@ -110,45 +114,23 @@ MAX_TABLE_STATES = 2_000_000  # largest welfare table, in item multisets
 
 @cache
 def _layout(supply: tuple[int, ...]):
-    """Mixed-radix strides for states <= supply, plus per-bundle stride sums.
+    """(size, ssum, clamps) of the states <= supply, mixed-radix indexed
+    with item 0 fastest: ssum[B] is the index of bundle B, one copy of each
+    of its items, and clamps[idx] the bundle of items state idx holds.
 
     Cached per supply shape; the tuples are shared, so nothing may mutate them.
     """
-    m = len(supply)
-    strides = []
-    acc = 1
-    for j in range(m):
-        strides.append(acc)
-        acc *= supply[j] + 1
-    size = acc
+    size = prod(cap + 1 for cap in supply)
     if size > MAX_TABLE_STATES:
         raise ValueError(
             f"welfare table too large: {size} states over supply {supply} "
             f"exceed MAX_TABLE_STATES = {MAX_TABLE_STATES}; use fewer items "
             "or fewer items with two copies")
-    ssum = [0] * (1 << m)
-    for mask in range(1, 1 << m):
-        low = mask & -mask
-        ssum[mask] = ssum[mask ^ low] + strides[low.bit_length() - 1]
-    clamps = [0] * size
-    for idx in range(size):
-        rest = idx
-        cm = 0
-        for j in range(m):
-            rest, digit = divmod(rest, supply[j] + 1)
-            if digit:
-                cm |= 1 << j
-        clamps[idx] = cm
+    ssum, clamps = [0], [0]
+    for j, cap in enumerate(supply):  # len(clamps) is item j's stride
+        ssum += [s + len(clamps) for s in ssum]
+        clamps = [cm | 1 << j if d else cm for d in range(cap + 1) for cm in clamps]
     return size, tuple(ssum), tuple(clamps)
-
-
-def _ms_index(supply: tuple[int, ...], ms: tuple[int, ...]) -> int:
-    idx = 0
-    acc = 1
-    for cap, count in zip(supply, ms):
-        idx += count * acc
-        acc *= cap + 1
-    return idx
 
 
 def scaled_tables(profile: BidProfile) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -170,11 +152,6 @@ def scaled_tables(profile: BidProfile) -> tuple[int, tuple[tuple[int, ...], ...]
 
 # -- folds ---------------------------------------------------------------------
 
-# Fewest items at which the item fold beats the submask fold for one clause
-# or slot; below it the item fold's per-pass overhead dominates.
-ITEM_FOLD_MIN_ITEMS = 5
-
-
 class _FoldRows(tuple):
     """A scaled bid table that also carries its kind's fold rows on the same
     D (``Valuation._fold_rows``): OXS slot columns when ``slots``, additive
@@ -185,13 +162,11 @@ class _FoldRows(tuple):
 
 
 def _item_fold_pays(bid: Valuation) -> bool:
-    """Whether folding ``bid`` item by item beats the submask fold: its k
-    rows take k * m passes over half a table, k * m * 2^(m-1) steps that
-    each cost up to twice a step of the submask fold's 3^m, so it pays when
-    k * m * 2^m <= 3^m, from ITEM_FOLD_MIN_ITEMS items on."""
-    if bid._slots is None or bid.m < ITEM_FOLD_MIN_ITEMS:
-        return False
-    return len(bid._fold_rows[1]) * bid.m << bid.m <= 3 ** bid.m
+    """Whether folding ``bid`` item by item beats the submask fold: k rows
+    take k * m passes over half a table, against 3^m submask steps.  Timed
+    for 1-12 rows at m = 5-14 (``BENCH_18.json``), the two cross near
+    k = (3/2)^m / 6, so it pays when 6 * k * 2^m <= 3^m: never below 5 items."""
+    return bid._slots is not None and 6 * len(bid._fold_rows[1]) << bid.m <= 3 ** bid.m
 
 
 def _with_rows(bid: Valuation, tab: tuple[int, ...], denom: int) -> _FoldRows:
@@ -322,16 +297,56 @@ def _scaled_welfare(profile: BidProfile, shape: tuple[int, ...], states,
     return [table[idx] for idx in states]
 
 
+@cache
+def _holding(m: int):
+    """Gathers for a join of a prefix table with a suffix level, item by
+    item: for each j, (U | 1<<j, full ^ U) for every bundle U lacking j, a
+    split of 1 + 1_j with one copy of j on each side, after (0, full), a
+    split of the ones shape that gives each group two entries at m = 1."""
+    full = (1 << m) - 1
+    state = list(range(full + 1))  # one int per state, shared by every gather
+    prefix, suffix = [], []
+    for j in range(m):
+        bit = 1 << j  # the bundles holding j come in runs of bit states
+        holding = [s for lo in range(bit, full + 1, 2 * bit) for s in state[lo:lo + bit]]
+        prefix += [0, *holding]
+        suffix += [full, *reversed(holding)]  # full ^ U opposite U | bit
+    return itemgetter(*prefix), itemgetter(*suffix)
+
+
+def _doubled_welfare(profile: BidProfile, base: int) -> list[int]:
+    """D * W(1 + 1_j) for every item j, given base = D * W(1).
+
+    If agents a < b both take a copy of j, the prefix 0..a takes some T
+    holding j and level a + 1 may take all of (full ^ T) | 1<<j, since
+    welfare tables are monotone.  So it is base or the best join, over
+    k < n - 1, of the prefix table of agents 0..k with level k + 1.  For
+    k = 0 that is agent 0's own table, unfolded: a term where its best
+    bundle within T lacks j, like a split of the ones shape, is at most base.
+    """
+    ones = ms_ones(profile.m)
+    levels = _suffix_levels(profile, ones)[0]
+    prefixes = [scaled_tables(profile)[1][0]] + [
+        or_value_table(profile, ones, k + 1) for k in range(1, profile.n - 1)]
+    at_prefix, at_level = _holding(profile.m)
+    group = (1 << profile.m - 1) + 1
+    best = [base] * profile.m
+    # A lone agent joins the all-zero level n, which is at most base too.
+    for prefix, level in zip(prefixes, levels[1:]):
+        sums = map(add, at_prefix(prefix), at_level(level))
+        # max(*[sums] * group) takes the best of the next item's group.
+        best = list(map(max, best, map(max, *[sums] * group)))
+    return best
+
+
 def _doubled_slices(tables, levels, size: int, ssum: tuple[int, ...],
                     clamps: tuple[int, ...]) -> list[Sequence[int]]:
     """For every item j, U -> D * W_1(U + 1_j) from the ones-shape levels.
 
     For agents k..n-1, shifted[U] = D * W_k(U + 1_j).  Where U lacks j that
     is the ones-shape level at U + j, so only the 2^(m-1) states holding j
-    are folded: an agent taking B <= U leaves (U - B) + 1_j.  The last agent
-    takes at most one copy of j.  A table with fold rows is folded item by
-    item over all 2^m states, and the states lacking j are then overwritten,
-    which leaves the states holding j exact.
+    are folded, by submasks: an agent taking B <= U leaves (U - B) + 1_j.
+    The last agent takes at most one copy of j.
     """
     start = max(len(tables) - 1, 1)
     out = []
@@ -339,14 +354,8 @@ def _doubled_slices(tables, levels, size: int, ssum: tuple[int, ...],
         bit = 1 << j
         shifted = [levels[start][u | bit] for u in range(size)]
         for k in range(start - 1, 0, -1):
-            tab, level = tables[k], levels[k]
-            if isinstance(tab, _FoldRows):
-                folded = _item_fold(tab, shifted)
-                shifted = [folded[u] if u & bit else level[u | bit]
-                           for u in range(size)]
-            else:
-                shifted = [_fold_at(tab, shifted, u, ssum, clamps) if u & bit
-                           else level[u | bit] for u in range(size)]
+            shifted = [_fold_at(tables[k], shifted, u, ssum, clamps) if u & bit
+                       else levels[k][u | bit] for u in range(size)]
         out.append(shifted)
     return out
 
@@ -359,7 +368,9 @@ def welfare_value(profile: BidProfile, supply, exclude: int | None = None) -> Fr
     if exclude is not None and not 0 <= exclude < profile.n:
         raise IndexError(f"agent index {exclude} out of range for n={profile.n}")
     shape = tuple(2 if c == 2 else 1 for c in ms)
-    (value,) = _scaled_welfare(profile, shape, (_ms_index(shape, ms),), exclude)
+    strides = _layout(shape)[1]  # of each item, at its one-item bundle
+    idx = sum(c * strides[1 << j] for j, c in enumerate(ms))
+    (value,) = _scaled_welfare(profile, shape, (idx,), exclude)
     denom, _ = scaled_tables(profile)
     return Fraction(value, denom)
 

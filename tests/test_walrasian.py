@@ -90,7 +90,7 @@ def test_lattice_endpoints_match_oracles_on_odd_denominators():
         assert all(type(p) is F for p in result.prices)
 
 
-def test_min_prices_fold_one_doubled_item_at_a_time(monkeypatch):
+def test_min_prices_fold_only_ones_shape_tables(monkeypatch):
     import walras.welfare as welfare
 
     folds = []
@@ -103,14 +103,20 @@ def test_min_prices_fold_one_doubled_item_at_a_time(monkeypatch):
     monkeypatch.setattr(welfare, "_or_step", counted)
     rng = random.Random(47)
     prof = _gs_profile(rng, m_hi=4)
-    while prof.m != 4:
+    while prof.m != 4 or prof.n < 3:
         prof = _gs_profile(rng, m_hi=4)
-    min_walrasian_prices(prof)
-    # Only the ones-shape suffix levels are full folds; each doubled item
-    # is a slice of the states holding it, folded outside _or_step.
-    assert folds == [1 << prof.m] * (prof.n - 1)
-    supplies = [key[1] for key in prof._cache if isinstance(key, tuple)]
-    assert supplies == [ms_ones(prof.m)]
+    pair = BidProfile(prof.m, prof.bids[:2])
+    for market in (prof, pair):
+        folds.clear()
+        min_walrasian_prices(market)
+        # The ones-shape suffix levels and prefix tables are the only
+        # folds; two agents join agent 0's own table with level 1.
+        assert set(folds) == {1 << market.m}
+        assert len(folds) <= 2 * (market.n - 1)
+        if market.n == 2:
+            assert len(folds) == 1
+        supplies = {key[1] for key in market._cache if isinstance(key, tuple)}
+        assert supplies == {ms_ones(market.m)}  # no doubled supply
 
 
 def test_verify_unit_prices_on_overbidding_instance():

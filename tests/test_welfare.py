@@ -281,15 +281,19 @@ def test_all_agents_table_is_folded_once(monkeypatch):
     allocate_declared(prof)
     # Suffix levels n-1..1; agent 0 is merged at the one state it needs.
     assert folds == [32] * (prof.n - 1)
-    # Both price endpoints and the english, dutch and pay-your-bid rules
-    # read the same levels; only vcg adds prefix folds.
-    min_walrasian_prices(prof)
+    # The highest prices and the dutch and pay-your-bid rules read the same
+    # levels; the lowest prices (english) add the prefix folds, and vcg
+    # joins the same prefix tables with no fold of its own.
     max_walrasian_prices(prof)
-    for rule in ("english", "dutch", "paybid"):
+    for rule in ("dutch", "paybid"):
         run_mechanism(rule, prof)
     assert len(folds) == prof.n - 1
-    run_mechanism(PaymentRule.VCG, prof)
+    min_walrasian_prices(prof)
+    run_mechanism("english", prof)
     assert len(folds) <= 2 * (prof.n - 1)
+    before = len(folds)
+    run_mechanism(PaymentRule.VCG, prof)
+    assert len(folds) == before
     assert set(folds) == {32}  # no two-copy table
     assert not any(2 in key[1] for key in prof._cache if isinstance(key, tuple))
 
@@ -400,7 +404,8 @@ def _rowed_tables(prof):
 def _assert_folds_agree(prof, shape):
     """Level by level, ``_or_step`` on the tables with fold rows equals the
     submask fold of the plain tables, and the last level is table_welfare;
-    on the ones shape the doubled slices of both paths are equal too."""
+    on the ones shape the prefix x suffix join of W(1 + 1_j) equals agent 0
+    merged onto the doubled slices of the plain tables."""
     denom, plain, rowed = _rowed_tables(prof)
     size, ssum, clamps = _layout(shape)
     levels = [None] * prof.n + [(0,) * size]
@@ -410,9 +415,10 @@ def _assert_folds_agree(prof, shape):
         assert list(levels[k]) == expected
     assert F(levels[0][-1], denom) == table_welfare(prof.bids, shape)
     if 2 not in shape:
-        slices = welfare._doubled_slices(rowed, levels, size, ssum, clamps)
-        assert list(map(list, slices)) == welfare._doubled_slices(
-            plain, levels, size, ssum, clamps)
+        full = size - 1
+        slices = welfare._doubled_slices(plain, levels, size, ssum, clamps)
+        assert welfare._doubled_welfare(prof, levels[0][full]) == [
+            welfare._fold_at(plain[0], s, full, ssum, clamps) for s in slices]
 
 
 @MERGE_EXAMPLES
@@ -424,9 +430,9 @@ def test_item_fold_matches_the_submask_fold(prof, data):
     shape = data.draw(st.tuples(*[st.sampled_from((1, 2))] * prof.m))
     _assert_folds_agree(prof, shape)
     _assert_folds_agree(prof, ms_ones(prof.m))
-    # Only structured bids from ITEM_FOLD_MIN_ITEMS items up carry rows.
+    # Only structured bids from five items up carry rows.
     for bid, tab in zip(prof.bids, scaled_tables(prof)[1]):
-        if isinstance(bid, Tabular) or prof.m < welfare.ITEM_FOLD_MIN_ITEMS:
+        if isinstance(bid, Tabular) or prof.m < 5:
             assert type(tab) is tuple
 
 
@@ -451,3 +457,17 @@ def test_two_slots_of_one_bidder_never_take_both_copies_of_an_item():
     low = min_walrasian_prices(prof)
     assert low[0] == 1
     assert low == brute_min_prices(prof.bids, prof.m, table_welfare)
+
+
+@pytest.mark.parametrize("bids", [
+    (Oxs(((F(3), F(1)), (F(2), F(5, 2)))),),
+    (NON_MONOTONE, Additive((F(1), F(3, 2)))),
+    (NON_MONOTONE, Oxs(((F(3, 2),), (F(1, 2),)))),
+])
+def test_min_prices_of_one_and_two_agents_match_the_oracle(bids):
+    """A lone agent pays 0.  With two, the join reads agent 0's own table,
+    here not monotone (v({0}) = 2 > v({0, 1}) = 1), as the prefix."""
+    prof = BidProfile(2, bids)
+    low = min_walrasian_prices(prof)
+    assert low == brute_min_prices(bids, 2, table_welfare)
+    assert (low == (0, 0)) == (len(bids) == 1)
