@@ -45,7 +45,6 @@ from .welfare import (
     Allocation,
     BidProfile,
     _backtrack,
-    _doubled_slices,
     _fold_at,
     _fold_levels,
     _layout,
@@ -516,15 +515,20 @@ def _grid_outcomes(scaled: _Scaled, contexts) -> list[list[tuple]]:
     context of ``contexts`` (a tuple of grid indices of agents 1..n-1): one
     row per context, indexed by agent 0's grid index.
 
-    The opponents' suffix levels, their share of each state agent 0 leaves
-    and the doubled slices (english) are folded once per context; agent 0
-    merges at a few states per profile.  W without opponent i (vcg) is one
-    table per grid index of the other agents.  No object per profile.
+    The opponents' suffix levels over the ones shape and (english) over
+    each shape 1 + 1_j, and their share of each state agent 0 leaves, are
+    folded once per context; agent 0 merges at a few states per profile:
+    the top state of each shape, and (dutch) the ones shape less each item.
+    W without opponent i (vcg) is one table per grid index of the other
+    agents.  No object per profile.
     """
-    rule, n = scaled.rule, len(scaled.grid)
-    size, ssum, clamps = _layout(ms_ones(scaled.m))
+    rule, n, m = scaled.rule, len(scaled.grid), scaled.m
+    size, ssum, clamps = _layout(ms_ones(m))
     full, zeros = size - 1, (0,) * size
     items = [tuple(iter_bits(x)) for x in range(size)]
+    doubled = [_layout(ms_ones(j) + (2,) + ms_ones(m - 1 - j))  # english: 1 + 1_j
+               for j in range(m)] if rule is PaymentRule.ENGLISH else []
+    doubled_zeros = [(0,) * layout[0] for layout in doubled]
     without = {}  # (i, grid indices of every agent but i) -> D * W_-i table
     rows = []
     for idxs in contexts:
@@ -532,8 +536,11 @@ def _grid_outcomes(scaled: _Scaled, contexts) -> list[list[tuple]]:
         levels = [None] * n + [zeros]
         _fold_levels(tables, levels, 1, size, ssum, clamps)
         rest, shares = levels[1], {}
-        slices = (_doubled_slices(tables, levels, size, ssum, clamps)
-                  if rule is PaymentRule.ENGLISH else None)
+        lows = []  # english: (level 1 over 1 + 1_j, its top state, ssum, clamps)
+        for (dsize, dssum, dclamps), dzeros in zip(doubled, doubled_zeros):
+            dlevels = [None] * n + [dzeros]
+            _fold_levels(tables, dlevels, 1, dsize, dssum, dclamps)
+            lows.append((dlevels[1], dsize - 1, dssum, dclamps))
         row = []
         for a, (_, t0) in enumerate(scaled.grid[0]):
             w = _fold_at(t0, rest, full, ssum, clamps)
@@ -555,9 +562,9 @@ def _grid_outcomes(scaled: _Scaled, contexts) -> list[list[tuple]]:
                         without[key] = partial[0]
                     pays.append(without[key][full] - without[key][full ^ x] if x else 0)
             else:  # D times the lowest (english) or the highest prices
-                prices = ([_fold_at(t0, s, full, ssum, clamps) - w for s in slices]
-                          if slices else [w - _fold_at(t0, rest, full ^ 1 << j, ssum, clamps)
-                                          for j in range(scaled.m)])
+                prices = ([_fold_at(t0, lv, top, sm, cm) - w for lv, top, sm, cm in lows]
+                          if lows else [w - _fold_at(t0, rest, full ^ 1 << j, ssum, clamps)
+                                        for j in range(m)])
                 pays = [sum(prices[j] for j in items[x]) for x in bundles]
             values = [t[x] for (_, t), x in zip(scaled.truthful, bundles)]
             row.append((sum(values), tuple(v - p for v, p in zip(values, pays))))

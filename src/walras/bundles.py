@@ -88,6 +88,8 @@ def check_multiset(m: int, ms: tuple[int, ...]) -> None:
     if len(ms) != m:
         raise ValueError(f"multiset length {len(ms)} != m={m}")
     for j, count in enumerate(ms):
+        if type(count) is not int:  # bool is an int subclass
+            raise ValueError(f"multiplicity {count!r} at item {j} is not an int")
         if count < 0:
             raise ValueError(f"negative multiplicity at item {j}")
         if count > 2:

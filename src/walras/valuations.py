@@ -421,7 +421,7 @@ def sample_valuation(kind: str, m: int, cap, seed: int, *,
     if cls is None or cls._slots is None:
         raise ValueError(f"unknown valuation class {kind!r}")
     check_item_count(m)
-    limit = parse_money(cap)
+    limit = _parse_non_negative(cap, "cap")
     rng = random.Random(f"{kind}:{m}:{limit}:{seed}")
 
     def weight() -> Fraction:

@@ -10,7 +10,8 @@ Both are computed exactly on the profile's scaled integers, from the
 ones-shape tables of ``welfare``: W(1) and W(1 - 1_j) are merges at one
 state each, and W(1 + 1_j) joins prefix and suffix tables that each hold a
 copy of j.  The english and dutch payment rules read the same integers; the
-``poa_search`` kernel merges agent 0's bids onto doubled slices instead.
+``poa_search`` kernel folds the opponents over each shape 1 + 1_j instead
+and merges agent 0's bids at its top state.
 Verification and the ascending-price procedure put their prices on the
 tables' denominator.  The ascending-price procedure is kept only as a
 cross-check: with discrete increments it can approach but not hit the

@@ -10,15 +10,15 @@ One driver, ``_fold_levels``, folds agents in one at a time (``_or_step``)
 into the suffix levels L_k (agents k..n-1) of a supply shape, once per
 profile (``_suffix_levels``); a prefix table of agents 0..k-1
 (``or_value_table``) is level n-k of the agents in reverse order.  Readers
-need W at a few states only and merge there: W(x) is agent 0 merged with
-L_1 at x (``_fold_at``; only ``welfare_max`` folds L_0), W without agent i
-joins the prefix table of agents 0..i-1 with L_{i+1} at x (``_join_at``),
-and W(1 + 1_j) joins prefix and suffix tables that each hold a copy of j
-(``_doubled_welfare``; the poa kernel folds the doubled states instead,
-``_doubled_slices``).  A multiset with doubled items is read on its
-doubled-item pattern: two copies where it has two, one elsewhere.  A fold
-enumerates submasks, except that a structured bid is folded one item at a
-time on the one-copy shape where that is cheaper (``_item_fold``).
+need W at a few states only and merge there with ``_fold_at``: W(x) merges
+agent 0 with L_1 at x (only ``welfare_max`` folds L_0), and W without agent
+i the prefix table of agents 0..i-1, indexed by bundle on the ones shape,
+with L_{i+1} (other shapes fold the other agents afresh).  W(1 + 1_j) joins
+prefix and suffix tables that each hold a copy of j (``_doubled_welfare``).
+A multiset with doubled items is read on its doubled-item pattern: two
+copies where it has two, one elsewhere.  A fold enumerates submasks, except
+that a structured bid is folded one item at a time on the one-copy shape
+where that is cheaper (``_item_fold``).
 
 The DP runs on integers.  ``scaled_tables`` puts the bids' own integer
 tables (``valuations._tabulate``) on D, a common multiple of their
@@ -210,19 +210,6 @@ def _fold_at(tab, level, idx: int, ssum: tuple[int, ...],
     return best
 
 
-def _join_at(left, right, supply: tuple[int, ...], idx: int) -> int:
-    """max over sub-multisets s of state ``idx`` of left[s] + right[idx - s]:
-    the best split of the state between two groups of agents."""
-    subs = [0]
-    stride = 1
-    rest = idx
-    for cap in supply:
-        rest, digit = divmod(rest, cap + 1)
-        subs = [s + d * stride for s in subs for d in range(digit + 1)]
-        stride *= cap + 1
-    return max(left[s] + right[idx - s] for s in subs)
-
-
 def _or_step(tab: tuple[int, ...], cur, size: int, ssum: tuple[int, ...],
              clamps: tuple[int, ...]) -> Sequence[int]:
     """One agent folded into the running welfare table (scaled integers):
@@ -277,23 +264,28 @@ def or_value_table(profile: BidProfile, supply: tuple[int, ...],
 def _scaled_welfare(profile: BidProfile, shape: tuple[int, ...], states,
                     exclude: int | None = None) -> list[int]:
     """D * W at each state index in ``states`` of ``shape`` (on the ones
-    shape a state's index is its bitmask): agent 0 merged with level 1, or,
-    without agent ``exclude``, the agents before it joined with the level
-    after it."""
+    shape a state's index is its bitmask): agent 0 merged with level 1, or
+    the welfare without agent ``exclude``."""
+    _, tables = scaled_tables(profile)
     if exclude is None:
         levels, _, ssum, clamps = _suffix_levels(profile, shape)
-        tab = scaled_tables(profile)[1][0]
-        return [_fold_at(tab, levels[1], idx, ssum, clamps) for idx in states]
+        return [_fold_at(tables[0], levels[1], idx, ssum, clamps) for idx in states]
     # Welfare tables are monotone, so a join with an empty group of agents
     # is the other group's entry.
     if exclude == 0:
         table = _suffix_levels(profile, shape, 1)[0][1]
     elif exclude == profile.n - 1:
         table = or_value_table(profile, shape, exclude)
-    else:
+    elif 2 not in shape:  # states are bundles: the prefix merges as one agent
         prefix = or_value_table(profile, shape, exclude)
-        level = _suffix_levels(profile, shape, exclude + 1)[0][exclude + 1]
-        return [_join_at(prefix, level, shape, idx) for idx in states]
+        levels, _, ssum, clamps = _suffix_levels(profile, shape, exclude + 1)
+        return [_fold_at(prefix, levels[exclude + 1], i, ssum, clamps) for i in states]
+    else:  # the other agents, folded afresh
+        others = tables[:exclude] + tables[exclude + 1:]
+        size, ssum, clamps = _layout(shape)
+        levels = [None] * len(others) + [(0,) * size]
+        _fold_levels(others, levels, 0, size, ssum, clamps)
+        table = levels[0]
     return [table[idx] for idx in states]
 
 
@@ -337,27 +329,6 @@ def _doubled_welfare(profile: BidProfile, base: int) -> list[int]:
         # max(*[sums] * group) takes the best of the next item's group.
         best = list(map(max, best, map(max, *[sums] * group)))
     return best
-
-
-def _doubled_slices(tables, levels, size: int, ssum: tuple[int, ...],
-                    clamps: tuple[int, ...]) -> list[Sequence[int]]:
-    """For every item j, U -> D * W_1(U + 1_j) from the ones-shape levels.
-
-    For agents k..n-1, shifted[U] = D * W_k(U + 1_j).  Where U lacks j that
-    is the ones-shape level at U + j, so only the 2^(m-1) states holding j
-    are folded, by submasks: an agent taking B <= U leaves (U - B) + 1_j.
-    The last agent takes at most one copy of j.
-    """
-    start = max(len(tables) - 1, 1)
-    out = []
-    for j in range(size.bit_length() - 1):
-        bit = 1 << j
-        shifted = [levels[start][u | bit] for u in range(size)]
-        for k in range(start - 1, 0, -1):
-            shifted = [_fold_at(tables[k], shifted, u, ssum, clamps) if u & bit
-                       else levels[k][u | bit] for u in range(size)]
-        out.append(shifted)
-    return out
 
 
 def welfare_value(profile: BidProfile, supply, exclude: int | None = None) -> Fraction:

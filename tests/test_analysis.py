@@ -673,7 +673,32 @@ def grid_cases(draw):
         st.integers(0, contexts))
 
 
+# Past the draws' three items: two agents, and three whose middle agent bids
+# a table that is not monotone, which the kernel folds over every 1 + 1_j.
+NON_MONOTONE_4 = Tabular((F(0),) + tuple(F(k * 4 % 7, 3) for k in range(1, 16)))
+KERNEL_M4_N2 = (
+    Instance(4, BidProfile(4, (Additive((F(1), F(2, 3), F(1, 5), F(4, 7))),
+                               UnitDemand((F(2), F(1, 3), F(4, 9), F(1)))))),
+    BidGrid(((Additive((F(1, 3), F(1), F(0), F(2, 5))),
+              UnitDemand((F(5, 7), F(1, 9), F(2), F(1, 3)))),
+             (Oxs(((F(1), F(1, 3)), (F(2, 5), F(0)), (F(1, 7), F(1)),
+                   (F(4, 9), F(2, 3)))),
+              Additive((F(2, 9), F(1, 5), F(3, 7), F(1)))))),
+    F(1, 11), 1)
+KERNEL_M4_N3 = (
+    Instance(4, BidProfile(4, (UnitDemand((F(1), F(5, 3), F(2, 7), F(1, 3))),
+                               NON_MONOTONE_4,
+                               Additive((F(1, 5), F(1), F(2, 3), F(4, 9)))))),
+    BidGrid(((Additive((F(2, 3), F(1, 3), F(1), F(0))),
+              UnitDemand((F(1), F(4, 5), F(1, 7), F(5, 9)))),
+             (NON_MONOTONE_4, Additive((F(1, 9), F(2, 3), F(1), F(1, 5)))),
+             (Oxs(((F(1, 3),), (F(1),), (F(2, 7),), (F(4, 5),))),))),
+    F(3, 11), 1)
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@example(KERNEL_M4_N2)
+@example(KERNEL_M4_N3)
 @given(grid_cases())
 def test_grid_kernel_matches_the_per_profile_runs(case):
     """Under every rule, poa_search's kernel gives each grid profile the

@@ -52,7 +52,8 @@ def _commands() -> dict[str, tuple[str, ...]]:
     out["poa_vcg_csv__example2_eps_0.125"] = (
         out["poa_vcg__example2_eps_0.125"] + ("--format", "csv"))
     # A tabular bidder on the default grid, and three agents over three items
-    # (middle-agent vcg joins, doubled slices at n = 3), serial and parallel.
+    # (middle-agent vcg merges, english folds over 1 + 1_j at n = 3), serial
+    # and parallel.
     tolerant = ("--gamma", "1", "--eps-dev", "1")
     for rule in RULES:
         out[f"poa_{rule}__and_bidder"] = (

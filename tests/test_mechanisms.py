@@ -326,7 +326,7 @@ def test_relabelling_the_items_permutes_both_price_vectors(case):
 @given(markets(max_n=3, m=st.integers(6, 8)))
 def test_lattice_endpoints_are_welfare_differences(profile):
     # Read through the general table DP over two copies of item j, not the
-    # doubled slices the price routines fold.
+    # prefix x suffix join the price routines read.
     m = profile.m
     ones = ms_ones(m)
     full = welfare_value(profile, ones)

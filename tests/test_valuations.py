@@ -373,6 +373,8 @@ def test_sampler_draws_every_kind_that_declares_slots():
     for name in ("tabular", "budget_additive", "XOS"):
         with pytest.raises(ValueError, match="unknown valuation class"):
             sample_valuation(name, 3, 4, seed=5)
+    with pytest.raises(ValueError, match="cap must be non-negative, got -1"):
+        sample_valuation("additive", 2, -1, 0)
 
 
 def test_scale():

@@ -136,6 +136,14 @@ def test_supply_multiplicity_capped_at_two():
         welfare_value(OVERBID, (3, 0, 0))
 
 
+@pytest.mark.parametrize("count", [1.5, F(1, 2), "1", True])
+def test_supply_multiplicity_must_be_an_int(count):
+    with pytest.raises(ValueError, match=r"multiplicity .* at item 1 is not an int"):
+        welfare_value(OVERBID, (1, count, 0))
+    with pytest.raises(ValueError, match="at item 1 is not an int"):
+        welfare_max(OVERBID, (1, count, 0))
+
+
 def test_welfare_monotone_in_supply():
     rng = random.Random(13)
     for trial in range(20):
@@ -404,8 +412,8 @@ def _rowed_tables(prof):
 def _assert_folds_agree(prof, shape):
     """Level by level, ``_or_step`` on the tables with fold rows equals the
     submask fold of the plain tables, and the last level is table_welfare;
-    on the ones shape the prefix x suffix join of W(1 + 1_j) equals agent 0
-    merged onto the doubled slices of the plain tables."""
+    on the ones shape the prefix x suffix join of W(1 + 1_j) is table_welfare
+    at every 1 + 1_j."""
     denom, plain, rowed = _rowed_tables(prof)
     size, ssum, clamps = _layout(shape)
     levels = [None] * prof.n + [(0,) * size]
@@ -415,10 +423,10 @@ def _assert_folds_agree(prof, shape):
         assert list(levels[k]) == expected
     assert F(levels[0][-1], denom) == table_welfare(prof.bids, shape)
     if 2 not in shape:
-        full = size - 1
-        slices = welfare._doubled_slices(plain, levels, size, ssum, clamps)
-        assert welfare._doubled_welfare(prof, levels[0][full]) == [
-            welfare._fold_at(plain[0], s, full, ssum, clamps) for s in slices]
+        joined = welfare._doubled_welfare(prof, levels[0][-1])
+        assert [F(w, denom) for w in joined] == [
+            table_welfare(prof.bids, shape[:j] + (2,) + shape[j + 1:])
+            for j in range(prof.m)]
 
 
 @MERGE_EXAMPLES
