@@ -25,6 +25,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
+from operator import itemgetter
 
 from .bundles import iter_bits, ms_ones
 from .money import (INFINITY, ZERO, Infinity, _parse_non_negative, format_money,
@@ -116,6 +117,8 @@ class BidGrid:
     def __post_init__(self):
         object.__setattr__(self, "per_agent",
                            tuple(tuple(g) for g in self.per_agent))
+        if not self.per_agent:
+            raise ValueError("a bid grid needs at least one agent")
         if any(len(g) == 0 for g in self.per_agent):
             raise ValueError("every agent needs a non-empty bid grid")
 
@@ -229,9 +232,9 @@ class _Scaled:
     @classmethod
     def of(cls, instance: Instance, rule: PaymentRule, grid: BidGrid | None = None,
            current: BidProfile | None = None, eps_dev: Fraction = ZERO) -> "_Scaled":
-        for what, per_agent in (("grid", grid and grid.per_agent),
+        for what, per_agent in (("grid", None if grid is None else grid.per_agent),
                                 ("profile", current and [(b,) for b in current.bids])):
-            if per_agent and len(per_agent) != instance.n:
+            if per_agent is not None and len(per_agent) != instance.n:
                 raise ValueError(f"the {what} has {len(per_agent)} agents, "
                                  f"the instance {instance.n}")
             for i, k, bid in ((i, k, b) for i, bids in enumerate(per_agent or ())
@@ -239,7 +242,7 @@ class _Scaled:
                 raise ValueError(f"{what} bid {k} of agent {i} is over {bid.m} "
                                  f"items, the instance has {instance.m}")
         types = instance.true_valuations.bids
-        groups = [*(grid.per_agent if grid else ()),
+        groups = [*(grid.per_agent if grid is not None else ()),
                   current.bids if current else (), types,
                   tuple(v.scale(Fraction(1, 2)) for v in types)]
         scaled = [_tabulate(bid) for group in groups[:-1] for bid in group]
@@ -517,8 +520,10 @@ def _grid_outcomes(scaled: _Scaled, contexts) -> list[list[tuple]]:
 
     The opponents' suffix levels over the ones shape and (english) over
     each shape 1 + 1_j, and their share of each state agent 0 leaves, are
-    folded once per context; agent 0 merges at a few states per profile:
-    the top state of each shape, and (dutch) the ones shape less each item.
+    folded once per context; one agent takes one copy of j at most, so the
+    last opponent's level over 1 + 1_j is its ones-shape level read at each
+    state's bundle.  Agent 0 merges at a few states per profile: the top
+    state of each shape, and (dutch) the ones shape less each item.
     W without opponent i (vcg) is one table per grid index of the other
     agents.  No object per profile.
     """
@@ -528,7 +533,8 @@ def _grid_outcomes(scaled: _Scaled, contexts) -> list[list[tuple]]:
     items = [tuple(iter_bits(x)) for x in range(size)]
     doubled = [_layout(ms_ones(j) + (2,) + ms_ones(m - 1 - j))  # english: 1 + 1_j
                for j in range(m)] if rule is PaymentRule.ENGLISH else []
-    doubled_zeros = [(0,) * layout[0] for layout in doubled]
+    last = max(n - 1, 1)  # with no opponent, the zero level n
+    reads = [itemgetter(*dclamps) for _, _, dclamps in doubled]
     without = {}  # (i, grid indices of every agent but i) -> D * W_-i table
     rows = []
     for idxs in contexts:
@@ -537,8 +543,8 @@ def _grid_outcomes(scaled: _Scaled, contexts) -> list[list[tuple]]:
         _fold_levels(tables, levels, 1, size, ssum, clamps)
         rest, shares = levels[1], {}
         lows = []  # english: (level 1 over 1 + 1_j, its top state, ssum, clamps)
-        for (dsize, dssum, dclamps), dzeros in zip(doubled, doubled_zeros):
-            dlevels = [None] * n + [dzeros]
+        for (dsize, dssum, dclamps), read in zip(doubled, reads):
+            dlevels = [None] * last + [read(levels[last])]
             _fold_levels(tables, dlevels, 1, dsize, dssum, dclamps)
             lows.append((dlevels[1], dsize - 1, dssum, dclamps))
         row = []

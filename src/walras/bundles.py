@@ -25,6 +25,8 @@ def full_mask(m: int) -> int:
 
 
 def check_bundle(m: int, bundle: int) -> None:
+    if type(bundle) is not int:  # bool is an int subclass
+        raise ValueError(f"bundle {bundle!r} is not an int")
     if bundle < 0 or bundle >> m:
         raise ValueError(f"bundle {bundle:#x} has bits outside the {m} items")
 

@@ -12,8 +12,9 @@ profile (``_suffix_levels``); a prefix table of agents 0..k-1
 (``or_value_table``) is level n-k of the agents in reverse order.  Readers
 need W at a few states only and merge there with ``_fold_at``: W(x) merges
 agent 0 with L_1 at x (only ``welfare_max`` folds L_0), and W without agent
-i the prefix table of agents 0..i-1, indexed by bundle on the ones shape,
-with L_{i+1} (other shapes fold the other agents afresh).  W(1 + 1_j) joins
+i the prefix table of agents 0..i-1 (all zeros for i = 0) with L_{i+1} (all
+zeros for i = n-1).  On a doubled shape the prefix may take both copies of
+an item, so agents i+1..n-1 are folded onto it instead.  W(1 + 1_j) joins
 prefix and suffix tables that each hold a copy of j (``_doubled_welfare``).
 A multiset with doubled items is read on its doubled-item pattern: two
 copies where it has two, one elsewhere.  A fold enumerates submasks, except
@@ -88,7 +89,7 @@ class BidProfile:
         return profile
 
     def replace(self, i: int, bid: Valuation) -> "BidProfile":
-        if not 0 <= i < self.n:
+        if type(i) is not int or not 0 <= i < self.n:
             raise IndexError(f"agent index {i} out of range")
         bids = self.bids[:i] + (bid,) + self.bids[i + 1:]
         return BidProfile(self.m, bids)
@@ -264,29 +265,18 @@ def or_value_table(profile: BidProfile, supply: tuple[int, ...],
 def _scaled_welfare(profile: BidProfile, shape: tuple[int, ...], states,
                     exclude: int | None = None) -> list[int]:
     """D * W at each state index in ``states`` of ``shape`` (on the ones
-    shape a state's index is its bitmask): agent 0 merged with level 1, or
-    the welfare without agent ``exclude``."""
-    _, tables = scaled_tables(profile)
-    if exclude is None:
-        levels, _, ssum, clamps = _suffix_levels(profile, shape)
-        return [_fold_at(tables[0], levels[1], idx, ssum, clamps) for idx in states]
-    # Welfare tables are monotone, so a join with an empty group of agents
-    # is the other group's entry.
-    if exclude == 0:
-        table = _suffix_levels(profile, shape, 1)[0][1]
-    elif exclude == profile.n - 1:
-        table = or_value_table(profile, shape, exclude)
-    elif 2 not in shape:  # states are bundles: the prefix merges as one agent
-        prefix = or_value_table(profile, shape, exclude)
-        levels, _, ssum, clamps = _suffix_levels(profile, shape, exclude + 1)
-        return [_fold_at(prefix, levels[exclude + 1], i, ssum, clamps) for i in states]
-    else:  # the other agents, folded afresh
-        others = tables[:exclude] + tables[exclude + 1:]
-        size, ssum, clamps = _layout(shape)
-        levels = [None] * len(others) + [(0,) * size]
-        _fold_levels(others, levels, 0, size, ssum, clamps)
-        table = levels[0]
-    return [table[idx] for idx in states]
+    shape a state's index is its bitmask): agent 0, or without agent i the
+    prefix table of agents 0..i-1, merged with the suffix level after it."""
+    n, tables = profile.n, scaled_tables(profile)[1]
+    k = 1 if exclude is None else exclude + 1
+    left = tables[0] if exclude is None else (
+        _suffix_levels(profile, shape, n + 1 - k, True)[0][n + 1 - k])
+    if exclude is not None and 2 in shape:  # a prefix may take two copies
+        levels = [None] * n + [left]  # so agents i+1..n-1 fold onto it
+        _fold_levels(tables, levels, k, *_layout(shape))
+        return [levels[k][idx] for idx in states]
+    levels, _, ssum, clamps = _suffix_levels(profile, shape, k)
+    return [_fold_at(left, levels[k], idx, ssum, clamps) for idx in states]
 
 
 @cache
@@ -336,7 +326,7 @@ def welfare_value(profile: BidProfile, supply, exclude: int | None = None) -> Fr
     agent)."""
     ms = tuple(supply)
     check_multiset(profile.m, ms)
-    if exclude is not None and not 0 <= exclude < profile.n:
+    if exclude is not None and not (type(exclude) is int and 0 <= exclude < profile.n):
         raise IndexError(f"agent index {exclude} out of range for n={profile.n}")
     shape = tuple(2 if c == 2 else 1 for c in ms)
     strides = _layout(shape)[1]  # of each item, at its one-item bundle

@@ -119,6 +119,9 @@ def test_grid_construction():
     assert len(default.per_agent[0]) == 17 ** 2
     with pytest.raises(ValueError):
         BidGrid.additive(2, 2, 0, 1)
+    for empty in (lambda: BidGrid(()), lambda: BidGrid.additive(2, 0, 1, 1)):
+        with pytest.raises(ValueError, match="a bid grid needs at least one agent"):
+            empty()
 
 
 def _oracle_default_grid(instance):

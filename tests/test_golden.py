@@ -96,6 +96,12 @@ def test_golden_output(stem):
     assert out == (GOLDEN / f"{stem}.txt").read_bytes().decode("utf-8")
 
 
+def test_every_golden_file_has_a_command_and_an_exit_code():
+    """A renamed or dropped command must not leave a golden that no test reads."""
+    stems = {path.stem for path in GOLDEN.glob("*.txt")}
+    assert stems == set(COMMANDS) == set(_exit_codes())
+
+
 def record() -> None:
     GOLDEN.mkdir(exist_ok=True)
     codes = {}

@@ -192,6 +192,8 @@ def test_verification_matches_the_fraction_certificate(case):
     ((0b01, 0b10), ("1", "1", "-1"),
      "price vector length mismatch: 3 prices for m=2 items"),
     ((0b01, 0b10), ("-1/3", "1"), "prices must be non-negative"),
+    ((True, 0b10), ("1",), "bundle True is not an int"),
+    ((1.0, 0b10), ("1",), "bundle 1.0 is not an int"),
 ])
 def test_verification_errors_in_order(bundles, prices, message):
     prof = BidProfile(2, (Additive((F(1), F(1))), UnitDemand((F(2), F(1)))))

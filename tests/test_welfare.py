@@ -169,11 +169,16 @@ def test_leave_one_out_rejects_an_agent_outside_the_profile():
     assert welfare_value(prof, (1, 1)) == 5
     assert welfare_value(prof, (1, 1), exclude=0) == 4
     assert welfare_marginal(prof, (1, 0), (0, 1), exclude=0) == 3
-    for bad in (5, -1, 2):
+    for bad in (5, -1, 2, True, 1.0):  # True would read agent 1
         with pytest.raises(IndexError, match="out of range"):
             welfare_value(prof, (1, 1), exclude=bad)
         with pytest.raises(IndexError, match="out of range"):
             welfare_marginal(prof, (1, 0), (0, 1), exclude=bad)
+        with pytest.raises(IndexError, match="out of range"):
+            prof.replace(bad, Additive((0, 0)))
+    for bundle in (True, 1.0):  # True would read bundle {0}
+        with pytest.raises(ValueError, match=f"bundle {bundle} is not an int"):
+            Additive((1, 2)).value(bundle)
 
 
 def test_excluding_agent_never_helps():
