@@ -9,13 +9,14 @@ the default deviation tolerance is zero.
 
 Every mechanism run goes through one path, ``_Scaled``: a call scales all
 the bids and types it reads (grid, current, truthful and half-truthful bids)
-to one common denominator D once, seeds each profile it runs with those
-integer tables, and compares D times the utilities.  Values become Fractions
-only in the returned reports.  ``poa_search`` runs no mechanism per grid
-profile: its kernel, ``_grid_outcomes``, reads the same tables by grid index
-and gives every grid profile's D times welfare and utilities; one pass over
-them in flat order checks every agent alike.  Only its injected truthful and
-half-truthful deviations, which are off the grid, and the runs of
+to one common denominator D once, seeds the profiles it runs with those
+integer tables (``_Scaled.seeded``), and compares D times the utilities; the
+smoothness certificates run every rule on the same n + 1 seeded profiles.
+Values become Fractions only in the returned reports.  ``poa_search`` runs
+no mechanism per grid profile: its kernel, ``_grid_outcomes``, reads the
+same tables by grid index and gives every grid profile's D times welfare and
+utilities; one pass over them in flat order checks every agent alike.  Only
+its injected deviations, which are off the grid, and the runs of
 ``verify_nash``, the certificates and best response go through ``_Scaled.run``.
 """
 
@@ -25,7 +26,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
-from operator import itemgetter
+from operator import itemgetter, sub
 
 from .bundles import iter_bits, ms_ones
 from .money import (INFINITY, ZERO, Infinity, _parse_non_negative, format_money,
@@ -49,9 +50,9 @@ from .welfare import (
     _fold_at,
     _fold_levels,
     _layout,
+    _scaled_welfare,
     scaled_tables,
     welfare_max,
-    welfare_value,
 )
 
 
@@ -256,20 +257,23 @@ class _Scaled:
         return cls(PaymentRule(rule), instance.m, denom, tuple(pairs[:-3]),
                    *pairs[-3:], eps)
 
-    def run(self, pairs: tuple) -> tuple:
-        """The ``MechanismOutcome`` of one profile, D times its true welfare
-        and D times every agent's utility."""
+    def seeded(self, pairs: tuple) -> BidProfile:
+        """The profile of ``pairs``, seeded with their tables."""
         bids, tables = zip(*pairs)
-        out = run_mechanism(self.rule, BidProfile.with_scaled_tables(
-            self.m, bids, self.denom, tables))
+        return BidProfile.with_scaled_tables(self.m, bids, self.denom, tables)
+
+    def run(self, profile: BidProfile, rule: PaymentRule | None = None) -> tuple:
+        """The ``MechanismOutcome`` of a :meth:`seeded` profile under ``rule``
+        (the call's by default), D * true welfare and D * every utility."""
+        out = run_mechanism(rule or self.rule, profile)
         values = [t[x] for (_, t), x in zip(self.truthful, out.allocation.bundles)]
-        return out, sum(values), tuple(
-            v - p for v, p in zip(values, out._scaled_payments))
+        return out, sum(values), tuple(map(sub, values, out._scaled_payments))
 
     def utilities(self, pairs: tuple, i: int, candidates) -> list[int]:
         """D times agent i's utility with each candidate pair in place of its
         pair in ``pairs``, in candidate order."""
-        return [self.run(pairs[:i] + (c,) + pairs[i + 1:])[2][i] for c in candidates]
+        return [self.run(self.seeded(pairs[:i] + (c,) + pairs[i + 1:]))[2][i]
+                for c in candidates]
 
 
 def verify_nash(instance: Instance, rule: PaymentRule, profile: BidProfile,
@@ -283,7 +287,7 @@ def verify_nash(instance: Instance, rule: PaymentRule, profile: BidProfile,
     eps_dev = _parse_non_negative(eps_dev, "deviation tolerance")
     scaled = _Scaled.of(instance, rule, grid, profile)
     denom, current = scaled.denom, scaled.current
-    _, welfare, here = scaled.run(current)
+    _, welfare, here = scaled.run(scaled.seeded(current))
     rows = []
     for i in range(instance.n):
         cands = dict(scaled.grid[i])
@@ -352,12 +356,6 @@ def construct_efficient_profile(instance: Instance) -> BidProfile:
 
 # -- proof-inequality certificates ----------------------------------------------
 
-def _blocking_term(bids: BidProfile, i: int, bundle: int) -> Fraction:
-    """W_without_i(bundle | 1 - bundle), the welfare the others forgo."""
-    denom, _ = scaled_tables(bids)
-    return Fraction(_scaled_externality(bids, i, bundle), denom)
-
-
 @dataclass(frozen=True)
 class SmoothnessRow:
     agent: int
@@ -381,39 +379,50 @@ class SmoothnessReport:
     per_agent_ok: bool
 
 
-def smoothness_certificate(instance: Instance, bids: BidProfile,
-                           rule: PaymentRule) -> SmoothnessReport:
-    """Certify the half-truthful deviation bound.
+def smoothness_certificates(instance: Instance, bids: BidProfile,
+                            rules=tuple(PaymentRule)) -> tuple[SmoothnessReport, ...]:
+    """Certify the half-truthful deviation bound under each of ``rules``.
 
     Each agent deviates to half its true valuation; the certified inequality
     is  sum_i u_i(v_i/2, b_-i)  >=  OPT/2 - sum_i b_i(x_i(b)).  The per-agent
     rows additionally compare u_i against  v_i(x*_i)/2 - blocking_i, which is
     guaranteed for gross-substitutes bids.  ``dwm_ok`` states that no run,
-    the deviations included, charges an agent more than its bid.
+    the deviations included, charges an agent more than its bid.  The rules
+    share their n + 1 seeded profiles and the blocking terms.
     """
-    scaled = _Scaled.of(instance, rule, current=bids)
+    scaled = _Scaled.of(instance, rules[0], current=bids)
     denom, current = scaled.denom, scaled.current
-    profiles = [current] + [current[:i] + (scaled.half[i],) + current[i + 1:]
-                            for i in range(instance.n)]
-    runs = [scaled.run(p) for p in profiles]
-    dwm_ok = all(pay <= t[x] for p, (out, _, _) in zip(profiles, runs)
-                 for (_, t), x, pay in zip(p, out.allocation.bundles,
-                                           out._scaled_payments))
-    declared = Fraction(sum(t[x] for (_, t), x in
-                            zip(current, runs[0][0].allocation.bundles)), denom)
+    pairs = [current] + [current[:i] + (scaled.half[i],) + current[i + 1:]
+                         for i in range(instance.n)]
+    profiles = [scaled.seeded(p) for p in pairs]
     opt, opt_bundles = instance.optimal()
-    rows = []
-    for i, x in enumerate(opt_bundles):
-        u = Fraction(runs[i + 1][2][i], denom)
-        share = Fraction(scaled.truthful[i][1][x], 2 * denom)
-        blocking = _blocking_term(bids, i, x)
-        rows.append(SmoothnessRow(i, u, share, blocking, u >= share - blocking))
-    lhs = sum((r.deviation_utility for r in rows), ZERO)
-    rhs = opt / 2 - declared
-    return SmoothnessReport(
-        rule=scaled.rule, lhs=lhs, rhs=rhs, slack=lhs - rhs, holds=lhs >= rhs,
-        rows=tuple(rows), declared_on_allocation=declared, optimal_welfare=opt,
-        dwm_ok=dwm_ok, per_agent_ok=all(r.per_agent_ok for r in rows))
+    values = [t[x] for (_, t), x in zip(scaled.truthful, opt_bundles)]  # D * OPT
+    blocking = [_scaled_externality(profiles[0], i, x) for i, x in enumerate(opt_bundles)]
+    reports = []
+    for rule in rules:
+        runs = [scaled.run(p, rule) for p in profiles]
+        dwm_ok = all(pay <= t[x] for p, (out, _, _) in zip(pairs, runs)
+                     for (_, t), x, pay in zip(p, out.allocation.bundles,
+                                               out._scaled_payments))
+        declared = sum(t[x] for (_, t), x in zip(current, runs[0][0].allocation.bundles))
+        utils = [run[2][i] for i, run in enumerate(runs[1:])]
+        rows = tuple(SmoothnessRow(i, Fraction(u, denom), Fraction(v, 2 * denom),
+                                   Fraction(b, denom), 2 * (u + b) >= v)
+                     for i, (u, v, b) in enumerate(zip(utils, values, blocking)))
+        slack = 2 * (sum(utils) + declared) - sum(values)  # on 2 * D
+        reports.append(SmoothnessReport(
+            runs[0][0].rule, lhs=Fraction(sum(utils), denom),
+            rhs=Fraction(sum(values) - 2 * declared, 2 * denom),
+            slack=Fraction(slack, 2 * denom), holds=slack >= 0, rows=rows,
+            declared_on_allocation=Fraction(declared, denom), optimal_welfare=opt,
+            dwm_ok=dwm_ok, per_agent_ok=all(r.per_agent_ok for r in rows)))
+    return tuple(reports)
+
+
+def smoothness_certificate(instance: Instance, bids: BidProfile,
+                           rule: PaymentRule) -> SmoothnessReport:
+    """The :func:`smoothness_certificates` report of one rule."""
+    return smoothness_certificates(instance, bids, (rule,))[0]
 
 
 @dataclass(frozen=True)
@@ -442,12 +451,11 @@ def vcg_deviation_certificate(instance: Instance,
     opt, opt_bundles = instance.optimal()
     scaled = _Scaled.of(instance, PaymentRule.VCG, current=bids)
     denom, current = scaled.denom, scaled.current
-    _, welfare, _ = scaled.run(current)
+    _, welfare, _ = scaled.run(base := scaled.seeded(current))
     rows = []
     for i, (v, x) in enumerate(zip(scaled.truthful, opt_bundles)):
-        (u,) = scaled.utilities(current, i, (v,))
-        u = Fraction(u, denom)
-        bound = Fraction(v[1][x], denom) - _blocking_term(bids, i, x)
+        u = Fraction(scaled.utilities(current, i, (v,))[0], denom)
+        bound = Fraction(v[1][x] - _scaled_externality(base, i, x), denom)
         rows.append(VcgDeviationRow(i, u, bound, u >= bound))
     welfare = Fraction(welfare, denom)
     return VcgDeviationReport(
@@ -472,13 +480,14 @@ def marginal_sum_bound(bids: BidProfile, partition: Allocation) -> MarginalSumRe
 
     For gross-substitutes bids the sum never exceeds W(1); for XOS bids it
     never exceeds 2 W(1).  The report classifies the profile and states both
-    comparisons.
+    comparisons, made on D * each marginal and D * W(1) (``scaled_tables``).
     """
     if partition.m != bids.m or len(partition.bundles) != bids.n:
         raise ValueError("partition does not match the bid profile")
-    total = sum((_blocking_term(bids, i, x)
-                 for i, x in enumerate(partition.bundles)), ZERO)
-    w_full = welfare_value(bids, ms_ones(bids.m))
+    denom, _ = scaled_tables(bids)
+    total = sum(_scaled_externality(bids, i, x)
+                for i, x in enumerate(partition.bundles) if x)
+    (w_full,) = _scaled_welfare(bids, ms_ones(bids.m), ((1 << bids.m) - 1,))
     if bids.m <= CHECKER_MAX_ITEMS and all(is_gross_substitutes(b)
                                            for b in bids.bids):
         classification = "gross_substitutes"
@@ -487,11 +496,9 @@ def marginal_sum_bound(bids: BidProfile, partition: Allocation) -> MarginalSumRe
     else:
         classification = "unknown"
     return MarginalSumReport(
-        total=total, single_bound=w_full, double_bound=2 * w_full,
-        classification=classification,
-        factor1_ok=total <= w_full,
-        factor2_ok=total <= 2 * w_full,
-    )
+        total=Fraction(total, denom), single_bound=Fraction(w_full, denom),
+        double_bound=Fraction(2 * w_full, denom), classification=classification,
+        factor1_ok=total <= w_full, factor2_ok=total <= 2 * w_full)
 
 
 def half_clause_deviation(v: Xos, target: int) -> Additive:

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .analysis import Instance, marginal_sum_bound, smoothness_certificate
+from .analysis import Instance, marginal_sum_bound, smoothness_certificates
 from .bundles import ms_ones
 from .mechanisms import PaymentRule, allocate_declared, check_payment_ordering
 from .money import ZERO
@@ -153,11 +153,9 @@ def smoothness_suite(runs: int = 500, seed: int = 0) -> SuiteReport:
         bids = random_gs_profile(
             rng, m_range=(types.m, types.m), n_range=(types.n, types.n),
             classes=("additive", "oxs"))
-        instance = Instance(types.m, types)
-        for rule in PaymentRule:
-            cert = smoothness_certificate(instance, bids, rule)
+        for cert in smoothness_certificates(Instance(types.m, types), bids):
             if not (cert.holds and cert.dwm_ok and cert.per_agent_ok):
-                yield {"rule": rule.value, "lhs": cert.lhs, "rhs": cert.rhs,
+                yield {"rule": cert.rule.value, "lhs": cert.lhs, "rhs": cert.rhs,
                        "dwm_ok": cert.dwm_ok, "per_agent_ok": cert.per_agent_ok,
                        "types": types, "bids": bids}
 

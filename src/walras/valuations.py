@@ -38,7 +38,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from operator import add
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -53,7 +53,7 @@ CHECKER_MAX_ITEMS = 6
 
 def _to_weights(weights: Iterable) -> tuple[Fraction, ...]:
     out = tuple(parse_money(w) for w in weights)
-    if any(w < 0 for w in out):
+    if any(w.numerator < 0 for w in out):  # parse_money gives Fractions
         raise ValueError("valuation weights must be non-negative")
     return out
 
@@ -300,15 +300,20 @@ def demand_set(v: Valuation, prices: Sequence) -> list[int]:
     return _demanded(tab, p)
 
 
+@cache
+def _demand_steps(size: int) -> tuple[tuple[int, int, int], ...]:
+    """(x, x less its lowest item, that item) for each bundle 0 < x < size."""
+    return tuple((x, x & x - 1, (x & -x).bit_length() - 1) for x in range(1, size))
+
+
 def _demanded(tab: Sequence[int], p: Sequence[int]) -> list[int]:
-    """The bundles maximizing tab[x] - p.x, ascending, for a table and
-    prices over one denominator."""
+    """The bundles maximizing tab[x] - p.x, ascending, for a table and prices
+    over one denominator; x is priced from x less its lowest item."""
     cost = [0] * len(tab)
     best = tab[0]
     winners = [0]
-    for mask in range(1, len(tab)):
-        low = mask & -mask
-        cost[mask] = c = cost[mask ^ low] + p[low.bit_length() - 1]
+    for mask, rest, j in _demand_steps(len(tab)):
+        cost[mask] = c = cost[rest] + p[j]
         u = tab[mask] - c
         if u > best:
             best = u
@@ -423,11 +428,11 @@ def sample_valuation(kind: str, m: int, cap, seed: int, *,
     check_item_count(m)
     limit = _parse_non_negative(cap, "cap")
     rng = random.Random(f"{kind}:{m}:{limit}:{seed}")
+    dens, top = list(denominators), {d: int(limit * d) for d in denominators}
 
     def weight() -> Fraction:
-        d = rng.choice(list(denominators))
-        hi = int(limit * d)
-        return Fraction(rng.randint(0, hi), d)
+        d = rng.choice(dens)
+        return Fraction(rng.randint(0, top[d]), d)
 
     def weight_row(n: int) -> tuple[Fraction, ...]:
         return tuple(weight() for _ in range(n))

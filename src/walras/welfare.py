@@ -12,14 +12,14 @@ profile (``_suffix_levels``); a prefix table of agents 0..k-1
 (``or_value_table``) is level n-k of the agents in reverse order.  Readers
 need W at a few states only and merge there with ``_fold_at``: W(x) merges
 agent 0 with L_1 at x (only ``welfare_max`` folds L_0), and W without agent
-i the prefix table of agents 0..i-1 (all zeros for i = 0) with L_{i+1} (all
-zeros for i = n-1).  On a doubled shape the prefix may take both copies of
-an item, so agents i+1..n-1 are folded onto it instead.  W(1 + 1_j) joins
-prefix and suffix tables that each hold a copy of j (``_doubled_welfare``).
-A multiset with doubled items is read on its doubled-item pattern: two
-copies where it has two, one elsewhere.  A fold enumerates submasks, except
-that a structured bid is folded one item at a time on the one-copy shape
-where that is cheaper (``_item_fold``).
+i the prefix table of agents 0..i-1 with L_{i+1}, or reads one (i = 0, n-1).
+On a doubled shape the prefix may take both copies of an item, so agents
+i+1..n-1 are folded onto it instead.  W(1 + 1_j) joins prefix and suffix
+tables that each hold a copy of j (``_doubled_welfare``).  A multiset with
+doubled items is read on its doubled-item pattern: two copies where it has
+two, one elsewhere.  A fold enumerates submasks, except that a structured
+bid is folded one item at a time on the one-copy shape where that is
+cheaper (``_item_fold``).
 
 The DP runs on integers.  ``scaled_tables`` puts the bids' own integer
 tables (``valuations._tabulate``) on D, a common multiple of their
@@ -266,8 +266,12 @@ def _scaled_welfare(profile: BidProfile, shape: tuple[int, ...], states,
                     exclude: int | None = None) -> list[int]:
     """D * W at each state index in ``states`` of ``shape`` (on the ones
     shape a state's index is its bitmask): agent 0, or without agent i the
-    prefix table of agents 0..i-1, merged with the suffix level after it."""
+    prefix table of agents 0..i-1, merged with the suffix level after it;
+    for i = 0 or n-1 one is all zeros, and the other, monotone, is read."""
     n, tables = profile.n, scaled_tables(profile)[1]
+    if exclude in (0, n - 1):  # level 1 of agents 1..n-1, or of n-2..0
+        level = _suffix_levels(profile, shape, 1, exclude != 0)[0][1]
+        return [level[idx] for idx in states]
     k = 1 if exclude is None else exclude + 1
     left = tables[0] if exclude is None else (
         _suffix_levels(profile, shape, n + 1 - k, True)[0][n + 1 - k])

@@ -17,6 +17,8 @@ as references for the paths that replaced them:
   exposure routine replaced;
 - ``fraction_walrasian_certificate``, equilibrium verification through
   per-bidder demand sets and Fraction gains;
+- ``reference_tatonnement``, the ascending-price loop in Fractions, with
+  each agent's demand from ``brute_demand``;
 - ``rational_gcd`` and ``granularity``, the pairwise Fraction fold the
   default bid-grid step was computed by.
 """
@@ -74,6 +76,48 @@ def brute_demand(v, prices):
         elif u == best:
             winners.append(bundle)
     return winners
+
+
+def reference_tatonnement(profile, epsilon, *, max_steps=None):
+    """``walrasian.tatonnement`` in Fractions: the same round-robin ascent,
+    step count and cap, reading demand from :func:`brute_demand`."""
+    from walras.walrasian import IterationCapExceeded, TatonnementResult
+    from walras.welfare import Allocation
+
+    eps = Fraction(epsilon)
+    m, n = profile.m, profile.n
+    if max_steps is None:
+        top = max(bid.value((1 << m) - 1) for bid in profile.bids)
+        max_steps = max(10 * m * (top // eps + 1), 4 * n)
+    prices = [ZERO] * m
+    holder = [-1] * m
+    steps = 0
+    settled = False
+    while not settled:
+        settled = True
+        for i, bid in enumerate(profile.bids):
+            steps += 1
+            if steps > max_steps:
+                raise IterationCapExceeded(f"no convergence within {max_steps} steps")
+            held = sum(1 << j for j in range(m) if holder[j] == i)
+            ask = [prices[j] if holder[j] in (-1, i) else prices[j] + eps
+                   for j in range(m)]
+            winners = brute_demand(bid, ask)
+            if held in winners:
+                continue
+            settled = False
+            for j in range(m):
+                takes, had = winners[0] >> j & 1, held >> j & 1
+                if takes and not had:
+                    if holder[j] != -1:
+                        prices[j] += eps
+                    holder[j] = i
+                elif had and not takes:
+                    holder[j] = -1
+    bundles = [0] * n
+    for j, owner in enumerate(holder):
+        bundles[max(owner, 0)] |= 1 << j
+    return TatonnementResult(tuple(prices), Allocation(m, tuple(bundles)), steps)
 
 
 def fraction_walrasian_certificate(profile, bundles, prices):
@@ -420,7 +464,7 @@ def scaled_profile_outcomes(scaled):
     ``_Scaled``, in flat index order (last agent fastest): each profile runs
     the whole mechanism through ``_Scaled.run`` on a fresh bid profile, as
     ``poa_search`` did before its grid kernel."""
-    return [scaled.run(pairs)[1:] for pairs in product(*scaled.grid)]
+    return [scaled.run(scaled.seeded(pairs))[1:] for pairs in product(*scaled.grid)]
 
 
 def fraction_exposure_factor_bound(v, b):

@@ -7,7 +7,9 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from oracles import (
+    brute_blocking,
     brute_value,
+    brute_welfare,
     fraction_best_response_dynamics,
     fraction_exposure_factor_bound,
     fraction_smoothness_certificate,
@@ -30,6 +32,7 @@ from walras.analysis import (
     marginal_sum_bound,
     poa_search,
     smoothness_certificate,
+    smoothness_certificates,
     vcg_deviation_certificate,
     verify_nash,
 )
@@ -45,7 +48,7 @@ from walras.valuations import (
     is_gross_substitutes,
     sample_valuation,
 )
-from walras.suites import SuiteReport, _suite, random_gs_profile
+from walras.suites import SuiteReport, _suite, random_gs_profile, random_xos_profile
 from walras.welfare import Allocation, BidProfile
 
 EPS = F(1, 8)
@@ -348,6 +351,30 @@ def test_marginal_sum_bound_additive_and_xos():
         assert rep.factor2_ok
 
 
+def test_marginal_sum_bound_matches_the_brute_oracles():
+    """The sum of enumerated blocking terms, W(1) by enumeration and both
+    flags, on GS and XOS draws and random partitions, and on complements
+    whose sum exceeds W(1)."""
+    rng = random.Random(4049)
+    complements = BidProfile(2, (Tabular((F(0), F(0), F(0), F(3))),
+                                 Additive((F(1), F(1))), Additive((F(1), F(1)))))
+    cases = [(complements, (0, 0b01, 0b10))]
+    for draw in (random_gs_profile, random_xos_profile) * 15:
+        bids = draw(rng)
+        owners = [rng.randrange(bids.n) for _ in range(bids.m)]
+        cases.append((bids, tuple(sum(1 << j for j, o in enumerate(owners) if o == i)
+                                  for i in range(bids.n))))
+    for bids, bundles in cases:
+        part = Allocation(bids.m, bundles)
+        rep = marginal_sum_bound(bids, part)
+        total = sum((brute_blocking(bids, i, x) for i, x in enumerate(part.bundles)), F(0))
+        full = brute_welfare(bids.bids, (1,) * bids.m)
+        assert (rep.total, rep.single_bound, rep.double_bound) == (total, full, 2 * full)
+        assert (rep.factor1_ok, rep.factor2_ok) == (total <= full, total <= 2 * full)
+        assert all(type(x) is F for x in (rep.total, rep.single_bound, rep.double_bound))
+    assert not marginal_sum_bound(complements, Allocation(2, cases[0][1])).factor1_ok
+
+
 def test_marginal_sum_bound_unknown_class():
     # Complements: neither gross substitutes nor XOS.
     bids = BidProfile(2, (Tabular((F(0), F(1), F(1), F(3))), Additive((F(1), F(1)))))
@@ -602,8 +629,50 @@ def test_deviation_reports_match_the_fraction_loops(case):
             fraction_smoothness_certificate(instance, current, rule))
         assert best_response_dynamics(instance, rule, grid, start, 3) == (
             fraction_best_response_dynamics(instance, rule, grid, start, 3))
+    assert smoothness_certificates(instance, current) == tuple(
+        fraction_smoothness_certificate(instance, current, rule) for rule in PaymentRule)
     assert vcg_deviation_certificate(instance, current) == (
         fraction_vcg_deviation_certificate(instance, current))
+
+
+def test_smoothness_folds_each_seeded_profile_once(monkeypatch):
+    """Certifying all four rules of a draw folds the ones-shape suffix levels
+    of its n + 1 profiles (the bids and each agent's deviation) once each:
+    as many folds as certifying any one rule."""
+    from walras import welfare
+
+    folds, inside = collections.Counter(), []
+    real_levels, real_step = welfare._suffix_levels, welfare._or_step
+
+    def suffix_levels(profile, supply, stop=1, reverse=False):
+        inside.append("prefix" if reverse else "suffix")
+        try:
+            return real_levels(profile, supply, stop, reverse)
+        finally:
+            inside.pop()
+
+    def or_step(*args):
+        folds[inside[-1] if inside else "other"] += 1
+        return real_step(*args)
+
+    monkeypatch.setattr(welfare, "_suffix_levels", suffix_levels)
+    monkeypatch.setattr(welfare, "_or_step", or_step)
+    rng = random.Random(5)
+    for _ in range(10):
+        types = random_gs_profile(rng)
+        bids = random_gs_profile(rng, m_range=(types.m,) * 2,
+                                 n_range=(types.n,) * 2, classes=("additive", "oxs"))
+        instance = Instance(types.m, types)
+        instance.optimal()  # the types' own folds, before counting
+
+        def suffix_folds(rules):
+            folds.clear()
+            smoothness_certificates(instance, bids, rules)
+            return folds["suffix"]
+
+        expected = (types.n + 1) * (types.n - 1)  # levels 1..n-1 of each profile
+        assert suffix_folds(tuple(PaymentRule)) == expected
+        assert [suffix_folds((rule,)) for rule in PaymentRule] == [expected] * 4
 
 
 def test_no_deviation_is_rescaled(monkeypatch):

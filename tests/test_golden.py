@@ -66,6 +66,8 @@ def _commands() -> dict[str, tuple[str, ...]]:
     suites = ("property-test", "--suite", "all", "--seeds", "3", "--seed", "1")
     out["property-test__all_seeds3_seed1"] = suites
     out["property-test_csv__all_seeds3_seed1"] = suites + ("--format", "csv")
+    out["property-test__all_seeds25_seed7919"] = (
+        "property-test", "--suite", "all", "--seeds", "25", "--seed", "7919")
     return out
 
 

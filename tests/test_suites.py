@@ -73,7 +73,10 @@ def test_ordering_suite_counts_every_broken_chain(monkeypatch):
 
 
 def test_smoothness_suite_counts_every_failing_rule(monkeypatch):
-    _failing(monkeypatch, "smoothness_certificate", holds=False)
+    # The suite certifies a draw's four rules in one call.
+    real = suites.smoothness_certificates
+    monkeypatch.setattr(suites, "smoothness_certificates", lambda *args: tuple(
+        dataclasses.replace(cert, holds=False) for cert in real(*args)))
     report = suites.smoothness_suite(RUNS, seed=1)
     assert report.failures == RUNS * 4
     _check_first(report, ["run", "rule", "lhs", "rhs", "dwm_ok", "per_agent_ok",

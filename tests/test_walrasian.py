@@ -4,7 +4,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import brute_max_prices, brute_min_prices, fraction_walrasian_certificate
+from oracles import (brute_max_prices, brute_min_prices, fraction_walrasian_certificate,
+                     reference_tatonnement)
 from test_valuations import ROUND_TRIP_NUMBERS, oracle_valuations
 from walras.bundles import ms_ones
 from walras.mechanisms import allocate_declared
@@ -286,3 +287,24 @@ def test_tatonnement_releases_items_an_agent_stops_demanding():
     assert result.prices == (F(7, 2), F(9, 2))
     assert result.steps == 45
     assert result.allocation.bundles == (0b01, 0, 0b10)
+
+
+
+def test_tatonnement_matches_the_reference_loop():
+    """Prices, allocation and step count equal the Fraction loop's on GS
+    draws over 1-5 items and 1-4 agents, and a cap one step short of the
+    count stops both."""
+    rng = random.Random(2113)
+    for _ in range(60):
+        m = rng.randint(1, 5)
+        prof = BidProfile(m, tuple(
+            sample_valuation(rng.choice(("additive", "unit_demand", "oxs")), m, 4,
+                             seed=rng.randrange(10**6), denominators=(1, 2, 4))
+            for _ in range(rng.randint(1, 4))))
+        eps = rng.choice((F(1, 4), F(1, 8), F(1, 16)))
+        result = tatonnement(prof, eps)
+        assert result == reference_tatonnement(prof, eps)
+        assert reference_tatonnement(prof, eps, max_steps=result.steps) == result
+        for ascent in (tatonnement, reference_tatonnement):
+            with pytest.raises(IterationCapExceeded):
+                ascent(prof, eps, max_steps=result.steps - 1)
