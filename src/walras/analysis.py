@@ -49,6 +49,7 @@ from .welfare import (
     _backtrack,
     _fold_at,
     _fold_levels,
+    _full_partition,
     _layout,
     _scaled_welfare,
     scaled_tables,
@@ -559,10 +560,10 @@ def _grid_outcomes(scaled: _Scaled, contexts) -> list[list[tuple]]:
             w = _fold_at(t0, rest, full, ssum, clamps)
             (b0,) = _backtrack((t0,), (None, rest), full, w, ssum, clamps)
             bundles = shares.get(b0)
-            if bundles is None:  # agent 0 also takes the items nobody uses
+            if bundles is None:  # the others' canonical share of full ^ b0
                 others = _backtrack(tables[1:], levels[1:], full ^ b0,
                                     rest[full ^ b0], ssum, clamps)
-                bundles = shares[b0] = (full ^ sum(others),) + others
+                bundles = shares[b0] = _full_partition(m, (b0,) + others)
             if rule is PaymentRule.PAY_YOUR_BID:
                 pays = [t[x] for t, x in zip((t0,) + tables[1:], bundles)]
             elif rule is PaymentRule.VCG:

@@ -30,6 +30,7 @@ from .walrasian import _scaled_prices, verify_walrasian_equilibrium
 from .welfare import (
     Allocation,
     BidProfile,
+    _full_partition,
     _scaled_welfare,
     _welfare_argmax,
     scaled_tables,
@@ -64,19 +65,13 @@ def allocate_declared(bids: BidProfile) -> Allocation:
     """Welfare-maximizing partition under the bids, canonical tie-breaking.
 
     Items the maximizer leaves unused carry zero marginal declared value;
-    they are handed to agent 0 so the partition is full.
+    ``welfare._full_partition`` hands them to agent 0.
     """
-    key = "declared_allocation"
-    cached = bids._cache.get(key)
-    if cached is not None:
-        return cached
-    _, bundles = _welfare_argmax(bids, ms_ones(bids.m))
-    used = 0
-    for b in bundles:
-        used |= b
-    leftover = full_mask(bids.m) & ~used
-    alloc = Allocation(bids.m, (bundles[0] | leftover,) + bundles[1:])
-    bids._cache[key] = alloc
+    alloc = bids._cache.get("declared_allocation")
+    if alloc is None:
+        _, bundles = _welfare_argmax(bids, ms_ones(bids.m))
+        alloc = bids._cache["declared_allocation"] = Allocation(
+            bids.m, _full_partition(bids.m, bundles))
     return alloc
 
 

@@ -15,7 +15,8 @@ and merges agent 0's bids at its top state.
 Verification and the ascending-price procedure put their prices on the
 tables' denominator.  The ascending-price procedure is kept only as a
 cross-check: with discrete increments it can approach but not hit the
-lattice bottom, so payment rules never use it.
+lattice bottom, so payment rules never use it.  Like every allocation in
+the package, its provisional assignment is one bundle mask per agent.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .welfare import (
     Allocation,
     BidProfile,
     _doubled_welfare,
+    _full_partition,
     _scaled_welfare,
     scaled_tables,
 )
@@ -127,11 +129,12 @@ def tatonnement(profile: BidProfile, epsilon, *,
                 max_steps: int | None = None) -> TatonnementResult:
     """Ascending-price auction with provisional assignment.
 
-    Prices start at zero.  Agents are visited round-robin (lowest index
-    first); an unsatisfied agent grabs its cheapest demanded bundle (held
-    items at the current price, everything else one increment above), and
-    every item taken away from another holder goes up by ``epsilon``.  Stops
-    when a full pass changes nothing.
+    Prices start at zero and every agent holds nothing.  Agents are visited
+    round-robin (lowest index first); one whose held bundle is not demanded
+    (items others hold asked one increment above their price) takes its
+    lowest demanded bundle, releasing what it held outside it, and each item
+    it takes from another agent goes up by ``epsilon``.  Stops when a full
+    pass changes nothing; the items nobody holds then go to agent 0.
 
     On gross-substitutes bids the final prices land within m*epsilon of the
     minimum Walrasian prices; that is a tested tolerance, not something
@@ -150,7 +153,7 @@ def tatonnement(profile: BidProfile, epsilon, *,
         max_steps = max(10 * m * (max_value // eps_int + 1), 4 * n)
 
     prices = [0] * m
-    holder = [-1] * m
+    held = [0] * n
     steps = 0
     settled = False
     while not settled:
@@ -161,29 +164,20 @@ def tatonnement(profile: BidProfile, epsilon, *,
                 raise IterationCapExceeded(
                     f"no convergence within {max_steps} steps; bids may not be "
                     "gross substitutes or epsilon is too small")
-            held = 0
-            for j in range(m):
-                if holder[j] == i:
-                    held |= 1 << j
-            ask = [prices[j] if holder[j] in (-1, i) else prices[j] + eps_int
-                   for j in range(m)]
+            theirs = sum(held) - held[i]
+            ask = [p + eps_int if theirs >> j & 1 else p for j, p in enumerate(prices)]
             winners = _demanded(tabs_int[i], ask)
-            if held in winners:
+            if held[i] in winners:
                 continue  # current holding is demanded; no move
             settled = False
-            best_mask = winners[0]
-            for j in iter_bits(best_mask & ~held):
-                if holder[j] not in (-1, i):
-                    prices[j] += eps_int
-                holder[j] = i
-            for j in iter_bits(held & ~best_mask):
-                holder[j] = -1
+            best = winners[0]
+            for j in iter_bits(best & theirs):
+                prices[j] += eps_int
+            held = [x & ~best for x in held]
+            held[i] = best
 
-    bundles = [0] * n
-    for j in range(m):
-        bundles[holder[j] if holder[j] >= 0 else 0] |= 1 << j
     return TatonnementResult(
         prices=tuple(Fraction(p, denom) for p in prices),
-        allocation=Allocation(m, tuple(bundles)),
+        allocation=Allocation(m, _full_partition(m, held)),
         steps=steps,
     )

@@ -108,6 +108,12 @@ class Allocation:
             raise ValueError("allocation does not cover all items")
 
 
+def _full_partition(m: int, bundles: Sequence[int]) -> tuple[int, ...]:
+    """Pairwise disjoint ``bundles`` made a full partition: the items no
+    bundle holds go to agent 0."""
+    return (full_mask(m) ^ sum(bundles[1:]),) + tuple(bundles[1:])
+
+
 # -- multiset indexing --------------------------------------------------------
 
 MAX_TABLE_STATES = 2_000_000  # largest welfare table, in item multisets

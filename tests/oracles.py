@@ -3,7 +3,9 @@
 These deliberately avoid the package's DP and table machinery: welfare by
 enumerating raw item-to-agent maps, matchings by trying every permutation,
 demand by rescanning bundles, a valuation's values from its own numbers
-(``brute_value``).  Slow and obviously correct.  The exceptions are kept
+(``brute_value``).  Slow and obviously correct.  ``matching_welfare``
+reaches 12 items where they stop near 5: for bids that are sums of
+unit-demand slots, W is a Hungarian matching.  The exceptions are kept
 as references for the paths that replaced them:
 
 - ``table_welfare``, a plain copy of the full-table welfare path the point
@@ -78,9 +80,11 @@ def brute_demand(v, prices):
     return winners
 
 
-def reference_tatonnement(profile, epsilon, *, max_steps=None):
+def reference_tatonnement(profile, epsilon, *, max_steps=None, releases=None):
     """``walrasian.tatonnement`` in Fractions: the same round-robin ascent,
-    step count and cap, reading demand from :func:`brute_demand`."""
+    step count and cap, reading demand from :func:`brute_demand`.  Each
+    release (an agent giving up items it held) appends (step, agent,
+    released mask) to the list ``releases`` if one is given."""
     from walras.walrasian import IterationCapExceeded, TatonnementResult
     from walras.welfare import Allocation
 
@@ -106,6 +110,8 @@ def reference_tatonnement(profile, epsilon, *, max_steps=None):
             if held in winners:
                 continue
             settled = False
+            if releases is not None and held & ~winners[0]:
+                releases.append((steps, i, held & ~winners[0]))
             for j in range(m):
                 takes, had = winners[0] >> j & 1, held >> j & 1
                 if takes and not had:
@@ -175,6 +181,80 @@ def brute_matching_value(matrix, bundle):
                 if total > best:
                     best = total
     return best
+
+
+def _unit_demand_slots(v):
+    """The unit-demand slots whose sum is an additive, unit-demand or OXS
+    bid, each a weight per item: one slot per item for an additive bid, one
+    for a unit-demand bid, the matrix columns for an OXS bid."""
+    if isinstance(v, Additive):
+        return [tuple(w if k == j else ZERO for k in range(v.m))
+                for j, w in enumerate(v.weights)]
+    if isinstance(v, UnitDemand):
+        return [v.weights]
+    if isinstance(v, Oxs):
+        return list(zip(*v.matrix))
+    raise TypeError(f"{type(v).__name__} is not a sum of unit-demand slots")
+
+
+def _hungarian(weights):
+    """Largest total weight of a matching of rows to columns, for a
+    non-negative Fraction matrix with no more rows than columns: the
+    potential-based Hungarian algorithm, minimizing the negated weights
+    over complete assignments of the rows."""
+    rows, cols = len(weights), len(weights[0])
+    u, v = [ZERO] * (rows + 1), [ZERO] * (cols + 1)
+    owner, way = [0] * (cols + 1), [0] * (cols + 1)  # owner[c]: row on column c
+    for r in range(1, rows + 1):
+        owner[0], c0 = r, 0
+        slack, used = [None] * (cols + 1), [False] * (cols + 1)  # None: infinite
+        while owner[c0]:
+            used[c0] = True
+            r0, delta, c1 = owner[c0], None, 0
+            for c in range(1, cols + 1):
+                if not used[c]:
+                    cur = -weights[r0 - 1][c - 1] - u[r0] - v[c]
+                    if slack[c] is None or cur < slack[c]:
+                        slack[c], way[c] = cur, c0
+                    if delta is None or slack[c] < delta:
+                        delta, c1 = slack[c], c
+            for c in range(cols + 1):
+                if used[c]:
+                    u[owner[c]] += delta
+                    v[c] -= delta
+                else:
+                    slack[c] -= delta
+            c0 = c1
+        while c0:
+            owner[c0], c0 = owner[way[c0]], way[c0]
+    return sum((weights[owner[c] - 1][c - 1] for c in range(1, cols + 1) if owner[c]),
+               ZERO)
+
+
+def matching_welfare(bids, supply, exclude=None):
+    """W(supply) of additive, unit-demand and OXS bids (Shapley and Shubik
+    1971): a maximum-weight matching of the supplied item copies to every
+    bid's unit-demand slots, leaving out agent ``exclude``.  Shares no code
+    with the DP.  Each agent takes at most one copy of an item, so with two
+    copies of item j it is the best, over agents a, of a matching in which
+    the extra copy may go only to a's slots and the first only to the other
+    agents'; a barred edge weighs 0.  At most one item may have two copies."""
+    slots = [(a, slot) for a, bid in enumerate(bids) if a != exclude
+             for slot in _unit_demand_slots(bid)]
+    items = [j for j, count in enumerate(supply) if count]
+    doubled = [j for j, count in enumerate(supply) if count == 2]
+    if len(doubled) > 1 or max(supply, default=0) > 2:
+        raise ValueError(f"supply {supply} has more than one doubled item")
+    if not items or not slots:
+        return ZERO
+    pad = [ZERO] * (len(items) + 1)  # room for every copy to stay unmatched
+    if not doubled:
+        return _hungarian([[w[j] for _, w in slots] + pad for j in items])
+    (j,) = doubled
+    return max(_hungarian(
+        [[w[k] if k != j or b != a else ZERO for b, w in slots] + pad for k in items]
+        + [[w[j] if b == a else ZERO for b, w in slots] + pad])
+        for a in {a for a, _ in slots})
 
 
 def brute_min_prices(bids, m, welfare=brute_welfare):

@@ -766,11 +766,22 @@ KERNEL_M4_N3 = (
              (NON_MONOTONE_4, Additive((F(1, 9), F(2, 3), F(1), F(1, 5)))),
              (Oxs(((F(1, 3),), (F(1),), (F(2, 7),), (F(4, 5),))),))),
     F(3, 11), 1)
+# No grid bid values item 2, which agent 0's type values most: the kernel
+# must hand it to agent 0 as the per-profile runs do.
+KERNEL_WORTHLESS_ITEM = (
+    Instance(3, BidProfile(3, (Additive((F(1), F(1), F(2))),
+                               UnitDemand((F(3), F(1), F(1))),
+                               Additive((F(1), F(2), F(1)))))),
+    BidGrid(((Additive((F(0), F(1), F(0))), UnitDemand((F(1), F(1), F(0)))),
+             (Additive((F(3), F(0), F(0))), Additive((F(1), F(1), F(0)))),
+             (UnitDemand((F(1), F(2), F(0))),))),
+    F(1, 11), 1)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
 @example(KERNEL_M4_N2)
 @example(KERNEL_M4_N3)
+@example(KERNEL_WORTHLESS_ITEM)
 @given(grid_cases())
 def test_grid_kernel_matches_the_per_profile_runs(case):
     """Under every rule, poa_search's kernel gives each grid profile the

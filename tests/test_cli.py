@@ -185,6 +185,35 @@ def test_an_oversize_grid_exits_2_before_a_bid_is_built(capsys, monkeypatch):
     assert analysis.BidGrid.additive_sizes(2, 2, "1/300", 1) == (301 ** 2,) * 2
 
 
+def test_the_profile_budget_holds_at_its_edge():
+    # 200,000 bids per agent or grid profiles fit the budget; one more does not.
+    assert BidGrid.additive_sizes(1, 1, 1, 199_999) == (MAX_PROFILES,)
+    with pytest.raises(EnumerationBudgetExceeded,
+                       match="m=1 give 200001 bids per agent, over 200000$"):
+        BidGrid.additive_sizes(1, 1, 1, 200_000)
+    assert count_profiles((400, 500)) == MAX_PROFILES
+    with pytest.raises(EnumerationBudgetExceeded,
+                       match="^200400 grid profiles exceed the budget of 200000$"):
+        count_profiles((400, 501))
+
+
+def test_solve_takes_sixteen_items_and_refuses_seventeen(tmp_path, capsys):
+    path = tmp_path / "wide.json"
+    for n in (1, 2):
+        for m in (16, 17):
+            weights = [[k % 3 + i for k in range(m)] for i in range(n)]
+            path.write_text(json.dumps({"m": m, "players": [
+                {"valuation": {"type": "additive", "weights": [str(w) for w in row]}}
+                for row in weights]}))
+            code, out, err = run_cli(capsys, "solve", str(path))
+            if m == 16:
+                assert code == 0 and err == ""
+                assert json.loads(out)["welfare"] == str(sum(map(max, zip(*weights))))
+            else:
+                assert code == 2 and out == ""
+                assert err == "error: m must be an integer in 1..16\n"
+
+
 def test_an_infinite_worst_ratio_prints_inf(capsys, tmp_path):
     # Bidder 0 values nothing and takes the item when both bid 0; with a
     # wide tolerance that profile is an equilibrium of welfare zero.

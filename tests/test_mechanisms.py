@@ -3,7 +3,8 @@ from fractions import Fraction as F
 
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import brute_max_prices, brute_min_prices, brute_welfare
+from oracles import (brute_max_prices, brute_min_prices, brute_welfare, matching_welfare,
+                     reference_tatonnement)
 from test_valuations import oracle_valuations
 from walras.analysis import BidGrid, Instance, poa_search, verify_nash
 from walras.bundles import iter_bits, ms_ones
@@ -16,7 +17,9 @@ from walras.mechanisms import (
     utility,
 )
 from walras.valuations import Additive, Oxs, Tabular, UnitDemand, Xos, sample_valuation
-from walras.walrasian import max_walrasian_prices, min_walrasian_prices
+from walras.suites import random_gs_profile
+from walras.walrasian import (max_walrasian_prices, min_walrasian_prices, tatonnement,
+                              verify_walrasian_equilibrium)
 from walras.welfare import BidProfile, scaled_tables, welfare_value
 
 EPS = F(1, 8)
@@ -101,6 +104,21 @@ def test_allocate_declared():
     assert allocate_declared(MISCOORDINATION).bundles == (0b10, 0b01)
 
 
+def test_an_item_no_bidder_values_goes_to_agent_0():
+    """The declared allocation and the ascent, like the Fraction loop, give
+    agent 0 the item nobody bids on, whether or not agent 0 wins anything."""
+    for bids, bundles in (
+            ((Additive((F(0), F(1), F(0))), Additive((F(3), F(0), F(0))),
+              UnitDemand((F(1), F(2), F(0)))), (0b100, 0b001, 0b010)),
+            ((UnitDemand((F(2), F(0), F(1))), Additive((F(1), F(0), F(3)))),
+             (0b011, 0b100))):
+        prof = BidProfile(3, bids)
+        assert allocate_declared(prof).bundles == bundles
+        result = tatonnement(prof, F(1, 8))
+        assert result == reference_tatonnement(prof, F(1, 8))
+        assert result.allocation.bundles == bundles
+
+
 def test_payments_per_rule_on_the_overbidding_instance():
     assert run_mechanism(PaymentRule.PAY_YOUR_BID, OVERBID).payments == (6, 2, 0)
     out = run_mechanism(PaymentRule.ENGLISH, OVERBID)
@@ -147,6 +165,42 @@ def test_prices_used_are_the_lattice_endpoints():
                             (dutch, dutch.prices_used)):
             for x, pay in zip(out.allocation.bundles, out.payments):
                 assert pay == sum(prices[j] for j in iter_bits(x))
+
+
+def test_gs_markets_to_twelve_items_match_the_assignment_oracle():
+    """On generated additive, unit-demand and OXS markets over 6-12 items and
+    1-4 agents, W(1), W(1 - 1_j), both price endpoints and every rule's
+    payments equal what the Hungarian matching oracle gives, and both
+    endpoints verify as Walrasian prices of the declared allocation."""
+    rng = random.Random(1971)
+    for m, n in ((6, 4), (7, 3), (8, 1), (9, 4), (10, 3), (11, 2), (12, 4), (12, 1)):
+        prof = random_gs_profile(rng, m_range=(m, m), n_range=(n, n))
+        bids, ones = prof.bids, ms_ones(m)
+        top = matching_welfare(bids, ones)
+        less = [matching_welfare(bids, ones[:j] + (0,) + ones[j + 1:]) for j in range(m)]
+        more = [matching_welfare(bids, ones[:j] + (2,) + ones[j + 1:]) for j in range(m)]
+        assert welfare_value(prof, ones) == top
+        assert [welfare_value(prof, ones[:j] + (0,) + ones[j + 1:])
+                for j in range(m)] == less
+        low, high = min_walrasian_prices(prof), max_walrasian_prices(prof)
+        assert low == tuple(w - top for w in more)
+        assert high == tuple(top - w for w in less)
+        bundles = allocate_declared(prof).bundles
+        held = [tuple(x >> j & 1 for j in range(m)) for x in bundles]
+        expected = {
+            PaymentRule.VCG: [matching_welfare(bids, ones, i)
+                              - matching_welfare(bids, tuple(1 - c for c in mine), i)
+                              for i, mine in enumerate(held)],
+            PaymentRule.ENGLISH: [sum(low[j] for j in iter_bits(x)) for x in bundles],
+            PaymentRule.DUTCH: [sum(high[j] for j in iter_bits(x)) for x in bundles],
+            PaymentRule.PAY_YOUR_BID: [matching_welfare((bid,), mine)
+                                       for bid, mine in zip(bids, held)],
+        }
+        assert sum(expected[PaymentRule.PAY_YOUR_BID]) == top
+        for rule, pays in expected.items():
+            assert list(run_mechanism(rule, prof).payments) == pays, (rule, prof)
+        for prices in (low, high):
+            assert verify_walrasian_equilibrium(prof, bundles, prices).is_equilibrium
 
 
 def test_dwm_payment_bound_and_nonnegativity_on_gs_draws():

@@ -9,8 +9,8 @@ from oracles import (brute_max_prices, brute_min_prices, fraction_walrasian_cert
 from test_valuations import ROUND_TRIP_NUMBERS, oracle_valuations
 from walras.bundles import ms_ones
 from walras.mechanisms import allocate_declared
-from walras.valuations import (Additive, Tabular, UnitDemand, Xos, demand_set,
-                               sample_valuation)
+from walras.valuations import (Additive, Tabular, UnitDemand, Xos, budget_additive,
+                               demand_set, sample_valuation)
 from walras.walrasian import (
     ClearingViolation,
     DemandViolation,
@@ -290,10 +290,23 @@ def test_tatonnement_releases_items_an_agent_stops_demanding():
 
 
 
+def _ascents_agree(prof, eps):
+    """Prices, allocation and step count of the ascent equal the Fraction
+    loop's, and a cap one step short of the count stops both.  Returns the
+    reference loop's releases."""
+    releases = []
+    result = tatonnement(prof, eps)
+    assert result == reference_tatonnement(prof, eps, releases=releases)
+    assert reference_tatonnement(prof, eps, max_steps=result.steps) == result
+    for ascent in (tatonnement, reference_tatonnement):
+        with pytest.raises(IterationCapExceeded):
+            ascent(prof, eps, max_steps=result.steps - 1)
+    return releases
+
+
 def test_tatonnement_matches_the_reference_loop():
-    """Prices, allocation and step count equal the Fraction loop's on GS
-    draws over 1-5 items and 1-4 agents, and a cap one step short of the
-    count stops both."""
+    """The ascent agrees with the Fraction loop on GS draws over 1-5 items
+    and 1-4 agents."""
     rng = random.Random(2113)
     for _ in range(60):
         m = rng.randint(1, 5)
@@ -301,10 +314,35 @@ def test_tatonnement_matches_the_reference_loop():
             sample_valuation(rng.choice(("additive", "unit_demand", "oxs")), m, 4,
                              seed=rng.randrange(10**6), denominators=(1, 2, 4))
             for _ in range(rng.randint(1, 4))))
-        eps = rng.choice((F(1, 4), F(1, 8), F(1, 16)))
-        result = tatonnement(prof, eps)
-        assert result == reference_tatonnement(prof, eps)
-        assert reference_tatonnement(prof, eps, max_steps=result.steps) == result
-        for ascent in (tatonnement, reference_tatonnement):
-            with pytest.raises(IterationCapExceeded):
-                ascent(prof, eps, max_steps=result.steps - 1)
+        _ascents_agree(prof, rng.choice((F(1, 4), F(1, 8), F(1, 16))))
+
+
+def _pair_bid(rng, m):
+    """A tabular bid worth c on two items together and nothing otherwise."""
+    j, k = rng.sample(range(m), 2)
+    c = F(rng.randint(1, 8), rng.choice((1, 2)))
+    return Tabular(tuple(c if x >> j & 1 and x >> k & 1 else 0 for x in range(1 << m)))
+
+
+def test_tatonnement_matches_the_reference_loop_when_agents_release_items():
+    """The ascent agrees with the Fraction loop on draws over 2-4 items that
+    mix XOS, budget-additive and tabular pair bids with GS ones, where an
+    agent can give up items it held; some draws do."""
+    rng = random.Random(1982)
+    releasing = 0
+    for _ in range(60):
+        m = rng.randint(2, 4)
+        bids = []
+        for _ in range(rng.randint(2, 4)):
+            kind = rng.choice(("xos", "budget", "pair", "unit_demand", "additive"))
+            if kind == "budget":
+                bids.append(budget_additive([F(rng.randint(0, 8), 2) for _ in range(m)],
+                                            rng.randint(1, 6)))
+            elif kind == "pair":
+                bids.append(_pair_bid(rng, m))
+            else:
+                bids.append(sample_valuation(kind, m, 4, seed=rng.randrange(10**6),
+                                             denominators=(1, 2, 4)))
+        eps = rng.choice((F(1, 2), F(1, 4), F(1, 8)))
+        releasing += bool(_ascents_agree(BidProfile(m, tuple(bids)), eps))
+    assert releasing >= 3
