@@ -26,7 +26,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
-from operator import itemgetter, sub
+from operator import add, itemgetter, mul, sub
 
 from .bundles import iter_bits, ms_ones
 from .money import (INFINITY, ZERO, Infinity, _parse_non_negative, format_money,
@@ -35,10 +35,12 @@ from .mechanisms import PaymentRule, _scaled_externality, run_mechanism
 from .valuations import (
     CHECKER_MAX_ITEMS,
     Additive,
+    Tabular,
     Valuation,
     Xos,
     _marginal_gaps,
     _tabulate,
+    _worth_at_empty,
     is_gross_substitutes,
     xos_supporting_clause,
 )
@@ -47,7 +49,6 @@ from .welfare import (
     Allocation,
     BidProfile,
     _backtrack,
-    _fold_at,
     _fold_levels,
     _full_partition,
     _layout,
@@ -123,6 +124,10 @@ class BidGrid:
             raise ValueError("a bid grid needs at least one agent")
         if any(len(g) == 0 for g in self.per_agent):
             raise ValueError("every agent needs a non-empty bid grid")
+        for i, k, bid in ((i, k, b) for i, bids in enumerate(self.per_agent)
+                          for k, b in enumerate(bids)
+                          if isinstance(b, Tabular) and b.values[0]):
+            raise _worth_at_empty(f"grid bid {k} of agent {i}", bid)
 
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(g) for g in self.per_agent)
@@ -530,19 +535,36 @@ def _grid_outcomes(scaled: _Scaled, contexts) -> list[list[tuple]]:
     each shape 1 + 1_j, and their share of each state agent 0 leaves, are
     folded once per context; one agent takes one copy of j at most, so the
     last opponent's level over 1 + 1_j is its ones-shape level read at each
-    state's bundle.  Agent 0 merges at a few states per profile: the top
-    state of each shape, and (dutch) the ones shape less each item.
+    state's bundle.  Each context then gathers the level entries that agent
+    0's bundles s leave to the others, once: level 1 reversed (entry s is
+    its state full ^ s), each level over 1 + 1_j at its top state less s,
+    and (dutch) level 1 at the complements of the submasks of full ^ 1<<j,
+    whose own entries agent 0's tables give once per call.  A merge is then
+    one ``map(add)`` of agent 0's table (worth 0 at the empty bundle, as
+    ``BidGrid`` asks) with a gather, and its ``max``; ``list.index`` of the
+    top merge is the smallest best bundle, the tie rule of ``_backtrack``.
     W without opponent i (vcg) is one table per grid index of the other
     agents.  No object per profile.
     """
     rule, n, m = scaled.rule, len(scaled.grid), scaled.m
     size, ssum, clamps = _layout(ms_ones(m))
     full, zeros = size - 1, (0,) * size
-    items = [tuple(iter_bits(x)) for x in range(size)]
+    flags = [tuple(x >> j & 1 for j in range(m)) for x in range(size)]
+    own = [t for _, t in scaled.grid[0]]
     doubled = [_layout(ms_ones(j) + (2,) + ms_ones(m - 1 - j))  # english: 1 + 1_j
                for j in range(m)] if rule is PaymentRule.ENGLISH else []
     last = max(n - 1, 1)  # with no opponent, the zero level n
     reads = [itemgetter(*dclamps) for _, _, dclamps in doubled]
+    tops = [itemgetter(*(dsize - 1 - dssum[s] for s in range(size)))
+            for dsize, dssum, _ in doubled]
+    # dutch: the submasks of full ^ 1<<j, the empty one twice so that a
+    # gather has two entries (a tuple) at m = 1 too
+    less = [[0, *(s for s in range(size) if not s >> j & 1)]
+            for j in range(m)] if rule is PaymentRule.DUTCH else []
+    at_less = [itemgetter(*(full ^ 1 << j ^ s for s in subs))
+               for j, subs in enumerate(less)]
+    at_own = [itemgetter(*subs) for subs in less]
+    own_less = [[get(t0) for get in at_own] for t0 in own]
     without = {}  # (i, grid indices of every agent but i) -> D * W_-i table
     rows = []
     for idxs in contexts:
@@ -550,20 +572,25 @@ def _grid_outcomes(scaled: _Scaled, contexts) -> list[list[tuple]]:
         levels = [None] * n + [zeros]
         _fold_levels(tables, levels, 1, size, ssum, clamps)
         rest, shares = levels[1], {}
-        lows = []  # english: (level 1 over 1 + 1_j, its top state, ssum, clamps)
-        for (dsize, dssum, dclamps), read in zip(doubled, reads):
+        back = rest[::-1]
+        lows = []  # english: level 1 over 1 + 1_j, at its top state less each s
+        for (dsize, dssum, dclamps), read, top in zip(doubled, reads, tops):
             dlevels = [None] * last + [read(levels[last])]
             _fold_levels(tables, dlevels, 1, dsize, dssum, dclamps)
-            lows.append((dlevels[1], dsize - 1, dssum, dclamps))
+            lows.append(top(dlevels[1]))
+        highs = [get(rest) for get in at_less]
         row = []
-        for a, (_, t0) in enumerate(scaled.grid[0]):
-            w = _fold_at(t0, rest, full, ssum, clamps)
-            (b0,) = _backtrack((t0,), (None, rest), full, w, ssum, clamps)
-            bundles = shares.get(b0)
-            if bundles is None:  # the others' canonical share of full ^ b0
+        for a, t0 in enumerate(own):
+            sums = list(map(add, t0, back))
+            w = max(sums)
+            share = shares.get(b0 := sums.index(w))
+            if share is None:  # the others' canonical share of full ^ b0
                 others = _backtrack(tables[1:], levels[1:], full ^ b0,
                                     rest[full ^ b0], ssum, clamps)
-                bundles = shares[b0] = _full_partition(m, (b0,) + others)
+                bundles = _full_partition(m, (b0,) + others)
+                values = [t[x] for (_, t), x in zip(scaled.truthful, bundles)]
+                share = shares[b0] = bundles, values, sum(values)
+            bundles, values, welfare = share
             if rule is PaymentRule.PAY_YOUR_BID:
                 pays = [t[x] for t, x in zip((t0,) + tables[1:], bundles)]
             elif rule is PaymentRule.VCG:
@@ -576,12 +603,11 @@ def _grid_outcomes(scaled: _Scaled, contexts) -> list[list[tuple]]:
                         without[key] = partial[0]
                     pays.append(without[key][full] - without[key][full ^ x] if x else 0)
             else:  # D times the lowest (english) or the highest prices
-                prices = ([_fold_at(t0, lv, top, sm, cm) - w for lv, top, sm, cm in lows]
-                          if lows else [w - _fold_at(t0, rest, full ^ 1 << j, ssum, clamps)
-                                        for j in range(m)])
-                pays = [sum(prices[j] for j in items[x]) for x in bundles]
-            values = [t[x] for (_, t), x in zip(scaled.truthful, bundles)]
-            row.append((sum(values), tuple(v - p for v, p in zip(values, pays))))
+                prices = ([max(map(add, t0, low)) - w for low in lows] if lows else
+                          [w - max(map(add, mine, high))
+                           for mine, high in zip(own_less[a], highs)])
+                pays = [sum(itertools.compress(prices, flags[x])) for x in bundles]
+            row.append((welfare, tuple(map(sub, values, pays))))
         rows.append(row)
     return rows
 
@@ -595,8 +621,12 @@ def poa_search(instance: Instance, rule: PaymentRule, grid: BidGrid, gamma,
 
     Cost is the full product of grid sizes, all of it in
     :func:`_grid_outcomes`, chunked by whole opponent contexts over ``jobs``
-    processes.  Ties on the worst ratio resolve to the smallest flat index
-    (last agent fastest), so every ``jobs`` reduces identically.
+    processes; a profile there is a few ``map(add)`` passes of agent 0's
+    table over its context's gathers.  The pass that keeps the equilibria
+    walks only the product of the agents' exposure-passing grid indices,
+    in flat order, with one dict per agent of its best grid and injected
+    utility per context.  Ties on the worst ratio resolve to the smallest
+    flat index (last agent fastest), so every ``jobs`` reduces identically.
     """
     gamma = _parse_non_negative(gamma, "gamma")
     eps_dev = _parse_non_negative(eps_dev, "deviation tolerance")
@@ -619,31 +649,32 @@ def poa_search(instance: Instance, rule: PaymentRule, grid: BidGrid, gamma,
     rows = [row for piece in pieces for row in piece]
     outcomes = [o for column in zip(*rows) for o in column]  # in flat order
 
-    exposure_ok = [[_exposure(vt, bt) <= gamma for _, bt in bids]
-                   for (_, vt), bids in zip(scaled.truthful, scaled.grid)]
+    passing = [[k for k, (_, bt) in enumerate(bids) if _exposure(vt, bt) <= gamma]
+               for (_, vt), bids in zip(scaled.truthful, scaled.grid)]
     # Agent i's context in a profile is the flat index with its own grid
     # index zeroed.  Its best grid utility there is the best of the slice
     # from that context in steps of its stride, and its injected deviations
     # run once per context: each when a profile first needs it.
     strides = [prod(sizes[i + 1:]) for i in range(instance.n)]
-    grid_best, injected_best = {}, {}  # (agent, context) -> D * best utility
+    # Agent i: context -> [D * best grid utility, D * best injected or None]
+    best = [{} for _ in sizes]
     found = []  # (D * true welfare, grid indices) of each equilibrium
-    for flat, idxs in enumerate(itertools.product(*map(range, sizes))):
-        if not all(exposure_ok[i][k] for i, k in enumerate(idxs)):
-            continue
+    for idxs in itertools.product(*passing):
+        flat = sum(map(mul, idxs, strides))
         welfare, utils = outcomes[flat]
-        for i, (k, step) in enumerate(zip(idxs, strides)):
+        for i, (k, step, seen) in enumerate(zip(idxs, strides, best)):
             ctx = flat - k * step
-            if (i, ctx) not in grid_best:
-                grid_best[i, ctx] = max(
-                    u[i] for _, u in outcomes[ctx:ctx + sizes[i] * step:step])
-            if grid_best[i, ctx] - utils[i] > scaled.eps:
+            entry = seen.get(ctx)
+            if entry is None:
+                entry = seen[ctx] = [max(
+                    u[i] for _, u in outcomes[ctx:ctx + sizes[i] * step:step]), None]
+            if entry[0] - utils[i] > scaled.eps:
                 break
-            if (i, ctx) not in injected_best:
-                injected_best[i, ctx] = max(scaled.utilities(
+            if entry[1] is None:
+                entry[1] = max(scaled.utilities(
                     tuple(g[x] for g, x in zip(scaled.grid, idxs)), i,
                     (scaled.truthful[i], scaled.half[i])))
-            if injected_best[i, ctx] - utils[i] > scaled.eps:
+            if entry[1] - utils[i] > scaled.eps:
                 break
         else:
             found.append((welfare, idxs))

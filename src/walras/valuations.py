@@ -236,6 +236,14 @@ class Tabular(Valuation):
         return self.values
 
 
+def _worth_at_empty(what: str, v: Tabular) -> ValueError:
+    """The refusal of ``v``, a table worth non-zero at the empty bundle, as
+    ``what`` of a profile or grid: every welfare reader takes that bundle to
+    be worth 0.  Only a ``Tabular`` can be worth anything there."""
+    return ValueError(f"{what}, {valuation_to_json(v)}, is worth "
+                      f"{format_money(v.values[0])} at the empty bundle, not 0")
+
+
 _BY_TYPE = {k._type: k for k in (Additive, UnitDemand, Xos, Oxs, Tabular)}
 
 

@@ -21,6 +21,7 @@ from oracles import (
 )
 
 from walras import analysis, valuations
+from walras import welfare as welfare_module
 from walras.analysis import (
     BidGrid,
     EnumerationBudgetExceeded,
@@ -125,6 +126,20 @@ def test_grid_construction():
     for empty in (lambda: BidGrid(()), lambda: BidGrid.additive(2, 0, 1, 1)):
         with pytest.raises(ValueError, match="a bid grid needs at least one agent"):
             empty()
+
+
+def test_a_grid_bid_worth_something_at_the_empty_bundle_is_refused():
+    """The kernel scores agent 0's empty bundle as 0 and its english rows
+    read the opponents' tables there, so a grid refuses a table worth
+    anything at the empty bundle, naming the agent and the bid."""
+    lifted = Tabular((F(1, 3), F(1), F(1), F(2)))
+    bids = (Additive((F(1), F(1))), lifted)
+    with pytest.raises(ValueError, match=r"grid bid 1 of agent 0, \{'type': 'tabular', "
+                       r"'values': \['1/3', '1', '1', '2'\]\}, is worth 1/3 at the "
+                       "empty bundle, not 0"):
+        BidGrid((bids, bids[:1]))
+    with pytest.raises(ValueError, match="grid bid 0 of agent 1, .* is worth -1 at"):
+        BidGrid((bids[:1], (Tabular((F(-1), F(0), F(0), F(0))),)))
 
 
 def _oracle_default_grid(instance):
@@ -841,6 +856,61 @@ def test_poa_search_matches_brute_force_at_three_agents():
         for rule in PaymentRule:
             report = poa_search(instance, rule, grid, 1, eps_dev=eps)
             _assert_brute_force(report, instance, rule, grid, 1, eps)
+
+
+def test_poa_search_matches_brute_force_where_exposure_drops_bids():
+    """At gamma = 0 a bid passes only if it is at most the type on every
+    bundle.  ``mixed`` loses part of each agent's grid, and ``THREE`` every
+    grid bid of agent 2, which leaves no equilibrium, no witness and the
+    ratio 1.  Each report is the same at one, two and three jobs."""
+    mixed = Instance(2, BidProfile(2, (Additive((F(1), F(1, 2))),
+                                       UnitDemand((F(1), F(1))))))
+    for instance, grid in ((mixed, BidGrid.additive(2, 2, "1/2", "1")),
+                           (THREE, _uneven_grid())):
+        passing = [sum(exposure_factor_bound(v, b) == 0 for b in bids)
+                   for v, bids in zip(instance.true_valuations.bids, grid.per_agent)]
+        for rule in PaymentRule:
+            report = poa_search(instance, rule, grid, 0)
+            _assert_brute_force(report, instance, rule, grid, 0, 0)
+            for jobs in (2, 3):
+                assert poa_search(instance, rule, grid, 0, jobs=jobs) == report
+            if instance is mixed:
+                assert all(0 < p < s for p, s in zip(passing, grid.sizes()))
+                assert report.equilibrium_count > 0
+            else:
+                assert passing[2] == 0 < passing[1] < grid.sizes()[1]
+                assert (report.equilibrium_count, report.witness,
+                        report.worst_ratio) == (0, None, 1)
+
+
+def test_the_kernel_merges_agent_0_by_gathers_not_per_profile_folds(monkeypatch):
+    """Agent 0's merges are gathers over its table: the kernel calls no
+    ``_fold_at`` itself, and backtracks the others' share at most once per
+    context and bundle of agent 0, however many bids agent 0 has."""
+    calls = collections.Counter()
+    real_backtrack = analysis._backtrack
+
+    def fold_at(*args):
+        calls["fold_at"] += 1
+        return welfare_module._fold_at(*args)
+
+    def backtrack(*args):
+        calls["backtrack"] += 1
+        return real_backtrack(*args)
+
+    monkeypatch.setattr(analysis, "_fold_at", fold_at, raising=False)
+    monkeypatch.setattr(analysis, "_backtrack", backtrack)
+    many = BidGrid.additive(2, 1, "1/4", "2").per_agent[0]  # 81 bids
+    for instance, grid in ((EX2, BidGrid((many, many[:3]))),
+                           (THREE, BidGrid((many, many[:2], many[3:5])))):
+        contexts = list(itertools.product(*map(range, grid.sizes()[1:])))
+        for rule in PaymentRule:
+            calls.clear()
+            scaled = analysis._Scaled.of(instance, rule, grid)
+            rows = analysis._grid_outcomes(scaled, contexts)
+            assert [len(row) for row in rows] == [len(many)] * len(contexts)
+            assert calls["fold_at"] == 0
+            assert 0 < calls["backtrack"] <= len(contexts) * (1 << instance.m)
 
 
 def test_poa_search_runs_the_mechanism_only_for_injected_deviations(monkeypatch):

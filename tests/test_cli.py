@@ -339,6 +339,17 @@ def test_non_monotone_tabular_rejected(tmp_path, capsys):
     assert code == 2 and "monotone" in err
 
 
+def test_a_tabular_bid_worth_something_at_the_empty_bundle_exits_2(tmp_path, capsys):
+    path = tmp_path / "lifted.json"
+    path.write_text(json.dumps({
+        "m": 2,
+        "players": [{"valuation": {"type": "tabular", "values": ["1", "1", "1", "2"]}},
+                    {"valuation": {"type": "additive", "weights": ["1/2", "1/2"]}}],
+    }))
+    code, out, err = run_cli(capsys, "solve", str(path))
+    assert code == 2 and out == "" and "player 0" in err
+
+
 def test_fixture_dir_override(tmp_path, monkeypatch, capsys):
     shutil.copy(fixture("bullying.json"), tmp_path / "bullying.json")
     monkeypatch.setenv("WALRAS_FIXTURES", str(tmp_path))

@@ -24,6 +24,7 @@ from walras.valuations import (
     Xos,
     _tabulate,
     is_gross_substitutes,
+    is_monotone_normalized,
     is_submodular,
     sample_valuation,
 )
@@ -89,6 +90,23 @@ def test_profile_validation():
         BidProfile(2, ())
     with pytest.raises(ValueError):
         BidProfile(3, (Additive((F(1), F(1))),))
+
+
+def test_a_bid_worth_something_at_the_empty_bundle_is_refused():
+    """Every welfare reader takes the empty bundle to be worth 0, so a table
+    worth anything there is refused where it enters a profile, with a
+    message that names the agent and the bid.  The table itself is kept, so
+    the checkers can still classify it."""
+    lifted = Tabular((F(1), F(1), F(1), F(2)))
+    half = Additive((F(1, 2), F(1, 2)))
+    for bids, agent in (((lifted, half), 0), ((half, lifted), 1)):
+        with pytest.raises(ValueError, match=rf"the bid of agent {agent}, \{{'type': "
+                           r"'tabular', 'values': \['1', '1', '1', '2'\]\}, is worth 1 "
+                           "at the empty bundle, not 0"):
+            BidProfile(2, bids)
+    with pytest.raises(ValueError, match="the bid of agent 1, .* is worth -1/3 at"):
+        BidProfile(2, (half, half)).replace(1, Tabular((F(-1, 3), F(0), F(0), F(0))))
+    assert not is_monotone_normalized(lifted)
 
 
 def test_three_bidder_optimum():
