@@ -7,23 +7,24 @@ always extended with the agent's truthful bid and half-truthful bid (the two
 deviations the welfare-loss arguments rely on).  All comparisons are exact;
 the default deviation tolerance is zero.
 
-Every mechanism run goes through one path, ``_Scaled``: a call scales all
-the bids and types it reads (grid, current, truthful and half-truthful bids)
-to one common denominator D once, seeds the profiles it runs with those
-integer tables (``_Scaled.seeded``), and compares D times the utilities; the
-smoothness certificates run every rule on the same n + 1 seeded profiles.
-Values become Fractions only in the returned reports.  ``poa_search`` runs
-no mechanism per grid profile: its kernel, ``_grid_outcomes``, reads the
-same tables by grid index and gives every grid profile's D times welfare and
-utilities; one pass over them in flat order checks every agent alike.  Only
-its injected deviations, which are off the grid, and the runs of
-``verify_nash``, the certificates and best response go through ``_Scaled.run``.
+A call scales all the bids and types it reads (grid, current, truthful and
+half-truthful bids) to one common denominator D once (``_Scaled``).  One
+reader, ``_outcomes``, prices every deviation on a grid with no mechanism
+run: its kernel, ``_grid_outcomes``, reads those tables by grid index and
+gives every grid profile's D times welfare and utilities.  ``poa_search``
+reads its grid from it; ``verify_nash``, best response and the vcg
+certificate read grids of singletons with the candidates at the deviating
+agent (``_Scaled.utilities``).  Only the smoothness certificates (every rule
+on the same n + 1 seeded profiles) and the injected deviations of
+``poa_search`` run the mechanism, through ``_Scaled.run``.  Values become
+Fractions only in the returned reports.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import os
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, prod
 from operator import add, itemgetter, mul, sub
@@ -170,20 +171,12 @@ def exposure_factor_bound(v: Valuation, b: Valuation) -> Fraction | Infinity:
     if v.m != b.m:
         raise ValueError("type and bid are over different item counts")
     _, (vt, bt) = on_one_denominator((_tabulate(v), _tabulate(b)))
-    return _exposure(vt, bt)
-
-
-def _exposure(vt, bt) -> Fraction | Infinity:
-    """:func:`exposure_factor_bound` of a type's and a bid's tables over one
-    denominator: the largest ratio is kept as an int pair, and it becomes a
-    Fraction once."""
     top = bottom = 1  # the ratio 1, so the bound is clamped at zero
-    for mask in range(1, len(vt)):
-        if vt[mask] == 0:
-            if bt[mask] > 0:
-                return INFINITY
-        elif bt[mask] * bottom > top * vt[mask]:
-            top, bottom = bt[mask], vt[mask]
+    for x, y in zip(vt[1:], bt[1:]):  # each nonempty bundle's type and bid
+        if x == 0 < y:
+            return INFINITY
+        if y * bottom > top * x:
+            top, bottom = y, x
     return Fraction(top, bottom) - 1
 
 
@@ -217,14 +210,13 @@ def _ratio(opt: Fraction, welfare: Fraction):
 @dataclass(frozen=True)
 class _Scaled:
     """The bids and types one analysis call reads, as (bid, D * table) pairs
-    over one common denominator D, scaled once; the only place in this module
-    that runs the mechanism.
+    over one common denominator D, scaled once.
 
     ``grid[i]`` holds agent i's grid bids, ``current`` the profile under
     test, ``truthful`` and ``half`` each agent's truthful and half-truthful
     bid (``truthful`` doubles as the types); ``eps`` is D times ``eps_dev``.
-    A profile to run is a tuple of one pair per agent.  ``of`` refuses a
-    grid or profile that does not fit the instance.
+    A profile is a tuple of one pair per agent.  ``of`` refuses a grid or
+    profile that does not fit the instance.
     """
 
     rule: PaymentRule
@@ -277,9 +269,10 @@ class _Scaled:
 
     def utilities(self, pairs: tuple, i: int, candidates) -> list[int]:
         """D times agent i's utility with each candidate pair in place of its
-        pair in ``pairs``, in candidate order."""
-        return [self.run(self.seeded(pairs[:i] + (c,) + pairs[i + 1:]))[2][i]
-                for c in candidates]
+        pair in ``pairs``, in candidate order: agent i's column of
+        :func:`_outcomes` on the grid of singletons with ``candidates`` at i."""
+        grid = (*zip(pairs[:i]), tuple(candidates), *zip(pairs[i + 1:]))
+        return [u[i] for _, u in _outcomes(replace(self, grid=grid))]
 
 
 def verify_nash(instance: Instance, rule: PaymentRule, profile: BidProfile,
@@ -293,15 +286,12 @@ def verify_nash(instance: Instance, rule: PaymentRule, profile: BidProfile,
     eps_dev = _parse_non_negative(eps_dev, "deviation tolerance")
     scaled = _Scaled.of(instance, rule, grid, profile)
     denom, current = scaled.denom, scaled.current
-    _, welfare, here = scaled.run(scaled.seeded(current))
+    ((welfare, here),) = _outcomes(replace(scaled, grid=tuple(zip(current))))
     rows = []
     for i in range(instance.n):
-        cands = dict(scaled.grid[i])
-        for bid, tab in (current[i], scaled.truthful[i], scaled.half[i]):
-            cands.setdefault(bid, tab)
-        cands = list(cands.items())
+        cands = scaled.grid[i] + (current[i], scaled.truthful[i], scaled.half[i])
         utils = scaled.utilities(current, i, cands)
-        best = max(utils)  # the current bid is a candidate: best >= here[i]
+        best = max(utils)  # >= here[i]; a repeated bid ties at its first copy
         best_bid = cands[utils.index(best)][0] if best > here[i] else current[i][0]
         rows.append(AgentDeviation(i, Fraction(here[i], denom),
                                    Fraction(best, denom), best_bid,
@@ -457,7 +447,8 @@ def vcg_deviation_certificate(instance: Instance,
     opt, opt_bundles = instance.optimal()
     scaled = _Scaled.of(instance, PaymentRule.VCG, current=bids)
     denom, current = scaled.denom, scaled.current
-    _, welfare, _ = scaled.run(base := scaled.seeded(current))
+    ((welfare, _),) = _outcomes(replace(scaled, grid=tuple(zip(current))))
+    base = scaled.seeded(current)  # read by the externalities only
     rows = []
     for i, (v, x) in enumerate(zip(scaled.truthful, opt_bundles)):
         u = Fraction(scaled.utilities(current, i, (v,))[0], denom)
@@ -612,6 +603,24 @@ def _grid_outcomes(scaled: _Scaled, contexts) -> list[list[tuple]]:
     return rows
 
 
+def _outcomes(scaled: _Scaled, jobs: int = 1) -> list[tuple]:
+    """D times (true welfare, utilities) of every profile of ``scaled.grid``,
+    in flat order (last agent fastest): :func:`_grid_outcomes` over all
+    opponent contexts, split into ``jobs`` chunks.  A fork-started pool starts
+    all its workers at once, so it gets at most one per chunk and per CPU."""
+    opponents = list(itertools.product(*(range(len(g)) for g in scaled.grid[1:])))
+    chunk = -(-len(opponents) // jobs)
+    chunks = [opponents[c:c + chunk] for c in range(0, len(opponents), chunk)]
+    if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=min(len(chunks), os.cpu_count() or 1)) as pool:
+            pieces = list(pool.map(_grid_outcomes, itertools.repeat(scaled), chunks))
+    else:
+        pieces = [_grid_outcomes(scaled, piece) for piece in chunks]
+    rows = [row for piece in pieces for row in piece]  # one per context
+    return [o for column in zip(*rows) for o in column]
+
+
 def poa_search(instance: Instance, rule: PaymentRule, grid: BidGrid, gamma,
                *, eps_dev=ZERO, jobs: int = 1) -> PoaReport:
     """Enumerate every grid profile; keep the ones that are grid-Nash (with
@@ -619,37 +628,26 @@ def poa_search(instance: Instance, rule: PaymentRule, grid: BidGrid, gamma,
     exposure bound at most gamma; report the worst optimal-to-equilibrium
     welfare ratio and a witness.
 
-    Cost is the full product of grid sizes, all of it in
-    :func:`_grid_outcomes`, chunked by whole opponent contexts over ``jobs``
-    processes; a profile there is a few ``map(add)`` passes of agent 0's
-    table over its context's gathers.  The pass that keeps the equilibria
-    walks only the product of the agents' exposure-passing grid indices,
-    in flat order, with one dict per agent of its best grid and injected
-    utility per context.  Ties on the worst ratio resolve to the smallest
-    flat index (last agent fastest), so every ``jobs`` reduces identically.
+    Cost is the full product of grid sizes, all of it in :func:`_outcomes`
+    (``jobs`` processes).  The pass that keeps the equilibria walks only the
+    product of the agents' exposure-passing grid indices, in flat order, with
+    one dict per agent of its best grid and injected utility per context.
+    Ties on the worst ratio resolve to the smallest flat index (last agent
+    fastest), so every ``jobs`` reduces identically.
     """
     gamma = _parse_non_negative(gamma, "gamma")
     eps_dev = _parse_non_negative(eps_dev, "deviation tolerance")
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    if type(jobs) is not int or jobs < 1:
+        raise ValueError(f"jobs must be an int of at least 1, got {jobs!r}")
     sizes = grid.sizes()
     total = count_profiles(sizes)
     scaled = _Scaled.of(instance, rule, grid, eps_dev=eps_dev)
-    # Opponent context c is the c-th tuple here; flat = a * contexts + c.
-    opponents = list(itertools.product(*(range(s) for s in sizes[1:])))
-    contexts = len(opponents)
-    chunk = -(-contexts // jobs)
-    chunks = [opponents[c:c + chunk] for c in range(0, contexts, chunk)]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            pieces = list(pool.map(_grid_outcomes, itertools.repeat(scaled), chunks))
-    else:
-        pieces = [_grid_outcomes(scaled, piece) for piece in chunks]
-    rows = [row for piece in pieces for row in piece]
-    outcomes = [o for column in zip(*rows) for o in column]  # in flat order
-
-    passing = [[k for k, (_, bt) in enumerate(bids) if _exposure(vt, bt) <= gamma]
+    outcomes = _outcomes(scaled, jobs)
+    # exposure_factor_bound(v, b) <= gamma = num/den iff b * den <= (den + num)
+    # * v on every bundle, so a positive bid where v is 0 fails at any gamma.
+    num, den = gamma.numerator, gamma.denominator
+    passing = [[k for k, (_, bt) in enumerate(bids)
+                if all(y * den <= (den + num) * x for x, y in zip(vt, bt))]
                for (_, vt), bids in zip(scaled.truthful, scaled.grid)]
     # Agent i's context in a profile is the flat index with its own grid
     # index zeroed.  Its best grid utility there is the best of the slice
@@ -671,9 +669,12 @@ def poa_search(instance: Instance, rule: PaymentRule, grid: BidGrid, gamma,
             if entry[0] - utils[i] > scaled.eps:
                 break
             if entry[1] is None:
-                entry[1] = max(scaled.utilities(
-                    tuple(g[x] for g, x in zip(scaled.grid, idxs)), i,
-                    (scaled.truthful[i], scaled.half[i])))
+                # Run, not read from the kernel, while bench/test_bench.py's
+                # test_counts_repeat_at_a_fixed_seed asks poa for runs.
+                pairs = tuple(g[x] for g, x in zip(scaled.grid, idxs))
+                entry[1] = max(scaled.run(scaled.seeded(
+                    pairs[:i] + (dev,) + pairs[i + 1:]))[2][i]
+                    for dev in (scaled.truthful[i], scaled.half[i]))
             if entry[1] - utils[i] > scaled.eps:
                 break
         else:
@@ -720,17 +721,16 @@ def best_response_dynamics(instance: Instance, rule: PaymentRule,
     maximizer; a full silent round is a grid-Nash fixpoint.  Revisiting a
     round-boundary profile reports a cycle.
     """
+    if type(max_iter) is not int or max_iter < 1:
+        raise ValueError(f"max_iter must be an int of at least 1, got {max_iter!r}")
     scaled = _Scaled.of(instance, rule, grid, start)
-    current: list[int] = []
-    for i, bid in enumerate(start.bids):
-        try:
-            current.append(grid.per_agent[i].index(bid))
-        except ValueError:
-            raise ValueError(f"start bid of agent {i} is not on its grid") from None
+    for i, (bid, bids) in enumerate(zip(start.bids, grid.per_agent)):
+        if bid not in bids:
+            raise ValueError(f"start bid of agent {i} is not on its grid")
+    current = [bids.index(bid) for bid, bids in zip(start.bids, grid.per_agent)]
     steps: list[BestResponseStep] = []
     seen = {tuple(current)}
     status = "budget"
-    rounds = 0
     for rounds in range(1, max_iter + 1):
         moved = False
         for i in range(instance.n):

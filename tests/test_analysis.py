@@ -2,6 +2,7 @@ import collections
 import itertools
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -106,13 +107,13 @@ def test_integer_exposure_matches_the_fraction_loop(case):
     v, b = Tabular(vt), Tabular(bt)
     expected = fraction_exposure_factor_bound(v, b)
     assert exposure_factor_bound(v, b) == expected
-    # poa_search's filter reads the routine on tables over a larger common D
+    # poa_search's filter keeps b when b * den <= (den + num) * v on every
+    # bundle, for gamma = num/den >= 0, on tables over a larger common D
     _, (vs, bs, _) = scale_rows((vt, bt, (F(1, 7),)))
-    exposure = analysis._exposure(vs, bs)
-    assert exposure == expected
-    for g in (F(-1, 2), F(0), F(1), gamma):
-        assert (exposure <= g) == (expected <= g)
-    assert not exposure <= F(-1, 2)  # a negative gamma admits no bid
+    for g in (F(0), F(1), abs(gamma)):
+        kept = all(y * g.denominator <= (g.denominator + g.numerator) * x
+                   for x, y in zip(vs[1:], bs[1:]))
+        assert kept == (expected <= g)
 
 
 def test_grid_construction():
@@ -972,3 +973,110 @@ def test_a_grid_that_does_not_fit_the_instance_is_refused():
                 call(grid)
     with pytest.raises(ValueError, match="the profile has 1 agents, the instance 2"):
         verify_nash(EX2, "vcg", BidProfile(2, start.bids[:1]), narrow)
+
+
+def test_deviations_are_read_from_the_kernel_not_run(monkeypatch):
+    """verify_nash, best response and the vcg certificate read every
+    deviation and the current profile from the grid kernel: with
+    run_mechanism refused they give the Fraction loops' reports, under every
+    rule, at n = 1, 2 and 3, with every current bid off the grid."""
+    from walras import mechanisms
+
+    types = (UnitDemand((F(3, 2), F(1, 3))), Additive((F(2, 3), F(5, 7))),
+             Oxs(((F(1), F(0)), (F(1, 2), F(4, 5)))))
+    off = (Additive((F(1, 3), F(2, 3))), UnitDemand((F(3, 4), F(1, 5))),
+           Xos(((F(1, 7), F(1)), (F(2, 3), F(0)))))
+    halves = BidGrid.additive(2, 1, "1/2", "1").per_agent[0]
+    cases = []
+    for n in (1, 2, 3):
+        instance = Instance(2, BidProfile(2, types[:n]))
+        grid = BidGrid((halves,) * n)
+        current = BidProfile(2, off[:n])
+        assert not any(b in halves for b in current.bids)
+        start = BidProfile(2, tuple(halves[k] for k in (4, 1, 7)[:n]))
+        for rule in PaymentRule:
+            cases.append((instance, rule, grid, current, start, (
+                fraction_verify_nash(instance, rule, current, grid, F(1, 9)),
+                fraction_best_response_dynamics(instance, rule, grid, start, 3))))
+        cases.append((instance, None, grid, current, start,
+                       fraction_vcg_deviation_certificate(instance, current)))
+
+    def refuse(*args):
+        raise AssertionError("a deviation ran the mechanism")
+
+    monkeypatch.setattr(analysis, "run_mechanism", refuse)
+    monkeypatch.setattr(mechanisms, "run_mechanism", refuse)
+    for instance, rule, grid, current, start, expected in cases:
+        if rule is None:
+            assert vcg_deviation_certificate(instance, current) == expected
+        else:
+            assert (verify_nash(instance, rule, current, grid, F(1, 9)),
+                    best_response_dynamics(instance, rule, grid, start, 3)) == expected
+
+
+def test_the_exposure_filter_at_its_edges():
+    """poa_search keeps a bid of exactly (1 + gamma) v, drops one a unit of D
+    above it on one bundle, and drops a positive bid on a worthless bundle
+    at any gamma.  One agent under vcg wins everything and pays nothing
+    whatever it bids, so its equilibria are exactly the kept bids."""
+    v = Additive((F(0), F(1)))  # item 0 is worthless
+    bids = (Tabular((F(0),) * 4),
+            Tabular((F(0), F(0), F(3, 2), F(3, 2))),  # (1 + 1/2) v
+            Tabular((F(0), F(0), F(7, 4), F(3, 2))),  # 1/4 above it on item 1
+            Tabular((F(0), F(1, 4), F(0), F(0))))  # 1/4 on item 0 alone
+    instance = Instance(2, BidProfile(2, (v,)))
+    grid = BidGrid((bids,))
+    assert analysis._Scaled.of(instance, PaymentRule.VCG, grid).denom == 4
+    assert exposure_factor_bound(v, bids[3]) is INFINITY
+    for gamma, kept in ((F(0), 1), (F(1, 2), 2), (F(3, 4), 3), (F(10 ** 6), 3)):
+        assert sum(exposure_factor_bound(v, b) <= gamma for b in bids) == kept
+        report = poa_search(instance, PaymentRule.VCG, grid, gamma)
+        assert (report.equilibrium_count, report.profiles_checked) == (kept, 4)
+
+
+def test_the_pool_gets_no_more_workers_than_chunks_or_cpus(monkeypatch):
+    """``jobs`` splits the 81 opponent contexts into chunks as before, so the
+    reports stay equal, but a pool gets at most one worker per chunk and per
+    CPU (a fork-started pool starts all of them at once).  A recording
+    executor that maps inline stands in for the process pool."""
+    import concurrent.futures
+    import os
+
+    workers = []
+
+    class Inline:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Inline)
+    grid = BidGrid.additive(2, 2, "1/4", "2")
+    serial = poa_search(EX2, PaymentRule.ENGLISH, grid, 1)
+    assert workers == []
+    # 64 jobs split 81 contexts into 41 chunks of two
+    for cpus, jobs, expected in ((2, 64, 2), (64, 64, 41), (None, 64, 1),
+                                 (8, 3, 3), (8, 2, 2)):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert poa_search(EX2, PaymentRule.ENGLISH, grid, 1, jobs=jobs) == serial
+        assert workers.pop() == expected
+
+
+def test_jobs_and_max_iter_must_be_ints_of_at_least_one():
+    grid = BidGrid.additive(2, 2, F(1), F(2))
+    start = BidProfile(2, (grid.per_agent[0][0],) * 2)
+    for bad in (0, -1, 2.0, "2", True, None):
+        got = re.escape(f"at least 1, got {bad!r}")
+        with pytest.raises(ValueError, match=f"^jobs must be an int of {got}$"):
+            poa_search(EX2, PaymentRule.VCG, grid, 0, jobs=bad)
+        with pytest.raises(ValueError, match=f"^max_iter must be an int of {got}$"):
+            best_response_dynamics(EX2, PaymentRule.VCG, grid, start, max_iter=bad)
+    trace = best_response_dynamics(EX2, PaymentRule.VCG, grid, start, max_iter=1)
+    assert trace.rounds == 1
