@@ -7,17 +7,15 @@ always extended with the agent's truthful bid and half-truthful bid (the two
 deviations the welfare-loss arguments rely on).  All comparisons are exact;
 the default deviation tolerance is zero.
 
-A call scales all the bids and types it reads (grid, current, truthful and
-half-truthful bids) to one common denominator D once (``_Scaled``).  One
-reader, ``_outcomes``, prices every deviation on a grid with no mechanism
-run: its kernel, ``_grid_outcomes``, reads those tables by grid index and
-gives every grid profile's D times welfare and utilities.  ``poa_search``
-reads its grid from it; ``verify_nash``, best response and the vcg
-certificate read grids of singletons with the candidates at the deviating
-agent (``_Scaled.utilities``).  Only the smoothness certificates (every rule
-on the same n + 1 seeded profiles) and the injected deviations of
-``poa_search`` run the mechanism, through ``_Scaled.run``.  Values become
-Fractions only in the returned reports.
+A call scales all the bids and types it reads to one common denominator D
+once (``_Scaled``).  One reader, ``_outcomes``, prices every deviation on a
+grid with no mechanism run: its kernel, ``_grid_outcomes``, gives every grid
+profile's D times welfare and utilities in whole-grid passes over agent 0's
+tables.  ``poa_search`` reads its grid from it; ``verify_nash``, best
+response and the vcg certificate read grids of singletons with the
+candidates at the deviating agent (``_Scaled.column``).  Only the
+smoothness certificates and ``poa_search``'s injected deviations run the
+mechanism (``_Scaled.run``).  Values become Fractions only in the reports.
 """
 
 from __future__ import annotations
@@ -26,8 +24,9 @@ import itertools
 import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import chain, cycle, repeat
 from math import gcd, prod
-from operator import add, itemgetter, mul, sub
+from operator import add, getitem, itemgetter, lshift, mul, sub
 
 from .bundles import iter_bits, ms_ones
 from .money import (INFINITY, ZERO, Infinity, _parse_non_negative, format_money,
@@ -267,12 +266,12 @@ class _Scaled:
         values = [t[x] for (_, t), x in zip(self.truthful, out.allocation.bundles)]
         return out, sum(values), tuple(map(sub, values, out._scaled_payments))
 
-    def utilities(self, pairs: tuple, i: int, candidates) -> list[int]:
-        """D times agent i's utility with each candidate pair in place of its
-        pair in ``pairs``, in candidate order: agent i's column of
-        :func:`_outcomes` on the grid of singletons with ``candidates`` at i."""
+    def column(self, pairs: tuple, i: int, candidates) -> list[tuple]:
+        """D times (true welfare, utilities) with each candidate pair in place
+        of agent i's pair in ``pairs``, in candidate order: :func:`_outcomes`
+        on the grid of singletons with ``candidates`` at i."""
         grid = (*zip(pairs[:i]), tuple(candidates), *zip(pairs[i + 1:]))
-        return [u[i] for _, u in _outcomes(replace(self, grid=grid))]
+        return _outcomes(replace(self, grid=grid))
 
 
 def verify_nash(instance: Instance, rule: PaymentRule, profile: BidProfile,
@@ -286,11 +285,12 @@ def verify_nash(instance: Instance, rule: PaymentRule, profile: BidProfile,
     eps_dev = _parse_non_negative(eps_dev, "deviation tolerance")
     scaled = _Scaled.of(instance, rule, grid, profile)
     denom, current = scaled.denom, scaled.current
-    ((welfare, here),) = _outcomes(replace(scaled, grid=tuple(zip(current))))
     rows = []
     for i in range(instance.n):
         cands = scaled.grid[i] + (current[i], scaled.truthful[i], scaled.half[i])
-        utils = scaled.utilities(current, i, cands)
+        column = scaled.column(current, i, cands)
+        welfare, here = column[len(scaled.grid[i])]  # the current profile
+        utils = [u[i] for _, u in column]
         best = max(utils)  # >= here[i]; a repeated bid ties at its first copy
         best_bid = cands[utils.index(best)][0] if best > here[i] else current[i][0]
         rows.append(AgentDeviation(i, Fraction(here[i], denom),
@@ -451,7 +451,7 @@ def vcg_deviation_certificate(instance: Instance,
     base = scaled.seeded(current)  # read by the externalities only
     rows = []
     for i, (v, x) in enumerate(zip(scaled.truthful, opt_bundles)):
-        u = Fraction(scaled.utilities(current, i, (v,))[0], denom)
+        u = Fraction(scaled.column(current, i, (v,))[0][1][i], denom)
         bound = Fraction(v[1][x] - _scaled_externality(base, i, x), denom)
         rows.append(VcgDeviationRow(i, u, bound, u >= bound))
     welfare = Fraction(welfare, denom)
@@ -522,102 +522,103 @@ def _grid_outcomes(scaled: _Scaled, contexts) -> list[list[tuple]]:
     context of ``contexts`` (a tuple of grid indices of agents 1..n-1): one
     row per context, indexed by agent 0's grid index.
 
-    The opponents' suffix levels over the ones shape and (english) over
-    each shape 1 + 1_j, and their share of each state agent 0 leaves, are
-    folded once per context; one agent takes one copy of j at most, so the
-    last opponent's level over 1 + 1_j is its ones-shape level read at each
-    state's bundle.  Each context then gathers the level entries that agent
-    0's bundles s leave to the others, once: level 1 reversed (entry s is
-    its state full ^ s), each level over 1 + 1_j at its top state less s,
-    and (dutch) level 1 at the complements of the submasks of full ^ 1<<j,
-    whose own entries agent 0's tables give once per call.  A merge is then
-    one ``map(add)`` of agent 0's table (worth 0 at the empty bundle, as
-    ``BidGrid`` asks) with a gather, and its ``max``; ``list.index`` of the
-    top merge is the smallest best bundle, the tie rule of ``_backtrack``.
-    W without opponent i (vcg) is one table per grid index of the other
-    agents.  No object per profile.
+    Each context folds the opponents once and gathers what each bundle s of
+    agent 0 leaves them; all else runs in passes over ~512 profiles, agent
+    0's tables one bid after another: a merge is a ``map(add)`` and a grouped
+    ``max``.  W's merge packs t0[s] * 2^m + full - s, so its max also holds
+    the smallest best bundle (``_backtrack``'s tie rule).
     """
     rule, n, m = scaled.rule, len(scaled.grid), scaled.m
     size, ssum, clamps = _layout(ms_ones(m))
     full, zeros = size - 1, (0,) * size
-    flags = [tuple(x >> j & 1 for j in range(m)) for x in range(size)]
     own = [t for _, t in scaled.grid[0]]
-    doubled = [_layout(ms_ones(j) + (2,) + ms_ones(m - 1 - j))  # english: 1 + 1_j
-               for j in range(m)] if rule is PaymentRule.ENGLISH else []
+    count = len(own)
+    flat = [x for t in own for x in t]  # agent 0's tables, one bid after another
+    packed = list(map(add, map(lshift, flat, repeat(m)), cycle(range(full, -1, -1))))
+
+    def top(table, gather):  # per profile, the best sum of its bid's and gather's entries
+        return map(max, *[map(add, cycle(table), gather)] * (len(table) // count))
+
+    doubled = [(*shape, itemgetter(*shape[2]), itemgetter(*shape[1])) for shape in map(
+        _layout, (ms_ones(j) + (2,) + ms_ones(m - 1 - j) for j in range(m)))
+    ] if rule is PaymentRule.ENGLISH else []  # english: each shape 1 + 1_j
     last = max(n - 1, 1)  # with no opponent, the zero level n
-    reads = [itemgetter(*dclamps) for _, _, dclamps in doubled]
-    tops = [itemgetter(*(dsize - 1 - dssum[s] for s in range(size)))
-            for dsize, dssum, _ in doubled]
-    # dutch: the submasks of full ^ 1<<j, the empty one twice so that a
-    # gather has two entries (a tuple) at m = 1 too
+    # dutch: the bundles lacking j, the empty one twice (a tuple at m = 1)
     less = [[0, *(s for s in range(size) if not s >> j & 1)]
             for j in range(m)] if rule is PaymentRule.DUTCH else []
-    at_less = [itemgetter(*(full ^ 1 << j ^ s for s in subs))
-               for j, subs in enumerate(less)]
-    at_own = [itemgetter(*subs) for subs in less]
-    own_less = [[get(t0) for get in at_own] for t0 in own]
-    without = {}  # (i, grid indices of every agent but i) -> D * W_-i table
-    rows = []
-    for idxs in contexts:
-        tables = (None,) + tuple(scaled.grid[i][k][1] for i, k in enumerate(idxs, 1))
-        levels = [None] * n + [zeros]
-        _fold_levels(tables, levels, 1, size, ssum, clamps)
-        rest, shares = levels[1], {}
-        back = rest[::-1]
-        lows = []  # english: level 1 over 1 + 1_j, at its top state less each s
-        for (dsize, dssum, dclamps), read, top in zip(doubled, reads, tops):
-            dlevels = [None] * last + [read(levels[last])]
-            _fold_levels(tables, dlevels, 1, dsize, dssum, dclamps)
-            lows.append(top(dlevels[1]))
-        highs = [get(rest) for get in at_less]
-        row = []
-        for a, t0 in enumerate(own):
-            sums = list(map(add, t0, back))
-            w = max(sums)
-            share = shares.get(b0 := sums.index(w))
-            if share is None:  # the others' canonical share of full ^ b0
-                others = _backtrack(tables[1:], levels[1:], full ^ b0,
-                                    rest[full ^ b0], ssum, clamps)
-                bundles = _full_partition(m, (b0,) + others)
+    at_less = [itemgetter(*(full ^ 1 << j ^ s for s in bs)) for j, bs in enumerate(less)]
+    own_less = [[x for t0 in own for x in itemgetter(*bs)(t0)] for bs in less]
+    step = -(-512 // count)  # contexts per pass: ~512 profiles keep its lists small
+    without, rows = {}, []
+    for lo in range(0, len(contexts), step):
+        runs, back, shares, gathers = [], [], [], [[] for _ in doubled or less]
+        cats = [[] for _ in range(1, n)] if rule is PaymentRule.VCG else []
+        for idxs in contexts[lo:lo + step]:
+            tables = (None,) + tuple(scaled.grid[i][k][1] for i, k in enumerate(idxs, 1))
+            levels = [None] * n + [zeros]
+            _fold_levels(tables, levels, 1, size, ssum, clamps)
+            runs.append((idxs, tables, levels))
+            back += [x << m for x in levels[1][::-1]] * count  # entry s: state full ^ s
+            for (dsize, dssum, dclamps, read, low), gathered in zip(doubled, gathers):
+                dlevels = [None] * last + [read(levels[last])]
+                _fold_levels(tables, dlevels, 1, dsize, dssum, dclamps)
+                gathered += low(dlevels[1][::-1]) * count  # entry s: top state less s
+            for get, gathered in zip(at_less, gathers):
+                gathered += get(levels[1]) * count
+            for i, cat in enumerate(cats, 1):  # vcg: what agent 0 leaves the others but i
+                key = (i,) + idxs[:i - 1] + idxs[i:]
+                if key not in without:  # agents 1..i-1 on level i+1, reversed
+                    partial = [None] * i + [levels[i + 1]]
+                    _fold_levels(tables[:i], partial, 1, size, ssum, clamps)
+                    without[key] = partial[1][::-1]
+                cat += without[key] * count
+        declared, states = zip(*map(divmod, top(packed, back), repeat(size)))
+        for c, (idxs, tables, levels) in enumerate(runs):
+            mine, share = states[c * count:c * count + count], {}
+            for r in set(mine):  # the others' canonical share of state r
+                others = _backtrack(tables[1:], levels[1:], r, levels[1][r], ssum, clamps)
+                bundles = _full_partition(m, (0,) + others)
                 values = [t[x] for (_, t), x in zip(scaled.truthful, bundles)]
-                share = shares[b0] = bundles, values, sum(values)
-            bundles, values, welfare = share
-            if rule is PaymentRule.PAY_YOUR_BID:
-                pays = [t[x] for t, x in zip((t0,) + tables[1:], bundles)]
-            elif rule is PaymentRule.VCG:
-                pays = [rest[full] - rest[full ^ bundles[0]]]
-                for i, x in enumerate(bundles[1:], 1):
-                    key = (i, a) + idxs[:i - 1] + idxs[i:]
-                    if x and key not in without:
-                        partial = [None] * i + [levels[i + 1]]
-                        _fold_levels((t0,) + tables[1:i], partial, 0, size, ssum, clamps)
-                        without[key] = partial[0]
-                    pays.append(without[key][full] - without[key][full ^ x] if x else 0)
-            else:  # D times the lowest (english) or the highest prices
-                prices = ([max(map(add, t0, low)) - w for low in lows] if lows else
-                          [w - max(map(add, mine, high))
-                           for mine, high in zip(own_less[a], highs)])
-                pays = [sum(itertools.compress(prices, flags[x])) for x in bundles]
-            row.append((welfare, tuple(map(sub, values, pays))))
-        rows.append(row)
+                charged = [levels[1][full] - levels[1][full ^ bundles[0]],  # vcg, paybid
+                           *map(getitem, tables[1:], bundles[1:])] if not gathers else ()
+                share[r] = (sum(values), *values, *bundles, *charged)
+            shares += map(share.__getitem__, mine)
+        welfare, *columns = zip(*shares)
+        values, held, charged = columns[:n], columns[n:2 * n], columns[2 * n:]
+        if rule is PaymentRule.PAY_YOUR_BID:  # each agent pays its bid on its bundle
+            pays = [map(flat.__getitem__, map(add, cycle(range(0, count * size, size)),
+                                              held[0])), *charged[1:]]
+        elif rule is PaymentRule.VCG:  # W_-i(1) - W_-i(1 - x_i), the latter W - b_i(x_i)
+            pays = [charged[0]] + [map(add, map(sub, top(flat, cat), declared), bid)
+                                   for cat, bid in zip(cats, charged[1:])]
+        else:  # D times the lowest (english) or the highest prices
+            prices = ([list(map(sub, top(flat, low), declared)) for low in gathers]
+                      if doubled else [list(map(sub, declared, top(mine, high)))
+                                       for mine, high in zip(own_less, gathers)])
+            sums = [[0] * len(states)]  # sums[x][p]: profile p's prices summed over x
+            for price in prices:
+                sums += [list(map(add, column, price)) for column in sums]
+            pays = [map(getitem, map(sums.__getitem__, x), range(len(x))) for x in held]
+        outcomes = list(zip(welfare, zip(*map(map, repeat(sub), values, pays))))
+        rows += [outcomes[k:k + count] for k in range(0, len(outcomes), count)]
     return rows
 
 
 def _outcomes(scaled: _Scaled, jobs: int = 1) -> list[tuple]:
     """D times (true welfare, utilities) of every profile of ``scaled.grid``,
-    in flat order (last agent fastest): :func:`_grid_outcomes` over all
-    opponent contexts, split into ``jobs`` chunks.  A fork-started pool starts
-    all its workers at once, so it gets at most one per chunk and per CPU."""
+    in flat order (last agent fastest): :func:`_grid_outcomes` over all the
+    opponent contexts at once, or over ``jobs`` chunks of them in a pool of
+    one worker per chunk and per CPU, when that is more than one worker."""
     opponents = list(itertools.product(*(range(len(g)) for g in scaled.grid[1:])))
     chunk = -(-len(opponents) // jobs)
     chunks = [opponents[c:c + chunk] for c in range(0, len(opponents), chunk)]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(len(chunks), os.cpu_count() or 1)) as pool:
-            pieces = list(pool.map(_grid_outcomes, itertools.repeat(scaled), chunks))
+    workers = min(len(chunks), os.cpu_count() or 1) if len(chunks) > 1 else 1
+    if workers < 2:
+        rows = _grid_outcomes(scaled, opponents)  # one per context
     else:
-        pieces = [_grid_outcomes(scaled, piece) for piece in chunks]
-    rows = [row for piece in pieces for row in piece]  # one per context
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = list(chain(*pool.map(_grid_outcomes, repeat(scaled), chunks)))
     return [o for column in zip(*rows) for o in column]
 
 
@@ -685,8 +686,7 @@ def poa_search(instance: Instance, rule: PaymentRule, grid: BidGrid, gamma,
     witness, ratio = None, Fraction(1)
     if found:
         welfare, idxs = min(found)
-        witness = BidProfile(instance.m, tuple(
-            g[k] for g, k in zip(grid.per_agent, idxs)))
+        witness = BidProfile(instance.m, tuple(map(getitem, grid.per_agent, idxs)))
         opt, _ = instance.optimal()
         ratio = _ratio(opt, Fraction(welfare, scaled.denom))
     return PoaReport(rule=scaled.rule, gamma=gamma, worst_ratio=ratio,
@@ -734,8 +734,8 @@ def best_response_dynamics(instance: Instance, rule: PaymentRule,
     for rounds in range(1, max_iter + 1):
         moved = False
         for i in range(instance.n):
-            utils = scaled.utilities(
-                tuple(g[k] for g, k in zip(scaled.grid, current)), i, scaled.grid[i])
+            utils = [u[i] for _, u in scaled.column(
+                tuple(g[k] for g, k in zip(scaled.grid, current)), i, scaled.grid[i])]
             here = utils[current[i]]
             best = max(utils)
             if best > here:

@@ -182,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
             rule=True, grid=True)
     p.add_argument("--gamma", default="0", help="exposure-factor budget, default 0")
     p.add_argument("--jobs", type=int, default=1,
-                   help="grid chunks, in min(chunks, CPUs) processes; default 1")
+                   help="grid chunks in min(chunks, CPUs) processes, one inline; default 1")
     p.add_argument("--format", choices=["json", "csv"], default="json")
 
     p = sub.add_parser("property-test", help="seeded exact property suites")

@@ -793,8 +793,23 @@ KERNEL_WORTHLESS_ITEM = (
              (UnitDemand((F(1), F(2), F(0))),))),
     F(1, 11), 1)
 
+# Agent 0's best bundle leaves items to no one, which fall to it: pay-your-bid
+# charges its non-monotone bid on the full-partition bundle ({0, 1} and
+# {0, 2}: 1/3), not on the best one ({0}: 2).  Alone (n = 1) it keeps every item.
+LEFTOVER_BID = Tabular((F(0), F(2), F(0), F(1, 3), F(0), F(1, 3), F(0), F(1, 3)))
+KERNEL_LONE_AGENT = (
+    Instance(3, BidProfile(3, (Additive((F(1), F(2), F(1, 2))),))),
+    BidGrid(((LEFTOVER_BID, Additive((F(1, 3), F(0), F(1)))),)), F(1, 11), 1)
+KERNEL_LEFTOVER = (
+    Instance(3, BidProfile(3, (Additive((F(1), F(2), F(1, 2))),
+                               UnitDemand((F(1), F(1), F(1)))))),
+    BidGrid(((LEFTOVER_BID,), (UnitDemand((F(0), F(1), F(0))),
+                               Additive((F(0), F(0), F(1, 5)))))), F(1, 11), 1)
+
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@example(KERNEL_LONE_AGENT)
+@example(KERNEL_LEFTOVER)
 @example(KERNEL_M4_N2)
 @example(KERNEL_M4_N3)
 @example(KERNEL_WORTHLESS_ITEM)
@@ -1037,8 +1052,9 @@ def test_the_exposure_filter_at_its_edges():
 def test_the_pool_gets_no_more_workers_than_chunks_or_cpus(monkeypatch):
     """``jobs`` splits the 81 opponent contexts into chunks as before, so the
     reports stay equal, but a pool gets at most one worker per chunk and per
-    CPU (a fork-started pool starts all of them at once).  A recording
-    executor that maps inline stands in for the process pool."""
+    CPU (a fork-started pool starts all of them at once), and one worker
+    runs inline with no pool.  A recording executor that maps inline stands
+    in for the process pool."""
     import concurrent.futures
     import os
 
@@ -1062,11 +1078,12 @@ def test_the_pool_gets_no_more_workers_than_chunks_or_cpus(monkeypatch):
     serial = poa_search(EX2, PaymentRule.ENGLISH, grid, 1)
     assert workers == []
     # 64 jobs split 81 contexts into 41 chunks of two
-    for cpus, jobs, expected in ((2, 64, 2), (64, 64, 41), (None, 64, 1),
-                                 (8, 3, 3), (8, 2, 2)):
+    for cpus, jobs, expected in ((2, 64, [2]), (64, 64, [41]), (None, 64, []),
+                                 (1, 3, []), (8, 3, [3]), (8, 2, [2])):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         assert poa_search(EX2, PaymentRule.ENGLISH, grid, 1, jobs=jobs) == serial
-        assert workers.pop() == expected
+        assert workers == expected
+        workers.clear()
 
 
 def test_jobs_and_max_iter_must_be_ints_of_at_least_one():
