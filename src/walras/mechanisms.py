@@ -9,8 +9,8 @@ maximizer with canonical tie-breaking) and differ only in payments:
     paybid   the declared value of the bundle won
 
 Payments stay well-defined for non-GS bids (the marginals always exist);
-only the Walrasian interpretation of the english/dutch price vectors can
-fail then, which `check_payment_ordering` flags.
+only the english/dutch prices can then fail to be Walrasian, which the
+price layer's ``verify_walrasian_equilibrium`` checks (``walras prices``).
 
 All four rules run on the profile's scaled integer tables (D times every
 value, see ``welfare.scaled_tables``); payments and prices become
@@ -26,7 +26,7 @@ from itertools import product
 
 from .bundles import full_mask, iter_bits, ms_ones
 from .valuations import Additive, Valuation, budget_additive
-from .walrasian import _scaled_prices, verify_walrasian_equilibrium
+from .walrasian import _scaled_prices
 from .welfare import (
     Allocation,
     BidProfile,
@@ -38,6 +38,7 @@ from .welfare import (
 
 
 class PaymentRule(str, Enum):
+    """The payment rules in chain order: vcg <= english <= dutch <= paybid."""
     VCG = "vcg"
     ENGLISH = "english"
     DUTCH = "dutch"
@@ -115,43 +116,27 @@ def utility(true_v: Valuation, outcome: MechanismOutcome, i: int) -> Fraction:
 
 @dataclass(frozen=True)
 class PaymentOrderingReport:
-    allocation: Allocation
     payments_by_rule: dict
     links_per_agent: tuple[tuple[bool, bool, bool], ...]
-    chain_ok_per_agent: tuple[bool, ...]
     chain_ok: bool
-    english_prices_walrasian: bool
-    dutch_prices_walrasian: bool
-
-
-_CHAIN = (PaymentRule.VCG, PaymentRule.ENGLISH,
-          PaymentRule.DUTCH, PaymentRule.PAY_YOUR_BID)
 
 
 def check_payment_ordering(bids: BidProfile) -> PaymentOrderingReport:
-    """Evaluate all four rules on the shared allocation and compare payments.
+    """Run all four rules on the shared allocation and compare payments.
 
     For gross-substitutes bids the chain vcg <= english <= dutch <= paybid
     holds agent by agent; outside GS it can break, so the result is a report
-    rather than an assertion.  ``links_per_agent`` holds the three adjacent
-    comparisons per agent, in chain order.
+    rather than an assertion.  The rules run in ``PaymentRule`` order, the
+    chain order; ``links_per_agent`` holds each agent's three adjacent links.
     """
-    alloc = allocate_declared(bids)
-    by_rule = {rule: run_mechanism(rule, bids) for rule in _CHAIN}
-    links = []
-    for i in range(bids.n):
-        seq = [by_rule[rule]._scaled_payments[i] for rule in _CHAIN]
-        links.append(tuple(a <= b for a, b in zip(seq, seq[1:])))
+    runs = [run_mechanism(rule, bids) for rule in PaymentRule]
+    links = tuple(
+        tuple(a <= b for a, b in zip(seq, seq[1:]))
+        for seq in zip(*(run._scaled_payments for run in runs)))
     return PaymentOrderingReport(
-        allocation=alloc,
-        payments_by_rule={rule.value: by_rule[rule].payments for rule in _CHAIN},
-        links_per_agent=tuple(links),
-        chain_ok_per_agent=tuple(all(row) for row in links),
+        payments_by_rule={run.rule.value: run.payments for run in runs},
+        links_per_agent=links,
         chain_ok=all(all(row) for row in links),
-        english_prices_walrasian=verify_walrasian_equilibrium(
-            bids, alloc, by_rule[PaymentRule.ENGLISH].prices_used).is_equilibrium,
-        dutch_prices_walrasian=verify_walrasian_equilibrium(
-            bids, alloc, by_rule[PaymentRule.DUTCH].prices_used).is_equilibrium,
     )
 
 

@@ -4,8 +4,9 @@ These deliberately avoid the package's DP and table machinery: welfare by
 enumerating raw item-to-agent maps, matchings by trying every permutation,
 demand by rescanning bundles, a valuation's values from its own numbers
 (``brute_value``).  Slow and obviously correct.  ``matching_welfare``
-reaches 12 items where they stop near 5: for bids that are sums of
-unit-demand slots, W is a Hungarian matching.  The exceptions are kept
+reaches 16 items where they stop near 5: for bids that are sums of
+unit-demand slots, W is a Hungarian matching, and for XOS bids the best
+such matching over one clause per bid.  The exceptions are kept
 as references for the paths that replaced them:
 
 - ``table_welfare``, a plain copy of the full-table welfare path the point
@@ -27,7 +28,7 @@ as references for the paths that replaced them:
 
 from fractions import Fraction
 from itertools import permutations, product
-from math import gcd
+from math import gcd, lcm
 
 from walras.money import scale_rows
 from walras.valuations import Additive, Oxs, UnitDemand, Xos
@@ -197,13 +198,21 @@ def _unit_demand_slots(v):
     raise TypeError(f"{type(v).__name__} is not a sum of unit-demand slots")
 
 
+def _slot_choices(v):
+    """The slot lists ``v`` may bid as: its own unit-demand slots, or for an
+    XOS bid those of any one clause, bid as an additive bid."""
+    if isinstance(v, Xos):
+        return [_unit_demand_slots(Additive(clause)) for clause in v.clauses]
+    return [_unit_demand_slots(v)]
+
+
 def _hungarian(weights):
     """Largest total weight of a matching of rows to columns, for a
-    non-negative Fraction matrix with no more rows than columns: the
+    non-negative integer matrix with no more rows than columns: the
     potential-based Hungarian algorithm, minimizing the negated weights
     over complete assignments of the rows."""
     rows, cols = len(weights), len(weights[0])
-    u, v = [ZERO] * (rows + 1), [ZERO] * (cols + 1)
+    u, v = [0] * (rows + 1), [0] * (cols + 1)
     owner, way = [0] * (cols + 1), [0] * (cols + 1)  # owner[c]: row on column c
     for r in range(1, rows + 1):
         owner[0], c0 = r, 0
@@ -227,34 +236,51 @@ def _hungarian(weights):
             c0 = c1
         while c0:
             owner[c0], c0 = owner[way[c0]], way[c0]
-    return sum((weights[owner[c] - 1][c - 1] for c in range(1, cols + 1) if owner[c]),
-               ZERO)
+    return sum(weights[owner[c] - 1][c - 1] for c in range(1, cols + 1) if owner[c])
 
 
-def matching_welfare(bids, supply, exclude=None):
-    """W(supply) of additive, unit-demand and OXS bids (Shapley and Shubik
-    1971): a maximum-weight matching of the supplied item copies to every
-    bid's unit-demand slots, leaving out agent ``exclude``.  Shares no code
-    with the DP.  Each agent takes at most one copy of an item, so with two
-    copies of item j it is the best, over agents a, of a matching in which
-    the extra copy may go only to a's slots and the first only to the other
-    agents'; a barred edge weighs 0.  At most one item may have two copies."""
-    slots = [(a, slot) for a, bid in enumerate(bids) if a != exclude
-             for slot in _unit_demand_slots(bid)]
-    items = [j for j, count in enumerate(supply) if count]
-    doubled = [j for j, count in enumerate(supply) if count == 2]
-    if len(doubled) > 1 or max(supply, default=0) > 2:
-        raise ValueError(f"supply {supply} has more than one doubled item")
+def _assignment(slots, items, doubled):
+    """Best matching of the ``items`` (two copies of the item in
+    ``doubled``, if any) to the (agent, weights) ``slots``, every agent
+    taking at most one copy of an item."""
     if not items or not slots:
-        return ZERO
-    pad = [ZERO] * (len(items) + 1)  # room for every copy to stay unmatched
+        return 0
+    # Weights are non-negative, so a complete assignment of the rows loses
+    # nothing; zero columns make room for copies left unmatched.
+    pad = [0] * max(0, len(items) + len(doubled) - len(slots))
     if not doubled:
         return _hungarian([[w[j] for _, w in slots] + pad for j in items])
     (j,) = doubled
     return max(_hungarian(
-        [[w[k] if k != j or b != a else ZERO for b, w in slots] + pad for k in items]
-        + [[w[j] if b == a else ZERO for b, w in slots] + pad])
+        [[w[k] if k != j or b != a else 0 for b, w in slots] + pad for k in items]
+        + [[w[j] if b == a else 0 for b, w in slots] + pad])
         for a in {a for a, _ in slots})
+
+
+def matching_welfare(bids, supply, exclude=None):
+    """W(supply) of additive, unit-demand, OXS and XOS bids (Shapley and
+    Shubik 1971): a maximum-weight matching of the supplied item copies to
+    every bid's unit-demand slots, leaving out agent ``exclude``.  An XOS
+    bid is the best of its clauses, each an additive bid, so W is the best
+    such matching over one clause per XOS bid.  Shares no code with the DP,
+    and matches integers over the weights' common denominator.  Each agent
+    takes at most one copy of an item, so with two copies of item j it is
+    the best, over agents a, of a matching in which the extra copy may go
+    only to a's slots and the first only to the other agents'; a barred
+    edge weighs 0.  At most one item may have two copies."""
+    items = [j for j, count in enumerate(supply) if count]
+    doubled = [j for j, count in enumerate(supply) if count == 2]
+    if len(doubled) > 1 or max(supply, default=0) > 2:
+        raise ValueError(f"supply {supply} has more than one doubled item")
+    options = [_slot_choices(bid) for a, bid in enumerate(bids) if a != exclude]
+    denom = lcm(*(w.denominator for choices in options for slots in choices
+                  for slot in slots for w in slot))
+    scaled = [[[tuple(w.numerator * (denom // w.denominator) for w in slot)
+                for slot in slots] for slots in choices] for choices in options]
+    best = max((_assignment([(a, w) for a, slots in enumerate(chosen) for w in slots],
+                            items, doubled)
+                for chosen in product(*scaled)), default=0)
+    return Fraction(best, denom)
 
 
 def brute_min_prices(bids, m, welfare=brute_welfare):

@@ -146,6 +146,9 @@ def test_poa_rejects_jobs_below_one(capsys):
      "runs must be at least 1, got -3"),
     (("property-test", "--suite", "ordering", "--seeds", "0"),
      "runs must be at least 1, got 0"),
+    (("poa", "X", "--grid-delta", "1/2"), "--grid-delta and --grid-cap go together"),
+    (("verify-nash", "X", "--bids", fixture("appendix_overbidding.json")),
+     "bid profile shape does not match instance"),
 ])
 def test_out_of_range_inputs_exit_2_naming_the_input(argv, message, capsys):
     argv = tuple(fixture("example2_eps_0.125.json") if a == "X" else a
@@ -435,6 +438,21 @@ def test_run_suites_dispatch():
     ({"m": 1, "name": 5, "players": []}, "name must be a string"),
     ({"m": 1, "players": [{"valuation": {"type": ["additive"], "weights": [1]}}]},
      "unknown valuation type ['additive']"),
+    ([], "instance file must hold a JSON object"),
+    ({"players": []}, "instance file missing field 'm'"),
+    ({"m": 1}, "instance file missing field 'players'"),
+    ({"m": 1, "players": [{"bid": {}}]}, "player 0 needs a 'valuation' object"),
+    ({"m": 2, "players": [{"valuation": {"type": "additive", "weights": ["1"]}}]},
+     "player 0 is over 1 items, file says m=2"),
+    ({"m": 1, "players": []}, "instance file needs at least one player"),
+    ({"m": 1, "players": [{"valuation": {"type": "additive"}}]},
+     "player 0: valuation JSON missing field 'weights'"),
+    ({"m": 1, "players": [{"valuation": {"type": "additive", "weights": ["1 $ 2"]}}]},
+     "bad character '$' in expression '1 $ 2'"),
+    ({"m": 1, "players": [{"valuation": {"type": "additive", "weights": ["1 2"]}}]},
+     "trailing junk in expression '1 2'"),
+    ({"m": 1, "players": [{"valuation": {"type": "additive", "weights": ["1+"]}}]},
+     "unexpected end of expression"),
 ])
 def test_fields_of_the_wrong_type_exit_2(tmp_path, capsys, payload, message):
     path = tmp_path / "bad.json"

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -167,40 +168,81 @@ def test_prices_used_are_the_lattice_endpoints():
                 assert pay == sum(prices[j] for j in iter_bits(x))
 
 
+def _match_the_assignment_oracle(prof):
+    """W(1), W(1 - 1_j), both price endpoints and every rule's payments of
+    ``prof`` equal what the Hungarian matching oracle gives; the min prices
+    read W(1 + 1_j).  Returns the oracle's W(1 + 1_j) per item."""
+    bids, m, ones = prof.bids, prof.m, ms_ones(prof.m)
+    top = matching_welfare(bids, ones)
+    less = [matching_welfare(bids, ones[:j] + (0,) + ones[j + 1:]) for j in range(m)]
+    more = [matching_welfare(bids, ones[:j] + (2,) + ones[j + 1:]) for j in range(m)]
+    assert welfare_value(prof, ones) == top
+    assert [welfare_value(prof, ones[:j] + (0,) + ones[j + 1:])
+            for j in range(m)] == less
+    low, high = min_walrasian_prices(prof), max_walrasian_prices(prof)
+    assert low == tuple(w - top for w in more)
+    assert high == tuple(top - w for w in less)
+    bundles = allocate_declared(prof).bundles
+    held = [tuple(x >> j & 1 for j in range(m)) for x in bundles]
+    expected = {
+        PaymentRule.VCG: [matching_welfare(bids, ones, i)
+                          - matching_welfare(bids, tuple(1 - c for c in mine), i)
+                          for i, mine in enumerate(held)],
+        PaymentRule.ENGLISH: [sum(low[j] for j in iter_bits(x)) for x in bundles],
+        PaymentRule.DUTCH: [sum(high[j] for j in iter_bits(x)) for x in bundles],
+        PaymentRule.PAY_YOUR_BID: [matching_welfare((bid,), mine)
+                                   for bid, mine in zip(bids, held)],
+    }
+    assert sum(expected[PaymentRule.PAY_YOUR_BID]) == top
+    for rule, pays in expected.items():
+        assert list(run_mechanism(rule, prof).payments) == pays, (rule, prof)
+    return more
+
+
 def test_gs_markets_to_twelve_items_match_the_assignment_oracle():
     """On generated additive, unit-demand and OXS markets over 6-12 items and
-    1-4 agents, W(1), W(1 - 1_j), both price endpoints and every rule's
-    payments equal what the Hungarian matching oracle gives, and both
-    endpoints verify as Walrasian prices of the declared allocation."""
+    1-4 agents, the DP, prices and payments match the assignment oracle, and
+    both endpoints verify as Walrasian prices of the declared allocation."""
     rng = random.Random(1971)
     for m, n in ((6, 4), (7, 3), (8, 1), (9, 4), (10, 3), (11, 2), (12, 4), (12, 1)):
         prof = random_gs_profile(rng, m_range=(m, m), n_range=(n, n))
-        bids, ones = prof.bids, ms_ones(m)
-        top = matching_welfare(bids, ones)
-        less = [matching_welfare(bids, ones[:j] + (0,) + ones[j + 1:]) for j in range(m)]
-        more = [matching_welfare(bids, ones[:j] + (2,) + ones[j + 1:]) for j in range(m)]
-        assert welfare_value(prof, ones) == top
-        assert [welfare_value(prof, ones[:j] + (0,) + ones[j + 1:])
-                for j in range(m)] == less
-        low, high = min_walrasian_prices(prof), max_walrasian_prices(prof)
-        assert low == tuple(w - top for w in more)
-        assert high == tuple(top - w for w in less)
+        _match_the_assignment_oracle(prof)
         bundles = allocate_declared(prof).bundles
-        held = [tuple(x >> j & 1 for j in range(m)) for x in bundles]
-        expected = {
-            PaymentRule.VCG: [matching_welfare(bids, ones, i)
-                              - matching_welfare(bids, tuple(1 - c for c in mine), i)
-                              for i, mine in enumerate(held)],
-            PaymentRule.ENGLISH: [sum(low[j] for j in iter_bits(x)) for x in bundles],
-            PaymentRule.DUTCH: [sum(high[j] for j in iter_bits(x)) for x in bundles],
-            PaymentRule.PAY_YOUR_BID: [matching_welfare((bid,), mine)
-                                       for bid, mine in zip(bids, held)],
-        }
-        assert sum(expected[PaymentRule.PAY_YOUR_BID]) == top
-        for rule, pays in expected.items():
-            assert list(run_mechanism(rule, prof).payments) == pays, (rule, prof)
-        for prices in (low, high):
+        for prices in (min_walrasian_prices(prof), max_walrasian_prices(prof)):
             assert verify_walrasian_equilibrium(prof, bundles, prices).is_equilibrium
+
+
+def _sampled(rng, kind, m):
+    """A bid of ``kind`` over m items; ``xos3`` is an XOS bid of 3 clauses."""
+    if kind.startswith("xos"):
+        return Xos(tuple(_sampled(rng, "additive", m).weights
+                         for _ in range(int(kind[3:]))))
+    return sample_valuation(kind, m, 4, seed=rng.randrange(1 << 30),
+                            denominators=(1, 2, 4))
+
+
+def test_xos_markets_to_sixteen_items_match_the_assignment_oracle():
+    """Markets that mix XOS bids of 2-3 clauses, where the XOS item fold is
+    on (from m = 7 for 2 clauses and m = 8 for 3), with additive, unit-demand
+    and OXS bids match the oracle's best matching over one clause per XOS
+    bid.  XOS bids need not be GS, so no price vector is verified.  W(1 + 1_j)
+    is also read directly up to m = 10; above, its submask fold is slow."""
+    rng = random.Random(1971)
+    for m, kinds in ((7, ("xos2", "oxs")),
+                     (8, ("xos3", "additive", "unit_demand", "xos2")),
+                     (9, ("xos3",)),
+                     (10, ("oxs", "xos3", "additive")),
+                     (11, ("unit_demand", "xos2")),
+                     (12, ("xos3", "additive", "oxs", "xos2")),
+                     (12, ("xos3",)),
+                     (14, ("additive", "xos3")),
+                     (16, ("additive", "xos3"))):
+        prof = BidProfile(m, tuple(_sampled(rng, kind, m) for kind in kinds))
+        more = _match_the_assignment_oracle(prof)
+        if m <= 10:
+            ones = ms_ones(m)
+            assert [welfare_value(prof, ones[:j] + (2,) + ones[j + 1:])
+                    for j in range(m)] == more
 
 
 def test_dwm_payment_bound_and_nonnegativity_on_gs_draws():
@@ -227,8 +269,38 @@ def test_ordering_chain_on_gs_draws():
         assert report.chain_ok, (prof, report.payments_by_rule)
         assert all(all(row) for row in report.links_per_agent)
         assert len(report.links_per_agent) == prof.n
-        assert report.english_prices_walrasian
-        assert report.dutch_prices_walrasian
+        # both charged price vectors are the lattice endpoints, so Walrasian
+        alloc = allocate_declared(prof)
+        for rule in (PaymentRule.ENGLISH, PaymentRule.DUTCH):
+            prices = run_mechanism(rule, prof).prices_used
+            assert verify_walrasian_equilibrium(prof, alloc, prices).is_equilibrium
+
+
+def test_payment_rules_are_listed_in_chain_order():
+    assert tuple(PaymentRule) == (PaymentRule.VCG, PaymentRule.ENGLISH,
+                                  PaymentRule.DUTCH, PaymentRule.PAY_YOUR_BID)
+
+
+def test_ordering_report_runs_each_rule_once_and_verifies_no_prices(monkeypatch):
+    from walras import mechanisms
+
+    def refuse(*args):
+        raise AssertionError("the ordering report verifies no prices")
+
+    monkeypatch.setattr(mechanisms, "verify_walrasian_equilibrium", refuse,
+                        raising=False)
+    calls = []
+
+    def counting(rule, bids):
+        calls.append(rule)
+        return run_mechanism(rule, bids)
+
+    monkeypatch.setattr(mechanisms, "run_mechanism", counting)
+    report = check_payment_ordering(OVERBID)
+    assert calls == list(PaymentRule)
+    assert [f.name for f in dataclasses.fields(report)] == [
+        "payments_by_rule", "links_per_agent", "chain_ok"]
+    assert list(report.payments_by_rule) == [rule.value for rule in PaymentRule]
 
 
 def test_additive_bids_collapse_to_item_auctions():
@@ -241,11 +313,10 @@ def test_additive_bids_collapse_to_item_auctions():
         prof = BidProfile(m, tuple(
             sample_valuation("additive", m, 4, seed=rng.randrange(10**6))
             for _ in range(n)))
-        report = check_payment_ordering(prof)
-        pays = report.payments_by_rule
+        pays = check_payment_ordering(prof).payments_by_rule
         assert pays["vcg"] == pays["english"]
         assert pays["dutch"] == pays["paybid"]
-        for i, x in enumerate(report.allocation.bundles):
+        for i, x in enumerate(allocate_declared(prof).bundles):
             top = sum(max(b.weights[j] for b in prof.bids)
                       for j in iter_bits(x))
             second = sum(
