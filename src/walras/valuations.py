@@ -422,6 +422,12 @@ def xos_supporting_clause(v: Xos, bundle: int) -> tuple[Fraction, ...]:
 
 # -- random generation -------------------------------------------------------
 
+@lru_cache(maxsize=16)
+def _weight_grid(limit: Fraction, dens: tuple) -> tuple[tuple[Fraction, ...], ...]:
+    """Every weight k/d in [0, limit], one row per denominator d, built once."""
+    return tuple(tuple(Fraction(k, d) for k in range(int(limit * d) + 1)) for d in dens)
+
+
 def sample_valuation(kind: str, m: int, cap, seed: int, *,
                      denominators: Sequence[int] = (1, 2, 4, 8)) -> Valuation:
     """Deterministic random valuation of the given structured class.
@@ -436,11 +442,11 @@ def sample_valuation(kind: str, m: int, cap, seed: int, *,
     check_item_count(m)
     limit = _parse_non_negative(cap, "cap")
     rng = random.Random(f"{kind}:{m}:{limit}:{seed}")
-    dens, top = list(denominators), {d: int(limit * d) for d in denominators}
+    grid = _weight_grid(limit, tuple(denominators))
 
     def weight() -> Fraction:
-        d = rng.choice(dens)
-        return Fraction(rng.randint(0, top[d]), d)
+        row = rng.choice(grid)  # draw d, then k/d from its row
+        return row[rng.randint(0, len(row) - 1)]
 
     def weight_row(n: int) -> tuple[Fraction, ...]:
         return tuple(weight() for _ in range(n))

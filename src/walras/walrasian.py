@@ -17,16 +17,18 @@ tables' denominator.  The ascending-price procedure is kept only as a
 cross-check: with discrete increments it can approach but not hit the
 lattice bottom, so payment rules never use it.  Like every allocation in
 the package, its provisional assignment is one bundle mask per agent.
+It skips a bidding war's repeats exactly, as utilities fall linearly in them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .bundles import disjoint_union, full_mask, iter_bits, ms_ones
 from .money import on_one_denominator, parse_money
-from .valuations import _demanded, _parse_prices
+from .valuations import _demanded, _doubling, _parse_prices
 from .welfare import (
     Allocation,
     BidProfile,
@@ -35,6 +37,9 @@ from .welfare import (
     _scaled_welfare,
     scaled_tables,
 )
+
+
+_LOOKBACK = 4  # pass starts searched for a repeat: fewer skip less, more gain nothing
 
 
 class IterationCapExceeded(RuntimeError):
@@ -125,6 +130,24 @@ def verify_walrasian_equilibrium(profile: BidProfile, allocation,
     return WalrasianCertificate(not failures, tuple(failures))
 
 
+def _repeats(tabs, log, rise, most: int) -> int:
+    """How many times, up to ``most``, the logged steps recur, each ask up by
+    ``rise`` once more.  After k rises bundle x is worth u(x) - k*d(x), d(x) its
+    cost at ``rise``: a step's winners are its old winners of least d until a
+    bundle of lower d catches up, and must keep or drop its holding as before
+    and, if it moved, start with the same bundle."""
+    rise_cost = _doubling(rise, add)
+    for i, ask, winners, mine in log:
+        low = min(rise_cost[x] for x in winners)
+        if not most or rise_cost[mine if mine in winners else winners[0]] > low:
+            return 0
+        cost = _doubling(ask, add)
+        best = tabs[i][winners[0]] - cost[winners[0]]
+        most = min([most] + [(best - t + c - 1) // (low - dx)
+                             for t, c, dx in zip(tabs[i], cost, rise_cost) if dx < low])
+    return most
+
+
 def tatonnement(profile: BidProfile, epsilon, *,
                 max_steps: int | None = None) -> TatonnementResult:
     """Ascending-price auction with provisional assignment.
@@ -134,7 +157,9 @@ def tatonnement(profile: BidProfile, epsilon, *,
     (items others hold asked one increment above their price) takes its
     lowest demanded bundle, releasing what it held outside it, and each item
     it takes from another agent goes up by ``epsilon``.  Stops when a full
-    pass changes nothing; the items nobody holds then go to agent 0.
+    pass changes nothing; the items nobody holds then go to agent 0.  Passes
+    that recur, the prices up by one rise each time, are skipped as often as
+    ``_repeats`` proves they recur, so result and cap are the stepwise loop's.
 
     On gross-substitutes bids the final prices land within m*epsilon of the
     minimum Walrasian prices; that is a tested tolerance, not something
@@ -155,9 +180,10 @@ def tatonnement(profile: BidProfile, epsilon, *,
     prices = [0] * m
     held = [0] * n
     steps = 0
-    settled = False
-    while not settled:
-        settled = True
+    passes = []  # (holdings, prices, step log) of the last passes, from their starts
+    while True:
+        log = []
+        passes = (passes + [(tuple(held), tuple(prices), log)])[-_LOOKBACK:]
         for i in range(n):
             steps += 1
             if steps > max_steps:
@@ -167,14 +193,26 @@ def tatonnement(profile: BidProfile, epsilon, *,
             theirs = sum(held) - held[i]
             ask = [p + eps_int if theirs >> j & 1 else p for j, p in enumerate(prices)]
             winners = _demanded(tabs_int[i], ask)
+            log.append((i, ask, winners, held[i]))
             if held[i] in winners:
                 continue  # current holding is demanded; no move
-            settled = False
             best = winners[0]
             for j in iter_bits(best & theirs):
                 prices[j] += eps_int
             held = [x & ~best for x in held]
             held[i] = best
+        if all(mine in winners for _, _, winners, mine in log):
+            break  # the pass changed nothing
+        for back, (was, before, _) in enumerate(reversed(passes), 1):
+            rise = [p - q for p, q in zip(prices, before)]
+            fit = (max_steps - steps) // (back * n)  # repeats under the cap
+            cycles = was == tuple(held) and _repeats(
+                tabs_int, [s for *_, part in passes[-back:] for s in part], rise, fit + 1)
+            if cycles:  # fit + 1 of them pass the cap, and the next step raises
+                steps += cycles * back * n
+                prices = [p + cycles * r for p, r in zip(prices, rise)]
+                passes = []
+                break
 
     return TatonnementResult(
         prices=tuple(Fraction(p, denom) for p in prices),
