@@ -9,13 +9,15 @@ the default deviation tolerance is zero.
 
 A call scales all the bids and types it reads to one common denominator D
 once (``_Scaled``).  One reader, ``_outcomes``, prices every deviation on a
-grid with no mechanism run: its kernel, ``_grid_outcomes``, gives every grid
-profile's D times welfare and utilities in whole-grid passes over agent 0's
-tables.  ``poa_search`` reads its grid from it; ``verify_nash``, best
-response and the vcg certificate read grids of singletons with the
-candidates at the deviating agent (``_Scaled.column``).  Only the
-smoothness certificates and ``poa_search``'s injected deviations run the
-mechanism (``_Scaled.run``).  Values become Fractions only in the reports.
+grid with no mechanism run: its kernel, ``_grid_outcomes``, gives grid
+profiles' D times welfare and utilities in whole-grid passes over agent 0's
+tables.  ``poa_search`` reads from it only the profiles with at most one bid
+over gamma, the ones its pass can read; ``verify_nash``, best response and
+the vcg certificate read grids of singletons with the candidates at the
+deviating agent (``_Scaled.column``).  Only the smoothness certificates and
+``poa_search``'s injected deviations, for profiles that pass every grid
+check, run the mechanism (``_Scaled.run``).  Values become Fractions only
+in the reports.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import itertools
 import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import chain, cycle, repeat
+from itertools import cycle, repeat
 from math import gcd, prod
 from operator import add, getitem, itemgetter, lshift, mul, sub
 
@@ -604,22 +606,46 @@ def _grid_outcomes(scaled: _Scaled, contexts) -> list[list[tuple]]:
     return rows
 
 
-def _outcomes(scaled: _Scaled, jobs: int = 1) -> list[tuple]:
+def _outcomes(scaled: _Scaled, passing=None, jobs: int = 1) -> list:
     """D times (true welfare, utilities) of every profile of ``scaled.grid``,
-    in flat order (last agent fastest): :func:`_grid_outcomes` over all the
-    opponent contexts at once, or over ``jobs`` chunks of them in a pool of
-    one worker per chunk and per CPU, when that is more than one worker."""
+    in flat order (last agent fastest): one :func:`_grid_outcomes` call over
+    all the opponent contexts.
+
+    With ``passing`` (each agent's list of grid indices), only the profiles
+    with at most one agent off its list, every other slot None: agent 0's
+    whole grid in a context of passing opponents, its passing bids where one
+    opponent fails, and no context where two do; an empty list when an
+    agent has no passing bid.  Those contexts run in ``jobs`` chunks, in one
+    pool of at most ``jobs`` workers, one per chunk and per CPU, when that
+    is more than one."""
     opponents = list(itertools.product(*(range(len(g)) for g in scaled.grid[1:])))
-    chunk = -(-len(opponents) // jobs)
-    chunks = [opponents[c:c + chunk] for c in range(0, len(opponents), chunk)]
-    workers = min(len(chunks), os.cpu_count() or 1) if len(chunks) > 1 else 1
+    if passing is None:
+        return [o for column in zip(*_grid_outcomes(scaled, opponents)) for o in column]
+    if not all(passing):
+        return []
+    sets, count = [set(p) for p in passing[1:]], len(scaled.grid[0])
+    off = [sum(k not in s for k, s in zip(ctx, sets)) for ctx in opponents]
+    own = replace(scaled, grid=(tuple(map(scaled.grid[0].__getitem__, passing[0])),
+                                *scaled.grid[1:]))
+    classes = [(grid, [c for c, f in enumerate(off) if f == fails])
+               for grid, fails in ((scaled, 0), (own, 1))]
+    chunk = -(-sum(len(cs) for _, cs in classes) // jobs)
+    grids, spots = zip(*((grid, cs[c:c + chunk]) for grid, cs in classes
+                         for c in range(0, len(cs), chunk)))
+    contexts = [list(map(opponents.__getitem__, cs)) for cs in spots]
+    workers = min(len(spots), jobs, os.cpu_count() or 1)
     if workers < 2:
-        rows = _grid_outcomes(scaled, opponents)  # one per context
+        rows = map(_grid_outcomes, grids, contexts)
     else:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(chain(*pool.map(_grid_outcomes, repeat(scaled), chunks)))
-    return [o for column in zip(*rows) for o in column]
+            rows = list(pool.map(_grid_outcomes, grids, contexts))
+    table = [(None,) * count] * len(opponents)  # a row per context, by agent 0's bid
+    for cs, block in zip(spots, rows):
+        for c, row in zip(cs, block):
+            table[c] = row if len(row) == count else [
+                *map(dict(zip(passing[0], row)).get, range(count))]
+    return [o for column in zip(*table) for o in column]
 
 
 def poa_search(instance: Instance, rule: PaymentRule, grid: BidGrid, gamma,
@@ -629,12 +655,13 @@ def poa_search(instance: Instance, rule: PaymentRule, grid: BidGrid, gamma,
     exposure bound at most gamma; report the worst optimal-to-equilibrium
     welfare ratio and a witness.
 
-    Cost is the full product of grid sizes, all of it in :func:`_outcomes`
-    (``jobs`` processes).  The pass that keeps the equilibria walks only the
-    product of the agents' exposure-passing grid indices, in flat order, with
-    one dict per agent of its best grid and injected utility per context.
-    Ties on the worst ratio resolve to the smallest flat index (last agent
-    fastest), so every ``jobs`` reduces identically.
+    Only the profiles the pass can read, those with at most one bid over
+    gamma, are priced (:func:`_outcomes`, ``jobs`` processes).  The pass
+    filters the flat indices of the passing product, in flat order, agent by
+    agent on the best grid utility in that agent's context, then again on
+    its injected deviations, run once per agent and context.  Ties on the
+    worst ratio resolve to the smallest flat index (last agent fastest), so
+    every ``jobs`` reduces identically.
     """
     gamma = _parse_non_negative(gamma, "gamma")
     eps_dev = _parse_non_negative(eps_dev, "deviation tolerance")
@@ -643,54 +670,51 @@ def poa_search(instance: Instance, rule: PaymentRule, grid: BidGrid, gamma,
     sizes = grid.sizes()
     total = count_profiles(sizes)
     scaled = _Scaled.of(instance, rule, grid, eps_dev=eps_dev)
-    outcomes = _outcomes(scaled, jobs)
     # exposure_factor_bound(v, b) <= gamma = num/den iff b * den <= (den + num)
     # * v on every bundle, so a positive bid where v is 0 fails at any gamma.
     num, den = gamma.numerator, gamma.denominator
     passing = [[k for k, (_, bt) in enumerate(bids)
                 if all(y * den <= (den + num) * x for x, y in zip(vt, bt))]
                for (_, vt), bids in zip(scaled.truthful, scaled.grid)]
+    outcomes = _outcomes(scaled, passing, jobs)
     # Agent i's context in a profile is the flat index with its own grid
     # index zeroed.  Its best grid utility there is the best of the slice
-    # from that context in steps of its stride, and its injected deviations
-    # run once per context: each when a profile first needs it.
+    # from that context in steps of its stride.
     strides = [prod(sizes[i + 1:]) for i in range(instance.n)]
-    # Agent i: context -> [D * best grid utility, D * best injected or None]
-    best = [{} for _ in sizes]
-    found = []  # (D * true welfare, grid indices) of each equilibrium
-    for idxs in itertools.product(*passing):
-        flat = sum(map(mul, idxs, strides))
-        welfare, utils = outcomes[flat]
-        for i, (k, step, seen) in enumerate(zip(idxs, strides, best)):
-            ctx = flat - k * step
-            entry = seen.get(ctx)
-            if entry is None:
-                entry = seen[ctx] = [max(
-                    u[i] for _, u in outcomes[ctx:ctx + sizes[i] * step:step]), None]
-            if entry[0] - utils[i] > scaled.eps:
-                break
-            if entry[1] is None:
-                # Run, not read from the kernel, while bench/test_bench.py's
-                # test_counts_repeat_at_a_fixed_seed asks poa for runs.
-                pairs = tuple(g[x] for g, x in zip(scaled.grid, idxs))
-                entry[1] = max(scaled.run(scaled.seeded(
-                    pairs[:i] + (dev,) + pairs[i + 1:]))[2][i]
-                    for dev in (scaled.truthful[i], scaled.half[i]))
-            if entry[1] - utils[i] > scaled.eps:
-                break
-        else:
-            found.append((welfare, idxs))
+
+    def grid_best(i, ctx):
+        return max(u[i] for _, u in outcomes[ctx:ctx + sizes[i] * strides[i]:strides[i]])
+
+    def injected_best(i, ctx):
+        # Run, not read from the kernel, while bench/test_bench.py's
+        # test_counts_repeat_at_a_fixed_seed asks poa for runs.
+        pairs = [g[ctx // s % len(g)] for g, s in zip(scaled.grid, strides)]
+        return max(scaled.run(scaled.seeded((*pairs[:i], dev, *pairs[i + 1:])))[2][i]
+                   for dev in (scaled.truthful[i], scaled.half[i]))
+
+    flats = [sum(map(mul, idxs, strides)) for idxs in itertools.product(*passing)]
+    for best_of in (grid_best, injected_best):
+        for i, (size, step) in enumerate(zip(sizes, strides)):
+            best, kept = {}, []  # context -> D * agent i's best utility there
+            for flat in flats:
+                ctx = flat - flat // step % size * step
+                if ctx not in best:
+                    best[ctx] = best_of(i, ctx)
+                if best[ctx] - outcomes[flat][1][i] <= scaled.eps:
+                    kept.append(flat)
+            flats = kept
     # The optimum is fixed, so the worst ratio is at the least equilibrium
-    # welfare (true welfare never exceeds the optimum).  Grid indices order
-    # the ties as their flat indices do.
+    # welfare (true welfare never exceeds the optimum), the ties at the
+    # smallest flat index.
     witness, ratio = None, Fraction(1)
-    if found:
-        welfare, idxs = min(found)
+    if flats:
+        welfare, flat = min((outcomes[flat][0], flat) for flat in flats)
+        idxs = [flat // s % size for s, size in zip(strides, sizes)]
         witness = BidProfile(instance.m, tuple(map(getitem, grid.per_agent, idxs)))
         opt, _ = instance.optimal()
         ratio = _ratio(opt, Fraction(welfare, scaled.denom))
     return PoaReport(rule=scaled.rule, gamma=gamma, worst_ratio=ratio,
-                     witness=witness, equilibrium_count=len(found),
+                     witness=witness, equilibrium_count=len(flats),
                      profiles_checked=total)
 
 

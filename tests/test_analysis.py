@@ -4,6 +4,7 @@ import math
 import random
 import re
 from fractions import Fraction as F
+from operator import getitem
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -874,29 +875,83 @@ def test_poa_search_matches_brute_force_at_three_agents():
             _assert_brute_force(report, instance, rule, grid, 1, eps)
 
 
+# At gamma 0 and at 1/2 every agent keeps some but not all of its
+# _uneven_grid bids (2, 3 and 2 of 3, 5 and 5 bids at 0; 2, 3 and 4 at 1/2).
+PARTIAL = Instance(2, BidProfile(2, (UnitDemand((F(2), F(1, 2))),
+                                     Additive((F(1), F(1, 2))),
+                                     UnitDemand((F(1), F(1))))))
+
+
+def _passing(instance, grid, gamma):
+    """Each agent's grid indices whose bids are within ``gamma``."""
+    return [[k for k, b in enumerate(bids) if exposure_factor_bound(v, b) <= gamma]
+            for v, bids in zip(instance.true_valuations.bids, grid.per_agent)]
+
+
 def test_poa_search_matches_brute_force_where_exposure_drops_bids():
     """At gamma = 0 a bid passes only if it is at most the type on every
     bundle.  ``mixed`` loses part of each agent's grid, and ``THREE`` every
     grid bid of agent 2, which leaves no equilibrium, no witness and the
-    ratio 1.  Each report is the same at one, two and three jobs."""
+    ratio 1.  ``PARTIAL`` loses part of each of its three agents' grids at
+    gamma 0 and 1/2, so opponent contexts with none, one and two failing
+    opponents all occur.  Each report is the same at one, two and three
+    jobs."""
     mixed = Instance(2, BidProfile(2, (Additive((F(1), F(1, 2))),
                                        UnitDemand((F(1), F(1))))))
-    for instance, grid in ((mixed, BidGrid.additive(2, 2, "1/2", "1")),
-                           (THREE, _uneven_grid())):
-        passing = [sum(exposure_factor_bound(v, b) == 0 for b in bids)
-                   for v, bids in zip(instance.true_valuations.bids, grid.per_agent)]
+    for instance, grid, gamma, eps in ((mixed, BidGrid.additive(2, 2, "1/2", "1"), 0, 0),
+                                       (THREE, _uneven_grid(), 0, 0),
+                                       (PARTIAL, _uneven_grid(), 0, F(1, 2)),
+                                       (PARTIAL, _uneven_grid(), F(1, 2), F(1, 2))):
+        passing = _passing(instance, grid, gamma)
+        if instance is THREE:
+            assert len(passing[2]) == 0 < len(passing[1]) < grid.sizes()[1]
+        else:  # contexts with every count of failing opponents, 0 to n - 1
+            assert all(0 < len(p) < s for p, s in zip(passing, grid.sizes()))
+            assert {sum(k not in p for k, p in zip(ctx, passing[1:])) for ctx in
+                    itertools.product(*map(range, grid.sizes()[1:]))} == set(range(instance.n))
         for rule in PaymentRule:
-            report = poa_search(instance, rule, grid, 0)
-            _assert_brute_force(report, instance, rule, grid, 0, 0)
+            report = poa_search(instance, rule, grid, gamma, eps_dev=eps)
+            _assert_brute_force(report, instance, rule, grid, gamma, eps)
             for jobs in (2, 3):
-                assert poa_search(instance, rule, grid, 0, jobs=jobs) == report
-            if instance is mixed:
-                assert all(0 < p < s for p, s in zip(passing, grid.sizes()))
-                assert report.equilibrium_count > 0
-            else:
-                assert passing[2] == 0 < passing[1] < grid.sizes()[1]
+                assert poa_search(instance, rule, grid, gamma, eps_dev=eps,
+                                  jobs=jobs) == report
+            if instance is THREE:
                 assert (report.equilibrium_count, report.witness,
                         report.worst_ratio) == (0, None, 1)
+            else:
+                assert report.equilibrium_count > 0
+
+
+def test_poa_search_prices_only_the_profiles_its_pass_can_read(monkeypatch):
+    """The kernel prices exactly the profiles with at most one agent off its
+    passing bids, under every rule; with an agent that has no passing bid
+    (THREE at gamma 0) it is not called and no mechanism runs."""
+    priced, runs = [], []
+    real_kernel, real_run = analysis._grid_outcomes, analysis.run_mechanism
+    monkeypatch.setattr(analysis, "_grid_outcomes", lambda scaled, contexts: priced.append(
+        len(scaled.grid[0]) * len(contexts)) or real_kernel(scaled, contexts))
+    monkeypatch.setattr(analysis, "run_mechanism",
+                        lambda rule, bids: runs.append(bids) or real_run(rule, bids))
+    ex2_grid = BidGrid.additive(2, 2, "1/4", "2")
+    for instance, grid, gamma in ((EX2, ex2_grid, F(0)), (EX2, ex2_grid, F(1)),
+                                  (PARTIAL, _uneven_grid(), F(0)),
+                                  (PARTIAL, _uneven_grid(), F(1, 2))):
+        sizes = grid.sizes()
+        passing = [set(p) for p in _passing(instance, grid, gamma)]
+        readable = sum(sum(k not in p for k, p in zip(idxs, passing)) <= 1
+                       for idxs in itertools.product(*map(range, sizes)))
+        assert readable < math.prod(sizes)
+        for rule in PaymentRule:
+            priced.clear()
+            report = poa_search(instance, rule, grid, gamma)
+            assert (sum(priced), report.profiles_checked) == (readable, math.prod(sizes))
+    priced.clear()
+    runs.clear()
+    for rule in PaymentRule:
+        report = poa_search(THREE, rule, _uneven_grid(), 0)
+        assert (report.equilibrium_count, report.witness, report.worst_ratio,
+                report.profiles_checked) == (0, None, 1, 75)
+    assert priced == runs == []
 
 
 def test_the_kernel_merges_agent_0_by_gathers_not_per_profile_folds(monkeypatch):
@@ -929,10 +984,30 @@ def test_the_kernel_merges_agent_0_by_gathers_not_per_profile_folds(monkeypatch)
             assert 0 < calls["backtrack"] <= len(contexts) * (1 << instance.m)
 
 
+def _grid_checks(instance, rule, grid, gamma, eps):
+    """Whether a profile of grid indices has every bid within ``gamma`` and
+    no agent gaining over ``eps`` by another bid of its grid, the injected
+    deviations left out; read from the all-profiles kernel."""
+    scaled = analysis._Scaled.of(instance, rule, grid, eps_dev=F(eps))
+    outcomes = analysis._outcomes(scaled)
+    sizes = grid.sizes()
+    flat = {idxs: f for f, idxs in enumerate(itertools.product(*map(range, sizes)))}
+    within = [[exposure_factor_bound(v, b) <= gamma for b in bids]
+              for v, bids in zip(instance.true_valuations.bids, grid.per_agent)]
+
+    def passes(idxs):
+        utils = outcomes[flat[tuple(idxs)]][1]
+        return all(map(getitem, within, idxs)) and all(
+            outcomes[flat[(*idxs[:i], k, *idxs[i + 1:])]][1][i] - utils[i] <= scaled.eps
+            for i in range(len(sizes)) for k in range(sizes[i]))
+    return passes
+
+
 def test_poa_search_runs_the_mechanism_only_for_injected_deviations(monkeypatch):
     """The kernel makes no mechanism run and no Fraction; poa_search runs
     the mechanism only for the truthful and half-truthful deviations, at
-    most two per agent and opponent context of that agent."""
+    most two per agent and opponent context of that agent, and only from a
+    base profile that passes every agent's exposure filter and grid check."""
     runs = []
     real_run = analysis.run_mechanism
     monkeypatch.setattr(analysis, "run_mechanism",
@@ -959,13 +1034,23 @@ def test_poa_search_runs_the_mechanism_only_for_injected_deviations(monkeypatch)
             assert all(type(x) is int for row in rows for w, u in row
                        for x in (w, *u))
 
-            poa_search(instance, rule, grid, 1, eps_dev=1)
             deviations = {(i, b) for i in range(instance.n)
                           for b in (instance.true_valuations.bids[i],
                                     instance.true_valuations.bids[i].scale(F(1, 2)))}
-            assert 0 < len(runs) <= sum(2 * total // s for s in sizes)
-            for bids in runs:
-                assert any((i, b) in deviations for i, b in enumerate(bids.bids))
+            for eps in (1, 0):
+                runs.clear()
+                poa_search(instance, rule, grid, 1, eps_dev=eps)
+                assert 0 < len(runs) <= sum(2 * total // s for s in sizes)
+                passes = _grid_checks(instance, rule, grid, 1, eps)
+                for bids in runs:
+                    # Some profile of the run's context passes every grid check.
+                    on_grid = [g.index(b) if b in g else None
+                               for b, g in zip(bids.bids, grid.per_agent)]
+                    bases = [(*on_grid[:i], k, *on_grid[i + 1:])
+                             for i, b in enumerate(bids.bids) if (i, b) in deviations
+                             and None not in on_grid[:i] + on_grid[i + 1:]
+                             for k in range(sizes[i])]
+                    assert any(map(passes, bases))
 
 
 def test_a_grid_that_does_not_fit_the_instance_is_refused():
@@ -1050,11 +1135,12 @@ def test_the_exposure_filter_at_its_edges():
 
 
 def test_the_pool_gets_no_more_workers_than_chunks_or_cpus(monkeypatch):
-    """``jobs`` splits the 81 opponent contexts into chunks as before, so the
-    reports stay equal, but a pool gets at most one worker per chunk and per
-    CPU (a fork-started pool starts all of them at once), and one worker
-    runs inline with no pool.  A recording executor that maps inline stands
-    in for the process pool."""
+    """``jobs`` splits the priced opponent contexts into chunks, so the
+    reports stay equal, but one poa_search call starts at most one pool,
+    with at most one worker per chunk, per job and per CPU (a fork-started
+    pool starts all of them at once), and one worker runs inline with no
+    pool.  A recording executor that maps inline stands in for the process
+    pool."""
     import concurrent.futures
     import os
 
@@ -1077,12 +1163,19 @@ def test_the_pool_gets_no_more_workers_than_chunks_or_cpus(monkeypatch):
     grid = BidGrid.additive(2, 2, "1/4", "2")
     serial = poa_search(EX2, PaymentRule.ENGLISH, grid, 1)
     assert workers == []
-    # 64 jobs split 81 contexts into 41 chunks of two
+    # At gamma = 1 agent 1 keeps 80 of its 81 bids, so the kernel prices
+    # agent 0's whole grid in 80 contexts and its passing bids in one.
+    passing = [sum(exposure_factor_bound(v, b) <= 1 for b in bids)
+               for v, bids in zip(EX2.true_valuations.bids, grid.per_agent)]
+    assert passing == [80, 80]
+    # 64 jobs: chunks of two contexts, 40 full ones and one of agent 0's
+    # passing bids; 3 jobs: chunks of 27, three full and one; 2 jobs:
+    # chunks of 41, two full and one.
     for cpus, jobs, expected in ((2, 64, [2]), (64, 64, [41]), (None, 64, []),
                                  (1, 3, []), (8, 3, [3]), (8, 2, [2])):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         assert poa_search(EX2, PaymentRule.ENGLISH, grid, 1, jobs=jobs) == serial
-        assert workers == expected
+        assert workers == expected and len(workers) <= 1
         workers.clear()
 
 
