@@ -10,11 +10,13 @@ the default deviation tolerance is zero.
 A call scales all the bids and types it reads to one common denominator D
 once (``_Scaled``).  One reader, ``_outcomes``, prices every deviation on a
 grid with no mechanism run: its kernel, ``_grid_outcomes``, gives grid
-profiles' D times welfare and utilities in whole-grid passes over agent 0's
-tables.  ``poa_search`` reads from it only the profiles with at most one bid
-over gamma, the ones its pass can read; ``verify_nash``, best response and
-the vcg certificate read grids of singletons with the candidates at the
-deviating agent (``_Scaled.column``).  Only the smoothness certificates and
+profiles' D times welfare and utilities in passes that hold one profile per
+fixed-width lane of one Python int, so each merge over agent 0's bundles
+is a few big-int operations, exact at any width.  ``poa_search`` reads
+from it only the profiles with at most one bid over gamma, the ones its
+pass can read; ``verify_nash``, best response and the vcg certificate read
+grids of singletons with the candidates at the deviating agent
+(``_Scaled.column``).  Only the smoothness certificates and
 ``poa_search``'s injected deviations, for profiles that pass every grid
 check, run the mechanism (``_Scaled.run``).  Values become Fractions only
 in the reports.
@@ -24,11 +26,13 @@ from __future__ import annotations
 
 import itertools
 import os
+import sys
 from dataclasses import dataclass, replace
+from functools import cache
 from fractions import Fraction
-from itertools import cycle, repeat
+from itertools import chain, cycle, repeat
 from math import gcd, prod
-from operator import add, getitem, itemgetter, lshift, mul, sub
+from operator import add, and_, getitem, itemgetter, lshift, mul, sub
 
 from .bundles import iter_bits, ms_ones
 from .money import (INFINITY, ZERO, Infinity, _parse_non_negative, format_money,
@@ -61,6 +65,28 @@ from .welfare import (
 
 
 MAX_PROFILES = 200_000  # budget of one poa_search, in grid profiles
+_PASS = 8192  # profiles per pass of the poa kernel
+
+
+@cache
+def _merges(rule: PaymentRule, m: int, n: int) -> tuple:
+    """The poa kernel's merges under ``rule``: english's shapes 1 + 1_j,
+    each a layout with getters of a ones-shape level at its indices and of
+    its level at each bundle's index; dutch's getters of 1 - 1_j less each
+    bundle lacking j; the bundles s of each merge, W's first; and how many
+    bundles a lane's record holds."""
+    size, full = 1 << m, (1 << m) - 1
+    doubled = tuple((*shape, itemgetter(*shape[2]), itemgetter(*shape[1])) for shape in map(
+        _layout, (ms_ones(j) + (2,) + ms_ones(m - 1 - j) for j in range(m)))
+    ) if rule is PaymentRule.ENGLISH else ()
+    # dutch: the bundles lacking j, then the empty one until there are 2^m
+    less = [(*(s for s in range(size) if not s >> j & 1), *(0,) * (size >> 1))
+            for j in range(m)] if rule is PaymentRule.DUTCH else []
+    at_less = tuple(itemgetter(*(full ^ 1 << j ^ s for s in bs)) for j, bs in enumerate(less))
+    merges = ((range(size),) * (1 + len(doubled) + (n - 1) * (rule is PaymentRule.VCG))
+              + tuple(less))
+    spare = n if doubled or less else 0
+    return doubled, at_less, merges, spare
 
 
 class EnumerationBudgetExceeded(RuntimeError):
@@ -215,9 +241,10 @@ class _Scaled:
 
     ``grid[i]`` holds agent i's grid bids, ``current`` the profile under
     test, ``truthful`` and ``half`` each agent's truthful and half-truthful
-    bid (``truthful`` doubles as the types); ``eps`` is D times ``eps_dev``.
-    A profile is a tuple of one pair per agent.  ``of`` refuses a grid or
-    profile that does not fit the instance.
+    bid (``truthful`` doubles as the types); ``eps`` is D times ``eps_dev``
+    and ``top`` the largest entry of any of them.  A profile is a tuple of
+    one pair per agent.  ``of`` refuses a grid or profile that does not fit
+    the instance.
     """
 
     rule: PaymentRule
@@ -228,6 +255,7 @@ class _Scaled:
     truthful: tuple
     half: tuple
     eps: int
+    top: int
 
     @classmethod
     def of(cls, instance: Instance, rule: PaymentRule, grid: BidGrid | None = None,
@@ -254,7 +282,7 @@ class _Scaled:
         pairs = [tuple((bid, next(it)) for bid in group) for group in groups]
         (eps,) = next(it)
         return cls(PaymentRule(rule), instance.m, denom, tuple(pairs[:-3]),
-                   *pairs[-3:], eps)
+                   *pairs[-3:], eps, max(map(max, tables)))
 
     def seeded(self, pairs: tuple) -> BidProfile:
         """The profile of ``pairs``, seeded with their tables."""
@@ -525,84 +553,165 @@ def _grid_outcomes(scaled: _Scaled, contexts) -> list[list[tuple]]:
     row per context, indexed by agent 0's grid index.
 
     Each context folds the opponents once and gathers what each bundle s of
-    agent 0 leaves them; all else runs in passes over ~512 profiles, agent
-    0's tables one bid after another: a merge is a ``map(add)`` and a grouped
-    ``max``.  W's merge packs t0[s] * 2^m + full - s, so its max also holds
-    the smallest best bundle (``_backtrack``'s tie rule).
+    agent 0 leaves them.  All else runs in passes over ``_PASS`` profiles or
+    so, one profile per fixed-width lane of one int, a guard bit atop each
+    lane.  A merge is the best over s of agent 0's entry s plus a gather's.
+    Every merge of a pass runs at once: one block of lanes per merge and
+    bundle s holds agent 0's column of entries s, repeated per context, plus
+    each context's entry s, repeated per bid, packed above the m bits of
+    full - s; halving the blocks by a guard-bit max leaves one per merge.
+    So W's block also holds the state left to the others and the smallest
+    best bundle (``_backtrack``'s tie rule).  The others' share of each state
+    held then fills the lanes that hold it, and the payments are lane sums.
+    A lane is as wide as the largest sum the call can take, so every step
+    is exact; lanes decode through ``array``.
     """
+    from array import array  # here, so runs that price no grid never load it
+
     rule, n, m = scaled.rule, len(scaled.grid), scaled.m
     size, ssum, clamps = _layout(ms_ones(m))
     full, zeros = size - 1, (0,) * size
     own = [t for _, t in scaled.grid[0]]
     count = len(own)
-    flat = [x for t in own for x in t]  # agent 0's tables, one bid after another
-    packed = list(map(add, map(lshift, flat, repeat(m)), cycle(range(full, -1, -1))))
+    # No welfare, price or payment exceeds n times the largest entry, nor
+    # does a packed merge sum over it times 2^m; each lane holds that below
+    # its guard bit, in 8, 16, 32, 64 or 64k bits.
+    width = 8
+    while (n * scaled.top << m | full) >> width - 1:
+        width *= 2
+    wide, words, half = width // 8, max(width // 64, 1), 1 << width - 1
+    code = {1: "b", 2: "h", 4: "i"}.get(wide, "q")  # of a lane, or of its top word
+    swap = sys.byteorder == "big"  # array words are native, lanes little-endian
 
-    def top(table, gather):  # per profile, the best sum of its bid's and gather's entries
-        return map(max, *[map(add, cycle(table), gather)] * (len(table) // count))
+    def lanes(values, copies=1):  # two's-complement lanes, each ``copies`` times
+        if copies > 1 or words > 1:
+            return b"".join(map(mul, map(int.to_bytes, map(and_, values, repeat(
+                (1 << width) - 1)), repeat(wide), repeat("little")), repeat(copies)))
+        out = array(code, values)
+        if swap:
+            out.byteswap()
+        return out.tobytes()
 
-    doubled = [(*shape, itemgetter(*shape[2]), itemgetter(*shape[1])) for shape in map(
-        _layout, (ms_ones(j) + (2,) + ms_ones(m - 1 - j) for j in range(m)))
-    ] if rule is PaymentRule.ENGLISH else []  # english: each shape 1 + 1_j
+    def spread(value, k):  # ``value`` in each of k lanes
+        return int.from_bytes(lanes((value,)) * k, "little")
+
+    def decode(x, k):  # the k lanes of x, as signed width-bit integers
+        raw = x.to_bytes(k * wide, "little")
+        out = array(code, raw)  # a wide lane's words, the top one signed
+        if swap:
+            out.byteswap()
+        if words > 1:
+            low = array(code.upper(), raw)
+            if swap:
+                low.byteswap()
+            out = out[words - 1::words]
+            for w in range(words - 2, -1, -1):
+                out = list(map(add, map(lshift, out, repeat(64)), low[w::words]))
+        return out
+
+    # agent 0's entries s of every bid, above the m bits of full - s
+    packed = lanes([x << m | full - s for s, column in enumerate(zip(*own)) for x in column])
+    packed = [packed[s:s + count * wide] for s in range(0, len(packed), count * wide)]
+    doubled, at_less, merges, spare = _merges(rule, m, n)
     last = max(n - 1, 1)  # with no opponent, the zero level n
-    # dutch: the bundles lacking j, the empty one twice (a tuple at m = 1)
-    less = [[0, *(s for s in range(size) if not s >> j & 1)]
-            for j in range(m)] if rule is PaymentRule.DUTCH else []
-    at_less = [itemgetter(*(full ^ 1 << j ^ s for s in bs)) for j, bs in enumerate(less)]
-    own_less = [[x for t0 in own for x in itemgetter(*bs)(t0)] for bs in less]
-    step = -(-512 // count)  # contexts per pass: ~512 profiles keep its lists small
+    truthful = [t for _, t in scaled.truthful]
+    fields = 1 + n + spare  # of a lane's record, below
+    # The last opponent folded alone onto nothing is its table's monotone
+    # closure: the table itself for every kind but tabular.
+    alone = [not isinstance(bid, Tabular) for bid, _ in scaled.grid[-1]]
+    step = -(-_PASS // count)  # contexts per pass
     without, rows = {}, []
     for lo in range(0, len(contexts), step):
-        runs, back, shares, gathers = [], [], [], [[] for _ in doubled or less]
+        runs, back, gathers = [], [], [[] for _ in doubled or at_less]
         cats = [[] for _ in range(1, n)] if rule is PaymentRule.VCG else []
         for idxs in contexts[lo:lo + step]:
             tables = (None,) + tuple(scaled.grid[i][k][1] for i, k in enumerate(idxs, 1))
             levels = [None] * n + [zeros]
+            if idxs and alone[idxs[-1]]:  # a monotone table is its own level
+                levels[-2] = tables[-1]
             _fold_levels(tables, levels, 1, size, ssum, clamps)
-            runs.append((idxs, tables, levels))
-            back += [x << m for x in levels[1][::-1]] * count  # entry s: state full ^ s
+            runs.append((tables, levels))
+            back.append(levels[1][::-1])  # entry s: state full ^ s
             for (dsize, dssum, dclamps, read, low), gathered in zip(doubled, gathers):
                 dlevels = [None] * last + [read(levels[last])]
                 _fold_levels(tables, dlevels, 1, dsize, dssum, dclamps)
-                gathered += low(dlevels[1][::-1]) * count  # entry s: top state less s
+                gathered.append(low(dlevels[1][::-1]))  # entry s: top state less s
             for get, gathered in zip(at_less, gathers):
-                gathered += get(levels[1]) * count
+                gathered.append(get(levels[1]))
             for i, cat in enumerate(cats, 1):  # vcg: what agent 0 leaves the others but i
                 key = (i,) + idxs[:i - 1] + idxs[i:]
                 if key not in without:  # agents 1..i-1 on level i+1, reversed
-                    partial = [None] * i + [levels[i + 1]]
-                    _fold_levels(tables[:i], partial, 1, size, ssum, clamps)
-                    without[key] = partial[1][::-1]
-                cat += without[key] * count
-        declared, states = zip(*map(divmod, top(packed, back), repeat(size)))
-        for c, (idxs, tables, levels) in enumerate(runs):
-            mine, share = states[c * count:c * count + count], {}
-            for r in set(mine):  # the others' canonical share of state r
-                others = _backtrack(tables[1:], levels[1:], r, levels[1][r], ssum, clamps)
+                    level = [None] * i + [levels[i + 1]]
+                    _fold_levels(tables[:i], level, 1, size, ssum, clamps)
+                    without[key] = level[1][::-1]
+                cat.append(without[key])
+        k = len(runs) * count  # the pass's profiles, one lane each
+        every = len(merges) * k  # a block of k lanes per merge
+        # one block per bundle s and merge: agent 0's entries plus the gathers'
+        best = (int.from_bytes(b"".join([packed[bs[s]] * len(runs) for s in range(size)
+                                         for bs in merges]), "little")
+                + (int.from_bytes(lanes([x for gs in zip(*[zip(*g) for g in (
+                    back, *gathers, *cats)]) for g in gs for x in g], count),
+                    "little") << m))
+        blocks = size * every
+        while blocks > every:  # the guard-bit max of the upper and the lower half
+            blocks >>= 1
+            upper, best = best >> blocks * width, best & (1 << blocks * width) - 1
+            guards = spread(-half, blocks)  # the guard bit alone
+            d = ((upper | guards) - best) & guards  # guard where upper >= best
+            best ^= (upper ^ best) & (d - (d >> width - 1))
+        held = best & spread(full, every)  # W's block: the states left
+        best = (best ^ held) >> m
+        block = (1 << k * width) - 1
+        declared, *merged = [best >> b * k * width & block for b in range(len(merges))]
+        states, records, shares = decode(held & block, k), [], []
+        by_context = list(zip(*[iter(states)] * count))  # each context's lanes
+        for (tables, levels), mine in zip(runs, by_context):
+            share, opponents, rest = {}, tables[1:], levels[1:]
+            for r in set(mine):  # the others' share of state r
+                others = _backtrack(opponents, rest, r, rest[0][r], ssum, clamps)
                 bundles = _full_partition(m, (0,) + others)
-                values = [t[x] for (_, t), x in zip(scaled.truthful, bundles)]
-                charged = [levels[1][full] - levels[1][full ^ bundles[0]],  # vcg, paybid
-                           *map(getitem, tables[1:], bundles[1:])] if not gathers else ()
-                share[r] = (sum(values), *values, *bundles, *charged)
-            shares += map(share.__getitem__, mine)
-        welfare, *columns = zip(*shares)
-        values, held, charged = columns[:n], columns[n:2 * n], columns[2 * n:]
-        if rule is PaymentRule.PAY_YOUR_BID:  # each agent pays its bid on its bundle
-            pays = [map(flat.__getitem__, map(add, cycle(range(0, count * size, size)),
-                                              held[0])), *charged[1:]]
+                values = list(map(getitem, truthful, bundles))
+                welfare = sum(values)
+                if rule is PaymentRule.VCG:  # less what does not move with agent 0's bid
+                    values[0] -= rest[0][full] - rest[0][full ^ bundles[0]]
+                if not gathers:  # vcg, paybid: each other agent's bid on its bundle
+                    values[1:] = map(sub, values[1:], map(getitem, opponents, others))
+                share[r] = len(records)
+                records.append((bundles[0], welfare, *values, *bundles[:spare]))
+            shares.append(share.__getitem__)
+        # Each lane's record, its context's share of the state it holds, is
+        # welfare, each agent's utility less the part of its payment that
+        # moves with agent 0's bid, and (english, dutch) each agent's bundle.
+        picks = list(chain.from_iterable(map(map, shares, by_context)))
+        span = fields * wide
+        stacked = lanes(chain.from_iterable(record[1:] for record in records))
+        stacked = b"".join(map([stacked[i:i + span] for i in range(0, len(stacked), span)]
+                               .__getitem__, picks))
+        guards, picked = spread(-half, k), []
+        for f in range(fields):  # field f of every lane's record, byte by byte
+            field = bytearray(k * wide)
+            for i in range(wide):
+                field[i::wide] = stacked[f * wide + i::span]
+            picked.append(int.from_bytes(field, "little"))
+        welfare, *utils = picked[:n + 1]
+        utils = [u ^ guards for u in utils]  # each plus half
+        if rule is PaymentRule.PAY_YOUR_BID:  # agent 0 pays its bid on its bundle
+            flat = [x for t in own for x in t]  # agent 0's tables, one after another
+            utils[0] -= int.from_bytes(lanes(map(flat.__getitem__, map(
+                add, cycle(range(0, count * size, size)), map(
+                    [record[0] for record in records].__getitem__, picks)))), "little")
         elif rule is PaymentRule.VCG:  # W_-i(1) - W_-i(1 - x_i), the latter W - b_i(x_i)
-            pays = [charged[0]] + [map(add, map(sub, top(flat, cat), declared), bid)
-                                   for cat, bid in zip(cats, charged[1:])]
-        else:  # D times the lowest (english) or the highest prices
-            prices = ([list(map(sub, top(flat, low), declared)) for low in gathers]
-                      if doubled else [list(map(sub, declared, top(mine, high)))
-                                       for mine, high in zip(own_less, gathers)])
-            sums = [[0] * len(states)]  # sums[x][p]: profile p's prices summed over x
-            for price in prices:
-                sums += [list(map(add, column, price)) for column in sums]
-            pays = [map(getitem, map(sums.__getitem__, x), range(len(x))) for x in held]
-        outcomes = list(zip(welfare, zip(*map(map, repeat(sub), values, pays))))
-        rows += [outcomes[k:k + count] for k in range(0, len(outcomes), count)]
+            utils[1:] = [u + declared - w for u, w in zip(utils[1:], merged)]
+        elif spare:  # D times the lowest (english) or the highest prices, per bundle
+            prices = [w - declared if doubled else declared - w for w in merged]
+            ones = spread(1, k)
+            for i, x in enumerate(picked[n + 1:]):
+                for j, price in enumerate(prices):  # where j is in x, all of the lane
+                    bit = x >> j & ones
+                    utils[i] -= price & (bit << width) - bit
+        outcomes = list(zip(decode(welfare, k), zip(*(decode(u ^ guards, k) for u in utils))))
+        rows += [outcomes[c:c + count] for c in range(0, k, count)]
     return rows
 
 

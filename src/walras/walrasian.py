@@ -11,7 +11,8 @@ ones-shape tables of ``welfare``: W(1) and W(1 - 1_j) are merges at one
 state each, and W(1 + 1_j) joins prefix and suffix tables that each hold a
 copy of j.  The english and dutch payment rules read the same integers; the
 ``poa_search`` kernel folds the opponents over each shape 1 + 1_j instead
-and merges agent 0's bids at its top state.
+and merges agent 0's bids at its top state, one profile per lane of one
+int, in the same pass as its merge for W.
 Verification and the ascending-price procedure put their prices on the
 tables' denominator.  The ascending-price procedure is kept only as a
 cross-check: with discrete increments it can approach but not hit the

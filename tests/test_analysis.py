@@ -831,6 +831,77 @@ def test_grid_kernel_matches_the_per_profile_runs(case):
                         + analysis._grid_outcomes(scaled, contexts[split:]))
 
 
+# The lane width is read from the largest sum a call can take.  Agent i bids
+# a/p on item i alone and, second, a/p there and about a/2p on the next item
+# as a unit-demand bid; the types are the first bids.  In the profile of
+# first bids each agent wins its item, so W's merge packs D * W = 2na (the
+# half-truthful tables put D at 2p) above the m bits of the state left to
+# the others, full - 1: the largest packed sum.  A large prime p makes D
+# large while the weights stay small.
+LANE_PRIMES = {7: 251, 15: 65_521, 31: 2_147_483_647, 63: 2_305_843_009_213_693_951}
+
+
+def _lane_edge_case(n: int, numerator: int, prime: int):
+    weight, nearby = F(numerator, prime), F(numerator // 2, prime)
+    grid = BidGrid(tuple(
+        (Additive(tuple(weight if j == i else F(0) for j in range(n))),
+         UnitDemand(tuple(weight if j == i else nearby if j == (i + 1) % n else F(0)
+                          for j in range(n))))
+        for i in range(n)))
+    return Instance(n, BidProfile(n, tuple(g[0] for g in grid.per_agent))), grid
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("edge", sorted(LANE_PRIMES))
+def test_grid_kernel_is_exact_on_both_sides_of_every_lane_edge(edge, n):
+    """At n = m = 2 and 3, with the largest packed sum just below 2^edge
+    and at or just above it, the kernel gives every profile the welfare and
+    utilities of a full mechanism run, under every rule, and two runs on a
+    split of the opponent contexts give the rows of one."""
+    m, full, prime = n, (1 << n) - 1, LANE_PRIMES[edge]
+    below = (2 ** edge - full) // (n << m + 1)
+    for numerator, above in ((below, False), (below + 1, True)):
+        instance, grid = _lane_edge_case(n, numerator, prime)
+        contexts = list(itertools.product(*map(range, grid.sizes()[1:])))
+        for rule in PaymentRule:
+            scaled = analysis._Scaled.of(instance, rule, grid)
+            assert scaled.denom == 2 * prime
+            largest = (2 * n * numerator << m) + full - 1
+            assert (largest >= 2 ** edge) == above
+            rows = analysis._grid_outcomes(scaled, contexts)
+            assert [row[a] for a in range(2) for row in rows] == (
+                scaled_profile_outcomes(scaled))
+            assert rows == (analysis._grid_outcomes(scaled, contexts[:1])
+                            + analysis._grid_outcomes(scaled, contexts[1:]))
+
+
+def test_grid_kernel_rows_do_not_depend_on_the_pass():
+    """Agent 0 bids so often that a pass holds three opponent contexts, so
+    agent 1's eight bids take three passes: under every rule the rows equal
+    those of one call per context, and under english and pay-your-bid (two
+    payment paths; each run costs about 0.2 s) poa_search reports equal at
+    jobs 1, 2 and 3."""
+    count = analysis._PASS // 3 + 1
+    assert -(-analysis._PASS // count) == 3
+    levels = [F(k, 8) for k in range(60)]
+    grid = BidGrid((
+        tuple(Additive(w) for w in itertools.islice(itertools.product(levels, repeat=2),
+                                                     count)),
+        tuple(Additive((F(k, 3), F(7 - k, 4))) for k in range(8))))
+    instance = Instance(2, BidProfile(2, (UnitDemand((F(5), F(4))),
+                                          Additive((F(3, 2), F(2))))))
+    contexts = [(k,) for k in range(8)]
+    for rule in PaymentRule:
+        scaled = analysis._Scaled.of(instance, rule, grid)
+        assert analysis._grid_outcomes(scaled, contexts) == [
+            analysis._grid_outcomes(scaled, [context])[0] for context in contexts]
+    for rule in (PaymentRule.ENGLISH, PaymentRule.PAY_YOUR_BID):
+        serial = poa_search(instance, rule, grid, 1, eps_dev=F(1, 4))
+        assert serial.equilibrium_count > 0
+        for jobs in (2, 3):
+            assert poa_search(instance, rule, grid, 1, eps_dev=F(1, 4), jobs=jobs) == serial
+
+
 THREE = Instance(2, BidProfile(2, (UnitDemand((F(2), F(1))),
                                    Additive((F(1), F(1, 2))),
                                    UnitDemand((F(1, 3), F(4, 3))))))

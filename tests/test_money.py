@@ -1,4 +1,5 @@
 import ast
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -34,6 +35,24 @@ def test_no_module_holds_a_float_constant_or_calls_float():
                     or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                         and node.func.id == "float")):
                 found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_no_module_imports_outside_the_standard_library():
+    """``dependencies = []``, read from the imports of every walras module:
+    each absolute import names a standard-library module, and the relative
+    ones stay inside the package."""
+    found = []
+    for path in sorted(Path(walras.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.partition(".")[0] not in sys.stdlib_module_names]
     assert found == []
 
 
