@@ -575,7 +575,7 @@ def _grid_outcomes(scaled: _Scaled, contexts) -> list[list[tuple]]:
     count = len(own)
     # No welfare, price or payment exceeds n times the largest entry, nor
     # does a packed merge sum over it times 2^m; each lane holds that below
-    # its guard bit, in 8, 16, 32, 64 or 64k bits.
+    # its guard bit, in a power of two from 8 bits.
     width = 8
     while (n * scaled.top << m | full) >> width - 1:
         width *= 2
@@ -653,11 +653,11 @@ def _grid_outcomes(scaled: _Scaled, contexts) -> list[list[tuple]]:
                 + (int.from_bytes(lanes([x for gs in zip(*[zip(*g) for g in (
                     back, *gathers, *cats)]) for g in gs for x in g], count),
                     "little") << m))
-        blocks = size * every
+        blocks, heads = size * every, spread(-half, size * every // 2)  # guard bits alone
         while blocks > every:  # the guard-bit max of the upper and the lower half
             blocks >>= 1
-            upper, best = best >> blocks * width, best & (1 << blocks * width) - 1
-            guards = spread(-half, blocks)  # the guard bit alone
+            low = (1 << blocks * width) - 1
+            upper, best, guards = best >> blocks * width, best & low, heads & low
             d = ((upper | guards) - best) & guards  # guard where upper >= best
             best ^= (upper ^ best) & (d - (d >> width - 1))
         held = best & spread(full, every)  # W's block: the states left
@@ -688,7 +688,7 @@ def _grid_outcomes(scaled: _Scaled, contexts) -> list[list[tuple]]:
         stacked = lanes(chain.from_iterable(record[1:] for record in records))
         stacked = b"".join(map([stacked[i:i + span] for i in range(0, len(stacked), span)]
                                .__getitem__, picks))
-        guards, picked = spread(-half, k), []
+        guards, picked = heads & block, []
         for f in range(fields):  # field f of every lane's record, byte by byte
             field = bytearray(k * wide)
             for i in range(wide):

@@ -878,9 +878,8 @@ def test_grid_kernel_is_exact_on_both_sides_of_every_lane_edge(edge, n):
 def test_grid_kernel_rows_do_not_depend_on_the_pass():
     """Agent 0 bids so often that a pass holds three opponent contexts, so
     agent 1's eight bids take three passes: under every rule the rows equal
-    those of one call per context, and under english and pay-your-bid (two
-    payment paths; each run costs about 0.2 s) poa_search reports equal at
-    jobs 1, 2 and 3."""
+    those of one call per context, and under english and pay-your-bid (a
+    price path and a bid path) poa_search reports equal at jobs 1, 2 and 3."""
     count = analysis._PASS // 3 + 1
     assert -(-analysis._PASS // count) == 3
     levels = [F(k, 8) for k in range(60)]
