@@ -242,9 +242,9 @@ class _Scaled:
     ``grid[i]`` holds agent i's grid bids, ``current`` the profile under
     test, ``truthful`` and ``half`` each agent's truthful and half-truthful
     bid (``truthful`` doubles as the types); ``eps`` is D times ``eps_dev``
-    and ``top`` the largest entry of any of them.  A profile is a tuple of
-    one pair per agent.  ``of`` refuses a grid or profile that does not fit
-    the instance.
+    and ``top`` the largest magnitude of an entry of any of them.  A profile
+    is a tuple of one pair per agent.  ``of`` refuses a grid or profile that
+    does not fit the instance.
     """
 
     rule: PaymentRule
@@ -282,7 +282,7 @@ class _Scaled:
         pairs = [tuple((bid, next(it)) for bid in group) for group in groups]
         (eps,) = next(it)
         return cls(PaymentRule(rule), instance.m, denom, tuple(pairs[:-3]),
-                   *pairs[-3:], eps, max(map(max, tables)))
+                   *pairs[-3:], eps, max(map(abs, chain.from_iterable(tables))))
 
     def seeded(self, pairs: tuple) -> BidProfile:
         """The profile of ``pairs``, seeded with their tables."""
@@ -563,8 +563,9 @@ def _grid_outcomes(scaled: _Scaled, contexts) -> list[list[tuple]]:
     So W's block also holds the state left to the others and the smallest
     best bundle (``_backtrack``'s tie rule).  The others' share of each state
     held then fills the lanes that hold it, and the payments are lane sums.
-    A lane is as wide as the largest sum the call can take, so every step
-    is exact; lanes decode through ``array``.
+    Agent 0's entries are lifted so that none is negative, and a lane is as
+    wide as the largest magnitude the call can take, so every step is exact
+    for any entries; lanes decode through ``array``.
     """
     from array import array  # here, so runs that price no grid never load it
 
@@ -573,11 +574,14 @@ def _grid_outcomes(scaled: _Scaled, contexts) -> list[list[tuple]]:
     full, zeros = size - 1, (0,) * size
     own = [t for _, t in scaled.grid[0]]
     count = len(own)
-    # No welfare, price or payment exceeds n times the largest entry, nor
-    # does a packed merge sum over it times 2^m; each lane holds that below
-    # its guard bit, in a power of two from 8 bits.
+    # Agent 0's entries, lifted by ``lift`` so that none is negative, are
+    # the only signed terms of a merge.  No merge exceeds n times the
+    # largest magnitude of an entry plus the lift, nor does any welfare,
+    # price or utility; each lane holds that times 2^m below its guard bit,
+    # in a power of two from 8 bits.
+    lift = max(0, -min(map(min, own)))
     width = 8
-    while (n * scaled.top << m | full) >> width - 1:
+    while ((n * scaled.top + lift) << m | full) >> width - 1:
         width *= 2
     wide, words, half = width // 8, max(width // 64, 1), 1 << width - 1
     code = {1: "b", 2: "h", 4: "i"}.get(wide, "q")  # of a lane, or of its top word
@@ -591,9 +595,6 @@ def _grid_outcomes(scaled: _Scaled, contexts) -> list[list[tuple]]:
         if swap:
             out.byteswap()
         return out.tobytes()
-
-    def spread(value, k):  # ``value`` in each of k lanes
-        return int.from_bytes(lanes((value,)) * k, "little")
 
     def decode(x, k):  # the k lanes of x, as signed width-bit integers
         raw = x.to_bytes(k * wide, "little")
@@ -609,13 +610,15 @@ def _grid_outcomes(scaled: _Scaled, contexts) -> list[list[tuple]]:
                 out = list(map(add, map(lshift, out, repeat(64)), low[w::words]))
         return out
 
-    # agent 0's entries s of every bid, above the m bits of full - s
-    packed = lanes([x << m | full - s for s, column in enumerate(zip(*own)) for x in column])
+    # agent 0's lifted entries s of every bid, above the m bits of full - s
+    packed = lanes([(x + lift) << m | full - s for s, column in enumerate(zip(*own))
+                    for x in column])
     packed = [packed[s:s + count * wide] for s in range(0, len(packed), count * wide)]
     doubled, at_less, merges, spare = _merges(rule, m, n)
     last = max(n - 1, 1)  # with no opponent, the zero level n
     truthful = [t for _, t in scaled.truthful]
-    fields = 1 + n + spare  # of a lane's record, below
+    # paybid: agent 0's lifted bids, one table after another
+    bids = [x + lift for t in own for x in t] if rule is PaymentRule.PAY_YOUR_BID else []
     # The last opponent folded alone onto nothing is its table's monotone
     # closure: the table itself for every kind but tabular.
     alone = [not isinstance(bid, Tabular) for bid, _ in scaled.grid[-1]]
@@ -647,24 +650,25 @@ def _grid_outcomes(scaled: _Scaled, contexts) -> list[list[tuple]]:
                 cat.append(without[key])
         k = len(runs) * count  # the pass's profiles, one lane each
         every = len(merges) * k  # a block of k lanes per merge
-        # one block per bundle s and merge: agent 0's entries plus the gathers'
-        best = (int.from_bytes(b"".join([packed[bs[s]] * len(runs) for s in range(size)
-                                         for bs in merges]), "little")
-                + (int.from_bytes(lanes([x for gs in zip(*[zip(*g) for g in (
-                    back, *gathers, *cats)]) for g in gs for x in g], count),
-                    "little") << m))
-        blocks, heads = size * every, spread(-half, size * every // 2)  # guard bits alone
+        # One block per bundle s and merge, W's first: agent 0's column of
+        # entries s, once per context, plus each context's entry s, once per bid.
+        columns = b"".join([packed[bs[s]] * len(runs) for s in range(size) for bs in merges])
+        by_bundle = zip(*[zip(*entries) for entries in (back, *gathers, *cats)])
+        entries = lanes(chain.from_iterable(chain.from_iterable(by_bundle)), count)
+        best = int.from_bytes(columns, "little") + (int.from_bytes(entries, "little") << m)
+        ones = int.from_bytes(lanes((1,)) * (size * every // 2), "little")  # in each lane
+        blocks, heads = size * every, ones << width - 1  # the guard bits alone
         while blocks > every:  # the guard-bit max of the upper and the lower half
             blocks >>= 1
             low = (1 << blocks * width) - 1
             upper, best, guards = best >> blocks * width, best & low, heads & low
             d = ((upper | guards) - best) & guards  # guard where upper >= best
             best ^= (upper ^ best) & (d - (d >> width - 1))
-        held = best & spread(full, every)  # W's block: the states left
-        best = (best ^ held) >> m
         block = (1 << k * width) - 1
+        held = best & (ones & (1 << every * width) - 1) * full  # W's block: the states left
+        best = (best ^ held) >> m
         declared, *merged = [best >> b * k * width & block for b in range(len(merges))]
-        states, records, shares = decode(held & block, k), [], []
+        states, records, taken, shares = decode(held & block, k), [], [], []
         by_context = list(zip(*[iter(states)] * count))  # each context's lanes
         for (tables, levels), mine in zip(runs, by_context):
             share, opponents, rest = {}, tables[1:], levels[1:]
@@ -677,18 +681,22 @@ def _grid_outcomes(scaled: _Scaled, contexts) -> list[list[tuple]]:
                     values[0] -= rest[0][full] - rest[0][full ^ bundles[0]]
                 if not gathers:  # vcg, paybid: each other agent's bid on its bundle
                     values[1:] = map(sub, values[1:], map(getitem, opponents, others))
+                if rule is PaymentRule.PAY_YOUR_BID:  # what agent 0's lifted bid is taken from
+                    values[0] += lift
                 share[r] = len(records)
-                records.append((bundles[0], welfare, *values, *bundles[:spare]))
+                records.append((welfare, *values, *bundles[:spare]))
+                taken.append(bundles[0])
             shares.append(share.__getitem__)
         # Each lane's record, its context's share of the state it holds, is
         # welfare, each agent's utility less the part of its payment that
         # moves with agent 0's bid, and (english, dutch) each agent's bundle.
         picks = list(chain.from_iterable(map(map, shares, by_context)))
+        fields = len(records[0])
         span = fields * wide
-        stacked = lanes(chain.from_iterable(record[1:] for record in records))
-        stacked = b"".join(map([stacked[i:i + span] for i in range(0, len(stacked), span)]
-                               .__getitem__, picks))
-        guards, picked = heads & block, []
+        table = lanes(chain.from_iterable(records))
+        spans = [table[i:i + span] for i in range(0, len(table), span)]  # a record's lanes
+        stacked = b"".join(map(spans.__getitem__, picks))
+        ones, guards, picked = ones & block, heads & block, []
         for f in range(fields):  # field f of every lane's record, byte by byte
             field = bytearray(k * wide)
             for i in range(wide):
@@ -697,20 +705,18 @@ def _grid_outcomes(scaled: _Scaled, contexts) -> list[list[tuple]]:
         welfare, *utils = picked[:n + 1]
         utils = [u ^ guards for u in utils]  # each plus half
         if rule is PaymentRule.PAY_YOUR_BID:  # agent 0 pays its bid on its bundle
-            flat = [x for t in own for x in t]  # agent 0's tables, one after another
-            utils[0] -= int.from_bytes(lanes(map(flat.__getitem__, map(
-                add, cycle(range(0, count * size, size)), map(
-                    [record[0] for record in records].__getitem__, picks)))), "little")
+            at = map(add, cycle(range(0, count * size, size)), map(taken.__getitem__, picks))
+            utils[0] -= int.from_bytes(lanes(map(bids.__getitem__, at)), "little")
         elif rule is PaymentRule.VCG:  # W_-i(1) - W_-i(1 - x_i), the latter W - b_i(x_i)
-            utils[1:] = [u + declared - w for u, w in zip(utils[1:], merged)]
+            utils[1:] = [u - w + declared for u, w in zip(utils[1:], merged)]
         elif spare:  # D times the lowest (english) or the highest prices, per bundle
             prices = [w - declared if doubled else declared - w for w in merged]
-            ones = spread(1, k)
             for i, x in enumerate(picked[n + 1:]):
                 for j, price in enumerate(prices):  # where j is in x, all of the lane
                     bit = x >> j & ones
                     utils[i] -= price & (bit << width) - bit
-        outcomes = list(zip(decode(welfare, k), zip(*(decode(u ^ guards, k) for u in utils))))
+        utils = [decode(u ^ guards, k) for u in utils]
+        outcomes = list(zip(decode(welfare, k), zip(*utils)))
         rows += [outcomes[c:c + count] for c in range(0, k, count)]
     return rows
 

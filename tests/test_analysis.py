@@ -875,6 +875,47 @@ def test_grid_kernel_is_exact_on_both_sides_of_every_lane_edge(edge, n):
                             + analysis._grid_outcomes(scaled, contexts[1:]))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("low", [F(-63, 4), F(-1000)])
+def test_grid_kernel_is_exact_with_negative_entries(low, n):
+    """A tabular bid or type may be negative on any bundle but the empty
+    one.  With the types, the others' grid bids and, or not, agent 0's
+    reaching ``low``, far below the largest positive entry, the kernel gives
+    every profile the welfare and utilities of a full mechanism run under
+    every rule, and two runs on a split of the opponent contexts give the
+    rows of one."""
+    types = (Tabular((F(0), low, F(1), F(2))), Additive((F(1), F(1, 2))),
+             Tabular((F(0), F(2), low, F(1))))
+    others = (Additive((F(1, 2), F(1))), Tabular((F(0), low, F(2), F(-4))),
+              UnitDemand((F(2), F(1))))
+    instance = Instance(2, BidProfile(2, types[:n]))
+    for own in ((Tabular((F(0), F(-1, 2), F(3, 4), F(1))), Tabular((F(0), low, F(-2), F(3))),
+                 Additive((F(1), F(0)))), (Additive((F(1), F(0))), UnitDemand((F(2), F(3))))):
+        grid = BidGrid((own,) + (others,) * (n - 1))
+        contexts = list(itertools.product(*map(range, grid.sizes()[1:])))
+        for rule in PaymentRule:
+            scaled = analysis._Scaled.of(instance, rule, grid)
+            rows = analysis._grid_outcomes(scaled, contexts)
+            assert [row[a] for a in range(len(own)) for row in rows] == (
+                scaled_profile_outcomes(scaled))
+            assert rows == (analysis._grid_outcomes(scaled, contexts[:1])
+                            + analysis._grid_outcomes(scaled, contexts[1:]))
+
+
+def test_grid_kernel_lane_width_counts_the_lift():
+    """Agent 0 bids -10 and 10, so its entries are lifted by 10 (20 at
+    D = 2) and its best merge packs 40 above the m bits, over 2^7, while n
+    times the largest magnitude packs below it: the lane must be wider."""
+    instance = Instance(2, BidProfile(2, (Tabular((F(0), F(1), F(1), F(1))),)))
+    grid = BidGrid(((Tabular((F(0), F(-10), F(10), F(10))), Additive((F(1), F(2)))),))
+    for rule in PaymentRule:
+        scaled = analysis._Scaled.of(instance, rule, grid)
+        assert (scaled.denom, scaled.top) == (2, 20)
+        assert (20 << 2 | 3) < 2 ** 7 <= 40 << 2
+        (row,) = analysis._grid_outcomes(scaled, [()])
+        assert row == scaled_profile_outcomes(scaled)
+
+
 def test_grid_kernel_rows_do_not_depend_on_the_pass():
     """Agent 0 bids so often that a pass holds three opponent contexts, so
     agent 1's eight bids take three passes: under every rule the rows equal
