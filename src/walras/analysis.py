@@ -8,18 +8,18 @@ deviations the welfare-loss arguments rely on).  All comparisons are exact;
 the default deviation tolerance is zero.
 
 A call scales all the bids and types it reads to one common denominator D
-once (``_Scaled``).  One reader, ``_outcomes``, prices every deviation on a
-grid with no mechanism run: its kernel, ``_grid_outcomes``, gives grid
-profiles' D times welfare and utilities in passes that hold one profile per
-fixed-width lane of one Python int, so each merge over agent 0's bundles
-is a few big-int operations, exact at any width.  ``poa_search`` reads
-from it only the profiles with at most one bid over gamma, the ones its
-pass can read; ``verify_nash``, best response and the vcg certificate read
-grids of singletons with the candidates at the deviating agent
-(``_Scaled.column``).  Only the smoothness certificates and
-``poa_search``'s injected deviations, for profiles that pass every grid
-check, run the mechanism (``_Scaled.run``).  Values become Fractions only
-in the reports.
+once (``_Scaled``).  One kernel, ``_grid_outcomes``, prices grid profiles
+with no mechanism run: D times their welfare, and a list of D times each
+agent's utility, in passes that hold one profile per fixed-width lane of
+one Python int, so each merge over agent 0's bundles is a few big-int
+operations, exact at any width.  ``poa_search`` reads from it, context by
+context (``_outcomes``), only the profiles its pass can read, those with at
+most one bid over gamma; ``verify_nash``, best response and the vcg
+certificate read the welfare and the deviating agent's utilities over grids
+of singletons with the candidates at that agent (``_Scaled.column``).  Only
+the smoothness certificates and ``poa_search``'s injected deviations, for
+profiles that pass every grid check, run the mechanism (``_Scaled.run``).
+Values become Fractions only in the reports.
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ import sys
 from dataclasses import dataclass, replace
 from functools import cache
 from fractions import Fraction
-from itertools import chain, cycle, repeat
+from itertools import chain, compress, cycle, repeat
 from math import gcd, prod
-from operator import add, and_, getitem, itemgetter, lshift, mul, sub
+from operator import add, and_, ge, getitem, itemgetter, lshift, mul, sub
 
 from .bundles import iter_bits, ms_ones
 from .money import (INFINITY, ZERO, Infinity, _parse_non_negative, format_money,
@@ -296,12 +296,14 @@ class _Scaled:
         values = [t[x] for (_, t), x in zip(self.truthful, out.allocation.bundles)]
         return out, sum(values), tuple(map(sub, values, out._scaled_payments))
 
-    def column(self, pairs: tuple, i: int, candidates) -> list[tuple]:
-        """D times (true welfare, utilities) with each candidate pair in place
-        of agent i's pair in ``pairs``, in candidate order: :func:`_outcomes`
-        on the grid of singletons with ``candidates`` at i."""
+    def column(self, pairs: tuple, i: int, candidates) -> tuple[list, list]:
+        """D times the true welfare and agent i's utility with each candidate
+        pair in place of agent i's pair in ``pairs``, in candidate order: the
+        kernel on the grid of singletons with ``candidates`` at i."""
         grid = (*zip(pairs[:i]), tuple(candidates), *zip(pairs[i + 1:]))
-        return _outcomes(replace(self, grid=grid))
+        welfare, utils = _grid_outcomes(replace(self, grid=grid), list(
+            itertools.product(*(range(len(g)) for g in grid[1:]))))
+        return welfare, utils[i]
 
 
 def verify_nash(instance: Instance, rule: PaymentRule, profile: BidProfile,
@@ -318,14 +320,13 @@ def verify_nash(instance: Instance, rule: PaymentRule, profile: BidProfile,
     rows = []
     for i in range(instance.n):
         cands = scaled.grid[i] + (current[i], scaled.truthful[i], scaled.half[i])
-        column = scaled.column(current, i, cands)
-        welfare, here = column[len(scaled.grid[i])]  # the current profile
-        utils = [u[i] for _, u in column]
-        best = max(utils)  # >= here[i]; a repeated bid ties at its first copy
-        best_bid = cands[utils.index(best)][0] if best > here[i] else current[i][0]
-        rows.append(AgentDeviation(i, Fraction(here[i], denom),
-                                   Fraction(best, denom), best_bid,
-                                   Fraction(best - here[i], denom)))
+        at = len(scaled.grid[i])  # the current profile's candidate
+        welfares, utils = scaled.column(current, i, cands)
+        welfare, here = welfares[at], utils[at]
+        best = max(utils)  # >= here; a repeated bid ties at its first copy
+        best_bid = cands[utils.index(best)][0] if best > here else current[i][0]
+        rows.append(AgentDeviation(i, Fraction(here, denom), Fraction(best, denom),
+                                   best_bid, Fraction(best - here, denom)))
     opt, _ = instance.optimal()
     welfare = Fraction(welfare, denom)
     return NashReport(is_nash=all(r.gain <= eps_dev for r in rows),
@@ -477,11 +478,11 @@ def vcg_deviation_certificate(instance: Instance,
     opt, opt_bundles = instance.optimal()
     scaled = _Scaled.of(instance, PaymentRule.VCG, current=bids)
     denom, current = scaled.denom, scaled.current
-    ((welfare, _),) = _outcomes(replace(scaled, grid=tuple(zip(current))))
+    (welfare,), _ = scaled.column(current, 0, current[:1])
     base = scaled.seeded(current)  # read by the externalities only
     rows = []
     for i, (v, x) in enumerate(zip(scaled.truthful, opt_bundles)):
-        u = Fraction(scaled.column(current, i, (v,))[0][1][i], denom)
+        u = Fraction(scaled.column(current, i, (v,))[1][0], denom)
         bound = Fraction(v[1][x] - _scaled_externality(base, i, x), denom)
         rows.append(VcgDeviationRow(i, u, bound, u >= bound))
     welfare = Fraction(welfare, denom)
@@ -547,10 +548,12 @@ class PoaReport:
     profiles_checked: int
 
 
-def _grid_outcomes(scaled: _Scaled, contexts) -> list[list[tuple]]:
-    """D times (true welfare, utilities) of the grid profiles in each opponent
-    context of ``contexts`` (a tuple of grid indices of agents 1..n-1): one
-    row per context, indexed by agent 0's grid index.
+def _grid_outcomes(scaled: _Scaled, contexts) -> tuple[list, list[list]]:
+    """D times the true welfare, and D times each agent's utility, of the
+    grid profiles in the opponent contexts ``contexts`` (tuples of grid
+    indices of agents 1..n-1): a welfare list and one utility list per
+    agent, over the profiles context by context, agent 0's grid index
+    fastest.
 
     Each context folds the opponents once and gathers what each bundle s of
     agent 0 leaves them.  All else runs in passes over ``_PASS`` profiles or
@@ -583,7 +586,7 @@ def _grid_outcomes(scaled: _Scaled, contexts) -> list[list[tuple]]:
     width = 8
     while ((n * scaled.top + lift) << m | full) >> width - 1:
         width *= 2
-    wide, words, half = width // 8, max(width // 64, 1), 1 << width - 1
+    wide, words = width // 8, max(width // 64, 1)
     code = {1: "b", 2: "h", 4: "i"}.get(wide, "q")  # of a lane, or of its top word
     swap = sys.byteorder == "big"  # array words are native, lanes little-endian
 
@@ -623,7 +626,7 @@ def _grid_outcomes(scaled: _Scaled, contexts) -> list[list[tuple]]:
     # closure: the table itself for every kind but tabular.
     alone = [not isinstance(bid, Tabular) for bid, _ in scaled.grid[-1]]
     step = -(-_PASS // count)  # contexts per pass
-    without, rows = {}, []
+    without, outcomes = {}, [[] for _ in range(n + 1)]  # welfare, each utility
     for lo in range(0, len(contexts), step):
         runs, back, gathers = [], [], [[] for _ in doubled or at_less]
         cats = [[] for _ in range(1, n)] if rule is PaymentRule.VCG else []
@@ -715,52 +718,44 @@ def _grid_outcomes(scaled: _Scaled, contexts) -> list[list[tuple]]:
                 for j, price in enumerate(prices):  # where j is in x, all of the lane
                     bit = x >> j & ones
                     utils[i] -= price & (bit << width) - bit
-        utils = [decode(u ^ guards, k) for u in utils]
-        outcomes = list(zip(decode(welfare, k), zip(*utils)))
-        rows += [outcomes[c:c + count] for c in range(0, k, count)]
-    return rows
+        for column, x in zip(outcomes, (welfare, *(u ^ guards for u in utils))):
+            column += decode(x, k)
+    return outcomes[0], outcomes[1:]
 
 
-def _outcomes(scaled: _Scaled, passing=None, jobs: int = 1) -> list:
-    """D times (true welfare, utilities) of every profile of ``scaled.grid``,
-    in flat order (last agent fastest): one :func:`_grid_outcomes` call over
-    all the opponent contexts.
-
-    With ``passing`` (each agent's list of grid indices), only the profiles
-    with at most one agent off its list, every other slot None: agent 0's
-    whole grid in a context of passing opponents, its passing bids where one
-    opponent fails, and no context where two do; an empty list when an
-    agent has no passing bid.  Those contexts run in ``jobs`` chunks, in one
-    pool of at most ``jobs`` workers, one per chunk and per CPU, when that
-    is more than one."""
-    opponents = list(itertools.product(*(range(len(g)) for g in scaled.grid[1:])))
-    if passing is None:
-        return [o for column in zip(*_grid_outcomes(scaled, opponents)) for o in column]
+def _outcomes(scaled: _Scaled, passing, jobs: int):
+    """The contexts :func:`poa_search`'s pass reads, each once, as (context,
+    the opponents off their ``passing`` lists of grid indices, D times the
+    true welfare, D times each agent's utility) over agent 0's bids there:
+    its whole grid in a context with no opponent off, only its passing bids
+    where one is, and no context where two are; none when an agent has no
+    passing bid.  The contexts run in ``jobs`` chunks of
+    :func:`_grid_outcomes` calls, in one pool of at most ``jobs`` workers,
+    one per chunk and per CPU, when that is more than one."""
     if not all(passing):
-        return []
-    sets, count = [set(p) for p in passing[1:]], len(scaled.grid[0])
-    off = [sum(k not in s for k, s in zip(ctx, sets)) for ctx in opponents]
+        return
+    sets, classes = [set(p) for p in passing[1:]], ([], [])
+    for ctx in itertools.product(*(range(len(g)) for g in scaled.grid[1:])):
+        off = [i for i, k in enumerate(ctx, 1) if k not in sets[i - 1]]
+        if len(off) < 2:
+            classes[len(off)].append((ctx, off))
     own = replace(scaled, grid=(tuple(map(scaled.grid[0].__getitem__, passing[0])),
                                 *scaled.grid[1:]))
-    classes = [(grid, [c for c, f in enumerate(off) if f == fails])
-               for grid, fails in ((scaled, 0), (own, 1))]
-    chunk = -(-sum(len(cs) for _, cs in classes) // jobs)
-    grids, spots = zip(*((grid, cs[c:c + chunk]) for grid, cs in classes
+    chunk = -(-sum(map(len, classes)) // jobs)
+    grids, spots = zip(*((grid, cs[c:c + chunk]) for grid, cs in zip((scaled, own), classes)
                          for c in range(0, len(cs), chunk)))
-    contexts = [list(map(opponents.__getitem__, cs)) for cs in spots]
+    contexts = [[ctx for ctx, _ in cs] for cs in spots]
     workers = min(len(spots), jobs, os.cpu_count() or 1)
     if workers < 2:
-        rows = map(_grid_outcomes, grids, contexts)
+        blocks = map(_grid_outcomes, grids, contexts)
     else:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_grid_outcomes, grids, contexts))
-    table = [(None,) * count] * len(opponents)  # a row per context, by agent 0's bid
-    for cs, block in zip(spots, rows):
-        for c, row in zip(cs, block):
-            table[c] = row if len(row) == count else [
-                *map(dict(zip(passing[0], row)).get, range(count))]
-    return [o for column in zip(*table) for o in column]
+            blocks = list(pool.map(_grid_outcomes, grids, contexts))
+    for grid, cs, (welfare, utils) in zip(grids, spots, blocks):
+        count = len(grid.grid[0])
+        for lo, (ctx, off) in zip(range(0, len(welfare), count), cs):
+            yield ctx, off, welfare[lo:lo + count], [u[lo:lo + count] for u in utils]
 
 
 def poa_search(instance: Instance, rule: PaymentRule, grid: BidGrid, gamma,
@@ -771,19 +766,21 @@ def poa_search(instance: Instance, rule: PaymentRule, grid: BidGrid, gamma,
     welfare ratio and a witness.
 
     Only the profiles the pass can read, those with at most one bid over
-    gamma, are priced (:func:`_outcomes`, ``jobs`` processes).  The pass
-    filters the flat indices of the passing product, in flat order, agent by
-    agent on the best grid utility in that agent's context, then again on
-    its injected deviations, run once per agent and context.  Ties on the
-    worst ratio resolve to the smallest flat index (last agent fastest), so
-    every ``jobs`` reduces identically.
+    gamma, are priced (:func:`_outcomes`, ``jobs`` processes), and the pass
+    reads each priced context once.  Agent 0's best grid utility in a
+    context is the max of its utilities there; agent i's, at each passing
+    bid of agent 0, is the element-wise max of its utilities over the
+    contexts that differ only in agent i's bid.  Each context whose bids all
+    pass is then filtered against both, and the profiles left against the
+    injected deviations, agent by agent, run once per agent and context.
+    Ties on the worst ratio resolve to the first profile in grid order (last
+    agent fastest), so every ``jobs`` reduces identically.
     """
     gamma = _parse_non_negative(gamma, "gamma")
     eps_dev = _parse_non_negative(eps_dev, "deviation tolerance")
     if type(jobs) is not int or jobs < 1:
         raise ValueError(f"jobs must be an int of at least 1, got {jobs!r}")
-    sizes = grid.sizes()
-    total = count_profiles(sizes)
+    total = count_profiles(grid.sizes())
     scaled = _Scaled.of(instance, rule, grid, eps_dev=eps_dev)
     # exposure_factor_bound(v, b) <= gamma = num/den iff b * den <= (den + num)
     # * v on every bundle, so a positive bid where v is 0 fails at any gamma.
@@ -791,45 +788,48 @@ def poa_search(instance: Instance, rule: PaymentRule, grid: BidGrid, gamma,
     passing = [[k for k, (_, bt) in enumerate(bids)
                 if all(y * den <= (den + num) * x for x, y in zip(vt, bt))]
                for (_, vt), bids in zip(scaled.truthful, scaled.grid)]
-    outcomes = _outcomes(scaled, passing, jobs)
-    # Agent i's context in a profile is the flat index with its own grid
-    # index zeroed.  Its best grid utility there is the best of the slice
-    # from that context in steps of its stride.
-    strides = [prod(sizes[i + 1:]) for i in range(instance.n)]
-
-    def grid_best(i, ctx):
-        return max(u[i] for _, u in outcomes[ctx:ctx + sizes[i] * strides[i]:strides[i]])
-
-    def injected_best(i, ctx):
+    own = passing[0]
+    marks = [*map(set(own).__contains__, range(len(grid.per_agent[0])))]
+    columns, rows = {}, []  # (i, context less i) -> agent i's utility rows
+    for ctx, off, welfare, utils in _outcomes(scaled, passing, jobs):
+        if not off:  # at agent 0's passing bids, with its best grid utility
+            top, utils = max(utils[0]), [[*compress(u, marks)] for u in utils]
+            rows.append((ctx, top - scaled.eps, [*compress(welfare, marks)], utils))
+        for i in off or range(1, instance.n):
+            columns.setdefault((i, ctx[:i - 1] + ctx[i:]), []).append(utils[i])
+    # Less eps, agent i's best grid utility at each passing bid of agent 0.
+    floors = {key: [b - scaled.eps for b in (map(max, *cs) if len(cs) > 1 else cs[0])]
+              for key, cs in columns.items()}
+    kept = []  # (welfare, grid indices, utilities) of each profile that passes
+    for ctx, floor, welfare, utils in rows:
+        checks = [map(ge, utils[0], repeat(floor)), *(
+            map(ge, u, floors[i, ctx[:i - 1] + ctx[i:]]) for i, u in enumerate(utils[1:], 1))]
+        kept += [(welfare[p], (own[p], *ctx), [u[p] for u in utils])
+                 for p in compress(range(len(own)), map(all, zip(*checks)))]
+    for i in range(instance.n):
         # Run, not read from the kernel, while bench/test_bench.py's
         # test_counts_repeat_at_a_fixed_seed asks poa for runs.
-        pairs = [g[ctx // s % len(g)] for g, s in zip(scaled.grid, strides)]
-        return max(scaled.run(scaled.seeded((*pairs[:i], dev, *pairs[i + 1:])))[2][i]
-                   for dev in (scaled.truthful[i], scaled.half[i]))
-
-    flats = [sum(map(mul, idxs, strides)) for idxs in itertools.product(*passing)]
-    for best_of in (grid_best, injected_best):
-        for i, (size, step) in enumerate(zip(sizes, strides)):
-            best, kept = {}, []  # context -> D * agent i's best utility there
-            for flat in flats:
-                ctx = flat - flat // step % size * step
-                if ctx not in best:
-                    best[ctx] = best_of(i, ctx)
-                if best[ctx] - outcomes[flat][1][i] <= scaled.eps:
-                    kept.append(flat)
-            flats = kept
+        best, kept, profiles = {}, [], kept
+        for profile in profiles:
+            idxs = profile[1]
+            key = idxs[:i] + idxs[i + 1:]
+            if key not in best:
+                pairs = list(map(getitem, scaled.grid, idxs))
+                best[key] = max(scaled.run(scaled.seeded((*pairs[:i], dev, *pairs[i + 1:])))[2][i]
+                                for dev in (scaled.truthful[i], scaled.half[i])) - scaled.eps
+            if profile[2][i] >= best[key]:
+                kept.append(profile)
     # The optimum is fixed, so the worst ratio is at the least equilibrium
     # welfare (true welfare never exceeds the optimum), the ties at the
-    # smallest flat index.
+    # first profile in grid order.
     witness, ratio = None, Fraction(1)
-    if flats:
-        welfare, flat = min((outcomes[flat][0], flat) for flat in flats)
-        idxs = [flat // s % size for s, size in zip(strides, sizes)]
+    if kept:
+        welfare, idxs, _ = min(kept)  # no two share grid indices
         witness = BidProfile(instance.m, tuple(map(getitem, grid.per_agent, idxs)))
         opt, _ = instance.optimal()
         ratio = _ratio(opt, Fraction(welfare, scaled.denom))
     return PoaReport(rule=scaled.rule, gamma=gamma, worst_ratio=ratio,
-                     witness=witness, equilibrium_count=len(flats),
+                     witness=witness, equilibrium_count=len(kept),
                      profiles_checked=total)
 
 
@@ -873,8 +873,8 @@ def best_response_dynamics(instance: Instance, rule: PaymentRule,
     for rounds in range(1, max_iter + 1):
         moved = False
         for i in range(instance.n):
-            utils = [u[i] for _, u in scaled.column(
-                tuple(g[k] for g, k in zip(scaled.grid, current)), i, scaled.grid[i])]
+            _, utils = scaled.column(tuple(map(getitem, scaled.grid, current)), i,
+                                     scaled.grid[i])
             here = utils[current[i]]
             best = max(utils)
             if best > here:

@@ -733,6 +733,22 @@ def test_no_deviation_is_rescaled(monkeypatch):
     assert certificate_calls(2) == certificate_calls(3)
 
 
+def _kernel_rows(scaled, contexts):
+    """The kernel's columns over ``contexts`` rebuilt as per-profile rows:
+    one row per context, indexed by agent 0's grid index, of D times
+    (welfare, utilities).  Checks the format on the way: a welfare list and
+    one utility list per agent, each of ints, one entry per profile, context
+    by context with agent 0's grid index fastest."""
+    welfare, utils = analysis._grid_outcomes(scaled, contexts)
+    count = len(scaled.grid[0])
+    assert len(utils) == len(scaled.grid)
+    for column in (welfare, *utils):
+        assert type(column) is list and len(column) == count * len(contexts)
+        assert all(type(x) is int for x in column)
+    profiles = list(zip(welfare, zip(*utils)))
+    return [profiles[c:c + count] for c in range(0, len(profiles), count)]
+
+
 @st.composite
 def grid_cases(draw):
     """n, m <= 3; types and one to three grid bids per agent, each additive,
@@ -824,11 +840,11 @@ def test_grid_kernel_matches_the_per_profile_runs(case):
     contexts = list(itertools.product(*map(range, sizes[1:])))
     for rule in PaymentRule:
         scaled = analysis._Scaled.of(instance, rule, grid, eps_dev=eps)
-        rows = analysis._grid_outcomes(scaled, contexts)
+        rows = _kernel_rows(scaled, contexts)
         assert [row[a] for a in range(sizes[0]) for row in rows] == (
             scaled_profile_outcomes(scaled))
-        assert rows == (analysis._grid_outcomes(scaled, contexts[:split])
-                        + analysis._grid_outcomes(scaled, contexts[split:]))
+        assert rows == (_kernel_rows(scaled, contexts[:split])
+                        + _kernel_rows(scaled, contexts[split:]))
 
 
 # The lane width is read from the largest sum a call can take.  Agent i bids
@@ -868,11 +884,11 @@ def test_grid_kernel_is_exact_on_both_sides_of_every_lane_edge(edge, n):
             assert scaled.denom == 2 * prime
             largest = (2 * n * numerator << m) + full - 1
             assert (largest >= 2 ** edge) == above
-            rows = analysis._grid_outcomes(scaled, contexts)
+            rows = _kernel_rows(scaled, contexts)
             assert [row[a] for a in range(2) for row in rows] == (
                 scaled_profile_outcomes(scaled))
-            assert rows == (analysis._grid_outcomes(scaled, contexts[:1])
-                            + analysis._grid_outcomes(scaled, contexts[1:]))
+            assert rows == (_kernel_rows(scaled, contexts[:1])
+                            + _kernel_rows(scaled, contexts[1:]))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -895,11 +911,11 @@ def test_grid_kernel_is_exact_with_negative_entries(low, n):
         contexts = list(itertools.product(*map(range, grid.sizes()[1:])))
         for rule in PaymentRule:
             scaled = analysis._Scaled.of(instance, rule, grid)
-            rows = analysis._grid_outcomes(scaled, contexts)
+            rows = _kernel_rows(scaled, contexts)
             assert [row[a] for a in range(len(own)) for row in rows] == (
                 scaled_profile_outcomes(scaled))
-            assert rows == (analysis._grid_outcomes(scaled, contexts[:1])
-                            + analysis._grid_outcomes(scaled, contexts[1:]))
+            assert rows == (_kernel_rows(scaled, contexts[:1])
+                            + _kernel_rows(scaled, contexts[1:]))
 
 
 def test_grid_kernel_lane_width_counts_the_lift():
@@ -912,7 +928,7 @@ def test_grid_kernel_lane_width_counts_the_lift():
         scaled = analysis._Scaled.of(instance, rule, grid)
         assert (scaled.denom, scaled.top) == (2, 20)
         assert (20 << 2 | 3) < 2 ** 7 <= 40 << 2
-        (row,) = analysis._grid_outcomes(scaled, [()])
+        (row,) = _kernel_rows(scaled, [()])
         assert row == scaled_profile_outcomes(scaled)
 
 
@@ -933,8 +949,8 @@ def test_grid_kernel_rows_do_not_depend_on_the_pass():
     contexts = [(k,) for k in range(8)]
     for rule in PaymentRule:
         scaled = analysis._Scaled.of(instance, rule, grid)
-        assert analysis._grid_outcomes(scaled, contexts) == [
-            analysis._grid_outcomes(scaled, [context])[0] for context in contexts]
+        assert _kernel_rows(scaled, contexts) == [
+            _kernel_rows(scaled, [context])[0] for context in contexts]
     for rule in (PaymentRule.ENGLISH, PaymentRule.PAY_YOUR_BID):
         serial = poa_search(instance, rule, grid, 1, eps_dev=F(1, 4))
         assert serial.equilibrium_count > 0
@@ -1033,6 +1049,28 @@ def test_poa_search_matches_brute_force_where_exposure_drops_bids():
                 assert report.equilibrium_count > 0
 
 
+def test_a_deviation_over_gamma_still_counts():
+    """At gamma 0 the appendix's overbidding deviation (3 on the third item,
+    where the XOS type has 2) fails the exposure filter, yet under english
+    it is the one profitable deviation from the truthful profile.  Wherever
+    the overbidder sits, as agent 0 (whose best is read within a context) or
+    as agent 1 or 2 (read across contexts), its best grid utility counts
+    that bid, so poa_search finds no equilibrium, as brute force does."""
+    types = (Xos(((F(4), F(2), F(0)), (F(4), F(0), F(2)))),
+             UnitDemand((F(2), F(2), F(0))), Additive((F(0), F(0), F(1))))
+    over = Xos(((F(4), F(2), F(0)), (F(4), F(0), F(3))))
+    assert exposure_factor_bound(types[0], over) > 0
+    grids = ((types[0], over), types[1:2], types[2:])
+    for order in ((0, 1, 2), (1, 0, 2), (2, 1, 0)):
+        instance = Instance(3, BidProfile(3, tuple(types[k] for k in order)))
+        grid = BidGrid(tuple(grids[k] for k in order))
+        for rule in PaymentRule:
+            report = poa_search(instance, rule, grid, 0)
+            _assert_brute_force(report, instance, rule, grid, 0, 0)
+            if rule is PaymentRule.ENGLISH:
+                assert report.equilibrium_count == 0
+
+
 def test_poa_search_prices_only_the_profiles_its_pass_can_read(monkeypatch):
     """The kernel prices exactly the profiles with at most one agent off its
     passing bids, under every rule; with an agent that has no passing bid
@@ -1089,7 +1127,7 @@ def test_the_kernel_merges_agent_0_by_gathers_not_per_profile_folds(monkeypatch)
         for rule in PaymentRule:
             calls.clear()
             scaled = analysis._Scaled.of(instance, rule, grid)
-            rows = analysis._grid_outcomes(scaled, contexts)
+            rows = _kernel_rows(scaled, contexts)
             assert [len(row) for row in rows] == [len(many)] * len(contexts)
             assert calls["fold_at"] == 0
             assert 0 < calls["backtrack"] <= len(contexts) * (1 << instance.m)
@@ -1098,10 +1136,11 @@ def test_the_kernel_merges_agent_0_by_gathers_not_per_profile_folds(monkeypatch)
 def _grid_checks(instance, rule, grid, gamma, eps):
     """Whether a profile of grid indices has every bid within ``gamma`` and
     no agent gaining over ``eps`` by another bid of its grid, the injected
-    deviations left out; read from the all-profiles kernel."""
+    deviations left out; read from the kernel over every profile."""
     scaled = analysis._Scaled.of(instance, rule, grid, eps_dev=F(eps))
-    outcomes = analysis._outcomes(scaled)
     sizes = grid.sizes()
+    rows = _kernel_rows(scaled, list(itertools.product(*map(range, sizes[1:]))))
+    outcomes = [row[a] for a in range(sizes[0]) for row in rows]  # last agent fastest
     flat = {idxs: f for f, idxs in enumerate(itertools.product(*map(range, sizes)))}
     within = [[exposure_factor_bound(v, b) <= gamma for b in bids]
               for v, bids in zip(instance.true_valuations.bids, grid.per_agent)]
@@ -1139,7 +1178,7 @@ def test_poa_search_runs_the_mechanism_only_for_injected_deviations(monkeypatch)
             scaled = analysis._Scaled.of(instance, rule, grid)
             runs.clear()
             monkeypatch.setattr(F, "__new__", counted_new)
-            rows = analysis._grid_outcomes(scaled, contexts)
+            rows = _kernel_rows(scaled, contexts)
             monkeypatch.setattr(F, "__new__", real_new)
             assert runs == [] and fractions == []
             assert all(type(x) is int for row in rows for w, u in row

@@ -56,6 +56,47 @@ def test_no_module_imports_outside_the_standard_library():
     assert found == []
 
 
+def _own_scope(function):
+    """The nodes of ``function``'s body outside the functions, lambdas and
+    classes nested in it."""
+    stack = list(function.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
+                                 ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _reads(node):
+    return {n.id for n in ast.walk(node)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+
+def test_no_module_imports_or_assigns_a_name_it_never_reads():
+    """Every name a walras module imports is read in it (``__init__``'s
+    imports are the package's exports), and every local a function assigns
+    is read in it or in a function nested in it; ``_`` is exempt."""
+    found = []
+    for path in sorted(Path(walras.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        read = _reads(tree)
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Import, ast.ImportFrom)) and path.name != "__init__.py"
+                    and getattr(node, "module", None) != "__future__"):
+                found += [f"{path.name}:{node.lineno} imports {name}" for name in (
+                    alias.asname or alias.name.partition(".")[0] for alias in node.names)
+                    if name not in read]
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scope = list(_own_scope(node))
+                kept = _reads(node) | {"_"} | {name for n in scope if isinstance(
+                    n, (ast.Global, ast.Nonlocal)) for name in n.names}
+                found += [f"{path.name}:{n.lineno} {node.name} assigns {n.id}" for n in scope
+                          if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+                          and n.id not in kept]
+    assert found == []
+
+
 @pytest.mark.parametrize("value,text", [
     (Fraction(8), "8"),
     (Fraction(25, 8), "3.125"),
