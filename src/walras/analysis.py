@@ -191,9 +191,9 @@ def exposure_factor_bound(v: Valuation, b: Valuation) -> Fraction | Infinity:
     """Upper bound on the exposure factor of bidding ``b`` with type ``v``.
 
     max over bundles S of b(S)/v(S) - 1, clamped at zero; ``INFINITY`` when
-    b bids positively on a worthless bundle.  Because a declared-welfare
-    maximizer never charges above the bid, a bound of g here guarantees the
-    agent never pays more than (1+g) times true value, whatever the others do.
+    b bids positively on a worthless bundle.  A declared-welfare maximizer
+    never charges above the bid, so with a bound of g the agent never pays
+    more than (1+g) times a positive true value, whatever the others do.
     """
     if v.m != b.m:
         raise ValueError("type and bid are over different item counts")
@@ -202,6 +202,8 @@ def exposure_factor_bound(v: Valuation, b: Valuation) -> Fraction | Infinity:
     for x, y in zip(vt[1:], bt[1:]):  # each nonempty bundle's type and bid
         if x == 0 < y:
             return INFINITY
+        if x < 0:  # the same ratio y/x, over a positive denominator
+            x, y = -x, -y
         if y * bottom > top * x:
             top, bottom = y, x
     return Fraction(top, bottom) - 1
@@ -782,11 +784,13 @@ def poa_search(instance: Instance, rule: PaymentRule, grid: BidGrid, gamma,
         raise ValueError(f"jobs must be an int of at least 1, got {jobs!r}")
     total = count_profiles(grid.sizes())
     scaled = _Scaled.of(instance, rule, grid, eps_dev=eps_dev)
-    # exposure_factor_bound(v, b) <= gamma = num/den iff b * den <= (den + num)
-    # * v on every bundle, so a positive bid where v is 0 fails at any gamma.
+    # exposure_factor_bound(v, b) <= gamma = num/den iff, on every bundle,
+    # b * den <= (den + num) * v where v >= 0 and >= it where v < 0, so a
+    # positive bid where v is 0 fails at any gamma.
     num, den = gamma.numerator, gamma.denominator
     passing = [[k for k, (_, bt) in enumerate(bids)
-                if all(y * den <= (den + num) * x for x, y in zip(vt, bt))]
+                if all(y * den <= (den + num) * x if x >= 0 else y * den >= (den + num) * x
+                       for x, y in zip(vt, bt))]
                for (_, vt), bids in zip(scaled.truthful, scaled.grid)]
     own = passing[0]
     marks = [*map(set(own).__contains__, range(len(grid.per_agent[0])))]

@@ -1,5 +1,11 @@
 import sys
 
+from hypothesis import settings
+
+# Every property test replays the same examples on every run and machine.
+settings.register_profile("walras", derandomize=True, database=None, deadline=None)
+settings.load_profile("walras")
+
 
 def pytest_terminal_summary(terminalreporter):
     """Echo the acceptance criterion lines after the run, outside capture."""

@@ -14,8 +14,10 @@ as references for the paths that replaced them:
   fold replaced for the structured kinds;
 - the ``fraction_*`` deviation loops of the analysis layer, which ran each
   deviation on a fresh profile in Fractions;
-- ``scaled_profile_outcomes``, the per-profile runs the grid kernel of
-  ``poa_search`` replaced;
+- ``scaled_profile_outcomes``, the per-profile mechanism runs the grid
+  kernel of ``poa_search`` replaced, each on a fresh ``BidProfile`` with
+  the true values from ``brute_value``: it shares no code with the
+  analysis layer;
 - ``fraction_exposure_factor_bound``, the Fraction loop the integer
   exposure routine replaced;
 - ``fraction_walrasian_certificate``, equilibrium verification through
@@ -565,12 +567,22 @@ def fraction_best_response_dynamics(instance, rule, grid, start, max_iter=100):
     return BestResponseTrace(status, final, tuple(steps), rounds)
 
 
-def scaled_profile_outcomes(scaled):
-    """D times (welfare, utilities) of every grid profile of an analysis
-    ``_Scaled``, in flat index order (last agent fastest): each profile runs
-    the whole mechanism through ``_Scaled.run`` on a fresh bid profile, as
-    ``poa_search`` did before its grid kernel."""
-    return [scaled.run(scaled.seeded(pairs))[1:] for pairs in product(*scaled.grid)]
+def scaled_profile_outcomes(types, rule, grid, denom):
+    """``denom`` times (welfare, utilities) of every profile of the per-agent
+    grid bids ``grid``, in flat index order (last agent fastest), as ints:
+    each profile runs the whole mechanism on a fresh ``BidProfile``, and the
+    true values are ``brute_value``'s of ``types``."""
+    from walras.mechanisms import run_mechanism
+    from walras.welfare import BidProfile
+
+    rows = []
+    for bids in product(*grid):
+        out = run_mechanism(rule, BidProfile(types[0].m, bids))
+        values = [brute_value(v, x) * denom for v, x in zip(types, out.allocation.bundles)]
+        row = [sum(values), *(v - p * denom for v, p in zip(values, out.payments))]
+        assert all(x.denominator == 1 for x in row)
+        rows.append((int(row[0]), tuple(map(int, row[1:]))))
+    return rows
 
 
 def fraction_exposure_factor_bound(v, b):

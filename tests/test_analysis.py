@@ -21,6 +21,7 @@ from oracles import (
     rational_gcd,
     scaled_profile_outcomes,
 )
+from strategies import any_profile, any_valuation
 
 from walras import analysis, valuations
 from walras import welfare as welfare_module
@@ -40,7 +41,7 @@ from walras.analysis import (
     verify_nash,
 )
 from walras.mechanisms import PaymentRule, run_mechanism
-from walras.money import INFINITY, scale_rows
+from walras.money import INFINITY, ZERO
 from walras.valuations import (
     CHECKER_MAX_ITEMS,
     Additive,
@@ -86,35 +87,35 @@ def test_exposure_factor_gamma_family():
         assert exposure_factor_bound(v, b) == gamma
 
 
-def exposure_cases():
-    """A type and a bid table over m <= 3 items with small entries (zeros
-    and non-monotone tables included), and a gamma below, at or above 0."""
-    def table(m):
-        return st.lists(st.fractions(min_value=0, max_value=4, max_denominator=6),
-                        min_size=1 << m, max_size=1 << m).map(tuple)
-
-    return st.integers(1, 3).flatmap(lambda m: st.tuples(
-        table(m), table(m),
-        st.fractions(min_value=-1, max_value=3, max_denominator=4)))
+@st.composite
+def exposure_cases(draw):
+    """A type and a bid of any kind over m <= 3 items, and a gamma below, at
+    or above 0."""
+    m = draw(st.integers(1, 3))
+    return (draw(any_valuation(m)), draw(any_valuation(m)),
+            draw(st.fractions(min_value=-1, max_value=3, max_denominator=4)))
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@settings(max_examples=120)
 @given(exposure_cases())
-@example(((F(0), F(0)), (F(0), F(1)), F(3)))  # a bid on a worthless bundle
-@example(((F(0), F(0), F(1), F(1)), (F(0), F(0), F(2), F(1)), F(0)))
-@example(((F(0), F(2), F(1), F(1)), (F(0), F(1), F(0), F(3)), F(2)))  # non-monotone
+# A bid on a worthless bundle, two monotone tables, a non-monotone type, and
+# two types negative on a bundle (the Fraction loop gives 1/3 and 0).
+@example((Tabular((F(0), F(0))), Tabular((F(0), F(1))), F(3)))
+@example((Tabular((F(0), F(0), F(1), F(1))), Tabular((F(0), F(0), F(2), F(1))), F(0)))
+@example((Tabular((F(0), F(2), F(1), F(1))), Tabular((F(0), F(1), F(0), F(3))), F(2)))
+@example((Tabular((F(0), F(2), F(-1), F(3))), Tabular((F(0), F(1), F(0), F(4))), F(1, 3)))
+@example((Tabular((F(0), F(-1))), Tabular((F(0), F(1))), F(0)))
 def test_integer_exposure_matches_the_fraction_loop(case):
-    vt, bt, gamma = case
-    v, b = Tabular(vt), Tabular(bt)
+    v, b, gamma = case
     expected = fraction_exposure_factor_bound(v, b)
     assert exposure_factor_bound(v, b) == expected
-    # poa_search's filter keeps b when b * den <= (den + num) * v on every
-    # bundle, for gamma = num/den >= 0, on tables over a larger common D
-    _, (vs, bs, _) = scale_rows((vt, bt, (F(1, 7),)))
+    # poa_search keeps b exactly when its bound is at most gamma: alone under
+    # vcg, an agent wins every item and pays nothing whatever it bids, so
+    # its one grid profile is an equilibrium if and only if b is kept.
+    instance, grid = Instance(v.m, BidProfile(v.m, (v,))), BidGrid(((b,),))
     for g in (F(0), F(1), abs(gamma)):
-        kept = all(y * g.denominator <= (g.denominator + g.numerator) * x
-                   for x, y in zip(vs[1:], bs[1:]))
-        assert kept == (expected <= g)
+        report = poa_search(instance, PaymentRule.VCG, grid, g)
+        assert report.equilibrium_count == (expected <= g)
 
 
 def test_grid_construction():
@@ -525,7 +526,7 @@ def _assert_brute_force(report, inst, rule, grid, gamma, eps):
     types = inst.true_valuations.bids
     count, worst, witness = 0, None, None
     for bids in itertools.product(*grid.per_agent):
-        if any(exposure_factor_bound(v, b) > gamma for v, b in zip(types, bids)):
+        if any(fraction_exposure_factor_bound(v, b) > gamma for v, b in zip(types, bids)):
             continue
         nash = verify_nash(inst, rule, BidProfile(inst.m, bids), grid, eps)
         if nash.is_nash:
@@ -552,6 +553,43 @@ def test_poa_search_matches_brute_force_on_odd_denominators():
         assert report == poa_search(inst, rule, grid, gamma, eps_dev=eps, jobs=2)
     vcg = poa_search(inst, PaymentRule.VCG, grid, gamma, eps_dev=eps)
     assert (vcg.equilibrium_count, vcg.worst_ratio) == (18, F(31, 24))
+
+
+@st.composite
+def poa_games(draw):
+    """Types of any kind at m <= 2 and n <= 3; one to three drawn grid bids
+    per agent, and now and then its type or twice it; a gamma of 0, 1/2 or
+    1; and a tolerance of 0 or 1/9."""
+    types = draw(any_profile(st.integers(1, 2), st.integers(1, 3)))
+    grid = BidGrid(tuple(tuple(draw(st.lists(any_valuation(types.m), min_size=1, max_size=3)))
+                         + draw(st.sampled_from(((), (v,), (v.scale(2),))))
+                         for v in types.bids))
+    return (Instance(types.m, types), grid, draw(st.sampled_from((F(0), F(1, 2), F(1)))),
+            draw(st.sampled_from((F(0), F(1, 9)))))
+
+
+@settings(max_examples=40)
+@given(poa_games(), st.sampled_from(PaymentRule))
+def test_poa_search_matches_brute_force_on_drawn_games(game, rule):
+    instance, grid, gamma, eps = game
+    report = poa_search(instance, rule, grid, gamma, eps_dev=eps)
+    _assert_brute_force(report, instance, rule, grid, gamma, eps)
+
+
+def test_a_type_negative_on_a_bundle_bounds_the_bids_from_below():
+    """Agent 0's type is worth -1 on item 0 alone, where a bid b is within
+    gamma when b >= (1 + gamma) * -1, so a zero bid passes there.  The
+    counts are brute force's, over verify_nash and the Fraction bound."""
+    instance = Instance(2, BidProfile(2, (Tabular((F(0), F(-1), F(1), F(1))),
+                                          Additive((F(1), F(1))))))
+    grid = BidGrid.additive(2, 2, "1/2", "1")
+    counts = []
+    for rule in PaymentRule:
+        for gamma in (0, 1):
+            report = poa_search(instance, rule, grid, gamma)
+            _assert_brute_force(report, instance, rule, grid, gamma, 0)
+            counts.append(report.equilibrium_count)
+    assert counts == [16, 30, 16, 30, 7, 12, 7, 12]
 
 
 def test_best_response_dynamics_examples():
@@ -597,42 +635,22 @@ def test_best_response_requires_start_on_grid():
                                EX1.true_valuations)
 
 
-# Type denominators whose lcm (315) is none of theirs; the grid is over
-# halves and the tolerance over ninths.
-TYPE_WEIGHTS = st.sampled_from((3, 5, 7, 9)).flatmap(
-    lambda d: st.integers(0, 2 * d).map(lambda k: F(k, d)))
-
-
 @st.composite
 def deviation_cases(draw):
-    """Types of every sampled kind at m, n <= 3, an additive grid over
-    halves, a current profile with some bids off the grid, and a grid
-    start profile for best response."""
-    m = draw(st.integers(1, 3))
-    n = draw(st.integers(1, 3))
-
-    def row(k):
-        return tuple(draw(TYPE_WEIGHTS) for _ in range(k))
-
-    def valuation():
-        kind = draw(st.sampled_from(("additive", "unit_demand", "xos", "oxs")))
-        if kind == "xos":
-            return Xos(tuple(row(m) for _ in range(draw(st.integers(1, 2)))))
-        if kind == "oxs":
-            slots = draw(st.integers(1, m))
-            return Oxs(tuple(row(slots) for _ in range(m)))
-        return {"additive": Additive, "unit_demand": UnitDemand}[kind](row(m))
-
-    instance = Instance(m, BidProfile(m, tuple(valuation() for _ in range(n))))
+    """Types of any kind at m, n <= 3, an additive grid over halves, a
+    current profile with some bids off the grid, and a grid start profile
+    for best response."""
+    types = draw(any_profile(st.integers(1, 3), st.integers(1, 3)))
+    m, n = types.m, types.n
     grid = BidGrid.additive(m, n, "1/2", "1" if m < 3 else "1/2")
     start = tuple(draw(st.integers(0, len(g) - 1)) for g in grid.per_agent)
-    current = tuple(draw(st.sampled_from(grid.per_agent[i] + (valuation(),)))
+    current = tuple(draw(st.sampled_from(grid.per_agent[i] + (draw(any_valuation(m)),)))
                     for i in range(n))
-    return instance, grid, BidProfile(m, current), BidProfile(
+    return Instance(m, types), grid, BidProfile(m, current), BidProfile(
         m, tuple(g[k] for g, k in zip(grid.per_agent, start)))
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@settings(max_examples=60)
 @given(deviation_cases())
 def test_deviation_reports_match_the_fraction_loops(case):
     """verify_nash, both certificates and best response give the same
@@ -751,31 +769,33 @@ def _kernel_rows(scaled, contexts):
 
 @st.composite
 def grid_cases(draw):
-    """n, m <= 3; types and one to three grid bids per agent, each additive,
-    unit-demand, OXS or a normalized table that need not be monotone, over
-    denominators 3, 5, 7 and 9; a nonzero tolerance over elevenths; and a
-    point to split the opponent contexts at."""
-    m = draw(st.integers(1, 3))
-    n = draw(st.integers(1, 3))
+    """n, m <= 3; types and one to three grid bids per agent, of any kind; a
+    nonzero tolerance over elevenths; and a point to split the opponent
+    contexts at."""
+    types = draw(any_profile(st.integers(1, 3), st.integers(1, 3)))
+    grid = BidGrid(tuple(tuple(draw(st.lists(any_valuation(types.m), min_size=1, max_size=3)))
+                         for _ in range(types.n)))
+    return Instance(types.m, types), grid, F(draw(st.integers(1, 10)), 11), draw(
+        st.integers(0, math.prod(grid.sizes()[1:])))
 
-    def row(k):
-        return tuple(draw(TYPE_WEIGHTS) for _ in range(k))
 
-    def valuation():
-        kind = draw(st.sampled_from(("additive", "unit_demand", "oxs", "tabular")))
-        if kind == "oxs":
-            slots = draw(st.integers(1, m))
-            return Oxs(tuple(row(slots) for _ in range(m)))
-        if kind == "tabular":
-            return Tabular((F(0),) + row((1 << m) - 1))
-        return {"additive": Additive, "unit_demand": UnitDemand}[kind](row(m))
-
-    instance = Instance(m, BidProfile(m, tuple(valuation() for _ in range(n))))
-    grid = BidGrid(tuple(tuple(valuation() for _ in range(draw(st.integers(1, 3))))
-                         for _ in range(n)))
-    contexts = math.prod(grid.sizes()[1:])
-    return instance, grid, F(draw(st.integers(1, 10)), 11), draw(
-        st.integers(0, contexts))
+def _assert_kernel_matches_runs(instance, grid, eps=ZERO, split=1):
+    """Under every rule, the kernel gives each grid profile D times the
+    welfare and utilities of a full mechanism run on it, and two calls on a
+    split of the opponent contexts give the rows of one.  Returns each
+    rule's ``_Scaled``."""
+    sizes = grid.sizes()
+    contexts = list(itertools.product(*map(range, sizes[1:])))
+    calls = []
+    for rule in PaymentRule:
+        scaled = analysis._Scaled.of(instance, rule, grid, eps_dev=eps)
+        rows = _kernel_rows(scaled, contexts)
+        assert [row[a] for a in range(sizes[0]) for row in rows] == scaled_profile_outcomes(
+            instance.true_valuations.bids, rule, grid.per_agent, scaled.denom)
+        assert rows == (_kernel_rows(scaled, contexts[:split])
+                        + _kernel_rows(scaled, contexts[split:]))
+        calls.append(scaled)
+    return calls
 
 
 # Past the draws' three items: two agents, and three whose middle agent bids
@@ -824,7 +844,7 @@ KERNEL_LEFTOVER = (
                                Additive((F(0), F(0), F(1, 5)))))), F(1, 11), 1)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@settings(max_examples=60)
 @example(KERNEL_LONE_AGENT)
 @example(KERNEL_LEFTOVER)
 @example(KERNEL_M4_N2)
@@ -835,16 +855,7 @@ def test_grid_kernel_matches_the_per_profile_runs(case):
     """Under every rule, poa_search's kernel gives each grid profile the
     welfare and utilities of a full mechanism run on that profile, and two
     runs on a split of the opponent contexts give the rows of one."""
-    instance, grid, eps, split = case
-    sizes = grid.sizes()
-    contexts = list(itertools.product(*map(range, sizes[1:])))
-    for rule in PaymentRule:
-        scaled = analysis._Scaled.of(instance, rule, grid, eps_dev=eps)
-        rows = _kernel_rows(scaled, contexts)
-        assert [row[a] for a in range(sizes[0]) for row in rows] == (
-            scaled_profile_outcomes(scaled))
-        assert rows == (_kernel_rows(scaled, contexts[:split])
-                        + _kernel_rows(scaled, contexts[split:]))
+    _assert_kernel_matches_runs(*case)
 
 
 # The lane width is read from the largest sum a call can take.  Agent i bids
@@ -877,18 +888,10 @@ def test_grid_kernel_is_exact_on_both_sides_of_every_lane_edge(edge, n):
     m, full, prime = n, (1 << n) - 1, LANE_PRIMES[edge]
     below = (2 ** edge - full) // (n << m + 1)
     for numerator, above in ((below, False), (below + 1, True)):
-        instance, grid = _lane_edge_case(n, numerator, prime)
-        contexts = list(itertools.product(*map(range, grid.sizes()[1:])))
-        for rule in PaymentRule:
-            scaled = analysis._Scaled.of(instance, rule, grid)
+        largest = (2 * n * numerator << m) + full - 1
+        assert (largest >= 2 ** edge) == above
+        for scaled in _assert_kernel_matches_runs(*_lane_edge_case(n, numerator, prime)):
             assert scaled.denom == 2 * prime
-            largest = (2 * n * numerator << m) + full - 1
-            assert (largest >= 2 ** edge) == above
-            rows = _kernel_rows(scaled, contexts)
-            assert [row[a] for a in range(2) for row in rows] == (
-                scaled_profile_outcomes(scaled))
-            assert rows == (_kernel_rows(scaled, contexts[:1])
-                            + _kernel_rows(scaled, contexts[1:]))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -907,15 +910,7 @@ def test_grid_kernel_is_exact_with_negative_entries(low, n):
     instance = Instance(2, BidProfile(2, types[:n]))
     for own in ((Tabular((F(0), F(-1, 2), F(3, 4), F(1))), Tabular((F(0), low, F(-2), F(3))),
                  Additive((F(1), F(0)))), (Additive((F(1), F(0))), UnitDemand((F(2), F(3))))):
-        grid = BidGrid((own,) + (others,) * (n - 1))
-        contexts = list(itertools.product(*map(range, grid.sizes()[1:])))
-        for rule in PaymentRule:
-            scaled = analysis._Scaled.of(instance, rule, grid)
-            rows = _kernel_rows(scaled, contexts)
-            assert [row[a] for a in range(len(own)) for row in rows] == (
-                scaled_profile_outcomes(scaled))
-            assert rows == (_kernel_rows(scaled, contexts[:1])
-                            + _kernel_rows(scaled, contexts[1:]))
+        _assert_kernel_matches_runs(instance, BidGrid((own,) + (others,) * (n - 1)))
 
 
 def test_grid_kernel_lane_width_counts_the_lift():
@@ -924,12 +919,9 @@ def test_grid_kernel_lane_width_counts_the_lift():
     times the largest magnitude packs below it: the lane must be wider."""
     instance = Instance(2, BidProfile(2, (Tabular((F(0), F(1), F(1), F(1))),)))
     grid = BidGrid(((Tabular((F(0), F(-10), F(10), F(10))), Additive((F(1), F(2)))),))
-    for rule in PaymentRule:
-        scaled = analysis._Scaled.of(instance, rule, grid)
+    assert (20 << 2 | 3) < 2 ** 7 <= 40 << 2
+    for scaled in _assert_kernel_matches_runs(instance, grid):
         assert (scaled.denom, scaled.top) == (2, 20)
-        assert (20 << 2 | 3) < 2 ** 7 <= 40 << 2
-        (row,) = _kernel_rows(scaled, [()])
-        assert row == scaled_profile_outcomes(scaled)
 
 
 def test_grid_kernel_rows_do_not_depend_on_the_pass():

@@ -2,6 +2,8 @@ import json
 import shutil
 import subprocess
 import sys
+from importlib.metadata import EntryPoint
+from pathlib import Path
 
 import pytest
 
@@ -395,15 +397,24 @@ def test_alternate_epsilon_rederives_expectations():
     assert inst.true_valuations.bids[0].weights == (1 + eps, 1 + eps)
 
 
-def test_console_entry_point():
+def test_console_entry_point(capsys, monkeypatch):
+    """The installed ``walras`` command or, where it is not installed, the
+    function ``pyproject.toml`` names for it, called in-process as the
+    command would call it."""
+    argv = ["solve", fixture("appendix_overbidding.json")]
     exe = shutil.which("walras")
     if exe is None:
-        pytest.skip("entry point not installed")
-    proc = subprocess.run(
-        [exe, "solve", fixture("appendix_overbidding.json")],
-        capture_output=True, text=True)
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["welfare"] == "8"
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+        with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as f:
+            target = tomllib.load(f)["project"]["scripts"]["walras"]
+        monkeypatch.setattr(sys, "argv", ["walras", *argv])
+        code = EntryPoint("walras", target, "console_scripts").load()()
+        out = capsys.readouterr().out
+    else:
+        proc = subprocess.run([exe, *argv], capture_output=True, text=True)
+        code, out = proc.returncode, proc.stdout
+    assert code == 0
+    assert json.loads(out)["welfare"] == "8"
 
 
 def test_module_invocation():

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from oracles import (brute_max_prices, brute_min_prices, brute_welfare, matching_welfare,
                      reference_tatonnement)
-from test_valuations import oracle_valuations
+from strategies import any_profile
 from walras.analysis import BidGrid, Instance, poa_search, verify_nash
 from walras.bundles import iter_bits, ms_ones
 from walras.mechanisms import (
@@ -346,19 +346,12 @@ def test_submodular_ranking_instance_stays_well_defined():
 
 # -- metamorphic relations -----------------------------------------------------
 # Exact relations between the outcomes of two related markets, checked at
-# sizes beyond the brute-force oracles.  Numbers are over 3, 5, 7, 9 and 11,
-# so the two markets' scaled tables rarely share a denominator.
+# sizes beyond the brute-force oracles.  Numbers are over 1, 3, 5, 7, 9 and
+# 11, so the two markets' scaled tables rarely share a denominator.
 
-METAMORPHIC = settings(derandomize=True, database=None, deadline=None,
-                       max_examples=100)
-
-
-@st.composite
-def markets(draw, max_n=4, m=st.integers(1, 6)):
-    """1..max_n bids of any kind over ``m`` items, by default 1-6."""
-    m = draw(m)
-    n = draw(st.integers(1, max_n))
-    return BidProfile(m, tuple(draw(oracle_valuations(m)) for _ in range(n)))
+METAMORPHIC = settings(max_examples=100)
+# 1-4 bids of any kind over 1-6 items.
+MARKETS = any_profile(st.integers(1, 6), st.integers(1, 4))
 
 
 def _sampled_market(m):
@@ -377,7 +370,7 @@ SIX_ITEMS, NINE_ITEMS, TEN_ITEMS = map(_sampled_market, (6, 9, 10))
 @example(SIX_ITEMS, F(5, 3))
 @example(NINE_ITEMS, F(7, 2))
 @example(TEN_ITEMS, F(5, 3))
-@given(markets(), st.builds(F, st.integers(1, 12), st.sampled_from((1, 2, 3, 5, 7))))
+@given(MARKETS, st.builds(F, st.integers(1, 12), st.sampled_from((1, 2, 3, 5, 7))))
 def test_scaling_every_bid_scales_welfare_prices_and_payments(profile, c):
     scaled = BidProfile(profile.m, tuple(b.scale(c) for b in profile.bids))
     ones = ms_ones(profile.m)
@@ -392,7 +385,7 @@ def test_scaling_every_bid_scales_welfare_prices_and_payments(profile, c):
 
 @METAMORPHIC
 @example(BidProfile(6, SIX_ITEMS.bids[:3]))
-@given(markets(max_n=3))
+@given(any_profile(st.integers(1, 6), st.integers(1, 3)))
 def test_a_zero_bidder_appended_last_changes_nothing(profile):
     joined = BidProfile(profile.m, profile.bids + (Additive((F(0),) * profile.m),))
     for prices in (min_walrasian_prices, max_walrasian_prices):
@@ -425,7 +418,7 @@ def _relabel(v, perm):
 
 @st.composite
 def relabelled_markets(draw):
-    profile = draw(markets())
+    profile = draw(MARKETS)
     return profile, tuple(draw(st.permutations(range(profile.m))))
 
 
@@ -444,11 +437,11 @@ def test_relabelling_the_items_permutes_both_price_vectors(case):
         assert tuple(after[perm[j]] for j in range(profile.m)) == before
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@settings(max_examples=25)
 @example(SIX_ITEMS)
 @example(NINE_ITEMS)
 @example(TEN_ITEMS)
-@given(markets(max_n=3, m=st.integers(6, 8)))
+@given(any_profile(st.integers(6, 8), st.integers(1, 3)))
 def test_lattice_endpoints_are_welfare_differences(profile):
     # Read through the general table DP over two copies of item j, not the
     # prefix x suffix join the price routines read.
@@ -472,8 +465,7 @@ RATIONALS = st.builds(F, st.integers(1, 12), st.sampled_from((1, 2, 3, 5, 7)))
 def grid_games(draw):
     """Types, a bid profile, grid delta, cap and eps_dev of a small game."""
     m, n, count = draw(st.sampled_from(SMALL_GRIDS))
-    types = BidProfile(m, tuple(draw(oracle_valuations(m)) for _ in range(n)))
-    bids = BidProfile(m, tuple(draw(oracle_valuations(m)) for _ in range(n)))
+    types, bids = (draw(any_profile(st.just(m), st.just(n))) for _ in range(2))
     delta = draw(RATIONALS) / 4
     eps_dev = draw(st.sampled_from((F(0), F(1, 4), F(1))))
     return types, bids, delta, (count - 1) * delta, eps_dev

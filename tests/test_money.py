@@ -117,7 +117,7 @@ def test_format_parse_round_trip():
             assert parse_money(format_money(q)) == q
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@settings(max_examples=200)
 @given(st.one_of(
     st.fractions(),
     st.builds(lambda n, a, b: Fraction(n, 2**a * 5**b),

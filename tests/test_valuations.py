@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import Phase, example, find, given, settings, strategies as st
 
 from oracles import (
     brute_demand,
@@ -12,6 +12,7 @@ from oracles import (
     brute_submodular,
     brute_value,
 )
+from strategies import STRUCTURED, any_profile, any_valuation, weights
 from walras.analysis import Instance
 from walras.instancefile import instance_from_dict, instance_to_dict
 from walras.mechanisms import PaymentRule, run_mechanism
@@ -230,49 +231,36 @@ def test_gs_implies_submodular_on_random_draws():
             assert is_submodular(v)
 
 
-# Denominators whose lcm is not the largest of them, so a checker that scaled
-# by the largest denominator would compare wrong integers.
-ODD_DENOMINATORS = (1, 3, 5, 7, 9, 11)
-CHECKER_EXAMPLES = settings(derandomize=True, database=None, deadline=None,
-                            max_examples=150)
-weights = st.sampled_from(ODD_DENOMINATORS).flatmap(
-    lambda d: st.integers(0, 3 * d).map(lambda k: F(k, d)))
+# The shared weights' denominators have an lcm above the largest of them, so
+# a checker that scaled by the largest denominator would compare wrong integers.
+CHECKER_EXAMPLES = settings(max_examples=150)
 
 
 @st.composite
-def monotone_tables(draw, m, numbers=weights):
+def monotone_tables(draw, m):
     """v(x) = max(a fresh number, v of x's one-item-smaller subsets).
     Entries keep their own denominators, so a table's lcm is often above its
     largest denominator."""
     values = [F(0)]
     for x in range(1, 1 << m):
         below = max(values[x ^ (1 << j)] for j in range(m) if x >> j & 1)
-        values.append(max(below, draw(numbers)))
+        values.append(max(below, draw(weights())))
     return values
 
 
 @st.composite
 def checker_inputs(draw):
+    """Any kind but a table that is not monotone, and the kinds only the
+    checkers read: budget-additive and OXS tabulated."""
     m = draw(st.sampled_from((1, 2, 3, 3, 4, 4)))
-
-    def row(k):
-        return tuple(draw(weights) for _ in range(k))
-
-    kind = draw(st.sampled_from(("additive", "unit_demand", "xos", "oxs",
-                                 "budget", "gs_table", "table")))
-    if kind == "additive":
-        return Additive(row(m))
-    if kind == "unit_demand":
-        return UnitDemand(row(m))
-    if kind == "xos":
-        return Xos(tuple(row(m) for _ in range(draw(st.integers(1, 3)))))
-    if kind in ("oxs", "gs_table"):
-        slots = draw(st.integers(1, m))
-        v = Oxs(tuple(row(slots) for _ in range(m)))
-        return v if kind == "oxs" else Tabular(v.table())
+    kind = draw(st.sampled_from(("any", "budget", "gs_table", "table")))
+    if kind == "any":
+        return draw(any_valuation(m, STRUCTURED))
+    if kind == "gs_table":
+        return Tabular(draw(any_valuation(m, ("oxs",))).table())
     if kind == "budget":
-        items = row(m)
-        return budget_additive(items, max(items) + draw(weights))
+        items = tuple(draw(weights()) for _ in range(m))
+        return budget_additive(items, max(items) + draw(weights()))
     return Tabular(tuple(draw(monotone_tables(m))))
 
 
@@ -290,7 +278,7 @@ def test_class_checkers_match_fraction_reference(v):
 @given(st.integers(1, 4).flatmap(monotone_tables), st.data())
 def test_checkers_reject_non_monotone_tables_like_the_reference(values, data):
     x = data.draw(st.integers(0, len(values) - 1))
-    drop = data.draw(weights.filter(bool))
+    drop = data.draw(weights().filter(bool))
     if x == 0:
         values[0] += drop  # v(empty) > 0
     else:
@@ -306,7 +294,7 @@ def test_checkers_reject_non_monotone_tables_like_the_reference(values, data):
 
 @settings(CHECKER_EXAMPLES, max_examples=80)
 @given(st.integers(1, 5).flatmap(lambda m: st.integers(1, 4).flatmap(
-    lambda slots: st.lists(st.lists(weights, min_size=slots, max_size=slots),
+    lambda slots: st.lists(st.lists(weights(), min_size=slots, max_size=slots),
                            min_size=m, max_size=m))))
 def test_oxs_slot_fold_matches_brute_force_matching(matrix):
     v = Oxs(tuple(tuple(row) for row in matrix))
@@ -404,41 +392,17 @@ def test_json_rejects_bad_input():
         valuation_from_json({"type": "tabular", "values": ["1", "0"]})
 
 
-# Numbers of the round-trip tests: thirds, fifths, sevenths and ninths, and
-# one value over 11, so a valuation's numbers rarely share a denominator.
-ROUND_TRIP_NUMBERS = st.one_of(
-    st.just(F(1, 11)),
-    st.sampled_from((3, 5, 7, 9)).flatmap(
-        lambda d: st.integers(0, 4 * d).map(lambda k: F(k, d))))
-ROUND_TRIPS = settings(derandomize=True, database=None, deadline=None,
-                       max_examples=60)
+ROUND_TRIPS = settings(max_examples=60)
 
 
-@st.composite
-def valuations(draw, m=None):
-    """Any of the five kinds over 1-4 items: XOS with 1-3 clauses, OXS with
-    1-3 slots, tabular tables monotone and normalized."""
-    m = m or draw(st.integers(1, 4))
-
-    def row(k):
-        return tuple(draw(ROUND_TRIP_NUMBERS) for _ in range(k))
-
-    kind = draw(st.sampled_from(("additive", "unit_demand", "xos", "oxs",
-                                 "tabular")))
-    if kind == "additive":
-        return Additive(row(m))
-    if kind == "unit_demand":
-        return UnitDemand(row(m))
-    if kind == "xos":
-        return Xos(tuple(row(m) for _ in range(draw(st.integers(1, 3)))))
-    if kind == "oxs":
-        slots = draw(st.integers(1, 3))
-        return Oxs(tuple(row(slots) for _ in range(m)))
-    return Tabular(tuple(draw(monotone_tables(m, ROUND_TRIP_NUMBERS))))
+def valuations(m):
+    """Any kind over m items as an instance file takes it: a table only if
+    it is monotone and normalized, since instance files refuse other tables."""
+    return any_valuation(m, STRUCTURED) | monotone_tables(m).map(Tabular)
 
 
 @ROUND_TRIPS
-@given(valuations())
+@given(st.integers(1, 4).flatmap(valuations))
 def test_json_round_trip_of_every_kind(v):
     assert valuation_from_json(valuation_to_json(v)) == v
 
@@ -451,7 +415,7 @@ def _times(c, numbers):
 
 
 @ROUND_TRIPS
-@given(valuations(), ROUND_TRIP_NUMBERS)
+@given(st.integers(1, 4).flatmap(valuations), weights())
 def test_scale_multiplies_every_json_number(v, c):
     data = valuation_to_json(v)
     expected = {k: x if k == "type" else _times(c, x) for k, x in data.items()}
@@ -468,36 +432,9 @@ def test_instance_dict_round_trip(shape, name):
     assert instance_from_dict(instance_to_dict(instance)) == instance
 
 
-# Integer tables against the brute-force values: numbers over 3, 5, 7, 9 and
-# 11, so the kinds' own denominators D_v rarely equal a table's lcm.
-ORACLE_EXAMPLES = settings(derandomize=True, database=None, deadline=None,
-                           max_examples=80)
-
-
-@st.composite
-def oracle_valuations(draw, m=None):
-    """Any kind over 1-6 items: XOS with 1-3 clauses, OXS with 1-2 slots
-    (the matching oracle tries every permutation), tables with independent
-    entries over mixed denominators."""
-    m = m or draw(st.integers(1, 6))
-
-    def row(k):
-        return tuple(draw(ROUND_TRIP_NUMBERS) for _ in range(k))
-
-    kind = draw(st.sampled_from(("additive", "unit_demand", "xos", "oxs",
-                                 "tabular")))
-    if kind == "additive":
-        return Additive(row(m))
-    if kind == "unit_demand":
-        return UnitDemand(row(m))
-    if kind == "xos":
-        return Xos(tuple(row(m) for _ in range(draw(st.integers(1, 3)))))
-    if kind == "oxs":
-        slots = draw(st.integers(1, 2))
-        return Oxs(tuple(row(slots) for _ in range(m)))
-    return Tabular((F(0),) + row((1 << m) - 1))
-
-
+# Integer tables against the brute-force values: numbers over 1, 3, 5, 7, 9
+# and 11, so the kinds' own denominators D_v rarely equal a table's lcm.
+ORACLE_EXAMPLES = settings(max_examples=80)
 # A clause over thirds that is never the best: every value is whole, D_v is 3.
 HIDDEN_THIRDS = Xos(((F(1), F(1)), (F(1, 3), F(0))))
 
@@ -509,7 +446,7 @@ HIDDEN_THIRDS = Xos(((F(1), F(1)), (F(1, 3), F(0))))
 @example(Xos(((F(0),) * 6,) * 2))
 @example(Oxs(((F(0), F(0)),) * 6))
 @example(Tabular((F(0), F(1, 2), F(2, 3), F(5, 7))))
-@given(oracle_valuations())
+@given(st.integers(1, 6).flatmap(any_valuation))
 def test_integer_table_matches_brute_values(v):
     denom, ints = _tabulate(v)
     assert all(type(t) is int for t in ints)
@@ -519,7 +456,7 @@ def test_integer_table_matches_brute_values(v):
 
 @ORACLE_EXAMPLES
 @given(st.integers(1, 10).flatmap(
-    lambda m: st.lists(ROUND_TRIP_NUMBERS, min_size=m, max_size=m)))
+    lambda m: st.lists(weights(), min_size=m, max_size=m)))
 def test_kinds_declaring_the_same_rows_build_the_same_table(w):
     """A one-slot OXS matrix declares the fold row of a unit-demand bid, and
     one XOS clause that of an additive bid: the one builder gives each pair
@@ -531,6 +468,20 @@ def test_kinds_declaring_the_same_rows_build_the_same_table(w):
         assert _tabulate(same) == _tabulate(kind)
 
 
+def test_the_shared_strategy_reaches_what_the_api_takes():
+    """Drawn bids reach a table negative on a nonempty bundle, a numerator of
+    2^64 or more, and a profile whose D is none of its bids' own D_v.  The
+    first draw found is kept: shrinking it only costs time."""
+    drawn, first = st.integers(1, 3).flatmap(any_valuation), settings(phases=[Phase.generate])
+    assert min(find(drawn, lambda v: isinstance(v, Tabular) and min(v.values) < 0,
+                    settings=first).values) < 0
+    assert max(abs(x.numerator) for x in find(drawn, lambda v: any(
+        abs(x.numerator) >= 1 << 64 for x in v.table()), settings=first).table()) >= 1 << 64
+    prof = find(any_profile(), lambda p: scaled_tables(p)[0] not in {
+        _tabulate(b)[0] for b in p.bids}, settings=first)
+    assert scaled_tables(prof)[0] not in {_tabulate(b)[0] for b in prof.bids}
+
+
 def test_table_denominator_is_a_common_multiple():
     assert _tabulate(HIDDEN_THIRDS) == (3, (0, 3, 3, 6))
     assert _tabulate(Additive((F(0),) * 3)) == (1, (0,) * 8)
@@ -539,9 +490,7 @@ def test_table_denominator_is_a_common_multiple():
 
 @ORACLE_EXAMPLES
 @example(BidProfile(2, (HIDDEN_THIRDS, Additive((F(1, 2), F(1))))))
-@given(st.integers(1, 4).flatmap(lambda m: st.lists(
-    oracle_valuations(m), min_size=1, max_size=3).map(
-        lambda bids: BidProfile(m, tuple(bids)))))
+@given(any_profile())
 def test_scaled_tables_match_a_profile_seeded_over_the_lcm(prof):
     """D, a common multiple of the bids' own D_v, gives the brute-force
     values; and allocations, ties and payments equal those of the same

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from oracles import (brute_max_prices, brute_min_prices, fraction_walrasian_certificate,
                      reference_tatonnement)
-from test_valuations import ROUND_TRIP_NUMBERS, oracle_valuations
+from strategies import any_profile, weights
 from walras import walrasian
 from walras.bundles import ms_ones
 from walras.mechanisms import allocate_declared
@@ -161,18 +161,17 @@ def test_verify_failure_modes():
 def verification_inputs(draw):
     """A profile of 1-3 bids of any kind over 1-4 items, any assignment of
     the items to the agents or to nobody, and any non-negative prices."""
-    m = draw(st.integers(1, 4))
-    n = draw(st.integers(1, 3))
-    profile = BidProfile(m, tuple(draw(oracle_valuations(m)) for _ in range(n)))
+    profile = draw(any_profile())
+    m, n = profile.m, profile.n
     bundles = [0] * n
     for j in range(m):
         owner = draw(st.integers(0, n))  # n leaves item j unsold
         if owner < n:
             bundles[owner] |= 1 << j
-    return profile, tuple(bundles), tuple(draw(ROUND_TRIP_NUMBERS) for _ in range(m))
+    return profile, tuple(bundles), tuple(draw(weights()) for _ in range(m))
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@settings(max_examples=150)
 @given(verification_inputs())
 @example((OVERBID, (0b001, 0b010, 0b100), (F(1),) * 3))  # an equilibrium
 @example((BidProfile(2, (Tabular((F(0), F(0), F(0), F(3))), UnitDemand((F(2), F(2))))),

@@ -13,6 +13,7 @@ from oracles import (
     submask_fold,
     table_welfare,
 )
+from strategies import STRUCTURED, any_profile
 from walras.bundles import ms_ones
 from walras.money import on_one_denominator
 from walras.mechanisms import _scaled_externality
@@ -329,49 +330,17 @@ def test_all_agents_table_is_folded_once(monkeypatch):
     assert not any(2 in key[1] for key in prof._cache if isinstance(key, tuple))
 
 
-# Denominators whose lcm (1260) is far above the largest of them.
-MERGE_DENOMINATORS = (1, 3, 4, 5, 7, 9)
-MERGE_EXAMPLES = settings(derandomize=True, database=None, deadline=None,
-                          max_examples=100)
-merge_weights = st.sampled_from(MERGE_DENOMINATORS).flatmap(
-    lambda d: st.integers(0, 3 * d).map(lambda k: F(k, d)))
+MERGE_EXAMPLES = settings(max_examples=100)
 # Non-monotone: v({0}) = 2 > v({0, 1}) = 1.
 NON_MONOTONE = Tabular((F(0), F(2), F(1, 3), F(1)))
-
-
-@st.composite
-def merge_profiles(draw, m_range=(1, 5), n_range=(1, 4), tables=True):
-    """n bids over m items (1..4 and 1..5 by default): the four sampled
-    kinds and, with ``tables``, tables with independent entries, which are
-    mostly not monotone."""
-    m = draw(st.integers(*m_range))
-    n = draw(st.integers(*n_range))
-
-    def row(k):
-        return tuple(draw(merge_weights) for _ in range(k))
-
-    bids = []
-    for _ in range(n):
-        kind = draw(st.sampled_from(("additive", "unit_demand", "xos", "oxs",
-                                     "table")[:5 if tables else 4]))
-        if kind == "additive":
-            bids.append(Additive(row(m)))
-        elif kind == "unit_demand":
-            bids.append(UnitDemand(row(m)))
-        elif kind == "xos":
-            bids.append(Xos(tuple(row(m) for _ in range(draw(st.integers(1, 3))))))
-        elif kind == "oxs":
-            slots = draw(st.integers(1, m))
-            bids.append(Oxs(tuple(row(slots) for _ in range(m))))
-        else:
-            bids.append(Tabular((F(0),) + row((1 << m) - 1)))
-    return BidProfile(m, tuple(bids))
+# 1-4 bids of any kind over 1-5 items.
+MERGE_PROFILES = any_profile(st.integers(1, 5), st.integers(1, 4))
 
 
 @MERGE_EXAMPLES
 @example(BidProfile(2, (NON_MONOTONE, Additive((F(1, 4), F(1, 3))),
                         UnitDemand((F(1, 5), F(6, 7))))), 0)
-@given(merge_profiles(), st.integers(0, 1 << 20))
+@given(MERGE_PROFILES, st.integers(0, 1 << 20))
 def test_point_merges_match_the_table_paths(prof, seed):
     """Min and max prices, the vcg externality at any bundle, and W with and
     without one agent at multisets with doubled items all equal the values
@@ -398,7 +367,7 @@ def test_point_merges_match_the_table_paths(prof, seed):
 
 
 @MERGE_EXAMPLES
-@given(merge_profiles(), st.data())
+@given(MERGE_PROFILES, st.data())
 def test_prefix_tables_match_the_oracle_fold(prof, data):
     """For every k from 0 to n, the prefix table of agents 0..k-1 on the
     one-copy and on a doubled shape is the oracle fold of bids[:k] at every
@@ -453,7 +422,7 @@ def _assert_folds_agree(prof, shape):
 
 
 @MERGE_EXAMPLES
-@given(merge_profiles(), st.data())
+@given(MERGE_PROFILES, st.data())
 def test_item_fold_matches_the_submask_fold(prof, data):
     """Every kind on every supply shape, with fold rows attached at any m:
     the item fold runs on the ones shape, and tables and doubled shapes keep
@@ -467,8 +436,8 @@ def test_item_fold_matches_the_submask_fold(prof, data):
             assert type(tab) is tuple
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=8)
-@given(merge_profiles(m_range=(8, 8), n_range=(2, 3), tables=False))
+@settings(max_examples=8)
+@given(any_profile(st.just(8), st.integers(2, 3), STRUCTURED))
 def test_item_fold_matches_the_submask_fold_at_eight_items(prof):
     _assert_folds_agree(prof, ms_ones(8))
 
