@@ -26,15 +26,14 @@ from __future__ import annotations
 
 import itertools
 import os
-import sys
 from dataclasses import dataclass, replace
 from functools import cache
 from fractions import Fraction
 from itertools import chain, compress, cycle, repeat
 from math import gcd, prod
-from operator import add, and_, ge, getitem, itemgetter, lshift, mul, sub
+from operator import add, ge, getitem, itemgetter, sub
 
-from .bundles import iter_bits, ms_ones
+from .bundles import iter_bits, lane_max, lane_width, ms_ones, pack_lanes, unpack_lanes
 from .money import (INFINITY, ZERO, Infinity, _parse_non_negative, format_money,
                     on_one_denominator, parse_money)
 from .mechanisms import PaymentRule, _scaled_externality, run_mechanism
@@ -554,70 +553,36 @@ def _grid_outcomes(scaled: _Scaled, contexts) -> tuple[list, list[list]]:
     """D times the true welfare, and D times each agent's utility, of the
     grid profiles in the opponent contexts ``contexts`` (tuples of grid
     indices of agents 1..n-1): a welfare list and one utility list per
-    agent, over the profiles context by context, agent 0's grid index
-    fastest.
+    agent, context by context, agent 0's grid index fastest.
 
     Each context folds the opponents once and gathers what each bundle s of
     agent 0 leaves them.  All else runs in passes over ``_PASS`` profiles or
-    so, one profile per fixed-width lane of one int, a guard bit atop each
-    lane.  A merge is the best over s of agent 0's entry s plus a gather's.
-    Every merge of a pass runs at once: one block of lanes per merge and
-    bundle s holds agent 0's column of entries s, repeated per context, plus
-    each context's entry s, repeated per bid, packed above the m bits of
-    full - s; halving the blocks by a guard-bit max leaves one per merge.
-    So W's block also holds the state left to the others and the smallest
-    best bundle (``_backtrack``'s tie rule).  The others' share of each state
-    held then fills the lanes that hold it, and the payments are lane sums.
-    Agent 0's entries are lifted so that none is negative, and a lane is as
-    wide as the largest magnitude the call can take, so every step is exact
-    for any entries; lanes decode through ``array``.
+    so, one profile per lane of one int (``bundles.pack_lanes``), each wide
+    enough that every step is exact.  A merge is the best over s of agent
+    0's entry s plus a gather's.  Every merge of a pass runs at once: one
+    block of lanes per merge and bundle s holds agent 0's column of entries
+    s, repeated per context, plus each context's entry s, repeated per bid,
+    packed above the m bits of full - s; halving the blocks by the guard-bit
+    max (``bundles.lane_max``) leaves one per merge.  So W's block also holds
+    the state left to the others and the smallest best bundle
+    (``_backtrack``'s tie rule).  The others' share of each state held then
+    fills the lanes that hold it, and the payments are lane sums.
     """
-    from array import array  # here, so runs that price no grid never load it
-
     rule, n, m = scaled.rule, len(scaled.grid), scaled.m
     size, ssum, clamps = _layout(ms_ones(m))
     full, zeros = size - 1, (0,) * size
     own = [t for _, t in scaled.grid[0]]
     count = len(own)
     # Agent 0's entries, lifted by ``lift`` so that none is negative, are
-    # the only signed terms of a merge.  No merge exceeds n times the
-    # largest magnitude of an entry plus the lift, nor does any welfare,
-    # price or utility; each lane holds that times 2^m below its guard bit,
-    # in a power of two from 8 bits.
+    # the only signed terms of a merge.  No merge, welfare, price or utility
+    # exceeds n times the largest entry magnitude plus the lift; each lane
+    # holds that times 2^m below its guard bit.
     lift = max(0, -min(map(min, own)))
-    width = 8
-    while ((n * scaled.top + lift) << m | full) >> width - 1:
-        width *= 2
-    wide, words = width // 8, max(width // 64, 1)
-    code = {1: "b", 2: "h", 4: "i"}.get(wide, "q")  # of a lane, or of its top word
-    swap = sys.byteorder == "big"  # array words are native, lanes little-endian
-
-    def lanes(values, copies=1):  # two's-complement lanes, each ``copies`` times
-        if copies > 1 or words > 1:
-            return b"".join(map(mul, map(int.to_bytes, map(and_, values, repeat(
-                (1 << width) - 1)), repeat(wide), repeat("little")), repeat(copies)))
-        out = array(code, values)
-        if swap:
-            out.byteswap()
-        return out.tobytes()
-
-    def decode(x, k):  # the k lanes of x, as signed width-bit integers
-        raw = x.to_bytes(k * wide, "little")
-        out = array(code, raw)  # a wide lane's words, the top one signed
-        if swap:
-            out.byteswap()
-        if words > 1:
-            low = array(code.upper(), raw)
-            if swap:
-                low.byteswap()
-            out = out[words - 1::words]
-            for w in range(words - 2, -1, -1):
-                out = list(map(add, map(lshift, out, repeat(64)), low[w::words]))
-        return out
-
+    width = lane_width((n * scaled.top + lift) << m | full)
+    wide = width // 8
     # agent 0's lifted entries s of every bid, above the m bits of full - s
-    packed = lanes([(x + lift) << m | full - s for s, column in enumerate(zip(*own))
-                    for x in column])
+    packed = pack_lanes([(x + lift) << m | full - s for s, column in enumerate(zip(*own))
+                         for x in column], width)
     packed = [packed[s:s + count * wide] for s in range(0, len(packed), count * wide)]
     doubled, at_less, merges, spare = _merges(rule, m, n)
     last = max(n - 1, 1)  # with no opponent, the zero level n
@@ -659,21 +624,18 @@ def _grid_outcomes(scaled: _Scaled, contexts) -> tuple[list, list[list]]:
         # entries s, once per context, plus each context's entry s, once per bid.
         columns = b"".join([packed[bs[s]] * len(runs) for s in range(size) for bs in merges])
         by_bundle = zip(*[zip(*entries) for entries in (back, *gathers, *cats)])
-        entries = lanes(chain.from_iterable(chain.from_iterable(by_bundle)), count)
+        entries = pack_lanes(chain.from_iterable(chain.from_iterable(by_bundle)), width, count)
         best = int.from_bytes(columns, "little") + (int.from_bytes(entries, "little") << m)
-        ones = int.from_bytes(lanes((1,)) * (size * every // 2), "little")  # in each lane
-        blocks, heads = size * every, ones << width - 1  # the guard bits alone
-        while blocks > every:  # the guard-bit max of the upper and the lower half
-            blocks >>= 1
+        ones = int.from_bytes(pack_lanes((1,), width) * (size * every // 2), "little")
+        heads = ones << width - 1  # the guard bits alone
+        for blocks in (every << b for b in reversed(range(m))):  # the max of the two halves
             low = (1 << blocks * width) - 1
-            upper, best, guards = best >> blocks * width, best & low, heads & low
-            d = ((upper | guards) - best) & guards  # guard where upper >= best
-            best ^= (upper ^ best) & (d - (d >> width - 1))
+            best = lane_max(best >> blocks * width, best & low, heads & low, width)
         block = (1 << k * width) - 1
         held = best & (ones & (1 << every * width) - 1) * full  # W's block: the states left
         best = (best ^ held) >> m
         declared, *merged = [best >> b * k * width & block for b in range(len(merges))]
-        states, records, taken, shares = decode(held & block, k), [], [], []
+        states, records, taken, shares = unpack_lanes(held & block, k, width), [], [], []
         by_context = list(zip(*[iter(states)] * count))  # each context's lanes
         for (tables, levels), mine in zip(runs, by_context):
             share, opponents, rest = {}, tables[1:], levels[1:]
@@ -698,7 +660,7 @@ def _grid_outcomes(scaled: _Scaled, contexts) -> tuple[list, list[list]]:
         picks = list(chain.from_iterable(map(map, shares, by_context)))
         fields = len(records[0])
         span = fields * wide
-        table = lanes(chain.from_iterable(records))
+        table = pack_lanes(chain.from_iterable(records), width)
         spans = [table[i:i + span] for i in range(0, len(table), span)]  # a record's lanes
         stacked = b"".join(map(spans.__getitem__, picks))
         ones, guards, picked = ones & block, heads & block, []
@@ -711,7 +673,7 @@ def _grid_outcomes(scaled: _Scaled, contexts) -> tuple[list, list[list]]:
         utils = [u ^ guards for u in utils]  # each plus half
         if rule is PaymentRule.PAY_YOUR_BID:  # agent 0 pays its bid on its bundle
             at = map(add, cycle(range(0, count * size, size)), map(taken.__getitem__, picks))
-            utils[0] -= int.from_bytes(lanes(map(bids.__getitem__, at)), "little")
+            utils[0] -= int.from_bytes(pack_lanes(map(bids.__getitem__, at), width), "little")
         elif rule is PaymentRule.VCG:  # W_-i(1) - W_-i(1 - x_i), the latter W - b_i(x_i)
             utils[1:] = [u - w + declared for u, w in zip(utils[1:], merged)]
         elif spare:  # D times the lowest (english) or the highest prices, per bundle
@@ -721,7 +683,7 @@ def _grid_outcomes(scaled: _Scaled, contexts) -> tuple[list, list[list]]:
                     bit = x >> j & ones
                     utils[i] -= price & (bit << width) - bit
         for column, x in zip(outcomes, (welfare, *(u ^ guards for u in utils))):
-            column += decode(x, k)
+            column += unpack_lanes(x, k, width)
     return outcomes[0], outcomes[1:]
 
 

@@ -1,15 +1,21 @@
-"""Bitmask bundles and small item multisets.
+"""Bitmask bundles, lanes and small item multisets.
 
 A bundle over m items is an ``int`` bitmask with bit j set when item j is
-included; m is capped at 16.  An item multiset is a tuple of non-negative
-per-item multiplicities.  All welfare formulas in this package need at most
-two copies of an item, so multiset arguments are validated to multiplicity 2.
+included; m is capped at 16.  ``fold_rows`` folds item weights into a table
+held one entry per lane of one int, lane k at bit k * width, so that one
+big-int operation acts on every lane (SIMD within a register; Lamport 1975);
+the ``poa`` kernel shares its lane codec and guard-bit max.  An item
+multiset is a tuple of non-negative per-item multiplicities, validated to
+at most 2: no welfare formula in this package needs more copies.
 """
 
 from __future__ import annotations
 
-from functools import cache
-from operator import itemgetter
+import sys
+from array import array
+from functools import lru_cache
+from itertools import repeat
+from operator import and_, mul
 from typing import Iterator, Sequence
 
 MAX_ITEMS = 16
@@ -51,33 +57,84 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-@cache
-def _rotation(m: int):
-    """A gather that moves bit b of every bundle index to bit b + 1 (mod m):
-    after one pass on the top item it brings the next lower item to the top
-    bit, and m of them restore the order."""
-    top = m - 1
-    return itemgetter(*[(q >> 1) | (q & 1) << top for q in range(1 << m)])
+# -- lanes -------------------------------------------------------------------
+
+_CODES = {8: "b", 16: "h", 32: "i"}  # signed array codes, "q" at 64 bits
+_SWAP = sys.byteorder == "big"  # array words are native, lanes little-endian
 
 
-def fold_row(table: Sequence[int], row: Sequence[int], slot: bool) -> tuple[int, ...]:
-    """One row of item weights folded into a bundle-indexed table, one item
-    at a time.  The pass for item i sets g(S) = max(g(S), src(S - i) + w_i)
-    at every bundle S holding i; the top item goes first and a rotation
-    brings the next one up.  For a clause src is g itself, so the row adds
-    any subset of the items; for a slot it is the table before the row, so
-    the row adds at most one item."""
-    m = len(table).bit_length() - 1
-    half = 1 << (m - 1)
-    rotate = _rotation(m)
-    cur = base = table
-    for w in reversed(row):
-        src = base if slot else cur
-        cur = rotate([*cur[:half], *[h if h > (x := s + w) else x
-                                     for h, s in zip(cur[half:], src)]])
-        if slot:
-            base = rotate(base)
-    return cur
+def lane_width(top: int) -> int:
+    """The narrowest width that holds [0, top] below a guard bit atop each lane."""
+    return max(8, 1 << top.bit_length().bit_length())
+
+
+def pack_lanes(values, width: int, copies: int = 1) -> bytes:
+    """``values`` as little-endian two's-complement lanes, each ``copies`` times."""
+    if copies > 1 or width > 64:
+        return b"".join(map(mul, map(int.to_bytes, map(and_, values, repeat(
+            (1 << width) - 1)), repeat(width // 8), repeat("little")), repeat(copies)))
+    out = array(_CODES.get(width, "q"), values)
+    if _SWAP:
+        out.byteswap()
+    return out.tobytes()
+
+
+def unpack_lanes(x: int, count: int, width: int):
+    """The ``count`` lowest lanes of ``x`` as signed ints."""
+    wide = width // 8
+    raw = x.to_bytes(count * wide, "little")
+    if width > 64:
+        return [int.from_bytes(raw[i:i + wide], "little", signed=True)
+                for i in range(0, len(raw), wide)]
+    out = array(_CODES.get(width, "q"), raw)
+    if _SWAP:
+        out.byteswap()
+    return out
+
+
+def lane_max(a: int, b: int, guards: int, width: int) -> int:
+    """The lane-wise max of ``a`` and ``b``, every guard bit clear in both and
+    set in ``guards``: the guard-bit max ``d = ((a | H) - b) & H``."""
+    d = ((a | guards) - b) & guards  # a guard where a >= b
+    return b ^ (a ^ b) & (d - (d >> width - 1))
+
+
+@lru_cache(maxsize=16)  # an entry holds 2m + 1 ints of 2^m lanes each
+def _item_lanes(m: int, width: int):
+    """The guard bits of 2^m lanes, and per item i the low bits and all bits
+    of the lanes of the bundles holding i, by ``bytes`` repetition."""
+    wide, size = width // 8, 1 << m
+    zero, one = bytes(wide), (1).to_bytes(wide, "little")
+    heads = int.from_bytes((1 << width - 1).to_bytes(wide, "little") * size, "little")
+    ones = tuple(int.from_bytes((zero * (1 << i) + one * (1 << i)) * (size >> i + 1),
+                                "little") for i in range(m))
+    return heads, ones, tuple(x * ((1 << width) - 1) for x in ones)
+
+
+def fold_rows(table: Sequence[int], rows: Sequence[Sequence[int]],
+              slot: bool) -> tuple[int, ...]:
+    """Rows of non-negative item weights folded into a table of any ints:
+    the pass for item i sets g(S) = max(g(S), src(S - i) + w_i) at every S
+    holding i.  A slot adds at most one item (src: the table before it), a
+    clause any subset (src: the running table, from ``table``), and clauses
+    take an element-wise max.  The table is packed once into 2^m lanes,
+    lifted to none negative and as wide as the fold's largest value, so a
+    pass is a few exact big-int operations: src shifted up 2^i lanes, the
+    lanes lacking i masked off, w_i added, and :func:`lane_max`."""
+    m, lift = len(table).bit_length() - 1, max(0, -min(table))
+    width = lane_width(max(table) + lift + (
+        sum(map(max, rows)) if slot else max(map(sum, rows))))
+    heads, ones, keeps = _item_lanes(m, width)
+    out = packed = int.from_bytes(pack_lanes([x + lift for x in table] if lift else table,
+                                             width), "little")
+    for row in rows:  # each clause's table is at least ``packed``, where ``out`` starts
+        src = cur = out if slot else packed
+        for i, w in enumerate(row):
+            gathered = ((src if slot else cur) << (width << i)) & keeps[i]
+            cur = lane_max(gathered + w * ones[i], cur, heads, width)
+        out = cur if slot else lane_max(cur, out, heads, width)
+    out = unpack_lanes(out, 1 << m, width)
+    return tuple([x - lift for x in out] if lift else out)
 
 
 # -- item multisets ---------------------------------------------------------

@@ -42,7 +42,7 @@ from functools import cache, cached_property, lru_cache
 from operator import add
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .bundles import check_bundle, check_item_count, fold_row, iter_bits
+from .bundles import check_bundle, check_item_count, fold_rows, iter_bits
 from .money import (ZERO, _parse_non_negative, format_money, on_one_denominator,
                     parse_money, scale_rows)
 
@@ -84,19 +84,17 @@ class Valuation:
         return scale_rows(rows)
 
     def _ints(self) -> tuple[int, tuple[int, ...]]:
-        """The kind's integer table, built from its fold rows; read it
-        through :func:`_tabulate`.  Clauses: the element-wise max of their
-        additive tables.  Slots join one at a time, each like a unit-demand
-        bidder: with slot k a bundle leaves it empty or gives it one item i,
-        g_{k+1}(S) = max(g_k(S), g_k(S - i) + w[i][k])."""
+        """The kind's integer table from its fold rows; read it through
+        :func:`_tabulate`.  Clauses: the element-wise max of their additive
+        tables, each by doubling.  Slots: the first one's table by doubling,
+        the rest by one :func:`bundles.fold_rows` call, where slot k gives a
+        bundle's item i or nothing: g_{k+1}(S) = max(g_k(S), g_k(S - i) + w[i][k])."""
         denom, rows = self._fold_rows
         if not self._slots:
             tables = [_doubling(row, add) for row in rows]
             return denom, tuple(tables[0] if len(tables) == 1 else map(max, *tables))
-        best = _doubling(rows[0], max)
-        for column in rows[1:]:
-            best = fold_row(best, column, slot=True)
-        return denom, tuple(best)
+        first = _doubling(rows[0], max)
+        return denom, fold_rows(first, rows[1:], slot=True) if rows[1:] else tuple(first)
 
     def value(self, bundle: int) -> Fraction:
         check_bundle(self.m, bundle)

@@ -17,9 +17,9 @@ On a doubled shape the prefix may take both copies of an item, so agents
 i+1..n-1 are folded onto it instead.  W(1 + 1_j) joins prefix and suffix
 tables that each hold a copy of j (``_doubled_welfare``).  A multiset with
 doubled items is read on its doubled-item pattern: two copies where it has
-two, one elsewhere.  A fold enumerates submasks, except that a structured
-bid is folded one item at a time on the one-copy shape where that is
-cheaper (``_item_fold``).
+two, one elsewhere.  A fold enumerates submasks, except that on the
+one-copy shape a structured bid folds item by item on a lane-packed table
+(``bundles.fold_rows``) where that is cheaper (``_item_fold_pays``).
 
 The DP runs on integers.  ``scaled_tables`` puts the bids' own integer
 tables (``valuations._tabulate``) on D, a common multiple of their
@@ -44,7 +44,7 @@ from .bundles import (
     check_item_count,
     check_multiset,
     disjoint_union,
-    fold_row,
+    fold_rows,
     full_mask,
     ms_ones,
 )
@@ -154,7 +154,7 @@ def scaled_tables(profile: BidProfile) -> tuple[int, tuple[tuple[int, ...], ...]
     if cached is None:
         denom, tables = on_one_denominator(_tabulate(bid) for bid in profile.bids)
         cached = profile._cache["scaled"] = denom, tuple(
-            _with_rows(bid, tab, denom) if _item_fold_pays(bid) else tab
+            _FoldRows(bid, tab, denom) if _item_fold_pays(bid) else tab
             for bid, tab in zip(profile.bids, tables))
     return cached
 
@@ -162,45 +162,27 @@ def scaled_tables(profile: BidProfile) -> tuple[int, tuple[tuple[int, ...], ...]
 # -- folds ---------------------------------------------------------------------
 
 class _FoldRows(tuple):
-    """A scaled bid table that also carries its kind's fold rows on the same
-    D (``Valuation._fold_rows``): OXS slot columns when ``slots``, additive
-    clauses otherwise.  Every table reader sees the plain tuple."""
+    """``tab``, a bid's table on ``denom``, that also carries the bid's fold
+    rows on ``denom`` (``Valuation._fold_rows``): OXS slot columns when
+    ``slots``, additive clauses otherwise.  Table readers see the tuple."""
 
-    slots: bool
-    rows: tuple[tuple[int, ...], ...]
+    def __new__(cls, bid: Valuation, tab: tuple[int, ...], denom: int):
+        out = super().__new__(cls, tab)
+        own, rows = bid._fold_rows
+        out.slots, out.rows = bid._slots, rows if own == denom else tuple(
+            tuple(x * (denom // own) for x in row) for row in rows)
+        return out
 
 
 def _item_fold_pays(bid: Valuation) -> bool:
-    """Whether folding ``bid`` item by item beats the submask fold: k rows
-    take k * m passes over half a table, against 3^m submask steps.  Timed
-    for 1-12 rows at m = 5-14 (``BENCH_18.json``), the two cross near
-    k = (3/2)^m / 6, so it pays when 6 * k * 2^m <= 3^m: never below 5 items."""
-    return bid._slots is not None and 6 * len(bid._fold_rows[1]) << bid.m <= 3 ** bid.m
-
-
-def _with_rows(bid: Valuation, tab: tuple[int, ...], denom: int) -> _FoldRows:
-    """``tab`` (on ``denom``) carrying ``bid``'s fold rows on ``denom``."""
-    own, rows = bid._fold_rows
-    out = _FoldRows(tab)
-    out.slots = bid._slots
-    out.rows = rows if own == denom else tuple(
-        tuple(x * (denom // own) for x in row) for row in rows)
-    return out
-
-
-def _item_fold(tab: _FoldRows, cur: Sequence[int]) -> Sequence[int]:
-    """One bid folded into the running ones-shape table one item at a time,
-    with no submask loop.  Clauses: f_i(S) = max(f_{i-1}(S),
-    f_{i-1}(S - i) + w_i), and an XOS bid takes the element-wise max over
-    its clauses.  Slots, one after another: new(S) = max(W(S),
-    max_{i in S} w_i + W(S - i)), exact because welfare tables are
-    monotone.  Equal to the submask fold entry for entry."""
-    if tab.slots:
-        for column in tab.rows:
-            cur = fold_row(cur, column, slot=True)
-        return cur
-    folded = [fold_row(cur, clause, slot=False) for clause in tab.rows]
-    return folded[0] if len(folded) == 1 else tuple(map(max, *folded))
+    """Whether folding ``bid``'s k rows by :func:`bundles.fold_rows` beats the
+    submask fold's 3^m steps.  Timed at m = 2-12 (``BENCH_32.json``), an
+    item pass costs about 1 + 2^m/160 us, a call 5 us more and a submask
+    step 0.1 us, so it pays when 5 + k * m * (1 + 2^m/160) <= 3^m/10: never
+    below 5 items, up to 3 rows at m = 5, 8 at m = 6 and 79 at m = 10."""
+    m = bid.m
+    return bid._slots is not None and (
+        len(bid._fold_rows[1]) * m * ((1 << m) + 160) + 800 <= 16 * 3 ** m)
 
 
 def _fold_at(tab, level, idx: int, ssum: tuple[int, ...],
@@ -221,11 +203,12 @@ def _fold_at(tab, level, idx: int, ssum: tuple[int, ...],
 
 def _or_step(tab: tuple[int, ...], cur, size: int, ssum: tuple[int, ...],
              clamps: tuple[int, ...]) -> Sequence[int]:
-    """One agent folded into the running welfare table (scaled integers):
-    item by item when its table carries fold rows and the shape is all ones
-    (``size`` equals the table's 2^m), by submasks otherwise."""
+    """One agent folded into the running welfare table (scaled integers): by
+    submasks, or where its table carries fold rows and the shape is all ones
+    (``size`` is the table's 2^m) by one :func:`bundles.fold_rows` call,
+    equal to the submask fold because welfare tables are monotone."""
     if size == len(tab) and isinstance(tab, _FoldRows):
-        return _item_fold(tab, cur)
+        return fold_rows(cur, tab.rows, tab.slots)
     return [_fold_at(tab, cur, idx, ssum, clamps) for idx in range(size)]
 
 

@@ -12,6 +12,8 @@ as references for the paths that replaced them:
 - ``table_welfare``, a plain copy of the full-table welfare path the point
   merges replaced, and ``submask_fold``, its per-agent fold, which the item
   fold replaced for the structured kinds;
+- ``brute_fold_rows``, the item fold of weight rows into any table, by
+  enumerating each bundle's subsets and slot assignments;
 - the ``fraction_*`` deviation loops of the analysis layer, which ran each
   deviation on a fresh profile in Fractions;
 - ``scaled_profile_outcomes``, the per-profile mechanism runs the grid
@@ -328,6 +330,34 @@ def submask_fold(tab, table, shape):
                                 for sub in range(1, 1 << m)
                                 if not sub & ~present[idx]])
             for idx in range(strides[-1])]
+
+
+def _submasks(s):
+    """Every submask of ``s``, ``s`` first and 0 last."""
+    t = s
+    while True:
+        yield t
+        if not t:
+            return
+        t = (t - 1) & s
+
+
+def brute_fold_rows(table, rows, slot):
+    """``bundles.fold_rows`` by enumeration: at every bundle S, the best over
+    the T within S of table[S - T] plus what the rows take of T.  Slots take
+    T by the best assignment of its items to distinct slots, every order of
+    slots tried; a clause takes all of T, and the best clause wins."""
+    m = len(table).bit_length() - 1
+    items = [[j for j in range(m) if t >> j & 1] for t in range(1 << m)]
+    if slot:
+        gains = [{t: max(sum(rows[k][j] for k, j in zip(order, its))
+                         for order in permutations(range(len(rows)), len(its)))
+                  for t, its in enumerate(items) if len(its) <= len(rows)}]
+    else:
+        gains = [{t: sum(row[j] for j in its) for t, its in enumerate(items)}
+                 for row in rows]
+    return tuple(max(table[s ^ t] + gain[t] for gain in gains for t in _submasks(s)
+                     if t in gain) for s in range(1 << m))
 
 
 def table_welfare(bids, supply, exclude=None):

@@ -97,6 +97,25 @@ def test_no_module_imports_or_assigns_a_name_it_never_reads():
     assert found == []
 
 
+def test_every_private_function_is_read_in_the_package():
+    """Every private module-level function and private method of a walras
+    module is read somewhere in ``src/walras``, as a name or an attribute,
+    so no helper outlives its last caller; dunder methods are exempt."""
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(Path(walras.__file__).parent.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        read |= _reads(tree) | {n.attr for n in ast.walk(tree)
+                                if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    found = [f"{name}:{node.lineno} {node.name}" for name, tree in trees.items()
+             for scope in (tree, *(n for n in tree.body if isinstance(n, ast.ClassDef)))
+             for node in scope.body
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and node.name.startswith("_") and not node.name.endswith("__")
+             and node.name not in read]
+    assert found == []
+
+
 @pytest.mark.parametrize("value,text", [
     (Fraction(8), "8"),
     (Fraction(25, 8), "3.125"),

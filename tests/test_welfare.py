@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import walras.welfare as welfare
 from oracles import (
+    brute_fold_rows,
     brute_max_prices,
     brute_min_prices,
     brute_welfare,
@@ -13,9 +14,9 @@ from oracles import (
     submask_fold,
     table_welfare,
 )
-from strategies import STRUCTURED, any_profile
-from walras.bundles import ms_ones
-from walras.money import on_one_denominator
+from strategies import STRUCTURED, any_profile, any_valuation, weights
+from walras.bundles import fold_rows, ms_ones
+from walras.money import on_one_denominator, scale_rows
 from walras.mechanisms import _scaled_externality
 from walras.valuations import (
     Additive,
@@ -396,7 +397,7 @@ def _rowed_tables(prof):
     """(D, plain tables, tables with every structured bid's fold rows on D,
     whatever m and the row count)."""
     denom, plain = on_one_denominator(_tabulate(b) for b in prof.bids)
-    rowed = tuple(t if b._slots is None else welfare._with_rows(b, t, denom)
+    rowed = tuple(t if b._slots is None else welfare._FoldRows(b, t, denom)
                   for b, t in zip(prof.bids, plain))
     return denom, plain, rowed
 
@@ -430,10 +431,57 @@ def test_item_fold_matches_the_submask_fold(prof, data):
     shape = data.draw(st.tuples(*[st.sampled_from((1, 2))] * prof.m))
     _assert_folds_agree(prof, shape)
     _assert_folds_agree(prof, ms_ones(prof.m))
-    # Only structured bids from five items up carry rows.
+    # A structured bid carries rows where ``_item_fold_pays`` says so: over
+    # these 1-5 items, only at five items with up to three rows.
     for bid, tab in zip(prof.bids, scaled_tables(prof)[1]):
-        if isinstance(bid, Tabular) or prof.m < 5:
-            assert type(tab) is tuple
+        pays = bid._slots is not None and prof.m == 5 and len(bid._fold_rows[1]) <= 3
+        assert welfare._item_fold_pays(bid) is pays
+        assert type(tab) is (welfare._FoldRows if pays else tuple)
+
+
+@pytest.mark.parametrize("m, k, pays", [(4, 1, False), (5, 1, True), (5, 3, True),
+                                        (5, 4, False)])
+def test_item_fold_pays_on_either_side_of_its_boundary(m, k, pays):
+    """The cells either side of the crossover, for k OXS slots and k XOS
+    clauses: no rows below five items, up to three rows at five."""
+    for bid in (Oxs(((F(1),) * k,) * m), Xos(((F(1),) * m,) * k)):
+        assert welfare._item_fold_pays(bid) is pays
+        prof = BidProfile(m, (bid, Additive((F(1, 2),) * m)))
+        assert type(scaled_tables(prof)[1][0]) is (welfare._FoldRows if pays else tuple)
+        _assert_folds_agree(prof, ms_ones(m))
+
+
+@st.composite
+def fold_rows_inputs(draw, m, slot):
+    """A table and rows on one denominator: any valuation's table over m
+    items (a drawn table is signed), and 1-3 rows of weights, or up to
+    m + 2 slots at up to 3 items, more slots than items."""
+    k = draw(st.integers(1, m + 2 if slot and m <= 3 else 3))
+    base = draw(any_valuation(m))
+    _, (table, *rows) = scale_rows([base.table()] + [
+        [draw(weights()) for _ in range(m)] for _ in range(k)])
+    return table, rows
+
+
+@pytest.mark.parametrize("slot", [True, False])
+@pytest.mark.parametrize("m", range(1, 11))
+@settings(max_examples=3)
+@given(data=st.data())
+def test_fold_rows_matches_the_brute_force_fold(m, slot, data):
+    table, rows = data.draw(fold_rows_inputs(m, slot))
+    assert fold_rows(table, rows, slot) == brute_fold_rows(table, rows, slot)
+
+
+@pytest.mark.parametrize("table, rows, slot", [
+    ((0, 5, -3, 2), ((1, 4), (2, 0), (7, 7)), True),  # more slots than items
+    ((0, -7, 3, -1, 2, 0, -9, 4), ((3, 0, 2), (1, 5, 1)), False),
+    ((0, 1 << 70, 3, -(1 << 66)), ((1 << 65, 2),), False),  # lanes past 64 bits
+    ((0, 1 << 70, -5, 4), ((1 << 65, 2), (0, 1 << 66)), True),
+    ((0, 100, 27, 127), ((1, 1),), True),  # 128 takes a 16-bit lane
+    ((0, -120, 27, 0), ((0, 1),), False),  # and so does 27 + 1 lifted by 120
+])
+def test_fold_rows_matches_the_brute_force_fold_on_edge_cases(table, rows, slot):
+    assert fold_rows(table, rows, slot) == brute_fold_rows(table, rows, slot)
 
 
 @settings(max_examples=8)
