@@ -151,10 +151,9 @@ class BidGrid:
             raise ValueError("a bid grid needs at least one agent")
         if any(len(g) == 0 for g in self.per_agent):
             raise ValueError("every agent needs a non-empty bid grid")
-        for i, k, bid in ((i, k, b) for i, bids in enumerate(self.per_agent)
-                          for k, b in enumerate(bids)
-                          if isinstance(b, Tabular) and b.values[0]):
-            raise _worth_at_empty(f"grid bid {k} of agent {i}", bid)
+        for i, bids in enumerate(self.per_agent):
+            for k, bid in enumerate(bids):
+                _worth_at_empty(bid, "grid bid {} of agent {}", k, i)
 
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(g) for g in self.per_agent)
@@ -292,10 +291,10 @@ class _Scaled:
 
     def run(self, profile: BidProfile, rule: PaymentRule | None = None) -> tuple:
         """The ``MechanismOutcome`` of a :meth:`seeded` profile under ``rule``
-        (the call's by default), D * true welfare and D * every utility."""
+        (the call's by default) and D * every utility."""
         out = run_mechanism(rule or self.rule, profile)
         values = [t[x] for (_, t), x in zip(self.truthful, out.allocation.bundles)]
-        return out, sum(values), tuple(map(sub, values, out._scaled_payments))
+        return out, tuple(map(sub, values, out._scaled_payments))
 
     def column(self, pairs: tuple, i: int, candidates) -> tuple[list, list]:
         """D times the true welfare and agent i's utility with each candidate
@@ -429,11 +428,11 @@ def smoothness_certificates(instance: Instance, bids: BidProfile,
     reports = []
     for rule in rules:
         runs = [scaled.run(p, rule) for p in profiles]
-        dwm_ok = all(pay <= t[x] for p, (out, _, _) in zip(pairs, runs)
+        dwm_ok = all(pay <= t[x] for p, (out, _) in zip(pairs, runs)
                      for (_, t), x, pay in zip(p, out.allocation.bundles,
                                                out._scaled_payments))
         declared = sum(t[x] for (_, t), x in zip(current, runs[0][0].allocation.bundles))
-        utils = [run[2][i] for i, run in enumerate(runs[1:])]
+        utils = [run[1][i] for i, run in enumerate(runs[1:])]
         rows = tuple(SmoothnessRow(i, Fraction(u, denom), Fraction(v, 2 * denom),
                                    Fraction(b, denom), 2 * (u + b) >= v)
                      for i, (u, v, b) in enumerate(zip(utils, values, blocking)))
@@ -581,9 +580,8 @@ def _grid_outcomes(scaled: _Scaled, contexts) -> tuple[list, list[list]]:
     width = lane_width((n * scaled.top + lift) << m | full)
     wide = width // 8
     # agent 0's lifted entries s of every bid, above the m bits of full - s
-    packed = pack_lanes([(x + lift) << m | full - s for s, column in enumerate(zip(*own))
-                         for x in column], width)
-    packed = [packed[s:s + count * wide] for s in range(0, len(packed), count * wide)]
+    packed = [pack_lanes([(x + lift) << m | full - s for x in column], width)
+              for s, column in enumerate(zip(*own))]
     doubled, at_less, merges, spare = _merges(rule, m, n)
     last = max(n - 1, 1)  # with no opponent, the zero level n
     truthful = [t for _, t in scaled.truthful]
@@ -595,8 +593,7 @@ def _grid_outcomes(scaled: _Scaled, contexts) -> tuple[list, list[list]]:
     step = -(-_PASS // count)  # contexts per pass
     without, outcomes = {}, [[] for _ in range(n + 1)]  # welfare, each utility
     for lo in range(0, len(contexts), step):
-        runs, back, gathers = [], [], [[] for _ in doubled or at_less]
-        cats = [[] for _ in range(1, n)] if rule is PaymentRule.VCG else []
+        runs, gathers = [], [[] for _ in merges]  # each merge's entries, in its order
         for idxs in contexts[lo:lo + step]:
             tables = (None,) + tuple(scaled.grid[i][k][1] for i, k in enumerate(idxs, 1))
             levels = [None] * n + [zeros]
@@ -604,14 +601,15 @@ def _grid_outcomes(scaled: _Scaled, contexts) -> tuple[list, list[list]]:
                 levels[-2] = tables[-1]
             _fold_levels(tables, levels, 1, size, ssum, clamps)
             runs.append((tables, levels))
-            back.append(levels[1][::-1])  # entry s: state full ^ s
-            for (dsize, dssum, dclamps, read, low), gathered in zip(doubled, gathers):
+            gathers[0].append(levels[1][::-1])  # entry s: state full ^ s
+            for (dsize, dssum, dclamps, read, low), gathered in zip(doubled, gathers[1:]):
                 dlevels = [None] * last + [read(levels[last])]
                 _fold_levels(tables, dlevels, 1, dsize, dssum, dclamps)
                 gathered.append(low(dlevels[1][::-1]))  # entry s: top state less s
-            for get, gathered in zip(at_less, gathers):
+            for get, gathered in zip(at_less, gathers[1:]):
                 gathered.append(get(levels[1]))
-            for i, cat in enumerate(cats, 1):  # vcg: what agent 0 leaves the others but i
+            # vcg: what agent 0 leaves the others but i
+            for i, cat in enumerate(gathers[1:] if rule is PaymentRule.VCG else (), 1):
                 key = (i,) + idxs[:i - 1] + idxs[i:]
                 if key not in without:  # agents 1..i-1 on level i+1, reversed
                     level = [None] * i + [levels[i + 1]]
@@ -623,7 +621,7 @@ def _grid_outcomes(scaled: _Scaled, contexts) -> tuple[list, list[list]]:
         # One block per bundle s and merge, W's first: agent 0's column of
         # entries s, once per context, plus each context's entry s, once per bid.
         columns = b"".join([packed[bs[s]] * len(runs) for s in range(size) for bs in merges])
-        by_bundle = zip(*[zip(*entries) for entries in (back, *gathers, *cats)])
+        by_bundle = zip(*[zip(*entries) for entries in gathers])
         entries = pack_lanes(chain.from_iterable(chain.from_iterable(by_bundle)), width, count)
         best = int.from_bytes(columns, "little") + (int.from_bytes(entries, "little") << m)
         ones = int.from_bytes(pack_lanes((1,), width) * (size * every // 2), "little")
@@ -646,7 +644,7 @@ def _grid_outcomes(scaled: _Scaled, contexts) -> tuple[list, list[list]]:
                 welfare = sum(values)
                 if rule is PaymentRule.VCG:  # less what does not move with agent 0's bid
                     values[0] -= rest[0][full] - rest[0][full ^ bundles[0]]
-                if not gathers:  # vcg, paybid: each other agent's bid on its bundle
+                if not spare:  # vcg, paybid: each other agent's bid on its bundle
                     values[1:] = map(sub, values[1:], map(getitem, opponents, others))
                 if rule is PaymentRule.PAY_YOUR_BID:  # what agent 0's lifted bid is taken from
                     values[0] += lift
@@ -781,7 +779,7 @@ def poa_search(instance: Instance, rule: PaymentRule, grid: BidGrid, gamma,
             key = idxs[:i] + idxs[i + 1:]
             if key not in best:
                 pairs = list(map(getitem, scaled.grid, idxs))
-                best[key] = max(scaled.run(scaled.seeded((*pairs[:i], dev, *pairs[i + 1:])))[2][i]
+                best[key] = max(scaled.run(scaled.seeded((*pairs[:i], dev, *pairs[i + 1:])))[1][i]
                                 for dev in (scaled.truthful[i], scaled.half[i])) - scaled.eps
             if profile[2][i] >= best[key]:
                 kept.append(profile)

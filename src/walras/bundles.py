@@ -113,28 +113,26 @@ def _item_lanes(m: int, width: int):
 
 def fold_rows(table: Sequence[int], rows: Sequence[Sequence[int]],
               slot: bool) -> tuple[int, ...]:
-    """Rows of non-negative item weights folded into a table of any ints:
-    the pass for item i sets g(S) = max(g(S), src(S - i) + w_i) at every S
-    holding i.  A slot adds at most one item (src: the table before it), a
-    clause any subset (src: the running table, from ``table``), and clauses
-    take an element-wise max.  The table is packed once into 2^m lanes,
-    lifted to none negative and as wide as the fold's largest value, so a
-    pass is a few exact big-int operations: src shifted up 2^i lanes, the
-    lanes lacking i masked off, w_i added, and :func:`lane_max`."""
-    m, lift = len(table).bit_length() - 1, max(0, -min(table))
-    width = lane_width(max(table) + lift + (
-        sum(map(max, rows)) if slot else max(map(sum, rows))))
+    """Rows of non-negative item weights folded into a table of non-negative
+    ints: the pass for item i sets g(S) = max(g(S), src(S - i) + w_i) at
+    every S holding i.  A slot adds at most one item (src: the table before
+    it), a clause any subset (src: the running table, from ``table``), and
+    clauses take an element-wise max.  The table is packed once into 2^m
+    lanes as wide as the fold's largest value, so a pass is a few exact
+    big-int operations: src shifted up 2^i lanes, the lanes lacking i masked
+    off, w_i added, and :func:`lane_max`.  No entry may be negative: it
+    would set its lane's guard bit, and the max would read it wrongly."""
+    m = len(table).bit_length() - 1
+    width = lane_width(max(table) + (sum(map(max, rows)) if slot else max(map(sum, rows))))
     heads, ones, keeps = _item_lanes(m, width)
-    out = packed = int.from_bytes(pack_lanes([x + lift for x in table] if lift else table,
-                                             width), "little")
+    out = packed = int.from_bytes(pack_lanes(table, width), "little")
     for row in rows:  # each clause's table is at least ``packed``, where ``out`` starts
         src = cur = out if slot else packed
         for i, w in enumerate(row):
             gathered = ((src if slot else cur) << (width << i)) & keeps[i]
             cur = lane_max(gathered + w * ones[i], cur, heads, width)
         out = cur if slot else lane_max(cur, out, heads, width)
-    out = unpack_lanes(out, 1 << m, width)
-    return tuple([x - lift for x in out] if lift else out)
+    return tuple(unpack_lanes(out, 1 << m, width))
 
 
 # -- item multisets ---------------------------------------------------------

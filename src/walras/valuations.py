@@ -46,9 +46,9 @@ from .bundles import check_bundle, check_item_count, fold_rows, iter_bits
 from .money import (ZERO, _parse_non_negative, format_money, on_one_denominator,
                     parse_money, scale_rows)
 
-# Largest m the analysis layer hands to the class checkers: the exchange test
-# visits all 4^m bundle pairs.
-CHECKER_MAX_ITEMS = 6
+# Largest m the analysis layer hands to the class checkers, from a budget of
+# 0.1 s per valuation for the exchange test over all 4^m bundle pairs (README).
+CHECKER_MAX_ITEMS = 8
 
 
 def _to_weights(weights: Iterable) -> tuple[Fraction, ...]:
@@ -234,12 +234,13 @@ class Tabular(Valuation):
         return self.values
 
 
-def _worth_at_empty(what: str, v: Tabular) -> ValueError:
-    """The refusal of ``v``, a table worth non-zero at the empty bundle, as
-    ``what`` of a profile or grid: every welfare reader takes that bundle to
+def _worth_at_empty(v: Valuation, what: str, *at) -> None:
+    """Refuse ``v``, ``what.format(*at)`` of a profile or grid, if it is worth
+    non-zero at the empty bundle: every welfare reader takes that bundle to
     be worth 0.  Only a ``Tabular`` can be worth anything there."""
-    return ValueError(f"{what}, {valuation_to_json(v)}, is worth "
-                      f"{format_money(v.values[0])} at the empty bundle, not 0")
+    if isinstance(v, Tabular) and v.values[0]:
+        raise ValueError(f"{what.format(*at)}, {valuation_to_json(v)}, is worth "
+                         f"{format_money(v.values[0])} at the empty bundle, not 0")
 
 
 _BY_TYPE = {k._type: k for k in (Additive, UnitDemand, Xos, Oxs, Tabular)}

@@ -49,7 +49,7 @@ from .bundles import (
     ms_ones,
 )
 from .money import ZERO, on_one_denominator
-from .valuations import Tabular, Valuation, _tabulate, _worth_at_empty, marginal_value
+from .valuations import Valuation, _tabulate, _worth_at_empty, marginal_value
 
 
 @dataclass(frozen=True)
@@ -70,8 +70,7 @@ class BidProfile:
                 raise TypeError(f"bid {i} is not a Valuation")
             if v.m != self.m:
                 raise ValueError(f"bid {i} is over {v.m} items, profile has {self.m}")
-            if isinstance(v, Tabular) and v.values[0]:
-                raise _worth_at_empty(f"the bid of agent {i}", v)
+            _worth_at_empty(v, "the bid of agent {}", i)
 
     @property
     def n(self) -> int:

@@ -413,7 +413,6 @@ def _never_called(*args):
 
 def test_checker_limit_is_one_constant_and_checked_first(monkeypatch):
     m = CHECKER_MAX_ITEMS + 1
-    assert m == 7
     bids = BidProfile(m, (Additive((F(1),) * m), Additive((F(2),) * m)))
     monkeypatch.setattr(analysis, "is_gross_substitutes", _never_called)
     monkeypatch.setattr(valuations, "_exchange_holds", _never_called)
@@ -421,7 +420,8 @@ def test_checker_limit_is_one_constant_and_checked_first(monkeypatch):
     assert rep.classification == "xos"
     # The refusal comes before any table is built.
     monkeypatch.setattr(valuations.Valuation, "table", _never_called)
-    with pytest.raises(ValueError, match="m <= CHECKER_MAX_ITEMS = 6, got m = 7"):
+    limit = f"m <= CHECKER_MAX_ITEMS = {CHECKER_MAX_ITEMS}, got m = {m}"
+    with pytest.raises(ValueError, match=limit):
         construct_efficient_profile(Instance(m, bids))
 
 

@@ -1,9 +1,12 @@
+import contextlib
+import io
 import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import walras.valuations as valuations
 import walras.welfare as welfare
 from oracles import (
     brute_fold_rows,
@@ -16,8 +19,10 @@ from oracles import (
 )
 from strategies import STRUCTURED, any_profile, any_valuation, weights
 from walras.bundles import fold_rows, ms_ones
+from walras.cli import main
+from walras.instancefile import fixture_path
 from walras.money import on_one_denominator, scale_rows
-from walras.mechanisms import _scaled_externality
+from walras.mechanisms import PaymentRule, _scaled_externality, run_mechanism
 from walras.valuations import (
     Additive,
     Oxs,
@@ -454,11 +459,12 @@ def test_item_fold_pays_on_either_side_of_its_boundary(m, k, pays):
 @st.composite
 def fold_rows_inputs(draw, m, slot):
     """A table and rows on one denominator: any valuation's table over m
-    items (a drawn table is signed), and 1-3 rows of weights, or up to
-    m + 2 slots at up to 3 items, more slots than items."""
+    items, each entry by its magnitude (``fold_rows`` folds non-negative
+    tables only), and 1-3 rows of weights, or up to m + 2 slots at up to 3
+    items, more slots than items."""
     k = draw(st.integers(1, m + 2 if slot and m <= 3 else 3))
     base = draw(any_valuation(m))
-    _, (table, *rows) = scale_rows([base.table()] + [
+    _, (table, *rows) = scale_rows([list(map(abs, base.table()))] + [
         [draw(weights()) for _ in range(m)] for _ in range(k)])
     return table, rows
 
@@ -473,15 +479,44 @@ def test_fold_rows_matches_the_brute_force_fold(m, slot, data):
 
 
 @pytest.mark.parametrize("table, rows, slot", [
-    ((0, 5, -3, 2), ((1, 4), (2, 0), (7, 7)), True),  # more slots than items
-    ((0, -7, 3, -1, 2, 0, -9, 4), ((3, 0, 2), (1, 5, 1)), False),
-    ((0, 1 << 70, 3, -(1 << 66)), ((1 << 65, 2),), False),  # lanes past 64 bits
-    ((0, 1 << 70, -5, 4), ((1 << 65, 2), (0, 1 << 66)), True),
+    ((0, 5, 3, 2), ((1, 4), (2, 0), (7, 7)), True),  # more slots than items
+    ((0, 7, 3, 1, 2, 0, 9, 4), ((3, 0, 2), (1, 5, 1)), False),  # not monotone
+    ((0, 1 << 70, 3, 1 << 66), ((1 << 65, 2),), False),  # lanes past 64 bits
+    ((0, 1 << 70, 5, 4), ((1 << 65, 2), (0, 1 << 66)), True),
     ((0, 100, 27, 127), ((1, 1),), True),  # 128 takes a 16-bit lane
-    ((0, -120, 27, 0), ((0, 1),), False),  # and so does 27 + 1 lifted by 120
 ])
 def test_fold_rows_matches_the_brute_force_fold_on_edge_cases(table, rows, slot):
     assert fold_rows(table, rows, slot) == brute_fold_rows(table, rows, slot)
+
+
+def test_the_package_hands_fold_rows_no_negative_entry(monkeypatch):
+    """``fold_rows`` is exact on non-negative tables only.  Its two callers
+    hand it a welfare level, which every fold lets the agent take nothing
+    from, and a slot table of non-negative weights: check that on a 7-item,
+    4-bidder market's prices and rules, one ``poa`` golden and one
+    ``property-test`` draw, all tabulated afresh."""
+    tables = []
+
+    def watched(table, rows, slot):
+        tables.append(table)
+        return fold_rows(table, rows, slot)
+
+    for module in (valuations, welfare):
+        monkeypatch.setattr(module, "fold_rows", watched)
+    _tabulate.cache_clear()
+    rng = random.Random(1)
+    profile = BidProfile(7, tuple(
+        sample_valuation(kind, 7, 4, rng.randrange(1 << 30))
+        for kind in ("additive", "oxs", "unit_demand", "oxs")))
+    min_walrasian_prices(profile)
+    max_walrasian_prices(profile)
+    for rule in PaymentRule:
+        run_mechanism(rule, profile)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["poa", str(fixture_path("and_bidder.json")), "--rule", "english",
+                     "--gamma", "1", "--eps-dev", "1"]) == 0
+        assert main(["property-test", "--seeds", "1"]) == 0
+    assert tables and min(map(min, tables)) >= 0
 
 
 @settings(max_examples=8)
