@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass, replace
-from functools import cache
+from dataclasses import dataclass, field, replace
+from functools import cache, cached_property
 from fractions import Fraction
 from itertools import chain, compress, cycle, repeat
 from math import gcd, prod
@@ -498,17 +498,29 @@ class MarginalSumReport:
     total: Fraction
     single_bound: Fraction
     double_bound: Fraction
-    classification: str
     factor1_ok: bool
     factor2_ok: bool
+    _bids: BidProfile = field(compare=False, repr=False)
+
+    @cached_property
+    def classification(self) -> str:
+        """The bids' class, found on first read: the exchange test runs only
+        for a reader that asks."""
+        bids = self._bids
+        if bids.m <= CHECKER_MAX_ITEMS and all(map(is_gross_substitutes, bids.bids)):
+            return "gross_substitutes"
+        if all(b._slots is not None for b in bids.bids):  # structured kinds are XOS
+            return "xos"
+        return "unknown"
 
 
 def marginal_sum_bound(bids: BidProfile, partition: Allocation) -> MarginalSumReport:
     """Sum of leave-one-out marginals against the full declared welfare.
 
     For gross-substitutes bids the sum never exceeds W(1); for XOS bids it
-    never exceeds 2 W(1).  The report classifies the profile and states both
-    comparisons, made on D * each marginal and D * W(1) (``scaled_tables``).
+    never exceeds 2 W(1).  The report states both comparisons, made on D *
+    each marginal and D * W(1) (``scaled_tables``), and classifies the
+    profile when its ``classification`` is read.
     """
     if partition.m != bids.m or len(partition.bundles) != bids.n:
         raise ValueError("partition does not match the bid profile")
@@ -516,17 +528,10 @@ def marginal_sum_bound(bids: BidProfile, partition: Allocation) -> MarginalSumRe
     total = sum(_scaled_externality(bids, i, x)
                 for i, x in enumerate(partition.bundles) if x)
     (w_full,) = _scaled_welfare(bids, ms_ones(bids.m), ((1 << bids.m) - 1,))
-    if bids.m <= CHECKER_MAX_ITEMS and all(is_gross_substitutes(b)
-                                           for b in bids.bids):
-        classification = "gross_substitutes"
-    elif all(b._slots is not None for b in bids.bids):  # structured kinds are XOS
-        classification = "xos"
-    else:
-        classification = "unknown"
     return MarginalSumReport(
         total=Fraction(total, denom), single_bound=Fraction(w_full, denom),
-        double_bound=Fraction(2 * w_full, denom), classification=classification,
-        factor1_ok=total <= w_full, factor2_ok=total <= 2 * w_full)
+        double_bound=Fraction(2 * w_full, denom),
+        factor1_ok=total <= w_full, factor2_ok=total <= 2 * w_full, _bids=bids)
 
 
 def half_clause_deviation(v: Xos, target: int) -> Additive:

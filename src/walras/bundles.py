@@ -121,7 +121,9 @@ def fold_rows(table: Sequence[int], rows: Sequence[Sequence[int]],
     lanes as wide as the fold's largest value, so a pass is a few exact
     big-int operations: src shifted up 2^i lanes, the lanes lacking i masked
     off, w_i added, and :func:`lane_max`.  No entry may be negative: it
-    would set its lane's guard bit, and the max would read it wrongly."""
+    would set its lane's guard bit, and the max would read it wrongly.  Its
+    callers fold a bid's rows onto the all-zero table (``Valuation._ints``)
+    or onto a welfare level (``welfare._or_step``)."""
     m = len(table).bit_length() - 1
     width = lane_width(max(table) + (sum(map(max, rows)) if slot else max(map(sum, rows))))
     heads, ones, keeps = _item_lanes(m, width)

@@ -18,9 +18,9 @@ none.  ``_fold_rows`` reads the declared field as rows on D_v, a common
 multiple of the kind's weight denominators, an OXS matrix by its slot
 columns; a single-row kind is one row.  The welfare DP folds a bid item by
 item from these rows, and the one builder ``Valuation._ints`` makes every
-structured table from them.  The declaration also decides which kinds
-:func:`sample_valuation` draws and which profiles
-``analysis.marginal_sum_bound`` classes as XOS.
+structured table from them by the same fold, onto the all-zero table.  The
+declaration also decides which kinds :func:`sample_valuation` draws and
+which profiles ``analysis.MarginalSumReport`` classes as XOS.
 
 Each kind's integer table ``(D_v, ints)`` is built once (cached by
 :func:`_tabulate`): ``ints[x]`` is D_v times the value of bundle x.  Every
@@ -39,7 +39,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
-from operator import add
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .bundles import check_bundle, check_item_count, fold_rows, iter_bits
@@ -84,17 +83,13 @@ class Valuation:
         return scale_rows(rows)
 
     def _ints(self) -> tuple[int, tuple[int, ...]]:
-        """The kind's integer table from its fold rows; read it through
-        :func:`_tabulate`.  Clauses: the element-wise max of their additive
-        tables, each by doubling.  Slots: the first one's table by doubling,
-        the rest by one :func:`bundles.fold_rows` call, where slot k gives a
-        bundle's item i or nothing: g_{k+1}(S) = max(g_k(S), g_k(S - i) + w[i][k])."""
+        """The kind's integer table: its fold rows folded onto the all-zero
+        table by one :func:`bundles.fold_rows` call; read it through
+        :func:`_tabulate`.  A clause's table is the running sum of its weights
+        and clauses take an element-wise max; slot k gives a bundle's item i
+        or nothing: g_{k+1}(S) = max(g_k(S), g_k(S - i) + w[i][k])."""
         denom, rows = self._fold_rows
-        if not self._slots:
-            tables = [_doubling(row, add) for row in rows]
-            return denom, tuple(tables[0] if len(tables) == 1 else map(max, *tables))
-        first = _doubling(rows[0], max)
-        return denom, fold_rows(first, rows[1:], slot=True) if rows[1:] else tuple(first)
+        return denom, fold_rows((0,) * (1 << self.m), rows, self._slots)
 
     def value(self, bundle: int) -> Fraction:
         check_bundle(self.m, bundle)
@@ -126,15 +121,6 @@ def _tabulate(v: Valuation) -> tuple[int, tuple[int, ...]]:
     """v's integer table ``(D_v, ints)``, built once per valuation: value
     x is ``Fraction(ints[x], D_v)``.  Every table reader starts here."""
     return v._ints()
-
-
-def _doubling(w: Sequence[int], join) -> list[int]:
-    """Item j doubles the table: t[x + 2^j] = join(t[x], w[j]) for every x
-    below 2^j (``add`` for a clause, ``max`` for a slot)."""
-    t = [0]
-    for wj in w:
-        t += [join(x, wj) for x in t]
-    return t
 
 
 @dataclass(frozen=True)

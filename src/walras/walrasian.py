@@ -25,11 +25,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
 
 from .bundles import disjoint_union, full_mask, iter_bits, ms_ones
 from .money import on_one_denominator, parse_money
-from .valuations import _demanded, _doubling, _parse_prices
+from .valuations import _demanded, _parse_prices
 from .welfare import (
     Allocation,
     BidProfile,
@@ -131,18 +130,27 @@ def verify_walrasian_equilibrium(profile: BidProfile, allocation,
     return WalrasianCertificate(not failures, tuple(failures))
 
 
+def _doubling(w) -> list[int]:
+    """The cost of every bundle at prices ``w``, item j doubling the table:
+    t[x + 2^j] = t[x] + w[j] for every x below 2^j."""
+    t = [0]
+    for wj in w:
+        t += [x + wj for x in t]
+    return t
+
+
 def _repeats(tabs, log, rise, most: int) -> int:
     """How many times, up to ``most``, the logged steps recur, each ask up by
     ``rise`` once more.  After k rises bundle x is worth u(x) - k*d(x), d(x) its
     cost at ``rise``: a step's winners are its old winners of least d until a
     bundle of lower d catches up, and must keep or drop its holding as before
     and, if it moved, start with the same bundle."""
-    rise_cost = _doubling(rise, add)
+    rise_cost = _doubling(rise)
     for i, ask, winners, mine in log:
         low = min(rise_cost[x] for x in winners)
         if not most or rise_cost[mine if mine in winners else winners[0]] > low:
             return 0
-        cost = _doubling(ask, add)
+        cost = _doubling(ask)
         best = tabs[i][winners[0]] - cost[winners[0]]
         most = min([most] + [(best - t + c - 1) // (low - dx)
                              for t, c, dx in zip(tabs[i], cost, rise_cost) if dx < low])

@@ -205,9 +205,11 @@ def _or_step(tab: tuple[int, ...], cur, size: int, ssum: tuple[int, ...],
     """One agent folded into the running welfare table (scaled integers): by
     submasks, or where its table carries fold rows and the shape is all ones
     (``size`` is the table's 2^m) by one :func:`bundles.fold_rows` call,
-    equal to the submask fold because welfare tables are monotone."""
+    equal to the submask fold because welfare tables are monotone.  Such a
+    table is its rows folded onto nothing (``Valuation._ints``), so onto the
+    all-zero level it is returned as it is."""
     if size == len(tab) and isinstance(tab, _FoldRows):
-        return fold_rows(cur, tab.rows, tab.slots)
+        return fold_rows(cur, tab.rows, tab.slots) if any(cur) else tab
     return [_fold_at(tab, cur, idx, ssum, clamps) for idx in range(size)]
 
 

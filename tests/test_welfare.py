@@ -519,6 +519,30 @@ def test_the_package_hands_fold_rows_no_negative_entry(monkeypatch):
     assert tables and min(map(min, tables)) >= 0
 
 
+def test_min_prices_never_fold_a_rowed_bid_onto_nothing(monkeypatch):
+    """A table with fold rows is its rows folded onto the all-zero level, so
+    ``_or_step`` returns it there: min prices on a fresh 7-item, 4-bidder
+    market make 4 item folds, not the 6 that refold the last agent of the
+    suffix levels and agent 0 of the prefix levels.  The same market as
+    ``Tabular`` bids carries no rows, so every fold runs, and prices agree."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return fold_rows(*args)
+
+    monkeypatch.setattr(welfare, "fold_rows", counted)
+    bids = tuple(sample_valuation(kind, 7, 4, seed) for seed, kind in enumerate(
+        ("additive", "unit_demand", "oxs", "oxs"), 1))
+    prof = BidProfile(7, bids)
+    assert all(isinstance(t, welfare._FoldRows) for t in scaled_tables(prof)[1])
+    low = min_walrasian_prices(prof)
+    assert len(calls) == 4
+    tabular = BidProfile(7, tuple(Tabular(b.table()) for b in bids))
+    assert min_walrasian_prices(tabular) == low
+    assert len(calls) == 4
+
+
 @settings(max_examples=8)
 @given(any_profile(st.just(8), st.integers(2, 3), STRUCTURED))
 def test_item_fold_matches_the_submask_fold_at_eight_items(prof):
