@@ -111,6 +111,16 @@ def _item_lanes(m: int, width: int):
     return heads, ones, tuple(x * ((1 << width) - 1) for x in ones)
 
 
+def _doubling(w) -> list[int]:
+    """Every bundle's sum of the item weights ``w`` (its cost at prices
+    ``w``), item j doubling the table: t[x + 2^j] = t[x] + w[j] for every x
+    below 2^j."""
+    t = [0]
+    for wj in w:
+        t += [x + wj for x in t]
+    return t
+
+
 def fold_rows(table: Sequence[int], rows: Sequence[Sequence[int]],
               slot: bool) -> tuple[int, ...]:
     """Rows of non-negative item weights folded into a table of non-negative
@@ -123,9 +133,13 @@ def fold_rows(table: Sequence[int], rows: Sequence[Sequence[int]],
     off, w_i added, and :func:`lane_max`.  No entry may be negative: it
     would set its lane's guard bit, and the max would read it wrongly.  Its
     callers fold a bid's rows onto the all-zero table (``Valuation._ints``)
-    or onto a welfare level (``welfare._or_step``)."""
+    or onto a welfare level (``welfare._or_step``).  One clause onto the
+    all-zero table is its bundle sums, built by :func:`_doubling` instead."""
     m = len(table).bit_length() - 1
-    width = lane_width(max(table) + (sum(map(max, rows)) if slot else max(map(sum, rows))))
+    top = max(table)
+    if not (slot or top or rows[1:]):
+        return tuple(_doubling(rows[0]))
+    width = lane_width(top + (sum(map(max, rows)) if slot else max(map(sum, rows))))
     heads, ones, keeps = _item_lanes(m, width)
     out = packed = int.from_bytes(pack_lanes(table, width), "little")
     for row in rows:  # each clause's table is at least ``packed``, where ``out`` starts

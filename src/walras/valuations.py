@@ -429,12 +429,9 @@ def sample_valuation(kind: str, m: int, cap, seed: int, *,
     rng = random.Random(f"{kind}:{m}:{limit}:{seed}")
     grid = _weight_grid(limit, tuple(denominators))
 
-    def weight() -> Fraction:
-        row = rng.choice(grid)  # draw d, then k/d from its row
-        return row[rng.randint(0, len(row) - 1)]
-
     def weight_row(n: int) -> tuple[Fraction, ...]:
-        return tuple(weight() for _ in range(n))
+        # Draw d, then k/d from its row: one ``_randbelow`` draw each.
+        return tuple(rng.choice(rng.choice(grid)) for _ in range(n))
 
     if not cls._rows:
         return cls(weight_row(m))

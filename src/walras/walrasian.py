@@ -8,16 +8,20 @@ closed forms in terms of welfare marginals:
 
 Both are computed exactly on the profile's scaled integers, from the
 ones-shape tables of ``welfare``: W(1) and W(1 - 1_j) are merges at one
-state each, and W(1 + 1_j) joins prefix and suffix tables that each hold a
-copy of j.  The english and dutch payment rules read the same integers; the
+state each, or reads of one level where agent 0 folds item by item, and
+W(1 + 1_j) joins prefix and suffix tables that each hold a copy of j.  The
+english and dutch payment rules read the same integers; the
 ``poa_search`` kernel folds the opponents over each shape 1 + 1_j instead
 and merges agent 0's bids at its top state, one profile per lane of one
 int, in the same pass as its merge for W.
 Verification and the ascending-price procedure put their prices on the
-tables' denominator.  The ascending-price procedure is kept only as a
-cross-check: with discrete increments it can approach but not hit the
-lattice bottom, so payment rules never use it.  Like every allocation in
-the package, its provisional assignment is one bundle mask per agent.
+tables' denominator.  Verification prices every bundle once and accepts an
+agent whose utility is its best over that table; it scans demand for the
+lowest better bundle only for an agent that fails.  The ascending-price
+procedure is kept only as a cross-check: with discrete increments it can
+approach but not hit the lattice bottom, so payment rules never use it.
+Like every allocation in the package, its provisional assignment is one
+bundle mask per agent.
 It skips a bidding war's repeats exactly, as utilities fall linearly in them.
 """
 
@@ -25,8 +29,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 
-from .bundles import disjoint_union, full_mask, iter_bits, ms_ones
+from .bundles import _doubling, disjoint_union, full_mask, iter_bits, ms_ones
 from .money import on_one_denominator, parse_money
 from .valuations import _demanded, _parse_prices
 from .welfare import (
@@ -117,26 +122,17 @@ def verify_walrasian_equilibrium(profile: BidProfile, allocation,
     denom, (*tabs, p) = on_one_denominator(
         [(table_denom, tab) for tab in tabs] + [(price_denom, p)])
 
+    cost = _doubling(p)  # every bundle's cost, shared by the agents
     failures: list = []
     if unsold:
         failures.append(ClearingViolation(unsold))
     for i, (tab, mine) in enumerate(zip(tabs, bundles)):
-        winners = _demanded(tab, p)
-        if mine in winners:
+        if tab[mine] - cost[mine] == max(map(sub, tab, cost)):
             continue
-        better = winners[0]
-        have, get = (tab[x] - sum(p[j] for j in iter_bits(x)) for x in (mine, better))
+        better = _demanded(tab, p)[0]  # the lowest bundle it demands instead
+        have, get = (tab[x] - cost[x] for x in (mine, better))
         failures.append(DemandViolation(i, mine, better, Fraction(get - have, denom)))
     return WalrasianCertificate(not failures, tuple(failures))
-
-
-def _doubling(w) -> list[int]:
-    """The cost of every bundle at prices ``w``, item j doubling the table:
-    t[x + 2^j] = t[x] + w[j] for every x below 2^j."""
-    t = [0]
-    for wj in w:
-        t += [x + wj for x in t]
-    return t
 
 
 def _repeats(tabs, log, rise, most: int) -> int:

@@ -11,8 +11,10 @@ into the suffix levels L_k (agents k..n-1) of a supply shape, once per
 profile (``_suffix_levels``); a prefix table of agents 0..k-1
 (``or_value_table``) is level n-k of the agents in reverse order.  Readers
 need W at a few states only and merge there with ``_fold_at``: W(x) merges
-agent 0 with L_1 at x (only ``welfare_max`` folds L_0), and W without agent
-i the prefix table of agents 0..i-1 with L_{i+1}, or reads one (i = 0, n-1).
+agent 0 with L_1 at x, and W without agent i the prefix table of agents
+0..i-1 with L_{i+1}, or reads one (i = 0, n-1).  L_0 is folded by
+``welfare_max``, and on the ones shape wherever agent 0 folds item by item:
+one fold then serves W(1), every W(1 - 1_j) and the allocation's top value.
 On a doubled shape the prefix may take both copies of an item, so agents
 i+1..n-1 are folded onto it instead.  W(1 + 1_j) joins prefix and suffix
 tables that each hold a copy of j (``_doubled_welfare``).  A multiset with
@@ -259,7 +261,9 @@ def _scaled_welfare(profile: BidProfile, shape: tuple[int, ...], states,
     """D * W at each state index in ``states`` of ``shape`` (on the ones
     shape a state's index is its bitmask): agent 0, or without agent i the
     prefix table of agents 0..i-1, merged with the suffix level after it;
-    for i = 0 or n-1 one is all zeros, and the other, monotone, is read."""
+    for i = 0 or n-1 one is all zeros, and the other, monotone, is read.
+    Where agent 0's table carries fold rows and the shape is all ones, W is
+    read from level 0, folded once item by item for every state."""
     n, tables = profile.n, scaled_tables(profile)[1]
     if exclude in (0, n - 1):  # level 1 of agents 1..n-1, or of n-2..0
         level = _suffix_levels(profile, shape, 1, exclude != 0)[0][1]
@@ -271,6 +275,9 @@ def _scaled_welfare(profile: BidProfile, shape: tuple[int, ...], states,
         levels = [None] * n + [left]  # so agents i+1..n-1 fold onto it
         _fold_levels(tables, levels, k, *_layout(shape))
         return [levels[k][idx] for idx in states]
+    if exclude is None and isinstance(left, _FoldRows) and shape == ms_ones(profile.m):
+        level = _suffix_levels(profile, shape, 0)[0][0]  # one item fold serves all
+        return [level[idx] for idx in states]
     levels, _, ssum, clamps = _suffix_levels(profile, shape, k)
     return [_fold_at(left, levels[k], idx, ssum, clamps) for idx in states]
 
@@ -335,9 +342,12 @@ def welfare_value(profile: BidProfile, supply, exclude: int | None = None) -> Fr
 def _welfare_argmax(profile: BidProfile, ms: tuple[int, ...],
                     stop: int = 1) -> tuple[int, tuple[int, ...]]:
     """D * W(ms) and the canonical maximizing assignment of :func:`welfare_max`,
-    from level 0 folded in full (``stop`` 0) or merged at ms alone (1)."""
-    levels, size, ssum, clamps = _suffix_levels(profile, ms, stop)
+    from level 0 folded in full (``stop`` 0, and on the ones shape where
+    agent 0 carries fold rows) or merged at ms alone (1)."""
     _, tables = scaled_tables(profile)
+    if stop and isinstance(tables[0], _FoldRows) and ms == ms_ones(profile.m):
+        stop = 0  # one item fold into level 0, which W(1) reads as well
+    levels, size, ssum, clamps = _suffix_levels(profile, ms, stop)
     idx = size - 1  # the top state, ms itself
     value = (levels[0][idx] if stop == 0
              else _fold_at(tables[0], levels[1], idx, ssum, clamps))

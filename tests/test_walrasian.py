@@ -6,10 +6,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from oracles import (brute_max_prices, brute_min_prices, fraction_walrasian_certificate,
                      reference_tatonnement)
-from strategies import any_profile, weights
-from walras import walrasian
+from strategies import STRUCTURED, any_profile, weights
+from walras import walrasian, welfare
 from walras.bundles import ms_ones
-from walras.mechanisms import allocate_declared
+from walras.mechanisms import PaymentRule, allocate_declared, run_mechanism
 from walras.valuations import (Additive, Tabular, UnitDemand, Xos, budget_additive,
                                demand_set, sample_valuation)
 from walras.walrasian import (
@@ -21,7 +21,7 @@ from walras.walrasian import (
     tatonnement,
     verify_walrasian_equilibrium,
 )
-from walras.welfare import Allocation, BidProfile, welfare_max
+from walras.welfare import Allocation, BidProfile, scaled_tables, welfare_max
 
 EPS = F(1, 8)
 
@@ -184,6 +184,66 @@ def test_verification_matches_the_fraction_certificate(case):
     if sum(bundles) == (1 << profile.m) - 1:
         bundles = Allocation(profile.m, bundles)
     assert verify_walrasian_equilibrium(profile, bundles, as_text) == expected
+
+
+@st.composite
+def rowed_inputs(draw):
+    """A profile of 2-3 structured bids over 5-7 items, each carrying fold
+    rows, and per item a choice to keep its lattice price, zero it or raise
+    it above every bid's value of all items; item 0 is always raised."""
+    profile = draw(any_profile(st.integers(5, 7), st.integers(2, 3), STRUCTURED))
+    moves = (2,) + tuple(draw(st.integers(0, 2)) for _ in range(profile.m - 1))
+    return profile, moves
+
+
+@settings(max_examples=30)
+@given(rowed_inputs())
+def test_rowed_profiles_price_allocate_and_verify_as_tables(case):
+    """Agent 0 folds item by item, so W is read from level 0; the same bids
+    as ``Tabular`` carry no rows and merge agent 0 at each state.  Both give
+    the same lattice endpoints, allocation and payments, and verification
+    agrees with the Fraction certificate at both endpoints and at prices that
+    make the holder of item 0 drop it."""
+    profile, moves = case
+    assert isinstance(scaled_tables(profile)[1][0], welfare._FoldRows)
+    tabular = BidProfile(profile.m, tuple(Tabular(b.table()) for b in profile.bids))
+    low, high = min_walrasian_prices(profile), max_walrasian_prices(profile)
+    assert (low, high) == (min_walrasian_prices(tabular), max_walrasian_prices(tabular))
+    alloc = allocate_declared(profile)
+    assert alloc == allocate_declared(tabular)
+    for rule in PaymentRule:
+        assert run_mechanism(rule, profile) == run_mechanism(rule, tabular)
+    top = 1 + max(v.value((1 << profile.m) - 1) for v in profile.bids)
+    moved = tuple((p, F(0), p + top)[k] for p, k in zip(high, moves))
+    for prices in (low, high, moved):
+        expected = fraction_walrasian_certificate(profile, alloc.bundles, prices)
+        assert verify_walrasian_equilibrium(profile, alloc, prices) == expected
+    assert not expected.is_equilibrium
+
+
+def test_demand_is_scanned_only_for_agents_that_fail(monkeypatch):
+    """Verification compares each agent's utility with its best over one
+    shared cost table, and scans for the lowest better bundle only where an
+    agent fails: never at the lattice endpoints of a 7-item gross-substitutes
+    market, and once per failing agent elsewhere."""
+    scans = []
+    demanded = walrasian._demanded
+    monkeypatch.setattr(walrasian, "_demanded",
+                        lambda tab, p: scans.append(1) or demanded(tab, p))
+    prof = BidProfile(7, tuple(sample_valuation(kind, 7, 4, seed) for seed, kind in
+                               enumerate(("additive", "unit_demand", "oxs", "oxs"), 1)))
+    alloc = allocate_declared(prof)
+    low, high = min_walrasian_prices(prof), max_walrasian_prices(prof)
+    for prices in (low, high):
+        assert verify_walrasian_equilibrium(prof, alloc, prices).is_equilibrium
+    assert scans == []
+    holder = next(i for i, x in enumerate(alloc.bundles) if x & 1)
+    raised = (low[0] + 100,) + low[1:]  # above every bid's value of item 0
+    cert = verify_walrasian_equilibrium(prof, alloc, raised)
+    assert [f.agent for f in cert.failures] == [holder] and len(scans) == 1
+    scans.clear()
+    cert = verify_walrasian_equilibrium(prof, alloc, (0,) * 7)
+    assert len(cert.failures) > 1 and len(scans) == len(cert.failures)
 
 
 @pytest.mark.parametrize("bundles,prices,message", [

@@ -317,18 +317,19 @@ def test_all_agents_table_is_folded_once(monkeypatch):
     prof = BidProfile(5, tuple(sample_valuation("additive", 5, 3, seed=s)
                                for s in range(4)))
     allocate_declared(prof)
-    # Suffix levels n-1..1; agent 0 is merged at the one state it needs.
-    assert folds == [32] * (prof.n - 1)
+    # Suffix levels n-1..0: agent 0 carries fold rows at m = 5, so it is
+    # folded into level 0 once rather than merged at the top state.
+    assert folds == [32] * prof.n
     # The highest prices and the dutch and pay-your-bid rules read the same
-    # levels; the lowest prices (english) add the prefix folds, and vcg
+    # levels; the lowest prices (english) add the n-1 prefix folds, and vcg
     # joins the same prefix tables with no fold of its own.
     max_walrasian_prices(prof)
     for rule in ("dutch", "paybid"):
         run_mechanism(rule, prof)
-    assert len(folds) == prof.n - 1
+    assert len(folds) == prof.n
     min_walrasian_prices(prof)
     run_mechanism("english", prof)
-    assert len(folds) <= 2 * (prof.n - 1)
+    assert len(folds) == prof.n + prof.n - 1
     before = len(folds)
     run_mechanism(PaymentRule.VCG, prof)
     assert len(folds) == before
@@ -522,7 +523,8 @@ def test_the_package_hands_fold_rows_no_negative_entry(monkeypatch):
 def test_min_prices_never_fold_a_rowed_bid_onto_nothing(monkeypatch):
     """A table with fold rows is its rows folded onto the all-zero level, so
     ``_or_step`` returns it there: min prices on a fresh 7-item, 4-bidder
-    market make 4 item folds, not the 6 that refold the last agent of the
+    market make 5 item folds (suffix levels 2..0, for W(1) from level 0, and
+    prefix levels 2..1), not the 7 that would refold the last agent of the
     suffix levels and agent 0 of the prefix levels.  The same market as
     ``Tabular`` bids carries no rows, so every fold runs, and prices agree."""
     calls = []
@@ -537,10 +539,10 @@ def test_min_prices_never_fold_a_rowed_bid_onto_nothing(monkeypatch):
     prof = BidProfile(7, bids)
     assert all(isinstance(t, welfare._FoldRows) for t in scaled_tables(prof)[1])
     low = min_walrasian_prices(prof)
-    assert len(calls) == 4
+    assert len(calls) == 5
     tabular = BidProfile(7, tuple(Tabular(b.table()) for b in bids))
     assert min_walrasian_prices(tabular) == low
-    assert len(calls) == 4
+    assert len(calls) == 5
 
 
 @settings(max_examples=8)
