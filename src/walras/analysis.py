@@ -7,18 +7,18 @@ always extended with the agent's truthful bid and half-truthful bid (the two
 deviations the welfare-loss arguments rely on).  All comparisons are exact;
 the default deviation tolerance is zero.
 
-A call scales all the bids and types it reads to one common denominator D
-once (``_Scaled``).  One kernel, ``_grid_outcomes``, prices grid profiles
-with no mechanism run: D times their welfare, and a list of D times each
-agent's utility, in passes that hold one profile per fixed-width lane of
-one Python int, so each merge over agent 0's bundles is a few big-int
-operations, exact at any width.  ``poa_search`` reads from it, context by
-context (``_outcomes``), only the profiles its pass can read, those with at
-most one bid over gamma; ``verify_nash``, best response and the vcg
-certificate read the welfare and the deviating agent's utilities over grids
-of singletons with the candidates at that agent (``_Scaled.column``).  Only
-the smoothness certificates and ``poa_search``'s injected deviations, for
-profiles that pass every grid check, run the mechanism (``_Scaled.run``).
+A call puts the tables of all the bids and types it reads on one common
+denominator D once, as the DP builds them (``_Scaled``).  One kernel,
+``_grid_outcomes``, prices grid profiles with no mechanism run: D times
+their welfare and each agent's utility, in passes that hold one profile per
+fixed-width lane of one Python int, so each merge over agent 0's bundles is
+a few big-int operations, exact at any width.  ``poa_search`` reads from it,
+context by context (``_outcomes``), only the profiles its pass can read,
+those with at most one bid over gamma; ``verify_nash`` (welfare too), best
+response and the vcg certificate read the deviating agent's utilities over
+grids of singletons with the candidates at that agent (``_Scaled.column``).
+Only the smoothness certificates and ``poa_search``'s injected deviations,
+for profiles that pass every grid check, run the mechanism (``_Scaled.run``).
 Values become Fractions only in the reports.
 """
 
@@ -36,11 +36,10 @@ from operator import add, ge, getitem, itemgetter, sub
 from .bundles import iter_bits, lane_max, lane_width, ms_ones, pack_lanes, unpack_lanes
 from .money import (INFINITY, ZERO, Infinity, _parse_non_negative, format_money,
                     on_one_denominator, parse_money)
-from .mechanisms import PaymentRule, _scaled_externality, run_mechanism
+from .mechanisms import PaymentRule, _scaled_externality, allocate_declared, run_mechanism
 from .valuations import (
     CHECKER_MAX_ITEMS,
     Additive,
-    Tabular,
     Valuation,
     Xos,
     _marginal_gaps,
@@ -58,6 +57,7 @@ from .welfare import (
     _full_partition,
     _layout,
     _scaled_welfare,
+    _table_on,
     scaled_tables,
     welfare_max,
 )
@@ -260,7 +260,8 @@ class _Scaled:
     @classmethod
     def of(cls, instance: Instance, rule: PaymentRule, grid: BidGrid | None = None,
            current: BidProfile | None = None, eps_dev: Fraction = ZERO) -> "_Scaled":
-        for what, per_agent in (("grid", None if grid is None else grid.per_agent),
+        agents = () if grid is None else grid.per_agent
+        for what, per_agent in (("grid", None if grid is None else agents),
                                 ("profile", current and [(b,) for b in current.bids])):
             if per_agent is not None and len(per_agent) != instance.n:
                 raise ValueError(f"the {what} has {len(per_agent)} agents, "
@@ -270,18 +271,19 @@ class _Scaled:
                 raise ValueError(f"{what} bid {k} of agent {i} is over {bid.m} "
                                  f"items, the instance has {instance.m}")
         types = instance.true_valuations.bids
-        groups = [*(grid.per_agent if grid is not None else ()),
-                  current.bids if current else (), types,
-                  tuple(v.scale(Fraction(1, 2)) for v in types)]
+        # Each tuple of grid bids once: BidGrid.additive hands all agents one tuple.
+        groups = [*{id(g): g for g in agents}.values(), current.bids if current else (),
+                  types, tuple(v.scale(Fraction(1, 2)) for v in types)]
         scaled = [_tabulate(bid) for group in groups[:-1] for bid in group]
         # A half-truthful table is the truthful one over twice its denominator.
         denom, tables = on_one_denominator(
             scaled + [(2 * d, t) for d, t in scaled[-len(types):]]
             + [(eps_dev.denominator, (eps_dev.numerator,))])
         it = iter(tables)
-        pairs = [tuple((bid, next(it)) for bid in group) for group in groups]
+        pairs = [tuple(zip(group, map(_table_on, group, it, repeat(denom)))) for group in groups]
         (eps,) = next(it)
-        return cls(PaymentRule(rule), instance.m, denom, tuple(pairs[:-3]),
+        built = dict(zip(map(id, groups), pairs))
+        return cls(PaymentRule(rule), instance.m, denom, tuple(built[id(g)] for g in agents),
                    *pairs[-3:], eps, max(map(abs, chain.from_iterable(tables))))
 
     def seeded(self, pairs: tuple) -> BidProfile:
@@ -478,8 +480,8 @@ def vcg_deviation_certificate(instance: Instance,
     opt, opt_bundles = instance.optimal()
     scaled = _Scaled.of(instance, PaymentRule.VCG, current=bids)
     denom, current = scaled.denom, scaled.current
-    (welfare,), _ = scaled.column(current, 0, current[:1])
-    base = scaled.seeded(current)  # read by the externalities only
+    base = scaled.seeded(current)  # read by the allocation and the externalities
+    welfare = sum(t[x] for (_, t), x in zip(scaled.truthful, allocate_declared(base).bundles))
     rows = []
     for i, (v, x) in enumerate(zip(scaled.truthful, opt_bundles)):
         u = Fraction(scaled.column(current, i, (v,))[1][0], denom)
@@ -592,9 +594,6 @@ def _grid_outcomes(scaled: _Scaled, contexts) -> tuple[list, list[list]]:
     truthful = [t for _, t in scaled.truthful]
     # paybid: agent 0's lifted bids, one table after another
     bids = [x + lift for t in own for x in t] if rule is PaymentRule.PAY_YOUR_BID else []
-    # The last opponent folded alone onto nothing is its table's monotone
-    # closure: the table itself for every kind but tabular.
-    alone = [not isinstance(bid, Tabular) for bid, _ in scaled.grid[-1]]
     step = -(-_PASS // count)  # contexts per pass
     without, outcomes = {}, [[] for _ in range(n + 1)]  # welfare, each utility
     for lo in range(0, len(contexts), step):
@@ -602,8 +601,6 @@ def _grid_outcomes(scaled: _Scaled, contexts) -> tuple[list, list[list]]:
         for idxs in contexts[lo:lo + step]:
             tables = (None,) + tuple(scaled.grid[i][k][1] for i, k in enumerate(idxs, 1))
             levels = [None] * n + [zeros]
-            if idxs and alone[idxs[-1]]:  # a monotone table is its own level
-                levels[-2] = tables[-1]
             _fold_levels(tables, levels, 1, size, ssum, clamps)
             runs.append((tables, levels))
             gathers[0].append(levels[1][::-1])  # entry s: state full ^ s

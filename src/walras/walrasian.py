@@ -16,8 +16,8 @@ and merges agent 0's bids at its top state, one profile per lane of one
 int, in the same pass as its merge for W.
 Verification and the ascending-price procedure put their prices on the
 tables' denominator.  Verification prices every bundle once and accepts an
-agent whose utility is its best over that table; it scans demand for the
-lowest better bundle only for an agent that fails.  The ascending-price
+agent whose utility is its best over that table; for an agent that fails
+it reports the lowest best bundle from its utility row.  The ascending-price
 procedure is kept only as a cross-check: with discrete increments it can
 approach but not hit the lattice bottom, so payment rules never use it.
 Like every allocation in the package, its provisional assignment is one
@@ -127,11 +127,10 @@ def verify_walrasian_equilibrium(profile: BidProfile, allocation,
     if unsold:
         failures.append(ClearingViolation(unsold))
     for i, (tab, mine) in enumerate(zip(tabs, bundles)):
-        if tab[mine] - cost[mine] == max(map(sub, tab, cost)):
-            continue
-        better = _demanded(tab, p)[0]  # the lowest bundle it demands instead
-        have, get = (tab[x] - cost[x] for x in (mine, better))
-        failures.append(DemandViolation(i, mine, better, Fraction(get - have, denom)))
+        best, have = max(map(sub, tab, cost)), tab[mine] - cost[mine]
+        if have != best:  # the lowest bundle it demands instead, from its utility row
+            better = list(map(sub, tab, cost)).index(best)
+            failures.append(DemandViolation(i, mine, better, Fraction(best - have, denom)))
     return WalrasianCertificate(not failures, tuple(failures))
 
 

@@ -19,9 +19,10 @@ On a doubled shape the prefix may take both copies of an item, so agents
 i+1..n-1 are folded onto it instead.  W(1 + 1_j) joins prefix and suffix
 tables that each hold a copy of j (``_doubled_welfare``).  A multiset with
 doubled items is read on its doubled-item pattern: two copies where it has
-two, one elsewhere.  A fold enumerates submasks, except that on the
-one-copy shape a structured bid folds item by item on a lane-packed table
-(``bundles.fold_rows``) where that is cheaper (``_item_fold_pays``).
+two, one elsewhere.  A fold enumerates submasks, except that a structured
+bid's table (``_table_on``, for ``scaled_tables`` and the ``poa`` kernel) is
+read as it is onto the all-zero level, and on the one-copy shape folds item
+by item (``bundles.fold_rows``) where that pays (``_item_fold_pays``).
 
 The DP runs on integers.  ``scaled_tables`` puts the bids' own integer
 tables (``valuations._tabulate``) on D, a common multiple of their
@@ -145,45 +146,50 @@ def _layout(supply: tuple[int, ...]):
 
 def scaled_tables(profile: BidProfile) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """(D, tables): every bid table times D, the lcm of the bids' own table
-    denominators (``valuations._tabulate``).
-
-    Entry k of agent i's table is ``Fraction(tables[i][k], D)``.  A table
-    whose bid folds faster item by item (``_item_fold_pays``) also carries
-    its fold rows on D (:class:`_FoldRows`).  Cached per profile.
+    denominators (``valuations._tabulate``), each built by
+    :func:`_table_on`.  Entry k of agent i's table is
+    ``Fraction(tables[i][k], D)``.  Cached per profile.
     """
     cached = profile._cache.get("scaled")
     if cached is None:
         denom, tables = on_one_denominator(_tabulate(bid) for bid in profile.bids)
         cached = profile._cache["scaled"] = denom, tuple(
-            _FoldRows(bid, tab, denom) if _item_fold_pays(bid) else tab
-            for bid, tab in zip(profile.bids, tables))
+            _table_on(bid, tab, denom) for bid, tab in zip(profile.bids, tables))
     return cached
 
 
 # -- folds ---------------------------------------------------------------------
 
 class _FoldRows(tuple):
-    """``tab``, a bid's table on ``denom``, that also carries the bid's fold
-    rows on ``denom`` (``Valuation._fold_rows``): OXS slot columns when
-    ``slots``, additive clauses otherwise.  Table readers see the tuple."""
+    """A structured bid's table on D, which table readers see as the tuple,
+    and where the item fold pays its fold rows on D (``Valuation._fold_rows``):
+    OXS slot columns when ``slots``, additive clauses otherwise."""
 
-    def __new__(cls, bid: Valuation, tab: tuple[int, ...], denom: int):
-        out = super().__new__(cls, tab)
+    rows = slots = None
+
+
+def _table_on(bid: Valuation, tab: tuple[int, ...], denom: int) -> tuple[int, ...]:
+    """``bid``'s table ``tab`` on ``denom`` as the DP takes it: a tabular
+    bid's as it is, a structured bid's as a :class:`_FoldRows`, with its rows
+    on ``denom`` where :func:`_item_fold_pays`."""
+    if bid._slots is None:
+        return tab
+    out = _FoldRows(tab)
+    if _item_fold_pays(bid):
         own, rows = bid._fold_rows
         out.slots, out.rows = bid._slots, rows if own == denom else tuple(
             tuple(x * (denom // own) for x in row) for row in rows)
-        return out
+    return out
 
 
 def _item_fold_pays(bid: Valuation) -> bool:
-    """Whether folding ``bid``'s k rows by :func:`bundles.fold_rows` beats the
-    submask fold's 3^m steps.  Timed at m = 2-12 (``BENCH_32.json``), an
+    """Whether folding structured ``bid``'s k rows by :func:`bundles.fold_rows`
+    beats the submask fold's 3^m steps.  Timed at m = 2-12 (``BENCH_32.json``), an
     item pass costs about 1 + 2^m/160 us, a call 5 us more and a submask
     step 0.1 us, so it pays when 5 + k * m * (1 + 2^m/160) <= 3^m/10: never
     below 5 items, up to 3 rows at m = 5, 8 at m = 6 and 79 at m = 10."""
     m = bid.m
-    return bid._slots is not None and (
-        len(bid._fold_rows[1]) * m * ((1 << m) + 160) + 800 <= 16 * 3 ** m)
+    return m >= 5 and len(bid._fold_rows[1]) * m * ((1 << m) + 160) + 800 <= 16 * 3 ** m
 
 
 def _fold_at(tab, level, idx: int, ssum: tuple[int, ...],
@@ -204,14 +210,16 @@ def _fold_at(tab, level, idx: int, ssum: tuple[int, ...],
 
 def _or_step(tab: tuple[int, ...], cur, size: int, ssum: tuple[int, ...],
              clamps: tuple[int, ...]) -> Sequence[int]:
-    """One agent folded into the running welfare table (scaled integers): by
-    submasks, or where its table carries fold rows and the shape is all ones
-    (``size`` is the table's 2^m) by one :func:`bundles.fold_rows` call,
-    equal to the submask fold because welfare tables are monotone.  Such a
-    table is its rows folded onto nothing (``Valuation._ints``), so onto the
-    all-zero level it is returned as it is."""
-    if size == len(tab) and isinstance(tab, _FoldRows):
-        return fold_rows(cur, tab.rows, tab.slots) if any(cur) else tab
+    """One agent folded into the running welfare table (scaled integers).
+    Onto the all-zero level a :class:`_FoldRows` table, monotone, is read at
+    each state's items, on any shape; where it carries fold rows and the
+    shape is all ones (``size`` is the table's 2^m) it folds by one
+    :func:`bundles.fold_rows` call, equal to the submask fold because welfare
+    tables are monotone; every other fold is by submasks."""
+    if isinstance(tab, _FoldRows) and not any(cur):
+        return itemgetter(*clamps)(tab)
+    if size == len(tab) and getattr(tab, "rows", None):
+        return fold_rows(cur, tab.rows, tab.slots)
     return [_fold_at(tab, cur, idx, ssum, clamps) for idx in range(size)]
 
 
@@ -275,7 +283,7 @@ def _scaled_welfare(profile: BidProfile, shape: tuple[int, ...], states,
         levels = [None] * n + [left]  # so agents i+1..n-1 fold onto it
         _fold_levels(tables, levels, k, *_layout(shape))
         return [levels[k][idx] for idx in states]
-    if exclude is None and isinstance(left, _FoldRows) and shape == ms_ones(profile.m):
+    if exclude is None and getattr(left, "rows", None) and shape == ms_ones(profile.m):
         level = _suffix_levels(profile, shape, 0)[0][0]  # one item fold serves all
         return [level[idx] for idx in states]
     levels, _, ssum, clamps = _suffix_levels(profile, shape, k)
@@ -345,7 +353,7 @@ def _welfare_argmax(profile: BidProfile, ms: tuple[int, ...],
     from level 0 folded in full (``stop`` 0, and on the ones shape where
     agent 0 carries fold rows) or merged at ms alone (1)."""
     _, tables = scaled_tables(profile)
-    if stop and isinstance(tables[0], _FoldRows) and ms == ms_ones(profile.m):
+    if stop and getattr(tables[0], "rows", None) and ms == ms_ones(profile.m):
         stop = 0  # one item fold into level 0, which W(1) reads as well
     levels, size, ssum, clamps = _suffix_levels(profile, ms, stop)
     idx = size - 1  # the top state, ms itself

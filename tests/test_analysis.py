@@ -1,6 +1,7 @@
 import collections
 import itertools
 import math
+import pickle
 import random
 import re
 from fractions import Fraction as F
@@ -40,6 +41,7 @@ from walras.analysis import (
     vcg_deviation_certificate,
     verify_nash,
 )
+from walras.bundles import fold_rows
 from walras.mechanisms import PaymentRule, run_mechanism
 from walras.money import INFINITY, ZERO
 from walras.valuations import (
@@ -856,6 +858,68 @@ def test_grid_kernel_matches_the_per_profile_runs(case):
     welfare and utilities of a full mechanism run on that profile, and two
     runs on a split of the opponent contexts give the rows of one."""
     _assert_kernel_matches_runs(*case)
+
+
+# Five items, where an additive bid, a one-slot OXS bid and a two-clause XOS
+# bid carry fold rows and a four-clause XOS bid does not; the last opponent
+# also bids a table that is not monotone.
+NON_MONOTONE_5 = Tabular((F(0),) + tuple(F(k * 4 % 7, 3) for k in range(1, 32)))
+KERNEL_M5_ROWED = (
+    Instance(5, BidProfile(5, (Additive((F(1), F(2, 3), F(1, 5), F(4, 7), F(1, 2))),
+                               Oxs(((F(2),), (F(1, 3),), (F(4, 9),), (F(1),), (F(2, 5),))),
+                               UnitDemand((F(1, 2), F(1), F(1, 3), F(2, 7), F(1)))))),
+    BidGrid(((Additive((F(1, 3), F(1), F(0), F(2, 5), F(1, 2))),
+              Xos(((F(1),) * 5, (F(0), F(2), F(1, 3), F(0), F(1))))),
+             (Oxs(((F(5, 7),), (F(1, 9),), (F(2),), (F(1, 3),), (F(1),))),
+              Xos(tuple((F(k, 4),) * 5 for k in range(1, 5)))),
+             (Additive((F(2, 9), F(1, 5), F(3, 7), F(1), F(0))), NON_MONOTONE_5))),
+    F(1, 11), 1)
+
+
+def test_grid_kernel_item_folds_rowed_opponents_at_five_items(monkeypatch):
+    """The kernel builds its grid tables as the DP does, so at five items
+    the opponents' rowed bids fold item by item, and each grid profile still
+    gets the welfare and utilities of a full mechanism run, under every
+    rule, and two runs on a split of the opponent contexts the rows of one."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return fold_rows(*args)
+
+    monkeypatch.setattr(welfare_module, "fold_rows", counted)
+    contexts = list(itertools.product(range(2), range(2)))
+    for scaled in _assert_kernel_matches_runs(*KERNEL_M5_ROWED):
+        rowed = [[getattr(t, "rows", None) is not None for _, t in bids] for bids in scaled.grid]
+        assert rowed == [[True, True], [True, False], [True, False]]
+        calls.clear()
+        _kernel_rows(scaled, contexts)
+        assert calls  # the kernel's own folds
+
+
+def test_calls_and_profiles_build_one_table_type():
+    """``_Scaled.of`` and ``scaled_tables`` build a bid's table by one
+    function: for the same bids, the same type, entries, slots and rows,
+    each on its own D.  A pickle round trip, as the ``--jobs`` pool makes,
+    keeps the entries, rows and slots."""
+    bids = (*KERNEL_M5_ROWED[1].per_agent[1], *KERNEL_M5_ROWED[0].true_valuations.bids,
+            NON_MONOTONE_5)
+    profile = BidProfile(5, bids)
+    scaled = analysis._Scaled.of(Instance(5, profile), PaymentRule.VCG, current=profile)
+    denom, tables = welfare_module.scaled_tables(profile)
+
+    def view(tab, d):
+        rows = getattr(tab, "rows", None)
+        return (type(tab), [F(x, d) for x in tab], getattr(tab, "slots", None),
+                rows and [[F(x, d) for x in row] for row in rows])
+
+    assert [view(t, scaled.denom) for _, t in scaled.current] == [
+        view(t, denom) for t in tables]
+    assert [type(t) for t in tables] == [welfare_module._FoldRows] * 5 + [tuple]
+    assert [t.rows is not None for t in tables[:5]] == [True, False, True, True, True]
+    loaded = pickle.loads(pickle.dumps(scaled))
+    assert [view(t, denom) for _, t in loaded.current] == [
+        view(t, denom) for _, t in scaled.current]
 
 
 # The lane width is read from the largest sum a call can take.  Agent i bids

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import walras
+import walras.valuations
 from walras.money import format_money, parse_money
 
 
@@ -113,6 +114,26 @@ def test_every_private_function_is_read_in_the_package():
              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
              and node.name.startswith("_") and not node.name.endswith("__")
              and node.name not in read]
+    assert found == []
+
+
+def test_no_module_outside_valuations_tests_a_kind_by_class():
+    """A valuation's kind is read from its declaration (``_slots``,
+    ``_type``): outside ``valuations`` no walras module calls ``isinstance``
+    against a kind class, here or in a tuple of classes."""
+    kinds = {name for name, cls in vars(walras.valuations).items() if isinstance(cls, type)
+             and issubclass(cls, walras.valuations.Valuation)
+             and cls is not walras.valuations.Valuation}
+    found = []
+    for path in sorted(Path(walras.__file__).parent.glob("*.py")):
+        if path.name == "valuations.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance" and len(node.args) == 2):
+                found += [f"{path.name}:{node.lineno} {n.id}" for n in ast.walk(node.args[1])
+                          if isinstance(n, ast.Name) and n.id in kinds]
+    assert kinds >= {"Additive", "UnitDemand", "Xos", "Oxs", "Tabular"}
     assert found == []
 
 

@@ -205,7 +205,7 @@ def test_rowed_profiles_price_allocate_and_verify_as_tables(case):
     agrees with the Fraction certificate at both endpoints and at prices that
     make the holder of item 0 drop it."""
     profile, moves = case
-    assert isinstance(scaled_tables(profile)[1][0], welfare._FoldRows)
+    assert scaled_tables(profile)[1][0].rows
     tabular = BidProfile(profile.m, tuple(Tabular(b.table()) for b in profile.bids))
     low, high = min_walrasian_prices(profile), max_walrasian_prices(profile)
     assert (low, high) == (min_walrasian_prices(tabular), max_walrasian_prices(tabular))
@@ -221,11 +221,12 @@ def test_rowed_profiles_price_allocate_and_verify_as_tables(case):
     assert not expected.is_equilibrium
 
 
-def test_demand_is_scanned_only_for_agents_that_fail(monkeypatch):
+def test_verification_reads_its_utility_rows_and_scans_no_demand(monkeypatch):
     """Verification compares each agent's utility with its best over one
-    shared cost table, and scans for the lowest better bundle only where an
-    agent fails: never at the lattice endpoints of a 7-item gross-substitutes
-    market, and once per failing agent elsewhere."""
+    shared cost table and reports the lowest best bundle from the agent's
+    utility row: it scans demand for no agent, at the lattice endpoints of a
+    7-item gross-substitutes market or at prices where one or several agents
+    fail, and its failures equal the Fraction certificate's."""
     scans = []
     demanded = walrasian._demanded
     monkeypatch.setattr(walrasian, "_demanded",
@@ -236,14 +237,15 @@ def test_demand_is_scanned_only_for_agents_that_fail(monkeypatch):
     low, high = min_walrasian_prices(prof), max_walrasian_prices(prof)
     for prices in (low, high):
         assert verify_walrasian_equilibrium(prof, alloc, prices).is_equilibrium
-    assert scans == []
     holder = next(i for i, x in enumerate(alloc.bundles) if x & 1)
     raised = (low[0] + 100,) + low[1:]  # above every bid's value of item 0
     cert = verify_walrasian_equilibrium(prof, alloc, raised)
-    assert [f.agent for f in cert.failures] == [holder] and len(scans) == 1
-    scans.clear()
+    assert [f.agent for f in cert.failures] == [holder]
+    assert cert == fraction_walrasian_certificate(prof, alloc.bundles, raised)
     cert = verify_walrasian_equilibrium(prof, alloc, (0,) * 7)
-    assert len(cert.failures) > 1 and len(scans) == len(cert.failures)
+    assert len(cert.failures) > 1
+    assert cert == fraction_walrasian_certificate(prof, alloc.bundles, (0,) * 7)
+    assert scans == []
 
 
 @pytest.mark.parametrize("bundles,prices,message", [

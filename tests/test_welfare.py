@@ -403,9 +403,27 @@ def _rowed_tables(prof):
     """(D, plain tables, tables with every structured bid's fold rows on D,
     whatever m and the row count)."""
     denom, plain = on_one_denominator(_tabulate(b) for b in prof.bids)
-    rowed = tuple(t if b._slots is None else welfare._FoldRows(b, t, denom)
-                  for b, t in zip(prof.bids, plain))
-    return denom, plain, rowed
+    rowed = []
+    for bid, tab in zip(prof.bids, plain):
+        if bid._slots is not None:
+            own, rows = bid._fold_rows
+            tab = welfare._FoldRows(tab)
+            tab.slots, tab.rows = bid._slots, tuple(
+                tuple(x * (denom // own) for x in row) for row in rows)
+        rowed.append(tab)
+    return denom, plain, tuple(rowed)
+
+
+def _assert_one_table_type(bids, tables):
+    """A tabular bid's table is a plain tuple; a structured bid's is a
+    ``_FoldRows``, with rows exactly where ``_item_fold_pays``."""
+    for bid, tab in zip(bids, tables):
+        if bid._slots is None:
+            assert type(tab) is tuple
+        else:
+            assert type(tab) is welfare._FoldRows
+            assert (tab.rows is not None) is welfare._item_fold_pays(bid)
+            assert tab.slots is (bid._slots if tab.rows else None)
 
 
 def _assert_folds_agree(prof, shape):
@@ -439,10 +457,10 @@ def test_item_fold_matches_the_submask_fold(prof, data):
     _assert_folds_agree(prof, ms_ones(prof.m))
     # A structured bid carries rows where ``_item_fold_pays`` says so: over
     # these 1-5 items, only at five items with up to three rows.
-    for bid, tab in zip(prof.bids, scaled_tables(prof)[1]):
-        pays = bid._slots is not None and prof.m == 5 and len(bid._fold_rows[1]) <= 3
+    for bid in (b for b in prof.bids if b._slots is not None):
+        pays = prof.m == 5 and len(bid._fold_rows[1]) <= 3
         assert welfare._item_fold_pays(bid) is pays
-        assert type(tab) is (welfare._FoldRows if pays else tuple)
+    _assert_one_table_type(prof.bids, scaled_tables(prof)[1])
 
 
 @pytest.mark.parametrize("m, k, pays", [(4, 1, False), (5, 1, True), (5, 3, True),
@@ -453,7 +471,9 @@ def test_item_fold_pays_on_either_side_of_its_boundary(m, k, pays):
     for bid in (Oxs(((F(1),) * k,) * m), Xos(((F(1),) * m,) * k)):
         assert welfare._item_fold_pays(bid) is pays
         prof = BidProfile(m, (bid, Additive((F(1, 2),) * m)))
-        assert type(scaled_tables(prof)[1][0]) is (welfare._FoldRows if pays else tuple)
+        (tab, _) = scaled_tables(prof)[1]
+        assert type(tab) is welfare._FoldRows and (tab.rows is not None) is pays
+        _assert_one_table_type(prof.bids, scaled_tables(prof)[1])
         _assert_folds_agree(prof, ms_ones(m))
 
 
@@ -537,7 +557,7 @@ def test_min_prices_never_fold_a_rowed_bid_onto_nothing(monkeypatch):
     bids = tuple(sample_valuation(kind, 7, 4, seed) for seed, kind in enumerate(
         ("additive", "unit_demand", "oxs", "oxs"), 1))
     prof = BidProfile(7, bids)
-    assert all(isinstance(t, welfare._FoldRows) for t in scaled_tables(prof)[1])
+    assert all(t.rows for t in scaled_tables(prof)[1])
     low = min_walrasian_prices(prof)
     assert len(calls) == 5
     tabular = BidProfile(7, tuple(Tabular(b.table()) for b in bids))
@@ -548,7 +568,30 @@ def test_min_prices_never_fold_a_rowed_bid_onto_nothing(monkeypatch):
 @settings(max_examples=8)
 @given(any_profile(st.just(8), st.integers(2, 3), STRUCTURED))
 def test_item_fold_matches_the_submask_fold_at_eight_items(prof):
+    """At eight items every structured bid of 1-3 rows carries them."""
     _assert_folds_agree(prof, ms_ones(8))
+    _assert_one_table_type(prof.bids, scaled_tables(prof)[1])
+    assert all(tab.rows for tab in scaled_tables(prof)[1])
+
+
+def test_a_structured_bid_onto_nothing_is_read_not_folded(monkeypatch):
+    """``welfare_max`` over three items folds agent 1 onto the all-zero
+    level and agent 0 onto that: a structured table onto nothing is read at
+    each state's items, so only agent 0's fold merges, 8 ``_fold_at`` calls.
+    The same bids as ``Tabular`` fold both agents by submasks: 16."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2])  # the state
+        return fold_at(*args)
+
+    fold_at = welfare._fold_at
+    monkeypatch.setattr(welfare, "_fold_at", counted)
+    bids = (Additive((F(1), F(2), F(3))), Additive((F(2), F(1), F(1))))
+    for twin, count in ((bids, 8), (tuple(Tabular(b.table()) for b in bids), 16)):
+        calls.clear()
+        assert welfare_max(BidProfile(3, twin), (1, 1, 1)) == (F(7), (0b110, 0b001))
+        assert sorted(calls) == sorted(list(range(8)) * (count // 8))
 
 
 def test_two_slots_of_one_bidder_never_take_both_copies_of_an_item():
@@ -562,7 +605,7 @@ def test_two_slots_of_one_bidder_never_take_both_copies_of_an_item():
         Oxs(((F(4), F(4)),) + ((F(0), F(0)),) * 6),
         Additive((F(1),) + zeros),
     ))
-    assert isinstance(scaled_tables(prof)[1][1], welfare._FoldRows)
+    assert scaled_tables(prof)[1][1].rows
     low = min_walrasian_prices(prof)
     assert low[0] == 1
     assert low == brute_min_prices(prof.bids, prof.m, table_welfare)
