@@ -18,7 +18,9 @@ those with at most one bid over gamma; ``verify_nash`` (welfare too), best
 response and the vcg certificate read the deviating agent's utilities over
 grids of singletons with the candidates at that agent (``_Scaled.column``).
 Only the smoothness certificates and ``poa_search``'s injected deviations,
-for profiles that pass every grid check, run the mechanism (``_Scaled.run``).
+for profiles that pass every grid check, run the mechanism (``_Scaled.run``);
+a deviation whose table is one of the agent's grid tables is not run, as
+the grid check has priced it already.
 Values become Fractions only in the reports.
 """
 
@@ -736,7 +738,9 @@ def poa_search(instance: Instance, rule: PaymentRule, grid: BidGrid, gamma,
     bid of agent 0, is the element-wise max of its utilities over the
     contexts that differ only in agent i's bid.  Each context whose bids all
     pass is then filtered against both, and the profiles left against the
-    injected deviations, agent by agent, run once per agent and context.
+    injected deviations, agent by agent, run once per agent and context.  A
+    deviation whose table on D is one of the agent's grid tables is not run:
+    the agent's best grid utility covers it.
     Ties on the worst ratio resolve to the first profile in grid order (last
     agent fastest), so every ``jobs`` reduces identically.
     """
@@ -773,6 +777,11 @@ def poa_search(instance: Instance, rule: PaymentRule, grid: BidGrid, gamma,
         kept += [(welfare[p], (own[p], *ctx), [u[p] for u in utils])
                  for p in compress(range(len(own)), map(all, zip(*checks)))]
     for i in range(instance.n):
+        # A deviation with one of agent i's grid tables is in its floor already.
+        on_grid = {t for _, t in scaled.grid[i]}
+        devs = [dev for dev in (scaled.truthful[i], scaled.half[i]) if dev[1] not in on_grid]
+        if not devs:
+            continue
         # Run, not read from the kernel, while bench/test_bench.py's
         # test_counts_repeat_at_a_fixed_seed asks poa for runs.
         best, kept, profiles = {}, [], kept
@@ -782,7 +791,7 @@ def poa_search(instance: Instance, rule: PaymentRule, grid: BidGrid, gamma,
             if key not in best:
                 pairs = list(map(getitem, scaled.grid, idxs))
                 best[key] = max(scaled.run(scaled.seeded((*pairs[:i], dev, *pairs[i + 1:])))[1][i]
-                                for dev in (scaled.truthful[i], scaled.half[i])) - scaled.eps
+                                for dev in devs) - scaled.eps
             if profile[2][i] >= best[key]:
                 kept.append(profile)
     # The optimum is fixed, so the worst ratio is at the least equilibrium

@@ -20,6 +20,9 @@ as references for the paths that replaced them:
   kernel of ``poa_search`` replaced, each on a fresh ``BidProfile`` with
   the true values from ``brute_value``: it shares no code with the
   analysis layer;
+- ``brute_poa``, ``poa_search`` by one mechanism run per grid profile and
+  per deviation, each on a fresh ``BidProfile``, with every truthful and
+  half-truthful deviation run;
 - ``fraction_exposure_factor_bound``, the Fraction loop the integer
   exposure routine replaced;
 - ``fraction_walrasian_certificate``, equilibrium verification through
@@ -613,6 +616,40 @@ def scaled_profile_outcomes(types, rule, grid, denom):
         assert all(x.denominator == 1 for x in row)
         rows.append((int(row[0]), tuple(map(int, row[1:]))))
     return rows
+
+
+def brute_poa(types, rule, grid, gamma, eps):
+    """(equilibrium count, worst ratio, witness bids) of ``poa_search`` on
+    the per-agent grid bids ``grid``: the profiles whose bids are all within
+    ``gamma`` (``fraction_exposure_factor_bound``) and where no agent gains
+    over ``eps`` by a bid of its grid, its truthful bid or its half-truthful
+    bid, the worst at the first profile in grid order (last agent fastest).
+    Every profile runs the whole mechanism on a fresh ``BidProfile``, the
+    true values from ``brute_value``."""
+    from walras.mechanisms import run_mechanism
+    from walras.money import INFINITY
+    from walras.welfare import BidProfile
+
+    def outcome(bids):
+        out = run_mechanism(rule, BidProfile(types[0].m, bids))
+        values = [brute_value(v, x) for v, x in zip(types, out.allocation.bundles)]
+        return sum(values, ZERO), [v - p for v, p in zip(values, out.payments)]
+
+    opt = brute_welfare(types, (1,) * types[0].m)
+    candidates = [(*bids, v, v.scale(Fraction(1, 2))) for bids, v in zip(grid, types)]
+    count, worst, witness = 0, Fraction(1), None
+    for bids in product(*grid):
+        if any(fraction_exposure_factor_bound(v, b) > gamma for v, b in zip(types, bids)):
+            continue
+        welfare, utils = outcome(bids)
+        if any(outcome((*bids[:i], c, *bids[i + 1:]))[1][i] > utils[i] + eps
+               for i, cands in enumerate(candidates) for c in cands):
+            continue
+        count += 1
+        ratio = opt / welfare if welfare else Fraction(1) if opt == 0 else INFINITY
+        if witness is None or ratio > worst:
+            worst, witness = ratio, bids
+    return count, worst, witness
 
 
 def fraction_exposure_factor_bound(v, b):

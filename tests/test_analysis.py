@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from oracles import (
     brute_blocking,
+    brute_poa,
     brute_value,
     brute_welfare,
     fraction_best_response_dynamics,
@@ -522,22 +523,12 @@ def test_poa_search_parallel_matches_serial():
 
 
 def _assert_brute_force(report, inst, rule, grid, gamma, eps):
-    """``report`` counts the grid profiles within ``gamma`` that
-    ``verify_nash`` accepts at ``eps``, and has the worst ratio among them
-    at the first such profile in grid order (last agent fastest)."""
-    types = inst.true_valuations.bids
-    count, worst, witness = 0, None, None
-    for bids in itertools.product(*grid.per_agent):
-        if any(fraction_exposure_factor_bound(v, b) > gamma for v, b in zip(types, bids)):
-            continue
-        nash = verify_nash(inst, rule, BidProfile(inst.m, bids), grid, eps)
-        if nash.is_nash:
-            count += 1
-            if worst is None or nash.ratio > worst:
-                worst, witness = nash.ratio, bids
-    assert report.equilibrium_count == count
-    assert report.worst_ratio == (worst if worst is not None else 1)
-    assert (report.witness.bids if report.witness else None) == witness
+    """``report`` is ``oracles.brute_poa``'s: the equilibrium count, the worst
+    ratio and its witness, from one mechanism run per grid profile and per
+    deviation, every truthful and half-truthful deviation run."""
+    witness = report.witness.bids if report.witness else None
+    assert (report.equilibrium_count, report.worst_ratio, witness) == brute_poa(
+        inst.true_valuations.bids, rule, grid.per_agent, gamma, eps)
 
 
 def test_poa_search_matches_brute_force_on_odd_denominators():
@@ -1209,11 +1200,23 @@ def _grid_checks(instance, rule, grid, gamma, eps):
     return passes
 
 
+def _deviators(runs, grid):
+    """(agent, bid) of each run's deviating agent: the one agent whose bid
+    is none of its grid's bid objects."""
+    deviators = []
+    for bids in runs:
+        (dev,) = [(i, b) for i, (b, g) in enumerate(zip(bids.bids, grid.per_agent))
+                  if not any(b is x for x in g)]
+        deviators.append(dev)
+    return deviators
+
+
 def test_poa_search_runs_the_mechanism_only_for_injected_deviations(monkeypatch):
     """The kernel makes no mechanism run and no Fraction; poa_search runs
     the mechanism only for the truthful and half-truthful deviations, at
-    most two per agent and opponent context of that agent, and only from a
-    base profile that passes every agent's exposure filter and grid check."""
+    most two per agent and opponent context of that agent, none whose table
+    is one of that agent's grid tables, and only from a base profile that
+    passes every agent's exposure filter and grid check."""
     runs = []
     real_run = analysis.run_mechanism
     monkeypatch.setattr(analysis, "run_mechanism",
@@ -1225,8 +1228,10 @@ def test_poa_search_runs_the_mechanism_only_for_injected_deviations(monkeypatch)
         fractions.append(args)
         return real_new(cls, *args, **kwargs)
 
+    # EX1's agent 1 bids (2, 2) and (1, 1) on its grid, so only agent 0 deviates.
     for instance, grid in ((THREE, _uneven_grid()),
-                           (EX2, BidGrid.additive(2, 2, "1/2", "1"))):
+                           (EX2, BidGrid.additive(2, 2, "1/2", "1")),
+                           (EX1, BidGrid.additive(2, 2, 1, 2))):
         sizes = grid.sizes()
         total = math.prod(sizes)
         contexts = list(itertools.product(*map(range, sizes[1:])))
@@ -1243,10 +1248,13 @@ def test_poa_search_runs_the_mechanism_only_for_injected_deviations(monkeypatch)
             deviations = {(i, b) for i in range(instance.n)
                           for b in (instance.true_valuations.bids[i],
                                     instance.true_valuations.bids[i].scale(F(1, 2)))}
+            grid_tables = [{b.table() for b in g} for g in grid.per_agent]
             for eps in (1, 0):
                 runs.clear()
                 poa_search(instance, rule, grid, 1, eps_dev=eps)
                 assert 0 < len(runs) <= sum(2 * total // s for s in sizes)
+                for i, b in _deviators(runs, grid):
+                    assert (i, b) in deviations and b.table() not in grid_tables[i]
                 passes = _grid_checks(instance, rule, grid, 1, eps)
                 for bids in runs:
                     # Some profile of the run's context passes every grid check.
@@ -1257,6 +1265,34 @@ def test_poa_search_runs_the_mechanism_only_for_injected_deviations(monkeypatch)
                              and None not in on_grid[:i] + on_grid[i + 1:]
                              for k in range(sizes[i])]
                     assert any(map(passes, bases))
+
+
+def test_poa_search_runs_no_deviation_that_is_on_the_grid(monkeypatch):
+    """Agent 0's type and its half are additive bids of its grid, agent 1's
+    type is a ``Tabular`` with the table of one of its grid bids (its half
+    too), and agent 2's type is on its grid while its half is not: only
+    agent 2's half-truthful deviation runs, and the reports are brute
+    force's."""
+    bids = BidGrid.additive(2, 1, "1/2", "1").per_agent[0]
+    grid = BidGrid((bids[4::2], (bids[2], bids[3], bids[6]), (bids[2], bids[4], *bids[7:])))
+    types = (Additive((F(1), F(1))), Tabular((F(0), F(1), F(0), F(1))),
+             Additive((F(1), F(1, 2))))
+    instance = Instance(2, BidProfile(2, types))
+    half = types[2].scale(F(1, 2)).table()
+    runs = []
+    real_run = analysis.run_mechanism
+    monkeypatch.setattr(analysis, "run_mechanism",
+                        lambda rule, bids: runs.append(bids) or real_run(rule, bids))
+    equilibria = []
+    for rule, gamma, eps in itertools.product(PaymentRule, (0, 1), (0, 1)):
+        runs.clear()
+        report = poa_search(instance, rule, grid, gamma, eps_dev=eps)
+        deviators = _deviators(runs, grid)
+        assert all(i == 2 and b.table() == half for i, b in deviators)
+        assert len(deviators) <= len(grid.per_agent[0]) * len(grid.per_agent[1])
+        _assert_brute_force(report, instance, rule, grid, gamma, eps)
+        equilibria.append((report.equilibrium_count, len(deviators)))
+    assert any(count and ran for count, ran in equilibria)
 
 
 def test_a_grid_that_does_not_fit_the_instance_is_refused():

@@ -18,6 +18,9 @@ the code:
 - ``welfare._item_fold_pays`` without its ``m >= 5`` short-circuit: the
   cost test already fails below five items, the short-circuit only spares
   reading the bid's fold rows there.
+- ``analysis.poa_search`` without its pruning of the injected deviations
+  that are on the agent's grid: it runs them, and their utilities are
+  already in the agent's floor.
 """
 
 import __future__
@@ -31,6 +34,7 @@ from typing import Callable, NamedTuple
 
 import pytest
 from oracles import (
+    brute_poa,
     brute_welfare,
     fraction_vcg_deviation_certificate,
     fraction_walrasian_certificate,
@@ -38,7 +42,7 @@ from oracles import (
 )
 
 from walras import analysis, bundles, valuations, walrasian, welfare
-from walras.analysis import BidGrid, Instance, vcg_deviation_certificate
+from walras.analysis import BidGrid, Instance, poa_search, vcg_deviation_certificate
 from walras.mechanisms import PaymentRule
 from walras.valuations import Additive, Oxs, Tabular, UnitDemand
 from walras.walrasian import verify_walrasian_equilibrium
@@ -152,6 +156,21 @@ def kernel_matches_the_runs():
             scaled_profile_outcomes(types.bids, rule, grid.per_agent, scaled.denom))
 
 
+def poa_matches_brute_force():
+    """``poa_search`` equals ``oracles.brute_poa`` under every rule at gamma
+    0 and 1 where agent 1's truthful bid is on its grid and its half-truthful
+    bid only on agent 0's, and agent 0's deviations are on neither grid."""
+    types = (Additive((F(1), F(2))), Additive((F(1), F(1))))
+    grid = ((Additive((F(1), F(1, 2))), Additive((F(1, 2), F(1, 2)))),
+            (Additive((F(1), F(0))), Additive((F(1), F(1)))))
+    instance = Instance(2, BidProfile(2, types))
+    for rule, gamma in itertools.product(PaymentRule, (0, 1)):
+        report = poa_search(instance, rule, BidGrid(grid), gamma)
+        witness = report.witness and report.witness.bids
+        assert (report.equilibrium_count, report.worst_ratio, witness) == brute_poa(
+            types, rule, grid, gamma, 0)
+
+
 def one_table_type():
     """``analysis._Scaled.of`` gives each bid the table type and rows that
     ``welfare.scaled_tables`` gives it."""
@@ -203,6 +222,13 @@ MUTANTS = [
            vcg_certificate_matches_the_fraction_certificate),
     Mutant("agent 0's negative entries packed without the lift", analysis._grid_outcomes,
            "lift = max(0, -min(map(min, own)))", "lift = 0", kernel_matches_the_runs),
+    Mutant("deviations pruned by agent 0's grid tables for every agent", poa_search,
+           "scaled.grid[i]}", "scaled.grid[0]}", poa_matches_brute_force),
+    Mutant("only the deviations on the grid run", poa_search,
+           "dev[1] not in on_grid", "dev[1] in on_grid", poa_matches_brute_force),
+    Mutant("the half-truthful deviation pruned by the truthful table", poa_search,
+           "dev[1] not in on_grid", "scaled.truthful[i][1] not in on_grid",
+           poa_matches_brute_force),
     Mutant("grid tables not built by the DP's builder", analysis._Scaled.of,
            "map(_table_on, group, it, repeat(denom))", "it", one_table_type),
 ]
