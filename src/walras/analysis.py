@@ -8,7 +8,9 @@ deviations the welfare-loss arguments rely on).  All comparisons are exact;
 the default deviation tolerance is zero.
 
 A call puts the tables of all the bids and types it reads on one common
-denominator D once, as the DP builds them (``_Scaled``).  One kernel,
+denominator D once, as the DP builds them (``_Scaled``).  A grid owns its
+tables on its own denominator, built once: an additive grid's from its
+integer levels, checked once for the whole grid.  One kernel,
 ``_grid_outcomes``, prices grid profiles with no mechanism run: D times
 their welfare and each agent's utility, in passes that hold one profile per
 fixed-width lane of one Python int, so each merge over agent 0's bundles is
@@ -33,9 +35,10 @@ from functools import cache, cached_property
 from fractions import Fraction
 from itertools import chain, compress, cycle, repeat
 from math import gcd, prod
-from operator import add, ge, getitem, itemgetter, sub
+from operator import add, ge, getitem, itemgetter, le, sub
 
-from .bundles import iter_bits, lane_max, lane_width, ms_ones, pack_lanes, unpack_lanes
+from .bundles import (check_item_count, iter_bits, lane_max, lane_width, ms_ones, pack_lanes,
+                      unpack_lanes)
 from .money import (INFINITY, ZERO, Infinity, _parse_non_negative, format_money,
                     on_one_denominator, parse_money)
 from .mechanisms import PaymentRule, _scaled_externality, allocate_declared, run_mechanism
@@ -117,7 +120,7 @@ class Instance:
 def _additive_levels(m: int, delta, cap) -> tuple[Fraction, int]:
     """(delta, count) of the per-item weights 0, delta, ..., cap of an
     additive grid, which gives every agent count^m bids; refused when that
-    is over MAX_PROFILES."""
+    is over MAX_PROFILES, then when m is no item count."""
     step = parse_money(delta)
     top = _parse_non_negative(cap, "grid cap")
     if step <= 0:
@@ -127,6 +130,7 @@ def _additive_levels(m: int, delta, cap) -> tuple[Fraction, int]:
         raise EnumerationBudgetExceeded(
             f"grid delta {format_money(step)}, cap {format_money(top)} and "
             f"m={m} give {count ** m} bids per agent, over {MAX_PROFILES}")
+    check_item_count(m)
     return step, count
 
 
@@ -142,9 +146,11 @@ def count_profiles(sizes) -> int:
 
 @dataclass(frozen=True)
 class BidGrid:
-    """Finite per-agent sets of candidate bids."""
+    """Finite per-agent sets of candidate bids; ``_levels`` is (m, step,
+    count) where :meth:`additive` built them, checked once for the grid."""
 
     per_agent: tuple[tuple[Valuation, ...], ...]
+    _levels: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "per_agent",
@@ -153,9 +159,26 @@ class BidGrid:
             raise ValueError("a bid grid needs at least one agent")
         if any(len(g) == 0 for g in self.per_agent):
             raise ValueError("every agent needs a non-empty bid grid")
-        for i, bids in enumerate(self.per_agent):
+        for i, bids in enumerate(() if self._levels else self.per_agent):
             for k, bid in enumerate(bids):
                 _worth_at_empty(bid, "grid bid {} of agent {}", k, i)
+
+    @cached_property
+    def _groups(self) -> tuple:
+        """(bids, D_g, each bid's table on D_g) per distinct tuple of bids:
+        ``_tabulate``'s tables on their lcm, or for an additive grid each
+        bundle's sum of level indices times the step's numerator, on the
+        step's denominator (on 1 when the one level is 0, as ``_tabulate``)."""
+        if self._levels is None:
+            return tuple((g, *on_one_denominator(map(_tabulate, g)))
+                         for g in {id(g): g for g in self.per_agent}.values())
+        m, step, count = self._levels
+        adds = [k * step.numerator for k in range(count)]
+        columns = [[0] * count ** m]  # each bundle's entry of every bid, by bitmask
+        for j in range(m):  # item j's level of every bid, item 0's slowest
+            item = [a for a in adds for _ in range(count ** (m - 1 - j))] * count ** j
+            columns += [list(map(add, c, item)) for c in columns]
+        return ((self.per_agent[0], step.denominator if count > 1 else 1, [*zip(*columns)]),)
 
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(g) for g in self.per_agent)
@@ -166,8 +189,8 @@ class BidGrid:
         before any is built when one agent would get over MAX_PROFILES."""
         step, count = _additive_levels(m, delta, cap)
         levels = [k * step for k in range(count)]
-        bids = tuple(Additive(w) for w in itertools.product(levels, repeat=m))
-        return cls((bids,) * n)
+        bids = tuple(map(Additive._trusted, itertools.product(levels, repeat=m)))
+        return cls((bids,) * n, (m, step, count))
 
     @staticmethod
     def additive_sizes(m: int, n: int, delta, cap) -> tuple[int, ...]:
@@ -268,30 +291,33 @@ class _Scaled:
             if per_agent is not None and len(per_agent) != instance.n:
                 raise ValueError(f"the {what} has {len(per_agent)} agents, "
                                  f"the instance {instance.n}")
+            if what == "grid" and agents and grid._levels:  # all over the levels' m
+                per_agent = [agents[0][:1]]
             for i, k, bid in ((i, k, b) for i, bids in enumerate(per_agent or ())
                               for k, b in enumerate(bids) if b.m != instance.m):
                 raise ValueError(f"{what} bid {k} of agent {i} is over {bid.m} "
                                  f"items, the instance has {instance.m}")
-        types = instance.true_valuations.bids
-        # Each tuple of grid bids once: BidGrid.additive hands all agents one tuple.
-        groups = [*{id(g): g for g in agents}.values(), current.bids if current else (),
-                  types, tuple(v.scale(Fraction(1, 2)) for v in types)]
-        scaled = [_tabulate(bid) for group in groups[:-1] for bid in group]
+        types, size = instance.true_valuations.bids, 1 << instance.m
+        groups = [*(() if grid is None else grid._groups), *(
+            (g, *on_one_denominator(map(_tabulate, g)))
+            for g in (current.bids if current else (), types))]
         # A half-truthful table is the truthful one over twice its denominator.
-        denom, tables = on_one_denominator(
-            scaled + [(2 * d, t) for d, t in scaled[-len(types):]]
+        _, d, tabs = groups[-1]
+        groups.append((tuple(v.scale(Fraction(1, 2)) for v in types), 2 * d, tabs))
+        # Each group's tables, one after another, make one row; eps is the last.
+        denom, rows = on_one_denominator(
+            [(d, tuple(chain.from_iterable(tabs))) for _, d, tabs in groups]
             + [(eps_dev.denominator, (eps_dev.numerator,))])
-        it = iter(tables)
-        pairs = [tuple(zip(group, map(_table_on, group, it, repeat(denom)))) for group in groups]
-        (eps,) = next(it)
-        built = dict(zip(map(id, groups), pairs))
+        pairs = [tuple(zip(g, map(_table_on, g, zip(*[iter(r)] * size), repeat(denom))))
+                 for (g, _, _), r in zip(groups, rows)]
+        built = {id(g): p for (g, _, _), p in zip(groups[:-3], pairs)}
         return cls(PaymentRule(rule), instance.m, denom, tuple(built[id(g)] for g in agents),
-                   *pairs[-3:], eps, max(map(abs, chain.from_iterable(tables))))
+                   *pairs[-3:], rows[-1][0], max(map(abs, chain.from_iterable(rows))))
 
     def seeded(self, pairs: tuple) -> BidProfile:
-        """The profile of ``pairs``, seeded with their tables."""
+        """The profile of ``pairs`` (bids :meth:`of` checked), seeded with their tables."""
         bids, tables = zip(*pairs)
-        return BidProfile.with_scaled_tables(self.m, bids, self.denom, tables)
+        return BidProfile._seeded(self.m, bids, self.denom, tables)
 
     def run(self, profile: BidProfile, rule: PaymentRule | None = None) -> tuple:
         """The ``MechanismOutcome`` of a :meth:`seeded` profile under ``rule``
@@ -752,12 +778,13 @@ def poa_search(instance: Instance, rule: PaymentRule, grid: BidGrid, gamma,
     scaled = _Scaled.of(instance, rule, grid, eps_dev=eps_dev)
     # exposure_factor_bound(v, b) <= gamma = num/den iff, on every bundle,
     # b * den <= (den + num) * v where v >= 0 and >= it where v < 0, so a
-    # positive bid where v is 0 fails at any gamma.
+    # positive bid where v is 0 fails at any gamma; one map per bundle's column.
     num, den = gamma.numerator, gamma.denominator
-    passing = [[k for k, (_, bt) in enumerate(bids)
-                if all(y * den <= (den + num) * x if x >= 0 else y * den >= (den + num) * x
-                       for x, y in zip(vt, bt))]
-               for (_, vt), bids in zip(scaled.truthful, scaled.grid)]
+    passing = []
+    for (_, vt), bids in zip(scaled.truthful, scaled.grid):
+        tests = [map(ge if x >= 0 else le, repeat((den + num) * x), map(den.__mul__, column))
+                 for x, column in zip(vt, zip(*(t for _, t in bids)))]
+        passing.append([*compress(range(len(bids)), map(all, zip(*tests)))])
     own = passing[0]
     marks = [*map(set(own).__contains__, range(len(grid.per_agent[0])))]
     columns, rows = {}, []  # (i, context less i) -> agent i's utility rows

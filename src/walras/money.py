@@ -82,7 +82,7 @@ def on_one_denominator(scaled) -> tuple[int, tuple[tuple[int, ...], ...]]:
     the D_i, and row i is multiplied by D / D_i where that is not 1."""
     scaled = list(scaled)
     denom = lcm(*(d for d, _ in scaled))
-    return denom, tuple(row if d == denom else tuple(x * (denom // d) for x in row)
+    return denom, tuple(row if d == denom else tuple(map((denom // d).__mul__, row))
                         for d, row in scaled)
 
 

@@ -57,9 +57,9 @@ def _to_weights(weights: Iterable) -> tuple[Fraction, ...]:
     return out
 
 
-def _map_numbers(f, numbers, rows: bool) -> list:
-    """f over every number of a declared field, keeping its shape."""
-    return [list(map(f, r)) for r in numbers] if rows else list(map(f, numbers))
+def _map_numbers(f, numbers, rows: bool, into=list):
+    """f over every number of a declared field, keeping its shape in ``into``s."""
+    return into(into(map(f, r)) for r in numbers) if rows else into(map(f, numbers))
 
 
 class Valuation:
@@ -104,10 +104,18 @@ class Valuation:
 
     def scale(self, factor) -> "Valuation":
         """The valuation of the same kind with every number times a
-        non-negative ``factor``."""
+        non-negative ``factor``: only the factor is checked, as the products
+        of checked numbers by it pass the kind's checks."""
         c = _parse_non_negative(factor, "scale factor")
-        return _BY_TYPE[self._type](_map_numbers(
-            lambda w: c * w, getattr(self, self._field), self._rows))
+        numbers = getattr(self, self._field)
+        return self._trusted(_map_numbers(c.__mul__, numbers, self._rows, tuple))
+
+    @classmethod
+    def _trusted(cls, numbers: tuple) -> "Valuation":
+        """This kind holding ``numbers`` as its constructor leaves them, unchecked."""
+        v = object.__new__(cls)
+        v.__dict__[cls._field] = numbers
+        return v
 
     @cached_property
     def _gross_substitutes(self) -> bool:

@@ -26,8 +26,8 @@ by item (``bundles.fold_rows``) where that pays (``_item_fold_pays``).
 
 The DP runs on integers.  ``scaled_tables`` puts the bids' own integer
 tables (``valuations._tabulate``) on D, a common multiple of their
-denominators, once per profile (or takes the tables a caller seeded with
-``BidProfile.with_scaled_tables``); the folds, the cached tables and the
+denominators, once per profile (or takes the tables the analysis layer
+seeded with ``BidProfile._seeded``); the folds, the cached tables and the
 argmax backtrack all hold D * W.  Values become ``Fraction(x, D)`` only
 where they leave the module: ``welfare_value``, ``welfare_max`` and
 ``welfare_marginal``.  The price and mechanism layers read the integers
@@ -80,16 +80,16 @@ class BidProfile:
         return len(self.bids)
 
     @classmethod
-    def with_scaled_tables(cls, m: int, bids, denom: int,
-                           tables) -> "BidProfile":
-        """A profile whose :func:`scaled_tables` are given, not computed.
+    def _seeded(cls, m: int, bids: tuple, denom: int, tables) -> "BidProfile":
+        """A profile of checked ``bids`` whose :func:`scaled_tables` are
+        given, not computed, with no check run.
 
         ``tables[i][k]`` must equal ``denom * bids[i].table()[k]``; ``denom``
         may be any common multiple of the table denominators, which gives
         the same Fractions and the same ties as the lcm.
         """
-        profile = cls(m, bids)
-        profile._cache["scaled"] = (denom, tuple(tables))
+        profile = object.__new__(cls)
+        profile.__dict__.update(m=m, bids=bids, _cache={"scaled": (denom, tuple(tables))})
         return profile
 
     def replace(self, i: int, bid: Valuation) -> "BidProfile":

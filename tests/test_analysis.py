@@ -8,7 +8,7 @@ from fractions import Fraction as F
 from operator import getitem
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from oracles import (
     brute_blocking,
     brute_poa,
@@ -496,16 +496,112 @@ def test_additive_grid_refuses_before_building_a_bid(monkeypatch):
     def no_bids(*args, **kwargs):
         raise AssertionError("a bid was built")
 
-    monkeypatch.setattr(analysis, "Additive", no_bids)
-    with pytest.raises(EnumerationBudgetExceeded,
-                       match=r"delta 0.001, cap 1 and m=2 give 1002001 bids"):
-        BidGrid.additive(2, 2, "1/1000", "1")
-    with pytest.raises(EnumerationBudgetExceeded, match="m=6 give 531441 bids"):
-        BidGrid.additive(6, 1, F(1, 4), F(2))
-    # Within the budget the grid is built (447^2 = 199,809 bids per agent),
-    # here with plain weight tuples standing in for the bids.
-    monkeypatch.setattr(analysis, "Additive", tuple)
-    assert BidGrid.additive(2, 1, F(1, 446), F(1)).sizes() == (447 ** 2,)
+    with monkeypatch.context() as patch:
+        patch.setattr(Additive, "_trusted", no_bids)
+        with pytest.raises(EnumerationBudgetExceeded,
+                           match=r"delta 0.001, cap 1 and m=2 give 1002001 bids"):
+            BidGrid.additive(2, 2, "1/1000", "1")
+        with pytest.raises(EnumerationBudgetExceeded, match="m=6 give 531441 bids"):
+            BidGrid.additive(6, 1, F(1, 4), F(2))
+    # Within the budget the grid is built (447^2 = 199,809 bids per agent).
+    grid = BidGrid.additive(2, 1, F(1, 446), F(1))
+    assert grid.sizes() == (447 ** 2,)
+    assert grid.per_agent[0][-1] == Additive((F(1), F(1)))
+
+
+@st.composite
+def level_grids(draw):
+    """(instance, additive grid, eps) over m = 1..4 items: a step over
+    1..4ths, a cap that may be below it (one level, all bids zero) and at
+    most 400 bids per agent."""
+    m = draw(st.integers(1, 4))
+    delta = F(draw(st.integers(1, 3)), draw(st.integers(1, 4)))
+    cap = F(draw(st.integers(0, 6)), draw(st.integers(1, 4)))
+    assume((cap // delta + 1) ** m <= 400)
+    n = draw(st.integers(1, 2))
+    types = BidProfile(m, tuple(draw(any_valuation(m)) for _ in range(n)))
+    eps = F(draw(st.integers(0, 3)), draw(st.sampled_from((1, 3, 8))))
+    return Instance(m, types), BidGrid.additive(m, n, delta, cap), eps
+
+
+@settings(max_examples=40)
+@example((Instance(1, BidProfile(1, (Additive((F(2, 3),)),))),
+          BidGrid.additive(1, 1, F(1, 2), F(1, 3)), F(1, 8)))
+@given(level_grids())
+def test_level_tables_equal_tabulated_tables_on_the_calls_denominator(case):
+    """An additive grid's tables, sums of its level indices, are those
+    ``_tabulate`` gives the same bids in a hand-built grid, on the call's D:
+    so D, ``top`` and every pair are the same, and D_g is the lcm of the
+    bids' own denominators (1 when the cap is below the step)."""
+    instance, grid, eps = case
+    by_hand = BidGrid(grid.per_agent)
+    assert by_hand == grid and by_hand._levels is None and grid._levels
+    for rule in PaymentRule:
+        level = analysis._Scaled.of(instance, rule, grid, eps_dev=eps)
+        assert level == analysis._Scaled.of(instance, rule, by_hand, eps_dev=eps)
+        assert [type(t) for _, t in level.grid[0]] == [
+            type(t) for _, t in analysis._Scaled.of(instance, rule, by_hand).grid[0]]
+    ((bids, d_g, tables),) = grid._groups
+    assert d_g == math.lcm(*(valuations._tabulate(b)[0] for b in bids))
+    assert [[F(x, d_g) for x in t] for t in tables] == [list(b.table()) for b in bids]
+
+
+@settings(max_examples=25)
+@given(level_grids(), st.randoms(use_true_random=False))
+def test_a_seeded_profile_runs_like_a_checked_profile(case, rng):
+    """``_Scaled.seeded`` runs no check, and gives the outcome under every
+    rule, payments on D included, of a checked profile of the same bids
+    seeded with the same tables, and the Fractions of one that is not."""
+    instance, grid, _ = case
+    scaled = analysis._Scaled.of(instance, PaymentRule.VCG, grid)
+    pairs = tuple(rng.choice(g + (t, h)) for g, t, h in zip(
+        scaled.grid, scaled.truthful, scaled.half))
+    seeded = scaled.seeded(pairs)
+    bids, tables = zip(*pairs)
+    checked, plain = BidProfile(instance.m, bids), BidProfile(instance.m, bids)
+    checked._cache["scaled"] = (scaled.denom, tables)
+    assert seeded == checked and seeded._cache.keys() == {"scaled"}
+    for rule in PaymentRule:
+        out = run_mechanism(rule, seeded)
+        assert out == run_mechanism(rule, plain)
+        assert out._scaled_payments == run_mechanism(rule, checked)._scaled_payments
+
+
+def test_every_grid_refusal_fires_with_its_message():
+    """The checks an additive grid runs once for the whole grid refuse what
+    the per-bid checks refused, with the same messages."""
+    cases = [
+        (lambda: BidGrid.additive(2, 0, 1, 1), ValueError,
+         "^a bid grid needs at least one agent$"),
+        (lambda: BidGrid.additive(0, 2, 1, 1), ValueError,
+         "^item count must be in 1..16, got 0$"),
+        (lambda: BidGrid.additive(17, 2, 1, 1), ValueError,
+         "^item count must be in 1..16, got 17$"),
+        (lambda: BidGrid.additive(17, 2, 1, 0), ValueError,
+         "^item count must be in 1..16, got 17$"),
+        (lambda: BidGrid.additive(17, 2, 1, 2), EnumerationBudgetExceeded,
+         "m=17 give 129140163 bids per agent, over 200000$"),
+        (lambda: BidGrid.additive(2, 2, 0, 1), ValueError, "^grid delta must be positive$"),
+        (lambda: BidGrid.additive(2, 2, "-1/2", 1), ValueError,
+         "^grid delta must be positive$"),
+        (lambda: BidGrid.additive(2, 2, 1, -1), ValueError,
+         "^grid cap must be non-negative, got -1$"),
+        (lambda: BidGrid.additive(2, 2, "1/1000", 1), EnumerationBudgetExceeded,
+         "give 1002001 bids per agent"),
+        (lambda: poa_search(EX2, PaymentRule.VCG, BidGrid.additive(3, 2, 1, 1), 0),
+         ValueError, "^grid bid 0 of agent 0 is over 3 items, the instance has 2$"),
+        (lambda: verify_nash(EX2, PaymentRule.VCG, MISCOORDINATION,
+                             BidGrid.additive(1, 2, 1, 1)),
+         ValueError, "^grid bid 0 of agent 0 is over 1 items, the instance has 2$"),
+        (lambda: poa_search(EX2, PaymentRule.VCG, BidGrid.additive(2, 3, 1, 1), 0),
+         ValueError, "^the grid has 3 agents, the instance 2$"),
+        (lambda: BidGrid(((Additive((F(1), F(0))),), (Tabular((F(1, 2), F(1), F(1), F(1))),))),
+         ValueError, r"^grid bid 0 of agent 1, \{'type': 'tabular', 'values': "
+         r"\['0.5', '1', '1', '1'\]\}, is worth 0.5 at the empty bundle, not 0$"),
+    ]
+    for build, error, message in cases:
+        with pytest.raises(error, match=message):
+            build()
 
 
 def test_poa_search_rejects_jobs_below_one():

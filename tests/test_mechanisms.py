@@ -86,7 +86,7 @@ def test_run_mechanism_matches_oracles_on_odd_denominators():
         }
         # Seeding the tables over a larger common denominator changes nothing.
         denom, tables = scaled_tables(prof)
-        seeded = BidProfile.with_scaled_tables(
+        seeded = BidProfile._seeded(
             m, bids, 10 * denom, [[10 * x for x in tab] for tab in tables])
         for rule, (pays, prices) in expected.items():
             out = run_mechanism(rule, prof)

@@ -43,7 +43,7 @@ from oracles import (
 
 from walras import analysis, bundles, valuations, walrasian, welfare
 from walras.analysis import BidGrid, Instance, poa_search, vcg_deviation_certificate
-from walras.mechanisms import PaymentRule
+from walras.mechanisms import PaymentRule, run_mechanism
 from walras.valuations import Additive, Oxs, Tabular, UnitDemand
 from walras.walrasian import verify_walrasian_equilibrium
 from walras.welfare import BidProfile, welfare_max, welfare_value
@@ -181,6 +181,40 @@ def one_table_type():
     assert [t.rows is None for _, t in scaled.current] == [t.rows is None for t in tables]
 
 
+def level_tables_match_tabulate():
+    """An additive grid over quarters, three levels, puts the tables that
+    ``_tabulate`` gives its bids in a hand-built grid on the call's D."""
+    instance = Instance(2, BidProfile(2, (Additive((F(1, 3), F(1))), UnitDemand((F(2), F(1))))))
+    grid = BidGrid.additive(2, 2, F(3, 4), F(2))
+    assert analysis._Scaled.of(instance, PaymentRule.VCG, grid) == analysis._Scaled.of(
+        instance, PaymentRule.VCG, BidGrid(grid.per_agent))
+
+
+def poa_matches_brute_force_at_a_negative_type_entry():
+    """``poa_search`` equals ``oracles.brute_poa`` at gamma 0 and 1 where
+    agent 0's type is worth -1 on item 0, which no grid bid is below."""
+    types = (Tabular((F(0), F(-1), F(1), F(2))), Additive((F(1), F(1))))
+    instance, grid = Instance(2, BidProfile(2, types)), BidGrid.additive(2, 2, 1, 1)
+    for rule, gamma in itertools.product(PaymentRule, (0, 1)):
+        report = poa_search(instance, rule, grid, gamma)
+        witness = report.witness and report.witness.bids
+        assert (report.equilibrium_count, report.worst_ratio, witness) == brute_poa(
+            types, rule, grid.per_agent, gamma, 0)
+
+
+def seeded_profiles_run_on_their_tables():
+    """A profile seeded over 10 D runs like the checked profile under every
+    rule, with its payments on 10 D."""
+    prof = _markets()[1]
+    denom, tables = welfare.scaled_tables(prof)
+    seeded = BidProfile._seeded(prof.m, prof.bids, 10 * denom,
+                                [[10 * x for x in t] for t in tables])
+    for rule in PaymentRule:
+        out, again = run_mechanism(rule, prof), run_mechanism(rule, seeded)
+        assert again == out
+        assert again._scaled_payments == tuple(10 * p for p in out._scaled_payments)
+
+
 # -- the census ----------------------------------------------------------------
 
 class Mutant(NamedTuple):
@@ -230,7 +264,19 @@ MUTANTS = [
            "dev[1] not in on_grid", "scaled.truthful[i][1] not in on_grid",
            poa_matches_brute_force),
     Mutant("grid tables not built by the DP's builder", analysis._Scaled.of,
-           "map(_table_on, group, it, repeat(denom))", "it", one_table_type),
+           "map(_table_on, g, zip(*[iter(r)] * size), repeat(denom))", "zip(*[iter(r)] * size)",
+           one_table_type),
+    Mutant("the level tables' unit off by the step's denominator", BidGrid._groups.func,
+           "k * step.numerator", "k * step.numerator * step.denominator",
+           level_tables_match_tabulate),
+    Mutant("a level index dropped from the level tables", BidGrid._groups.func,
+           "for k in range(count)", "for k in range(count - 1)", level_tables_match_tabulate),
+    Mutant("the column filter with le and ge swapped at a negative type entry", poa_search,
+           "ge if x >= 0 else le", "ge if x >= 0 else ge",
+           poa_matches_brute_force_at_a_negative_type_entry),
+    Mutant("a seeded profile without its scaled tables", BidProfile._seeded,
+           '_cache={"scaled": (denom, tuple(tables))}', "_cache={}",
+           seeded_profiles_run_on_their_tables),
 ]
 
 

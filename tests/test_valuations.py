@@ -423,6 +423,28 @@ def test_scale_multiplies_every_json_number(v, c):
 
 
 @ROUND_TRIPS
+@given(st.integers(1, 4).flatmap(any_valuation), weights())
+def test_scale_is_the_kind_built_from_the_products(v, c):
+    """``v.scale(c)`` checks only c, and is what the kind's constructor
+    builds from the same products: by ``==``, ``hash``, ``table()`` and JSON."""
+    numbers = getattr(v, v._field)
+    built = type(v)([[c * w for w in r] for r in numbers] if v._rows
+                    else [c * w for w in numbers])
+    scaled = v.scale(c)
+    assert type(scaled) is type(v) and scaled == built and hash(scaled) == hash(built)
+    assert scaled.table() == built.table() == tuple(c * x for x in v.table())
+    assert valuation_to_json(scaled) == valuation_to_json(built)
+
+
+def test_scale_refuses_a_negative_or_float_factor():
+    for v in (V1, V2, V3, BUDGET, Oxs(((F(1),), (F(2),)))):
+        with pytest.raises(ValueError, match="^scale factor must be non-negative, got -1/3$"):
+            v.scale("-1/3")
+        with pytest.raises(TypeError, match="^refusing float 0.5: pass a decimal string"):
+            v.scale(0.5)
+
+
+@ROUND_TRIPS
 @given(st.integers(1, 4).flatmap(lambda m: st.tuples(
     st.just(m), st.lists(valuations(m), min_size=1, max_size=3))),
     st.sampled_from(("", "round trip")))
@@ -501,7 +523,7 @@ def test_scaled_tables_match_a_profile_seeded_over_the_lcm(prof):
     assert [[F(t, denom) for t in tab] for tab in tables] == values
     lcm_denom, lcm_tables = scale_rows(values)
     assert denom % lcm_denom == 0
-    seeded = BidProfile.with_scaled_tables(m, bids, lcm_denom, lcm_tables)
+    seeded = BidProfile._seeded(m, bids, lcm_denom, lcm_tables)
     assert welfare_max(prof, (1,) * m) == welfare_max(seeded, (1,) * m)
     for rule in PaymentRule:
         assert run_mechanism(rule, prof) == run_mechanism(rule, seeded)
