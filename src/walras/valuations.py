@@ -415,9 +415,11 @@ def xos_supporting_clause(v: Xos, bundle: int) -> tuple[Fraction, ...]:
 
 # -- random generation -------------------------------------------------------
 
-@lru_cache(maxsize=16)
-def _weight_grid(limit: Fraction, dens: tuple) -> tuple[tuple[Fraction, ...], ...]:
+@lru_cache(maxsize=16, typed=True)  # typed, so True or 1.0 is not a hit for 1
+def _weight_grid(limit: Fraction, *dens: int) -> tuple[tuple[Fraction, ...], ...]:
     """Every weight k/d in [0, limit], one row per denominator d, built once."""
+    if not dens or any(type(d) is not int or d < 1 for d in dens):
+        raise ValueError(f"denominators must be one or more ints of at least 1, got {dens!r}")
     return tuple(tuple(Fraction(k, d) for k in range(int(limit * d) + 1)) for d in dens)
 
 
@@ -435,7 +437,7 @@ def sample_valuation(kind: str, m: int, cap, seed: int, *,
     check_item_count(m)
     limit = _parse_non_negative(cap, "cap")
     rng = random.Random(f"{kind}:{m}:{limit}:{seed}")
-    grid = _weight_grid(limit, tuple(denominators))
+    grid = _weight_grid(limit, *denominators)
 
     def weight_row(n: int) -> tuple[Fraction, ...]:
         # Draw d, then k/d from its row: one ``_randbelow`` draw each.

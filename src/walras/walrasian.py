@@ -7,13 +7,12 @@ closed forms in terms of welfare marginals:
     high_j = W(1_j | 1 - 1_j)  harm of removing item j
 
 Both are computed exactly on the profile's scaled integers, from the
-ones-shape tables of ``welfare``: W(1) and W(1 - 1_j) are merges at one
-state each, or reads of one level where agent 0 folds item by item, and
-W(1 + 1_j) joins prefix and suffix tables that each hold a copy of j.  The
-english and dutch payment rules read the same integers; the
-``poa_search`` kernel folds the opponents over each shape 1 + 1_j instead
-and merges agent 0's bids at its top state, one profile per lane of one
-int, in the same pass as its merge for W.
+ones-shape tables of ``welfare``: W(1) and W(1 - 1_j) by its one reader
+``_scaled_welfare``, and W(1 + 1_j) by a join of prefix and suffix tables
+that each hold a copy of j.  The english and dutch payment rules read the
+same integers; the ``poa_search`` kernel folds the opponents over each
+shape 1 + 1_j instead and merges agent 0's bids at its top state, one
+profile per lane of one int, in the same pass as its merge for W.
 Verification and the ascending-price procedure put their prices on the
 tables' denominator.  Verification prices every bundle once and accepts an
 agent whose utility is its best over that table; for an agent that fails
@@ -173,6 +172,8 @@ def tatonnement(profile: BidProfile, epsilon, *,
     eps = parse_money(epsilon)
     if eps <= 0:
         raise ValueError("epsilon must be positive")
+    if max_steps is not None and (type(max_steps) is not int or max_steps < 0):
+        raise ValueError(f"max_steps must be an int of at least 0, got {max_steps!r}")
     m, n = profile.m, profile.n
     table_denom, tabs = scaled_tables(profile)
     denom, (*tabs_int, (eps_int,)) = on_one_denominator(

@@ -9,20 +9,21 @@ over rationals and exponential in the number of items: desk scale.
 One driver, ``_fold_levels``, folds agents in one at a time (``_or_step``)
 into the suffix levels L_k (agents k..n-1) of a supply shape, once per
 profile (``_suffix_levels``); a prefix table of agents 0..k-1
-(``or_value_table``) is level n-k of the agents in reverse order.  Readers
-need W at a few states only and merge there with ``_fold_at``: W(x) merges
-agent 0 with L_1 at x, and W without agent i the prefix table of agents
-0..i-1 with L_{i+1}, or reads one (i = 0, n-1).  L_0 is folded by
-``welfare_max``, and on the ones shape wherever agent 0 folds item by item:
-one fold then serves W(1), every W(1 - 1_j) and the allocation's top value.
-On a doubled shape the prefix may take both copies of an item, so agents
-i+1..n-1 are folded onto it instead.  W(1 + 1_j) joins prefix and suffix
-tables that each hold a copy of j (``_doubled_welfare``).  A multiset with
-doubled items is read on its doubled-item pattern: two copies where it has
-two, one elsewhere.  A fold enumerates submasks, except that a structured
-bid's table (``_table_on``, for ``scaled_tables`` and the ``poa`` kernel) is
-read as it is onto the all-zero level, and on the one-copy shape folds item
-by item (``bundles.fold_rows``) where that pays (``_item_fold_pays``).
+(``or_value_table``) is level n-k of the agents in reverse order.  One
+reader, ``_scaled_welfare``, gives W at the states a caller needs: L_0
+where it is folded for the shape (by ``welfare_max``, and on the ones shape
+where agent 0 folds item by item: one fold for W(1), every W(1 - 1_j) and
+the allocation's top value), else agent 0 merged with L_1 there
+(``_fold_at``).  W without agent i merges the prefix table of agents
+0..i-1 with L_{i+1}, or reads one (i = 0, n-1); on a doubled shape, where
+the prefix may take both copies of an item, agents i+1..n-1 fold onto it.
+W(1 + 1_j) joins prefix and suffix tables that each hold a copy of j
+(``_doubled_welfare``).  A multiset with doubled items is read on its
+doubled-item pattern: two copies where it has two, one elsewhere.  A fold
+enumerates submasks, except that a structured bid's table (``_table_on``,
+for ``scaled_tables`` and the ``poa`` kernel) is read as it is onto the
+all-zero level, and on the one-copy shape folds item by item
+(``bundles.fold_rows``) where that pays (``_item_fold_pays``).
 
 The DP runs on integers.  ``scaled_tables`` puts the bids' own integer
 tables (``valuations._tabulate``) on D, a common multiple of their
@@ -31,7 +32,7 @@ seeded with ``BidProfile._seeded``); the folds, the cached tables and the
 argmax backtrack all hold D * W.  Values become ``Fraction(x, D)`` only
 where they leave the module: ``welfare_value``, ``welfare_max`` and
 ``welfare_marginal``.  The price and mechanism layers read the integers
-directly (``_scaled_welfare``, ``_welfare_argmax``, ``_suffix_levels``).
+directly (``_scaled_welfare``, ``_welfare_argmax``).
 """
 
 from __future__ import annotations
@@ -266,27 +267,25 @@ def or_value_table(profile: BidProfile, supply: tuple[int, ...],
 
 def _scaled_welfare(profile: BidProfile, shape: tuple[int, ...], states,
                     exclude: int | None = None) -> list[int]:
-    """D * W at each state index in ``states`` of ``shape`` (on the ones
-    shape a state's index is its bitmask): agent 0, or without agent i the
-    prefix table of agents 0..i-1, merged with the suffix level after it;
-    for i = 0 or n-1 one is all zeros, and the other, monotone, is read.
-    Where agent 0's table carries fold rows and the shape is all ones, W is
-    read from level 0, folded once item by item for every state."""
-    n, tables = profile.n, scaled_tables(profile)[1]
-    if exclude in (0, n - 1):  # level 1 of agents 1..n-1, or of n-2..0
+    """D * W at the state indices ``states`` of ``shape`` (bitmasks on the
+    ones shape), without agent ``exclude`` if given: the one reader of W."""
+    tables, n = scaled_tables(profile)[1], profile.n
+    if exclude is None:  # agent 0, or level 0 where it is folded
+        k, left = 1, tables[0]
+        stop = 0 if getattr(left, "rows", None) and shape == ms_ones(profile.m) else 1
+    elif exclude in (0, n - 1):  # level 1 of agents 1..n-1, or of n-2..0
         level = _suffix_levels(profile, shape, 1, exclude != 0)[0][1]
         return [level[idx] for idx in states]
-    k = 1 if exclude is None else exclude + 1
-    left = tables[0] if exclude is None else (
-        _suffix_levels(profile, shape, n + 1 - k, True)[0][n + 1 - k])
-    if exclude is not None and 2 in shape:  # a prefix may take two copies
-        levels = [None] * n + [left]  # so agents i+1..n-1 fold onto it
-        _fold_levels(tables, levels, k, *_layout(shape))
-        return [levels[k][idx] for idx in states]
-    if exclude is None and getattr(left, "rows", None) and shape == ms_ones(profile.m):
-        level = _suffix_levels(profile, shape, 0)[0][0]  # one item fold serves all
-        return [level[idx] for idx in states]
-    levels, _, ssum, clamps = _suffix_levels(profile, shape, k)
+    else:  # the prefix table of agents 0..i-1
+        k = stop = exclude + 1
+        left = _suffix_levels(profile, shape, n - exclude, True)[0][n - exclude]
+        if 2 in shape:  # it may take two copies, so agents i+1..n-1 fold onto it
+            levels = [None] * n + [left]
+            _fold_levels(tables, levels, k, *_layout(shape))
+            return [levels[k][idx] for idx in states]
+    levels, _, ssum, clamps = _suffix_levels(profile, shape, stop)
+    if exclude is None and levels[0] is not None:  # one fold serves every state
+        return [levels[0][idx] for idx in states]
     return [_fold_at(left, levels[k], idx, ssum, clamps) for idx in states]
 
 
@@ -347,19 +346,11 @@ def welfare_value(profile: BidProfile, supply, exclude: int | None = None) -> Fr
     return Fraction(value, denom)
 
 
-def _welfare_argmax(profile: BidProfile, ms: tuple[int, ...],
-                    stop: int = 1) -> tuple[int, tuple[int, ...]]:
-    """D * W(ms) and the canonical maximizing assignment of :func:`welfare_max`,
-    from level 0 folded in full (``stop`` 0, and on the ones shape where
-    agent 0 carries fold rows) or merged at ms alone (1)."""
-    _, tables = scaled_tables(profile)
-    if stop and getattr(tables[0], "rows", None) and ms == ms_ones(profile.m):
-        stop = 0  # one item fold into level 0, which W(1) reads as well
-    levels, size, ssum, clamps = _suffix_levels(profile, ms, stop)
-    idx = size - 1  # the top state, ms itself
-    value = (levels[0][idx] if stop == 0
-             else _fold_at(tables[0], levels[1], idx, ssum, clamps))
-    return value, _backtrack(tables, levels, idx, value, ssum, clamps)
+def _welfare_argmax(profile: BidProfile, ms: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """D * W(ms), read by :func:`_scaled_welfare`, and its canonical assignment."""
+    levels, size, ssum, clamps = _suffix_levels(profile, ms)
+    (value,) = _scaled_welfare(profile, ms, (size - 1,))
+    return value, _backtrack(scaled_tables(profile)[1], levels, size - 1, value, ssum, clamps)
 
 
 def _backtrack(tables, levels, idx: int, target: int, ssum: tuple[int, ...],
@@ -394,7 +385,8 @@ def welfare_max(profile: BidProfile, supply) -> tuple[Fraction, tuple[int, ...]]
     """
     ms = tuple(supply)
     check_multiset(profile.m, ms)
-    value, bundles = _welfare_argmax(profile, ms, stop=0)
+    _suffix_levels(profile, ms, 0)  # all n levels: the fold count bench/test_bench.py pins
+    value, bundles = _welfare_argmax(profile, ms)
     denom, _ = scaled_tables(profile)
     return Fraction(value, denom), bundles
 

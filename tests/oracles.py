@@ -74,6 +74,21 @@ def brute_welfare_maps(bids, m):
     return best
 
 
+def brute_canonical_assignment(bids, m):
+    """(W(1), bundles): among the best maps of the m items to the agents or
+    to nobody, the one whose bundle tuple is smallest, agent 0's bundle
+    first: ``welfare_max``'s tie rule, by enumeration."""
+    n = len(bids)
+    best = None
+    for owners in product(range(n + 1), repeat=m):
+        bundles = [0] * (n + 1)
+        for j, owner in enumerate(owners):
+            bundles[owner] |= 1 << j
+        key = (-sum((bid.value(b) for bid, b in zip(bids, bundles)), ZERO), bundles[:n])
+        best = key if best is None else min(best, key)
+    return -best[0], tuple(best[1])
+
+
 def brute_demand(v, prices):
     best = None
     winners = []

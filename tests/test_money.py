@@ -117,6 +117,45 @@ def test_every_private_function_is_read_in_the_package():
     assert found == []
 
 
+def test_every_private_default_is_set_by_some_call_in_the_package():
+    """No setting that only its default ever reaches: each parameter with a
+    default of a private function, or of a method of a private class, is
+    set by at least one call in ``src/walras``, by keyword or by position.
+    Calls match by name, ``f(...)`` or ``x.f(...)``; a method's positions
+    start after ``self`` or ``cls``, and a starred argument sets them all."""
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(Path(walras.__file__).parent.glob("*.py"))}
+    targets, calls = [], {}
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(callee, []).append(node)
+            elif isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+                method = isinstance(node, ast.ClassDef)
+                targets += [(name, fn, int(method and not any(
+                    getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)))
+                    for fn in node.body if isinstance(fn, ast.FunctionDef)
+                    and not fn.name.endswith("__") and (fn.name.startswith("_") or (
+                        method and node.name.startswith("_")))]
+    found = []
+    for name, fn, skip in targets:
+        args = fn.args
+        pos = [p.arg for p in args.posonlyargs + args.args]
+        defaults = [(i - skip, p) for i, p in enumerate(pos)
+                    if i >= len(pos) - len(args.defaults)]
+        defaults += [(None, p.arg) for p, d in zip(args.kwonlyargs, args.kw_defaults)
+                     if d is not None]
+        for i, param in defaults:
+            if not any(any(k.arg in (param, None) for k in call.keywords)
+                       or any(isinstance(a, ast.Starred) for a in call.args)
+                       or i is not None and len(call.args) > i
+                       for call in calls.get(fn.name, ())):
+                found.append(f"{name}:{fn.lineno} {fn.name}({param})")
+    assert {"of", "run", "check_that"} <= {fn.name for _, fn, _ in targets}
+    assert found == []
+
+
 def test_no_module_outside_valuations_tests_a_kind_by_class():
     """A valuation's kind is read from its declaration (``_slots``,
     ``_type``): outside ``valuations`` no walras module calls ``isinstance``

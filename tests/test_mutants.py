@@ -15,6 +15,12 @@ could poison is cleared on the way in and out.
 
 Equivalent mutants, left out as rows because no check can tell them from
 the code:
+- ``welfare._scaled_welfare`` folding level 0 on every shape where agent 0
+  carries fold rows, not only on the ones shape (``and shape ==
+  ms_ones(profile.m)`` dropped): such rows exist only at five or more
+  items, where a shape with a doubled item folds level 0 by submasks and
+  reads it, the value a merge at the states asked gives; only the work
+  differs, and no killer here times it.
 - ``welfare._item_fold_pays`` without its ``m >= 5`` short-circuit: the
   cost test already fails below five items, the short-circuit only spares
   reading the bid's fold rows there.
@@ -34,18 +40,25 @@ from typing import Callable, NamedTuple
 
 import pytest
 from oracles import (
+    brute_blocking,
+    brute_canonical_assignment,
+    brute_fold_rows,
+    brute_max_prices,
+    brute_min_prices,
     brute_poa,
     brute_welfare,
     fraction_vcg_deviation_certificate,
     fraction_walrasian_certificate,
+    reference_tatonnement,
     scaled_profile_outcomes,
 )
 
 from walras import analysis, bundles, valuations, walrasian, welfare
 from walras.analysis import BidGrid, Instance, poa_search, vcg_deviation_certificate
-from walras.mechanisms import PaymentRule, run_mechanism
+from walras.bundles import fold_rows, iter_bits
+from walras.mechanisms import PaymentRule, allocate_declared, run_mechanism
 from walras.valuations import Additive, Oxs, Tabular, UnitDemand
-from walras.walrasian import verify_walrasian_equilibrium
+from walras.walrasian import min_walrasian_prices, tatonnement, verify_walrasian_equilibrium
 from walras.welfare import BidProfile, welfare_max, welfare_value
 
 CACHES = (valuations._tabulate, bundles._item_lanes, welfare._layout, analysis._merges,
@@ -215,6 +228,94 @@ def seeded_profiles_run_on_their_tables():
         assert again._scaled_payments == tuple(10 * p for p in out._scaled_payments)
 
 
+THREE = (Additive((F(1), F(2), F(3))), UnitDemand((F(2), F(1), F(1))),
+         Additive((F(0), F(1), F(2))))
+
+
+def welfare_without_an_agent_matches_brute_force():
+    """Once ``welfare_max`` has folded level 0, ``welfare_value`` without
+    each agent of :data:`THREE` equals ``oracles.brute_welfare`` of the
+    others."""
+    prof, ones = BidProfile(3, THREE), (1, 1, 1)
+    welfare_max(prof, ones)
+    for i in range(3):
+        assert welfare_value(prof, ones, exclude=i) == brute_welfare(THREE[:i] + THREE[i + 1:],
+                                                                     ones)
+
+
+def a_folded_level_0_is_read():
+    """Once ``welfare_max`` has folded level 0 of :data:`THREE`, the
+    allocation and ``welfare_value`` at the ones shape make no
+    ``_fold_at`` call (``welfare.py``'s global, counted while they run)."""
+    prof, ones = BidProfile(3, THREE), (1, 1, 1)
+    welfare_max(prof, ones)
+    calls, fold_at = [], welfare._fold_at
+    welfare._fold_at = lambda *args: calls.append(args) or fold_at(*args)
+    try:
+        allocate_declared(prof)
+        welfare_value(prof, ones)
+    finally:
+        welfare._fold_at = fold_at
+    assert calls == []
+
+
+def argmax_matches_brute_force():
+    """``welfare_max`` equals ``oracles.brute_canonical_assignment`` on the
+    markets of :func:`_markets` and where two bids tie for one item, so
+    agent 0 takes nothing."""
+    tie = BidProfile(1, (Additive((F(1),)), Additive((F(1),))))
+    for prof in _markets() + (tie,):
+        assert welfare_max(prof, (1,) * prof.m) == brute_canonical_assignment(prof.bids, prof.m)
+
+
+def min_prices_match_brute_force():
+    """``min_walrasian_prices`` equals ``oracles.brute_min_prices`` on the
+    markets of :func:`_markets` and on :data:`THREE`."""
+    for prof in _markets() + (BidProfile(3, THREE),):
+        assert min_walrasian_prices(prof) == brute_min_prices(prof.bids, prof.m)
+
+
+def ascent_matches_the_reference_loop():
+    """``tatonnement`` equals ``oracles.reference_tatonnement`` where two
+    bidders raise one item by 1/1024 about two thousand times, and where a
+    war over three items repeats one pass and then two at 1/256."""
+    for prof, eps in (
+            (BidProfile(1, (Additive((F(3),)), Additive((F(2),)))), F(1, 1024)),
+            (BidProfile(3, (UnitDemand((F(0), F(2), F(5, 2))),
+                            Additive((F(5, 2), F(4), F(13, 4))))), F(1, 256))):
+        assert tatonnement(prof, eps) == reference_tatonnement(prof, eps)
+
+
+def fold_rows_matches_brute_force():
+    """``bundles.fold_rows`` equals ``oracles.brute_fold_rows`` where the
+    fold reaches 128, the top bit of an 8-bit lane, and past 64 bits."""
+    for table, rows, slot in (((0, 127, 0, 127), ((1, 1),), True),
+                              ((0, 1 << 70, 3, 1 << 66), ((1 << 65, 2),), False)):
+        assert fold_rows(table, rows, slot) == brute_fold_rows(table, rows, slot)
+
+
+def payments_match_their_formulas():
+    """``run_mechanism`` on :data:`THREE` charges, at the declared
+    allocation, what each rule's formula gives on ``oracles`` values: vcg
+    ``brute_blocking``, english and dutch the bundle's sum of
+    ``brute_min_prices`` and ``brute_max_prices`` (also the prices used),
+    paybid the bid's value."""
+    prof = BidProfile(3, THREE)
+    bundles = allocate_declared(prof).bundles
+    low, high = brute_min_prices(THREE, 3), brute_max_prices(THREE, 3)
+    expected = {
+        PaymentRule.VCG: ([brute_blocking(prof, i, x) if x else 0
+                           for i, x in enumerate(bundles)], None),
+        PaymentRule.ENGLISH: ([sum(low[j] for j in iter_bits(x)) for x in bundles], low),
+        PaymentRule.DUTCH: ([sum(high[j] for j in iter_bits(x)) for x in bundles], high),
+        PaymentRule.PAY_YOUR_BID: ([v.value(x) for v, x in zip(THREE, bundles)], None),
+    }
+    assert low != high
+    for rule, (pays, prices) in expected.items():
+        out = run_mechanism(rule, BidProfile(3, THREE))
+        assert (out.payments, out.prices_used) == (tuple(pays), prices)
+
+
 # -- the census ----------------------------------------------------------------
 
 class Mutant(NamedTuple):
@@ -238,7 +339,7 @@ MUTANTS = [
            "out.slots, out.rows = bid._slots,", "out.slots, out.rows = False,",
            welfare_matches_brute_force),
     Mutant("W read from level 1, without agent 0", welfare._scaled_welfare,
-           "_suffix_levels(profile, shape, 0)[0][0]", "_suffix_levels(profile, shape, 0)[0][1]",
+           "[levels[0][idx] for", "[levels[1][idx] for",
            welfare_matches_brute_force),
     Mutant("a merge that misses a gain of 1", welfare._fold_at,
            "if cand > best:", "if cand > best + 1:", welfare_matches_brute_force),
@@ -277,6 +378,33 @@ MUTANTS = [
     Mutant("a seeded profile without its scaled tables", BidProfile._seeded,
            '_cache={"scaled": (denom, tuple(tables))}', "_cache={}",
            seeded_profiles_run_on_their_tables),
+    Mutant("a folded level 0 read when an agent is left out", welfare._scaled_welfare,
+           "exclude is None and levels[0] is not None", "levels[0] is not None",
+           welfare_without_an_agent_matches_brute_force),
+    Mutant("a folded level 0 merged again", welfare._scaled_welfare,
+           "exclude is None and levels[0] is not None", "False", a_folded_level_0_is_read),
+    Mutant("the backtrack keeps the largest bundle of a tie", welfare._backtrack,
+           "chosen = b\n                break", "chosen = b", argmax_matches_brute_force),
+    Mutant("the doubled join's groups one entry short", welfare._doubled_welfare,
+           "group = (1 << profile.m - 1) + 1", "group = 1 << profile.m - 1",
+           min_prices_match_brute_force),
+    Mutant("repeats counted by a division that is not strict", walrasian._repeats,
+           "(best - t + c - 1) // (low - dx)", "(best - t + c) // (low - dx)",
+           ascent_matches_the_reference_loop),
+    Mutant("lanes without their guard bit", bundles.lane_width,
+           "1 << top.bit_length().bit_length()", "1 << (top.bit_length() - 1).bit_length()",
+           fold_rows_matches_brute_force),
+    Mutant("vcg charges every agent agent 0's externality", run_mechanism,
+           "_scaled_externality(bids, i, x)", "_scaled_externality(bids, 0, x)",
+           payments_match_their_formulas),
+    Mutant("english charges the highest prices", run_mechanism,
+           "lowest=rule is PaymentRule.ENGLISH", "lowest=False", payments_match_their_formulas),
+    Mutant("dutch charges the lowest prices", run_mechanism,
+           "lowest=rule is PaymentRule.ENGLISH", "lowest=True", payments_match_their_formulas),
+    Mutant("english and dutch charge every item's price", run_mechanism,
+           "sum(prices[j] for j in iter_bits(x))", "sum(prices)", payments_match_their_formulas),
+    Mutant("paybid charges the bid for all items", run_mechanism,
+           "tab[x] for tab, x in", "tab[-1] for tab, x in", payments_match_their_formulas),
 ]
 
 

@@ -9,7 +9,8 @@ from walras.analysis import BidGrid, Instance, exposure_factor_bound
 from walras.money import parse_money
 from walras.reproduce import run_case
 from walras.serialize import jsonable
-from walras.valuations import Additive, Tabular, Valuation, valuation_to_json
+from walras.valuations import Additive, Tabular, Valuation, sample_valuation, valuation_to_json
+from walras.walrasian import tatonnement
 from walras.welfare import BidProfile, welfare_value
 
 PAIR = BidProfile(2, (Additive((1, 2)),))
@@ -39,6 +40,11 @@ PAIR = BidProfile(2, (Additive((1, 2)),))
                  "cannot parse money from list", id="money-type"),
     pytest.param(lambda: jsonable(object()), TypeError,
                  "cannot serialize object", id="jsonable-type"),
+    pytest.param(lambda: tatonnement(PAIR, "1/64", max_steps=True), ValueError,
+                 "max_steps must be an int of at least 0, got True", id="max-steps"),
+    pytest.param(lambda: sample_valuation("additive", 2, 4, 1, denominators=(0,)),
+                 ValueError, "denominators must be one or more ints of at least 1, got (0,)",
+                 id="denominators"),
     pytest.param(lambda: run_case("nope"), ValueError,
                  "unknown case 'nope'; choose from ('example1',", id="reproduce-case"),
 ])

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import io
 import random
@@ -22,7 +23,7 @@ from walras.bundles import fold_rows, ms_ones
 from walras.cli import main
 from walras.instancefile import fixture_path
 from walras.money import on_one_denominator, scale_rows
-from walras.mechanisms import PaymentRule, _scaled_externality, run_mechanism
+from walras.mechanisms import PaymentRule, _scaled_externality, allocate_declared, run_mechanism
 from walras.valuations import (
     Additive,
     Oxs,
@@ -357,9 +358,11 @@ def test_point_merges_match_the_table_paths(prof, seed):
     denom, _ = scaled_tables(prof)
     assert min_walrasian_prices(prof) == brute_min_prices(bids, m, table_welfare)
     assert max_walrasian_prices(prof) == brute_max_prices(bids, m, table_welfare)
-    # The allocation's argmax merges agent 0 at one state; welfare_max reads
-    # a folded level 0.  Same value, same canonical bundles.
-    assert _welfare_argmax(prof, ms_ones(m)) == _welfare_argmax(prof, ms_ones(m), 0)
+    # A fresh profile's argmax merges agent 0 at one state; a twin whose
+    # level 0 was folded first reads it there.  Same value, same bundles.
+    twin = BidProfile(m, bids)
+    welfare._suffix_levels(twin, ms_ones(m), 0)
+    assert _welfare_argmax(BidProfile(m, bids), ms_ones(m)) == _welfare_argmax(twin, ms_ones(m))
     assert welfare_max(prof, ms_ones(m))[0] == table_welfare(bids, ms_ones(m))
     supply = tuple(rng.choice((0, 1, 2)) for _ in range(m))
     assert welfare_value(prof, supply) == table_welfare(bids, supply)
@@ -592,6 +595,38 @@ def test_a_structured_bid_onto_nothing_is_read_not_folded(monkeypatch):
         calls.clear()
         assert welfare_max(BidProfile(3, twin), (1, 1, 1)) == (F(7), (0b110, 0b001))
         assert sorted(calls) == sorted(list(range(8)) * (count // 8))
+
+
+def test_one_reader_reads_a_folded_level_0_and_merges_otherwise(monkeypatch):
+    """Once ``welfare_max`` has folded level 0 at the ones shape, the
+    allocation, the highest prices and ``welfare_value`` read it there: no
+    ``_fold_at`` and no ``_or_step`` call.  On a fresh profile the
+    allocation folds levels n-1 and 1 and merges agent 0 at the top state;
+    the last agent's structured table is read, so (n - 2) * 2^m + 1 = 9
+    ``_fold_at`` calls, and as ``Tabular`` bids (n - 1) * 2^m + 1 = 17."""
+    calls = collections.Counter()
+
+    def counted(name, real):
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+        return call
+
+    for name in ("_fold_at", "_or_step"):
+        monkeypatch.setattr(welfare, name, counted(name, getattr(welfare, name)))
+    bids = (Additive((F(1), F(2), F(3))), UnitDemand((F(2), F(1), F(1))),
+            Additive((F(0), F(1), F(2))))
+    ones = ms_ones(3)
+    for twin, merges in ((bids, 9), (tuple(Tabular(b.table()) for b in bids), 17)):
+        prof = BidProfile(3, twin)
+        welfare_max(prof, ones)
+        calls.clear()
+        allocate_declared(prof)
+        max_walrasian_prices(prof)
+        welfare_value(prof, ones)
+        assert calls == {}
+        allocate_declared(BidProfile(3, twin))
+        assert calls == {"_fold_at": merges, "_or_step": 2}
 
 
 def test_two_slots_of_one_bidder_never_take_both_copies_of_an_item():
