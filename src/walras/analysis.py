@@ -530,18 +530,6 @@ class MarginalSumReport:
     double_bound: Fraction
     factor1_ok: bool
     factor2_ok: bool
-    _bids: BidProfile = field(compare=False, repr=False)
-
-    @cached_property
-    def classification(self) -> str:
-        """The bids' class, found on first read: the exchange test runs only
-        for a reader that asks."""
-        bids = self._bids
-        if bids.m <= CHECKER_MAX_ITEMS and all(map(is_gross_substitutes, bids.bids)):
-            return "gross_substitutes"
-        if all(b._slots is not None for b in bids.bids):  # structured kinds are XOS
-            return "xos"
-        return "unknown"
 
 
 def marginal_sum_bound(bids: BidProfile, partition: Allocation) -> MarginalSumReport:
@@ -549,8 +537,7 @@ def marginal_sum_bound(bids: BidProfile, partition: Allocation) -> MarginalSumRe
 
     For gross-substitutes bids the sum never exceeds W(1); for XOS bids it
     never exceeds 2 W(1).  The report states both comparisons, made on D *
-    each marginal and D * W(1) (``scaled_tables``), and classifies the
-    profile when its ``classification`` is read.
+    each marginal and D * W(1) (``scaled_tables``).
     """
     if partition.m != bids.m or len(partition.bundles) != bids.n:
         raise ValueError("partition does not match the bid profile")
@@ -561,7 +548,7 @@ def marginal_sum_bound(bids: BidProfile, partition: Allocation) -> MarginalSumRe
     return MarginalSumReport(
         total=Fraction(total, denom), single_bound=Fraction(w_full, denom),
         double_bound=Fraction(2 * w_full, denom),
-        factor1_ok=total <= w_full, factor2_ok=total <= 2 * w_full, _bids=bids)
+        factor1_ok=total <= w_full, factor2_ok=total <= 2 * w_full)
 
 
 def half_clause_deviation(v: Xos, target: int) -> Additive:

@@ -19,8 +19,7 @@ multiple of the kind's weight denominators, an OXS matrix by its slot
 columns; a single-row kind is one row.  The welfare DP folds a bid item by
 item from these rows, and the one builder ``Valuation._ints`` makes every
 structured table from them by the same fold, onto the all-zero table.  The
-declaration also decides which kinds :func:`sample_valuation` draws and
-which profiles ``analysis.MarginalSumReport`` classes as XOS.
+declaration also decides which kinds :func:`sample_valuation` draws.
 
 Each kind's integer table ``(D_v, ints)`` is built once (cached by
 :func:`_tabulate`): ``ints[x]`` is D_v times the value of bundle x.  Every
@@ -116,12 +115,6 @@ class Valuation:
         v = object.__new__(cls)
         v.__dict__[cls._field] = numbers
         return v
-
-    @cached_property
-    def _gross_substitutes(self) -> bool:
-        """Exchange-test verdict, computed once per valuation.  A table that
-        is not monotone normalized raises, and nothing is cached."""
-        return _exchange_holds(self)
 
 
 @lru_cache(maxsize=1 << 16)
@@ -371,14 +364,9 @@ def is_gross_substitutes(v: Valuation) -> bool:
                           max_{j in Y\\X} v(X-i+j)+v(Y+i-j) ).
 
     Equivalent to the price-based definition for monotone normalized
-    valuations, and finitely checkable, which the price form is not.  The
-    verdict is kept on the valuation, so each valuation is checked once.
+    valuations, and finitely checkable, which the price form is not.  It
+    runs on the integer table.
     """
-    return v._gross_substitutes
-
-
-def _exchange_holds(v: Valuation) -> bool:
-    """The exchange loop of :func:`is_gross_substitutes`, on integers."""
     tab = _require_normalized(v)
     size = 1 << v.m
     bits = [tuple(1 << i for i in iter_bits(mask)) for mask in range(size)]

@@ -52,7 +52,6 @@ from walras.valuations import (
     Tabular,
     UnitDemand,
     Xos,
-    is_gross_substitutes,
     sample_valuation,
 )
 from walras.suites import SuiteReport, _suite, random_gs_profile, random_xos_profile
@@ -355,7 +354,6 @@ def test_vcg_deviation_certificate():
 def test_marginal_sum_bound_additive_and_xos():
     bids = BidProfile(2, (Additive((F(1), F(2))), Additive((F(3), F(1)))))
     rep = marginal_sum_bound(bids, Allocation(2, (0b01, 0b10)))
-    assert rep.classification == "gross_substitutes"
     assert rep.factor1_ok and rep.factor2_ok
 
     rng = random.Random(47)
@@ -400,7 +398,6 @@ def test_marginal_sum_bound_unknown_class():
     # Complements: neither gross substitutes nor XOS.
     bids = BidProfile(2, (Tabular((F(0), F(1), F(1), F(3))), Additive((F(1), F(1)))))
     rep = marginal_sum_bound(bids, Allocation(2, (0b11, 0)))
-    assert rep.classification == "unknown"
     assert (rep.total, rep.single_bound) == (2, 3)
 
 
@@ -417,44 +414,12 @@ def _never_called(*args):
 def test_checker_limit_is_one_constant_and_checked_first(monkeypatch):
     m = CHECKER_MAX_ITEMS + 1
     bids = BidProfile(m, (Additive((F(1),) * m), Additive((F(2),) * m)))
+    # The refusal comes before any table is built or any class is checked.
     monkeypatch.setattr(analysis, "is_gross_substitutes", _never_called)
-    monkeypatch.setattr(valuations, "_exchange_holds", _never_called)
-    rep = marginal_sum_bound(bids, Allocation(m, ((1 << m) - 1, 0)))
-    assert rep.classification == "xos"
-    # The refusal comes before any table is built.
     monkeypatch.setattr(valuations.Valuation, "table", _never_called)
     limit = f"m <= CHECKER_MAX_ITEMS = {CHECKER_MAX_ITEMS}, got m = {m}"
     with pytest.raises(ValueError, match=limit):
         construct_efficient_profile(Instance(m, bids))
-
-
-def test_gross_substitutes_verdict_is_computed_once_per_valuation(monkeypatch):
-    runs = collections.Counter()
-    loop = valuations._exchange_holds
-
-    def counted(v):
-        runs[id(v)] += 1
-        return loop(v)
-
-    monkeypatch.setattr(valuations, "_exchange_holds", counted)
-    bids = BidProfile(3, (Additive((F(1), F(2, 3), F(0))),
-                          UnitDemand((F(3, 5), F(1), F(2))),
-                          Oxs(((F(1), F(0)), (F(1, 7), F(2)), (F(1), F(1))))))
-    rng = random.Random(11)
-    for _ in range(10):
-        owners = [rng.randrange(3) for _ in range(3)]
-        part = Allocation(3, tuple(sum(1 << j for j in range(3) if owners[j] == i)
-                                   for i in range(3)))
-        rep = marginal_sum_bound(bids, part)
-        assert rep.classification == "gross_substitutes"
-    assert all(is_gross_substitutes(b) for b in bids.bids)  # the kept verdicts
-    assert runs == {id(b): 1 for b in bids.bids}
-    # A table that fails the precondition is checked, and raises, every time.
-    bad = Tabular((F(1), F(2), F(2), F(3)))
-    for _ in range(2):
-        with pytest.raises(ValueError):
-            is_gross_substitutes(bad)
-    assert runs[id(bad)] == 2
 
 
 def test_half_clause_deviation():

@@ -43,6 +43,7 @@ from oracles import (
     brute_blocking,
     brute_canonical_assignment,
     brute_fold_rows,
+    brute_gross_substitutes,
     brute_max_prices,
     brute_min_prices,
     brute_poa,
@@ -57,7 +58,8 @@ from walras import analysis, bundles, valuations, walrasian, welfare
 from walras.analysis import BidGrid, Instance, poa_search, vcg_deviation_certificate
 from walras.bundles import fold_rows, iter_bits
 from walras.mechanisms import PaymentRule, allocate_declared, run_mechanism
-from walras.valuations import Additive, Oxs, Tabular, UnitDemand
+from walras.valuations import (Additive, Oxs, Tabular, UnitDemand, budget_additive,
+                               is_gross_substitutes)
 from walras.walrasian import min_walrasian_prices, tatonnement, verify_walrasian_equilibrium
 from walras.welfare import BidProfile, welfare_max, welfare_value
 
@@ -316,6 +318,16 @@ def payments_match_their_formulas():
         assert (out.payments, out.prices_used) == (tuple(pays), prices)
 
 
+def gross_substitutes_matches_brute_force():
+    """``is_gross_substitutes`` equals ``oracles.brute_gross_substitutes``
+    on a unit-demand bid, which passes only by a swap, an OXS bid, an
+    additive bid, and two that fail: complements and a budget-additive bid."""
+    for v in (UnitDemand((F(2), F(1))), Oxs(((F(2), F(1)), (F(1), F(3)), (F(1), F(1)))),
+              Additive((F(1), F(2), F(3))), Tabular((F(0), F(1), F(1), F(3))),
+              budget_additive((3, 5, 3), 6)):
+        assert is_gross_substitutes(v) == brute_gross_substitutes(v)
+
+
 # -- the census ----------------------------------------------------------------
 
 class Mutant(NamedTuple):
@@ -357,6 +369,18 @@ MUTANTS = [
            vcg_certificate_matches_the_fraction_certificate),
     Mutant("agent 0's negative entries packed without the lift", analysis._grid_outcomes,
            "lift = max(0, -min(map(min, own)))", "lift = 0", kernel_matches_the_runs),
+    Mutant("vcg's utilities without the declared welfare", analysis._grid_outcomes,
+           "u - w + declared", "u - w", kernel_matches_the_runs),
+    Mutant("english and dutch prices with their sign swapped", analysis._grid_outcomes,
+           "w - declared if doubled else declared - w",
+           "declared - w if doubled else w - declared", kernel_matches_the_runs),
+    Mutant("paybid's agent 0 not charged its bid", analysis._grid_outcomes,
+           "utils[0] -= int.from_bytes", "utils[0] -= 0 * int.from_bytes",
+           kernel_matches_the_runs),
+    Mutant("english and dutch charge each item in every lane", analysis._grid_outcomes,
+           "price & (bit << width) - bit", "price", kernel_matches_the_runs),
+    Mutant("the exchange test tries no swap", valuations.is_gross_substitutes,
+           "for bit_j in only_y:", "for bit_j in ():", gross_substitutes_matches_brute_force),
     Mutant("deviations pruned by agent 0's grid tables for every agent", poa_search,
            "scaled.grid[i]}", "scaled.grid[0]}", poa_matches_brute_force),
     Mutant("only the deviations on the grid run", poa_search,

@@ -24,6 +24,7 @@ from walras.cli import main
 from walras.instancefile import fixture_path
 from walras.money import on_one_denominator, scale_rows
 from walras.mechanisms import PaymentRule, _scaled_externality, allocate_declared, run_mechanism
+from walras.suites import random_gs_profile
 from walras.valuations import (
     Additive,
     Oxs,
@@ -507,7 +508,7 @@ def test_fold_rows_matches_the_brute_force_fold(m, slot, data):
     ((0, 7, 3, 1, 2, 0, 9, 4), ((3, 0, 2), (1, 5, 1)), False),  # not monotone
     ((0, 1 << 70, 3, 1 << 66), ((1 << 65, 2),), False),  # lanes past 64 bits
     ((0, 1 << 70, 5, 4), ((1 << 65, 2), (0, 1 << 66)), True),
-    ((0, 100, 27, 127), ((1, 1),), True),  # 128 takes a 16-bit lane
+    ((0, 127, 0, 127), ((1, 1),), True),  # 128 takes a 16-bit lane
 ])
 def test_fold_rows_matches_the_brute_force_fold_on_edge_cases(table, rows, slot):
     assert fold_rows(table, rows, slot) == brute_fold_rows(table, rows, slot)
@@ -627,6 +628,37 @@ def test_one_reader_reads_a_folded_level_0_and_merges_otherwise(monkeypatch):
         assert calls == {}
         allocate_declared(BidProfile(3, twin))
         assert calls == {"_fold_at": merges, "_or_step": 2}
+
+
+def _shared_profile_calls(m: int, n: int) -> dict:
+    """Every call that keeps levels or prices in ``profile._cache``, by name."""
+    ones = ms_ones(m)
+    calls = {"welfare_max": lambda p: welfare_max(p, ones),
+             "allocate_declared": allocate_declared,
+             "min_prices": min_walrasian_prices, "max_prices": max_walrasian_prices}
+    calls.update({rule.value: lambda p, rule=rule: run_mechanism(rule, p)
+                  for rule in PaymentRule})
+    calls.update({f"without {i}": lambda p, i=i: welfare_value(p, ones, exclude=i)
+                  for i in range(n)})
+    calls.update({f"doubled {j}": lambda p, j=j: welfare_value(
+        p, tuple(1 + (k == j) for k in range(m))) for j in range(m)})
+    return calls
+
+
+def test_calls_on_a_shared_profile_match_fresh_profiles_in_any_order():
+    """The DP and the prices keep levels in ``profile._cache``, and whether a
+    reader merges depends on whether level 0 was folded first.  On drawn GS
+    markets (m = 2..6, n = 2..4), each call in three shuffled orders on one
+    profile per order gives what it gives on a fresh profile."""
+    rng = random.Random(2024)
+    for _ in range(300):
+        drawn = random_gs_profile(rng, m_range=(2, 6), n_range=(2, 4))
+        calls = _shared_profile_calls(drawn.m, drawn.n)
+        fresh = {name: call(BidProfile(drawn.m, drawn.bids)) for name, call in calls.items()}
+        for _ in range(3):
+            shared, order = BidProfile(drawn.m, drawn.bids), list(calls)
+            rng.shuffle(order)
+            assert {name: calls[name](shared) for name in order} == fresh, order
 
 
 def test_two_slots_of_one_bidder_never_take_both_copies_of_an_item():
